@@ -5,6 +5,8 @@ The core layers:
 
 * :mod:`hermlie.algebra`, :mod:`hermlie.forms` -- rational Lie algebras,
   alternating forms, the invariant-form differential;
+* :mod:`hermlie.core` -- the integer operator core: every exact verdict
+  is a zero test on int numerators over common denominators;
 * :mod:`hermlie.hermitian` -- metric condition verdicts, the orthogonal
   decomposition, the structural balanced criterion, metric splicing;
 * :mod:`hermlie.shear` -- the Abelian-base shear construction and the

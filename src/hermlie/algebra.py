@@ -8,10 +8,11 @@ notation.  All arithmetic is exact; nothing in this module touches floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import linalg
+from . import core, linalg
 from .errors import (
     DimensionMismatchError,
     DuplicateEntryError,
@@ -59,13 +60,34 @@ class Subspace:
         return self.rows
 
     def contains(self, v: Sequence) -> bool:
-        return linalg.coordinates_in(self.rows, linalg.vec(v)) is not None
+        return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.rows)
 
     def coordinates(self, v: Sequence) -> Vector | None:
-        return linalg.coordinates_in(self.rows, linalg.vec(v))
+        """Coefficients of ``v`` in the echelon basis: its entries at the
+        pivots, provided nothing is left after subtracting them."""
+        v = linalg.vec(v)
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
+            )
+        rows, den, pivots = self._echelon
+        nums, _ = core.clear(v)
+        # v - sum_r v[p_r] row_r, on numerators over den(v) * den
+        rest = [den * x for x in nums]
+        for p, row in zip(pivots, rows):
+            c = nums[p]
+            if c:
+                rest = [x - c * y for x, y in zip(rest, row)]
+        return None if any(rest) else tuple(v[p] for p in pivots)
+
+    @cached_property
+    def _echelon(self) -> tuple[list[list[int]], int, tuple[int, ...]]:
+        """Basis numerators over one denominator, and the pivot columns."""
+        rows, den = core.clear_matrix(self.rows)
+        return rows, den, tuple(next(k for k, c in enumerate(r) if c) for r in rows)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -83,13 +105,10 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         + tuple(-b.rows[j][c] for j in range(len(b.rows)))
         for c in range(a.ambient_dim)
     )
-    vectors = []
-    for sol in linalg.nullspace(m):
-        coeffs = sol[: len(a.rows)]
-        v = linalg.zero_vec(a.ambient_dim)
-        for c, row in zip(coeffs, a.rows):
-            v = linalg.add_vec(v, linalg.scale_vec(c, row))
-        vectors.append(v)
+    vectors = [
+        linalg.combination(sol[: len(a.rows)], a.rows, a.ambient_dim)
+        for sol in linalg.nullspace(m)
+    ]
     return Subspace.span(a.ambient_dim, vectors)
 
 
@@ -98,20 +117,18 @@ def orthogonal_complement(s: Subspace, metric_matrix: Matrix, within: Subspace |
     if within is None:
         within = Subspace.full(s.ambient_dim)
     _check_same_ambient(s, within)
-    if not within.rows:
+    if not within.rows or not s.rows:
         return within
     # rows: one equation per basis vector of s, unknowns are coefficients
-    # of `within`'s basis.
-    gw = [linalg.mat_vec(metric_matrix, w) for w in within.rows]
-    eqs = tuple(tuple(linalg.dot(v, gwi) for gwi in gw) for v in s.rows)
-    if not eqs:
-        return within
-    vectors = []
-    for sol in linalg.nullspace(eqs):
-        v = linalg.zero_vec(s.ambient_dim)
-        for c, w in zip(sol, within.rows):
-            v = linalg.add_vec(v, linalg.scale_vec(c, w))
-        vectors.append(v)
+    # of `within`'s basis.  On numerators: each equation is scaled by its own
+    # positive constant and every unknown by one, so the kernel is unchanged.
+    g, _ = core.clear_matrix(metric_matrix)
+    w, _ = core.clear_matrix(within.rows)
+    gw = [core.mat_vec(g, wi) for wi in w]
+    eqs = [[core.dot(core.clear(v)[0], gwi) for gwi in gw] for v in s.rows]
+    vectors = [
+        linalg.combination(sol, within.rows, s.ambient_dim) for sol in linalg.nullspace(eqs)
+    ]
     return Subspace.span(s.ambient_dim, vectors)
 
 
@@ -152,6 +169,7 @@ class LieAlgebra:
                 raise IndexOutOfRangeError(f"bad table entry for pair ({i}, {j})")
         self._jacobi_residual = None
         self._fingerprint = None
+        self._ints = None
 
     def __eq__(self, other):
         return (
@@ -171,39 +189,30 @@ class LieAlgebra:
             return self.table.get((i, j), linalg.zero_vec(self.dim))
         return linalg.neg_vec(self.table.get((j, i), linalg.zero_vec(self.dim)))
 
+    @property
+    def ints(self) -> core.Bilinear:
+        """The bracket table as integer numerators over one denominator."""
+        if self._ints is None:
+            self._ints = core.Bilinear(self.dim, self.table)
+        return self._ints
+
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError("bracket arguments must have the algebra's dimension")
-        out = linalg.zero_vec(self.dim)
-        for (i, j), v in self.table.items():
-            c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if c:
-                out = linalg.add_vec(out, linalg.scale_vec(c, v))
-        return out
+        return self.ints.rational(x, y)
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad(x) = [x, .] acting on column vectors."""
-        cols = [self.bracket(x, linalg.unit_vec(self.dim, j)) for j in range(1, self.dim + 1)]
-        return linalg.matrix_from_columns(cols)
+        if len(x) != self.dim:
+            raise DimensionMismatchError("ad argument must have the algebra's dimension")
+        nums, dx = core.clear(linalg.vec(x))
+        den = self.ints.den * dx
+        cols = [self.ints.with_basis(nums, j) for j in range(self.dim)]
+        return tuple(core.fractions(row, den) for row in zip(*cols))
 
     def jacobi_residual(self) -> Fraction:
         """Max-abs coordinate of the cyclic sum over all basis triples."""
         if self._jacobi_residual is None:
-            worst = ZERO
-            n = self.dim
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    bij = self.bracket_basis(i, j)
-                    for k in range(j + 1, n + 1):
-                        s = self.bracket(bij, linalg.unit_vec(n, k))
-                        s = linalg.add_vec(
-                            s, self.bracket(self.bracket_basis(j, k), linalg.unit_vec(n, i))
-                        )
-                        s = linalg.add_vec(
-                            s, self.bracket(self.bracket_basis(k, i), linalg.unit_vec(n, j))
-                        )
-                        worst = max(worst, max((abs(c) for c in s), default=ZERO))
-            self._jacobi_residual = worst
+            worst = max((abs(c) for s in core.jacobi_sums(self.ints) for c in s), default=0)
+            self._jacobi_residual = Fraction(worst, self.ints.den**2)
         return self._jacobi_residual
 
     @property

@@ -79,12 +79,11 @@ def cmd_check(args) -> int:
     g = load_metric(structure, L.dim)
     verdicts = classify_metric(L, g, J, allow_nonintegrable=args.allow_nonintegrable)
     dec = hermitian_decomposition(L, g, J)
-    float_metric = [[float(c) for c in row] for row in g.matrix]
     report = {
         "schema": SCHEMA,
         "verdicts": verdicts.as_dict(),
         "decomposition": {"s": dec.s, "r": dec.r, "l": dec.ell, "pure_type": dec.pure_type},
-        "residuals": {kind: residual(L, J, float_metric, kind) for kind in KINDS},
+        "residuals": {kind: residual(L, J, g.matrix, kind) for kind in KINDS},
         "citations": [
             "kahler: d sigma = 0",
             "balanced: d sigma^(n-1) = 0",

@@ -1,0 +1,257 @@
+"""Integer-numerator operator core behind the exact verdicts.
+
+Every rational input of a verdict -- a bracket table, J, a metric, a form --
+is cleared once to Python int numerators over one common denominator.  The
+operations below multiply numerators only; the denominator of a result is
+the product of the input denominators, which the caller tracks when it
+needs the value back as a ``Fraction``.  Every verdict is a zero test of
+such a homogeneous expression, so the zero tests run on ints alone and no
+gcd is taken until a value leaves the core.
+
+Forms are dicts from bitmasks (bit i - 1 set for index i) to numerators;
+vectors and matrices are lists of ints, 0-indexed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
+from typing import Iterator, Sequence
+
+from .errors import DimensionMismatchError
+
+
+ZERO = Fraction(0)
+
+
+def clear(values: Sequence) -> tuple[list[int], int]:
+    """Numerators of rational ``values`` over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def clear_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    den = lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """The rationals nums / den, leaving the core."""
+    return tuple(Fraction(c, den) if c else ZERO for c in nums)
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in m]
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+class Bilinear:
+    """An alternating bilinear map on Q^n as a sparse table of numerators.
+
+    Built from ``{(i, j): vector}`` with 1-indexed i < j, the shape of both
+    a bracket table and a shear two-form.  ``terms`` holds
+    ``(i, j, ((k, c), ...))`` with 0-indexed i < j: w(e_i, e_j) has
+    coordinate c / den on e_k.  ``column[k]`` maps a to the same sparse form
+    of w(e_a, e_k), signs included, and ``de[k]`` lists the terms
+    ``(a, b, mask, -c)`` of de^k = -sum_{a<b} c_ab^k e^a ^ e^b.
+    """
+
+    __slots__ = ("dim", "den", "terms", "column", "de")
+
+    def __init__(self, dim: int, table: dict):
+        self.dim = dim
+        self.den = lcm(*[c.denominator for v in table.values() for c in v])
+        self.terms = []
+        self.column = [{} for _ in range(dim)]
+        self.de = [[] for _ in range(dim)]
+        for (i, j), v in table.items():
+            i, j = i - 1, j - 1
+            nums = tuple(
+                (k, c.numerator * (self.den // c.denominator)) for k, c in enumerate(v) if c
+            )
+            if not nums:
+                continue
+            self.terms.append((i, j, nums))
+            self.column[j][i] = nums
+            self.column[i][j] = tuple((k, -c) for k, c in nums)
+            for k, c in nums:
+                self.de[k].append((i, j, (1 << i) | (1 << j), -c))
+
+    def __call__(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """Numerators of w(x, y) over den * den(x) * den(y)."""
+        out = [0] * self.dim
+        for i, j, nums in self.terms:
+            c = x[i] * y[j] - x[j] * y[i]
+            if c:
+                for k, v in nums:
+                    out[k] += c * v
+        return out
+
+    def with_basis(self, x: Sequence[int], k: int) -> list[int]:
+        """Numerators of w(x, e_k) over den * den(x); k is 0-indexed."""
+        out = [0] * self.dim
+        for a, nums in self.column[k].items():
+            xa = x[a]
+            if xa:
+                for m, v in nums:
+                    out[m] += xa * v
+        return out
+
+    def on_basis(self) -> dict[tuple[int, int], list[int]]:
+        """Numerators of w(e_i, e_j) over den, for every pair i != j."""
+        out = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if i != j:
+                    out[(i, j)] = [0] * self.dim
+                    for k, c in self.column[j].get(i, ()):
+                        out[(i, j)][k] = c
+        return out
+
+    def rational(self, x: Sequence, y: Sequence) -> tuple:
+        """w(x, y) for rational vectors, as Fractions."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise DimensionMismatchError("arguments must match the bilinear map's dimension")
+        xs, dx = clear(x)
+        ys, dy = clear(y)
+        return fractions(self(xs, ys), self.den * dx * dy)
+
+
+# --- exterior algebra on bitmasks ------------------------------------------
+
+
+@lru_cache(maxsize=1 << 12)
+def bits(mask: int) -> tuple[int, ...]:
+    """The 0-indexed set bits of ``mask``, ascending."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def mask_of(indices: Sequence[int]) -> int:
+    """Bitmask of strictly increasing 1-indexed ``indices``."""
+    m = 0
+    for i in indices:
+        m |= 1 << (i - 1)
+    return m
+
+
+@lru_cache(maxsize=1 << 12)
+def indices(mask: int) -> tuple[int, ...]:
+    """The 1-indexed tuple of ``mask``."""
+    return tuple(i + 1 for i in bits(mask))
+
+
+def _sign(a: int, b: int) -> int:
+    """Sign of sorting e^a ^ e^b for disjoint masks: count pairs x in a, y in b, x > y."""
+    flips = 0
+    for y in bits(b):
+        flips += (a >> (y + 1)).bit_count()
+    return -1 if flips & 1 else 1
+
+
+def wedge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Numerators over den(a) * den(b)."""
+    out: dict[int, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma & mb:
+                continue
+            key = ma | mb
+            out[key] = out.get(key, 0) + _sign(ma, mb) * ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def power(a: dict[int, int], k: int) -> dict[int, int]:
+    """a^k with the empty wedge {0: 1}; numerators over den(a)**k."""
+    out = {0: 1}
+    for _ in range(k):
+        out = wedge(out, a)
+    return out
+
+
+def pullback(rows: Sequence[Sequence[int]], form: dict[int, int]) -> dict[int, int]:
+    """(J^* b)(x_1, .., x_k) = b(J x_1, .., J x_k), numerators over den(b) * den(J)**k.
+
+    ``rows`` is the numerator matrix of J; J^* e^i is its i-th row.  The form
+    is split by lowest index, b = sum_i e^i ^ b_i, so that
+    J^* b = sum_i J^* e^i ^ J^* b_i.
+    """
+    groups: dict[int, dict[int, int]] = {}
+    for mask, c in form.items():
+        if not mask:
+            return dict(form)
+        low = mask & -mask
+        groups.setdefault(low, {})[mask ^ low] = c
+    out: dict[int, int] = {}
+    for low, rest in groups.items():
+        tail = pullback(rows, rest)
+        row = rows[low.bit_length() - 1]
+        for j, r in enumerate(row):
+            if not r:
+                continue
+            bit = 1 << j
+            below = bit - 1
+            for mask, c in tail.items():
+                if mask & bit:
+                    continue
+                key = mask | bit
+                term = r * c
+                out[key] = out.get(key, 0) + (-term if (mask & below).bit_count() & 1 else term)
+    return {k: v for k, v in out.items() if v}
+
+
+# --- the Lie algebra operators: Jacobi sums and the differential -----------
+
+
+def jacobi_sums(b: Bilinear) -> Iterator[list[int]]:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] for i < j < k, in
+    lexicographic order, as numerators over den**2."""
+    n, column = b.dim, b.column
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                out = [0] * n
+                # [e_x, e_y] = column[y][x]; each term is [[e_x, e_y], e_z]
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c in column[y].get(x, ()):
+                        for t, v in column[z].get(m, ()):
+                            out[t] += c * v
+                yield out
+
+
+def differential(b: Bilinear, form: dict[int, int]) -> dict[int, int]:
+    """d of a left-invariant form, numerators over den(form) * b.den.
+
+    Leibniz on basis monomials: d(e^I) = sum_t (-1)^t de^{I_t} ^ e^{I - I_t}.
+    """
+    de = b.de
+    out: dict[int, int] = {}
+    for mask, c in form.items():
+        for t, m in enumerate(bits(mask)):
+            rest = mask ^ (1 << m)
+            for lo, hi, pair, v in de[m]:
+                if rest & pair:
+                    continue
+                # sorting e^lo ^ e^hi ^ e^rest moves lo and hi past the
+                # smaller indices of rest
+                below = (rest & ((1 << lo) - 1)).bit_count() + (rest & ((1 << hi) - 1)).bit_count()
+                flips = t + below
+                key = rest | pair
+                out[key] = out.get(key, 0) + (-c * v if flips & 1 else c * v)
+    return {k: v for k, v in out.items() if v}

@@ -49,18 +49,25 @@ def _fraction_vector(row, what: str):
 
 
 def load_algebra(doc: dict) -> LieAlgebra:
-    """AlgebraDocument: {"dim", "salamon" | "constants", "params"}."""
+    """AlgebraDocument: {"dim", "salamon" and/or "constants", "params"}.
+
+    A document may carry both notations, as ``algebra_doc`` writes them;
+    they must then describe the same algebra.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("algebra document must be a JSON object")
-    has_salamon = "salamon" in doc
-    has_constants = "constants" in doc
-    if has_salamon == has_constants:
-        raise DocumentError('exactly one of "salamon" or "constants" must be present')
-    params = {k: _fraction(v) for k, v in doc.get("params", {}).items()}
+    if "salamon" not in doc and "constants" not in doc:
+        raise DocumentError('one of "salamon" or "constants" must be present')
+    raw_params = doc.get("params", {})
+    if not isinstance(raw_params, dict):
+        raise DocumentError('"params" must be a JSON object')
+    params = {k: _fraction(v) for k, v in raw_params.items()}
     try:
-        if has_salamon:
-            L = parse_salamon(doc["salamon"], params)
-        else:
+        dim = int(doc["dim"]) if "dim" in doc else None
+        parsed = []
+        if "salamon" in doc:
+            parsed.append(parse_salamon(doc["salamon"], params))
+        if "constants" in doc:
             constants = [
                 (int(i), int(j), int(k), _fraction(c)) for i, j, k, c in doc["constants"]
             ]
@@ -69,11 +76,15 @@ def load_algebra(doc: dict) -> LieAlgebra:
                 raise DocumentError(
                     f"structure constants violate Jacobi (residual {L.jacobi_residual()})"
                 )
+            parsed.append(L)
     except HermlieError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise DocumentError(f"bad algebra document: {exc}") from None
-    if "dim" in doc and int(doc["dim"]) != L.dim:
+    L = parsed[0]
+    if any(other != L for other in parsed[1:]):
+        raise DocumentError('"salamon" and "constants" describe different algebras')
+    if dim is not None and dim != L.dim:
         raise DocumentError(f'"dim" is {doc["dim"]} but the algebra has dimension {L.dim}')
     return L
 
@@ -104,6 +115,8 @@ def load_shear_data(doc: dict):
         dim = int(doc["dim"])
     except (KeyError, TypeError, ValueError):
         raise DocumentError('shear document needs an integer "dim"') from None
+    if dim < 1:
+        raise DocumentError(f'"dim" must be positive, got {dim}')
     a = Subspace.span(dim, [_fraction_vector(v, '"a" vector') for v in doc.get("a", [])])
     values = {}
     for item in doc.get("omega", []):
@@ -131,16 +144,23 @@ def matrix_doc(m) -> list:
 
 
 def algebra_doc(L: LieAlgebra) -> dict:
+    """The algebra as a document ``load_algebra`` reads back.
+
+    ``salamon`` is left out above dimension 9, where its index pairs would
+    need multi-digit indices and stop being unambiguous.
+    """
     from .salamon import render_salamon
 
-    return {
+    doc = {
         "schema": SCHEMA,
         "dim": L.dim,
-        "salamon": render_salamon(L),
         "constants": [
             [i, j, k, fraction_str(c)] for (i, j, k, c) in L.structure_constants()
         ],
     }
+    if L.dim <= 9:
+        doc["salamon"] = render_salamon(L)
+    return doc
 
 
 def dump_report(doc: dict) -> str:

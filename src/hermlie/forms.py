@@ -12,11 +12,12 @@ which on 1-forms gives de^i(e_j, e_k) = -e^i([e_j, e_k]).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from . import linalg
+from . import core, linalg
 from .algebra import LieAlgebra, Subspace
 from .errors import DimensionMismatchError, IndexOutOfRangeError
 from .linalg import ZERO, Matrix, Vector
@@ -58,6 +59,22 @@ class KForm:
                 raise IndexOutOfRangeError(f"index tuple {idx} is not increasing")
             clean[tuple(idx)] = c
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
+
+    @staticmethod
+    def from_ints(dim: int, degree: int, nums: Mapping[int, int], den: int) -> "KForm":
+        """The form with coefficient nums[mask] / den on each core bitmask."""
+        form = object.__new__(KForm)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "degree", degree)
+        coeffs = sorted((core.indices(m), Fraction(c, den)) for m, c in nums.items() if c)
+        object.__setattr__(form, "coeffs", dict(coeffs))
+        return form
+
+    @cached_property
+    def ints(self) -> tuple[dict[int, int], int]:
+        """Numerators on core bitmasks over one common denominator."""
+        nums, den = core.clear(list(self.coeffs.values()))
+        return {core.mask_of(idx): c for idx, c in zip(self.coeffs, nums)}, den
 
     def __eq__(self, other):
         return (
@@ -142,22 +159,15 @@ def wedge(a: KForm, b: KForm) -> KForm:
         raise DimensionMismatchError("wedge factors live on different spaces")
     if a.degree + b.degree > a.dim:
         return zero_form(a.dim, a.degree + b.degree)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for ia, ca in a.coeffs.items():
-        sa = set(ia)
-        for ib, cb in b.coeffs.items():
-            if sa & set(ib):
-                continue
-            idx, sign = _sort_with_sign(ia + ib)
-            acc[idx] = acc.get(idx, ZERO) + sign * ca * cb
-    return KForm(a.dim, a.degree + b.degree, acc)
+    (na, da), (nb, db) = a.ints, b.ints
+    return KForm.from_ints(a.dim, a.degree + b.degree, core.wedge(na, nb), da * db)
 
 
 def form_power(a: KForm, k: int) -> KForm:
-    out = constant_form(a.dim, 1)
-    for _ in range(k):
-        out = wedge(out, a)
-    return out
+    if a.degree * k > a.dim:
+        return zero_form(a.dim, a.degree * k)
+    nums, den = a.ints
+    return KForm.from_ints(a.dim, a.degree * k, core.power(nums, k), den**k)
 
 
 def evaluate(form: KForm, vectors: Sequence[Sequence]) -> Fraction:
@@ -179,57 +189,23 @@ def evaluate(form: KForm, vectors: Sequence[Sequence]) -> Fraction:
     return total
 
 
-def _eval_vector_then_basis(form: KForm, v: Vector, basis_indices: tuple[int, ...]) -> Fraction:
-    """form(v, e_{b1}, .., e_{bk}) expanded linearly in the first slot."""
-    total = ZERO
-    forbidden = set(basis_indices)
-    for m, coeff in enumerate(v, start=1):
-        if coeff == 0 or m in forbidden:
-            continue
-        idx, sign = _sort_with_sign((m,) + basis_indices)
-        if sign == 0:
-            continue
-        c = form.coeffs.get(idx, ZERO)
-        if c:
-            total += coeff * sign * c
-    return total
-
-
 def ce_differential(L: LieAlgebra, form: KForm) -> KForm:
     """Exterior derivative of a left-invariant form, from the bracket table."""
     if form.dim != L.dim:
         raise DimensionMismatchError("form and algebra dimensions differ")
-    k = form.degree
-    out: dict[tuple[int, ...], Fraction] = {}
-    for idx in combinations(range(1, L.dim + 1), k + 1):
-        total = ZERO
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                br = L.bracket_basis(idx[a], idx[b])
-                if linalg.is_zero_vec(br):
-                    continue
-                rest = tuple(idx[t] for t in range(k + 1) if t != a and t != b)
-                val = _eval_vector_then_basis(form, br, rest)
-                if val:
-                    total += (-1) ** (a + b) * val
-        if total:
-            out[idx] = total
-    return KForm(L.dim, k + 1, out)
+    nums, den = form.ints
+    return KForm.from_ints(L.dim, form.degree + 1, core.differential(L.ints, nums), den * L.ints.den)
 
 
 def j_pullback(j_matrix: Matrix, form: KForm) -> KForm:
     """(J^* b)(x_1,..,x_k) = b(J x_1,..,J x_k), with no extra sign factor."""
     if form.degree == 0:
         return form
-    cols = linalg.columns(j_matrix)
-    if len(cols) != form.dim:
+    if len(j_matrix) != form.dim:
         raise DimensionMismatchError("endomorphism and form dimensions differ")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for idx in combinations(range(1, form.dim + 1), form.degree):
-        val = evaluate(form, [cols[i - 1] for i in idx])
-        if val:
-            out[idx] = val
-    return KForm(form.dim, form.degree, out)
+    rows, dj = core.clear_matrix(j_matrix)
+    nums, den = form.ints
+    return KForm.from_ints(form.dim, form.degree, core.pullback(rows, nums), den * dj**form.degree)
 
 
 class VectorValuedTwoForm:
@@ -244,6 +220,7 @@ class VectorValuedTwoForm:
             raise DimensionMismatchError("target subspace has the wrong ambient dimension")
         self.dim = dim
         self.target = target
+        self._ints = None
         self.values = {}
         for (i, j), v in sorted(values.items()):
             if not (1 <= i < j <= dim):
@@ -260,22 +237,15 @@ class VectorValuedTwoForm:
             and (self.dim, self.target, self.values) == (other.dim, other.target, other.values)
         )
 
-    def on_basis(self, i: int, j: int) -> Vector:
-        if i == j:
-            return linalg.zero_vec(self.dim)
-        if i < j:
-            return self.values.get((i, j), linalg.zero_vec(self.dim))
-        return linalg.neg_vec(self.values.get((j, i), linalg.zero_vec(self.dim)))
+    @property
+    def ints(self) -> core.Bilinear:
+        """The values as integer numerators over one denominator."""
+        if self._ints is None:
+            self._ints = core.Bilinear(self.dim, self.values)
+        return self._ints
 
     def __call__(self, x: Sequence, y: Sequence) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError("arguments must match the form's dimension")
-        out = linalg.zero_vec(self.dim)
-        for (i, j), v in self.values.items():
-            c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if c:
-                out = linalg.add_vec(out, linalg.scale_vec(c, v))
-        return out
+        return self.ints.rational(x, y)
 
     def image(self) -> Subspace:
         return Subspace.span(self.dim, list(self.values.values()))

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
-from . import linalg
+from . import core, linalg
 from .algebra import LieAlgebra, change_basis, direct_sum, make_algebra, abelian
 from .forms import form_from_terms, zero_form
 from .hermitian import ComplexStructure, Metric
@@ -296,14 +295,8 @@ def _mixed_params(rng: random.Random) -> SixDNonPureData:
         L = sixd_nonpure_table(
             SixDNonPureData(base.b, base.deltas, base.z, wvec)
         )
-        out = []
-        n = L.dim
-        for i, j, k in combinations(range(1, n + 1), 3):
-            ss = L.bracket(L.bracket_basis(i, j), linalg.unit_vec(n, k))
-            ss = linalg.add_vec(ss, L.bracket(L.bracket_basis(j, k), linalg.unit_vec(n, i)))
-            ss = linalg.add_vec(ss, L.bracket(L.bracket_basis(k, i), linalg.unit_vec(n, j)))
-            out.extend(ss)
-        return tuple(out)
+        den = L.ints.den ** 2
+        return tuple(Fraction(c, den) for s in core.jacobi_sums(L.ints) for c in s)
 
     cols = [residual(u) for u in units]
     kernel = linalg.nullspace(linalg.matrix_from_columns(cols))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
+from . import core, linalg
 from .algebra import (
     LieAlgebra,
     Subspace,
@@ -43,7 +43,7 @@ from .errors import (
     NotValidatedError,
     PreconditionViolatedError,
 )
-from .forms import KForm, ce_differential, form_power, j_pullback
+from .forms import KForm
 from .linalg import ONE, ZERO, Matrix, Vector
 
 
@@ -59,15 +59,23 @@ class ComplexStructure:
         n = len(m)
         if n % 2 or any(len(r) != n for r in m):
             raise NotAComplexStructureError("J must be square of even size")
-        if linalg.mat_mul(m, m) != linalg.mat_scale(-1, linalg.identity_matrix(n)):
+        rows, den = core.clear_matrix(m)
+        minus = -den * den
+        square = core.mat_mul(rows, rows)
+        if any(c != (minus if i == j else 0) for i, row in enumerate(square) for j, c in enumerate(row)):
             raise NotAComplexStructureError("J^2 != -identity")
+        object.__setattr__(self, "ints", (rows, den))
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
     def apply(self, v: Sequence) -> Vector:
-        return linalg.mat_vec(self.matrix, linalg.vec(v))
+        rows, den = self.ints
+        if len(v) != len(rows):
+            raise DimensionMismatchError("vector and J dimensions differ")
+        nums, dv = core.clear(linalg.vec(v))
+        return core.fractions(core.mat_vec(rows, nums), den * dv)
 
     @staticmethod
     def standard(dim: int) -> "ComplexStructure":
@@ -100,17 +108,37 @@ class Metric:
             raise InvalidMetricError("metric matrix must be symmetric")
         if any(minor <= 0 for minor in linalg.leading_principal_minors(m)):
             raise InvalidMetricError("metric matrix is not positive definite")
+        object.__setattr__(self, "ints", core.clear_matrix(m))
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
-        return linalg.dot(linalg.vec(x), linalg.mat_vec(self.matrix, linalg.vec(y)))
+        rows, den = self.ints
+        if len(x) != len(rows) or len(y) != len(rows):
+            raise DimensionMismatchError("vector and metric dimensions differ")
+        (xs, dx), (ys, dy) = core.clear(linalg.vec(x)), core.clear(linalg.vec(y))
+        return Fraction(core.dot(xs, core.mat_vec(rows, ys)), den * dx * dy)
 
     def compatible_with(self, J: ComplexStructure) -> bool:
-        jt = linalg.transpose(J.matrix)
-        return linalg.mat_mul(jt, linalg.mat_mul(self.matrix, J.matrix)) == self.matrix
+        """J^T g J = g, compared on numerators: (dJ^2 dg) J^T g J vs dJ^2 (dg g)."""
+        if J.dim != self.dim:
+            raise DimensionMismatchError("metric and J dimensions differ")
+        (j, dj), (g, _) = J.ints, self.ints
+        jt_g_j = core.mat_mul(core.mat_mul(list(zip(*j)), g), j)
+        scale = dj * dj
+        return all(a == scale * b for ra, rb in zip(jt_g_j, g) for a, b in zip(ra, rb))
+
+    def sigma_ints(self, J: ComplexStructure) -> tuple[dict[int, int], int]:
+        """sigma = g(J., .) = J^T g on core bitmasks, over dJ * dg."""
+        if not self.compatible_with(J):
+            raise IncompatibleMetricError("metric is not J-invariant")
+        (j, dj), (g, dg) = J.ints, self.ints
+        m = core.mat_mul(list(zip(*j)), g)
+        n = len(m)
+        form = {(1 << a) | (1 << b): m[a][b] for a in range(n) for b in range(a + 1, n) if m[a][b]}
+        return form, dj * dg
 
     @staticmethod
     def identity(dim: int) -> "Metric":
@@ -140,14 +168,27 @@ class ComplexStructureReport:
 
 
 def validate_complex_structure(L: LieAlgebra, J: ComplexStructure) -> ComplexStructureReport:
+    """Nijenhuis tensor on basis pairs, on numerators over dJ^2 * den(L):
+    B(J e_i, J e_j) - J B(J e_i, e_j) - J B(e_i, J e_j) - dJ^2 B(e_i, e_j)."""
     if J.dim != L.dim:
         raise DimensionMismatchError("J and algebra dimensions differ")
+    b = L.ints
+    rows, dj = J.ints
+    n = L.dim
+    cols = [list(c) for c in zip(*rows)]  # J e_i
+    # left[i][j] = B(J e_i, e_j); B(J e_i, J e_j) = sum_k (J e_j)_k left[i][k]
+    left = [[b.with_basis(cols[i], j) for j in range(n)] for i in range(n)]
+    left_t = [list(zip(*row)) for row in left]
+    plain = b.on_basis()
+    scale = dj * dj
     failing = []
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            n = nijenhuis(L, J, linalg.unit_vec(L.dim, i), linalg.unit_vec(L.dim, j))
-            if not linalg.is_zero_vec(n):
-                failing.append((i, j))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mixed = [x - y for x, y in zip(left[i][j], left[j][i])]
+            out = core.mat_vec(rows, mixed)
+            jj = core.mat_vec(left_t[i], cols[j])
+            if any(p - q - scale * r for p, q, r in zip(jj, out, plain[(i, j)])):
+                failing.append((i + 1, j + 1))
     return ComplexStructureReport(not failing, tuple(failing))
 
 
@@ -157,16 +198,8 @@ def is_integrable(L: LieAlgebra, J: ComplexStructure) -> bool:
 
 def fundamental_form(L: LieAlgebra, g: Metric, J: ComplexStructure) -> KForm:
     """sigma = g(J., .) as a 2-form."""
-    if not g.compatible_with(J):
-        raise IncompatibleMetricError("metric is not J-invariant")
-    m = linalg.mat_mul(linalg.transpose(J.matrix), g.matrix)
-    coeffs = {}
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            c = m[i - 1][j - 1]
-            if c:
-                coeffs[(i, j)] = c
-    return KForm(L.dim, 2, coeffs)
+    nums, den = g.sigma_ints(J)
+    return KForm.from_ints(L.dim, 2, nums, den)
 
 
 @dataclass(frozen=True)
@@ -190,17 +223,18 @@ def classify_metric(
 ) -> MetricVerdicts:
     """Exact verdicts for the three closedness conditions of sigma."""
     L.require_validated()
+    if J.dim != L.dim:
+        raise DimensionMismatchError("J and algebra dimensions differ")
     if not allow_nonintegrable and not is_integrable(L, J):
         raise NotIntegrableError("Nijenhuis tensor does not vanish; pass allow_nonintegrable to force")
-    sigma = fundamental_form(L, g, J)
+    # zero tests on numerators: sigma over dJ dg, d adds den(L), J^* adds dJ^3
+    sigma, _ = g.sigma_ints(J)
+    b = L.ints
     n = L.dim // 2
-    dsigma = ce_differential(L, sigma)
-    kahler = dsigma.is_zero()
-    if n >= 2:
-        balanced = ce_differential(L, form_power(sigma, n - 1)).is_zero()
-    else:
-        balanced = True
-    skt = ce_differential(L, j_pullback(J.matrix, dsigma)).is_zero()
+    dsigma = core.differential(b, sigma)
+    kahler = not dsigma
+    balanced = n < 2 or not core.differential(b, core.power(sigma, n - 1))
+    skt = not core.differential(b, core.pullback(J.ints[0], dsigma))
     return MetricVerdicts(kahler, balanced, skt)
 
 
@@ -451,9 +485,7 @@ def normalize_skt_typeII(
     def r_of(index: int, coeffs: Sequence[Fraction]) -> Vector:
         # index runs over `flat`; odd entries are J-partners
         c, is_j = divmod(index, 2)
-        v = linalg.zero_vec(L.dim)
-        for a in range(nd):
-            v = linalg.add_vec(v, linalg.scale_vec(coeffs[c * nd + a], derg_basis[a]))
+        v = linalg.combination(coeffs[c * nd: (c + 1) * nd], derg_basis, L.dim)
         return J.apply(v) if is_j else v
 
     eqs: list[list[Fraction]] = []
@@ -537,10 +569,7 @@ def kahler_from_skt_and_balanced_typeII(
     for z in v_tilde.basis():
         coords = linalg.coordinates_in(vh_basis + derg_basis, z)
         assert coords is not None
-        img = linalg.zero_vec(L.dim)
-        for c, w in zip(coords[: len(vh_basis)], vh_basis):
-            img = linalg.add_vec(img, linalg.scale_vec(c, w))
-        images.append(img)
+        images.append(linalg.combination(coords[: len(vh_basis)], vh_basis, L.dim))
 
     vt_basis = v_tilde.basis()
     gram_d = linalg.mat([[g_tilde.pair(u, v) for v in derg_basis] for u in derg_basis])

@@ -1,15 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of row
-tuples.  Everything here is pure and allocation-light; dimensions in this
-package never exceed ~10, so simple fraction-free-ish Gaussian elimination
-is fast enough.
+tuples.  Everything here is pure.  Products and eliminations clear each
+row's denominators once and run on Python ints (``hermlie.core``):
+``rref``, ``nullspace``, ``solve``, ``inverse``, ``det`` and the leading
+principal minors are fraction-free Bareiss eliminations (E. H. Bareiss,
+Math. Comp. 22, 1968), and the canonical Fraction results are formed only
+at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from . import core
 
 Q = Fraction
 ZERO = Fraction(0)
@@ -20,7 +25,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vec(n: int) -> Vector:
@@ -58,6 +63,15 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return total
 
 
+def combination(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> Vector:
+    """sum_i coeffs[i] vectors[i] in Q^dim."""
+    if not vectors:
+        return zero_vec(dim)
+    cs, dc = core.clear(coeffs)
+    rows, dv = core.clear_matrix(vectors)
+    return core.fractions(core.mat_vec(list(zip(*rows)), cs), dc * dv)
+
+
 def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
@@ -70,21 +84,29 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(unit_vec(n, i + 1) for i in range(n))
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return ((ZERO,) * cols,) * rows
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
 def mat_vec(m: Matrix, v: Sequence) -> Vector:
-    return tuple(dot(row, v) for row in m)
+    if not m:
+        return ()
+    if len(v) != len(m[0]):
+        raise ValueError("matrix and vector sizes differ")
+    mi, dm = core.clear_matrix(m)
+    vi, dv = core.clear(v)
+    return core.fractions(core.mat_vec(mi, vi), dm * dv)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    if not a or not b:
+        return tuple(() for _ in a)
+    if len(a[0]) != len(b):
+        raise ValueError("matrix sizes differ")
+    ai, da = core.clear_matrix(a)
+    bi, db = core.clear_matrix(b)
+    den = da * db
+    return tuple(core.fractions(row, den) for row in core.mat_mul(ai, bi))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -115,34 +137,51 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(is_zero_vec(r) for r in m)
 
 
+def _bareiss(work: list[list[int]]) -> tuple[int, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an int matrix, in place.
+
+    Returns (den, pivots, sign): the first len(pivots) rows divided by den
+    are the reduced echelon rows and the rest are zero; for a nonsingular
+    square matrix, sign * den is its determinant.  Every update
+    (p a_ik - a_ij a_rk) / prev divides exactly, because every entry is a
+    minor of the input.
+    """
+    nrows = len(work)
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            sign = -sign
+        prow = work[r]
+        p = prow[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != r and (f or p != prev):
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        pivots.append(col)
+    return prev, pivots, sign
+
+
 def rref(rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped.
 
     Returns the canonical nonzero rows and the pivot column indices; the
-    result is a canonical representative of the row space.
+    result is a canonical representative of the row space.  Each row is
+    scaled by its own common denominator first, which keeps the row space.
     """
-    work = [list(vec(r)) for r in rows]
+    work = [core.clear(vec(r))[0] for r in rows]
     if not work:
         return (), ()
-    ncols = len(work[0])
-    pivots = []
-    piv_r = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(piv_r, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[piv_r], work[pivot] = work[pivot], work[piv_r]
-        inv = 1 / work[piv_r][col]
-        work[piv_r] = [x * inv for x in work[piv_r]]
-        for r in range(len(work)):
-            if r != piv_r and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[piv_r])]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(work):
-            break
-    return tuple(tuple(r) for r in work[:piv_r]), tuple(pivots)
+    den, pivots, _ = _bareiss(work)
+    return tuple(core.fractions(row, den) for row in work[: len(pivots)]), tuple(pivots)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -182,23 +221,13 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 
 
 def det(m: Matrix) -> Fraction:
-    n = len(m)
-    work = [list(r) for r in m]
-    result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            result = -result
-        result *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return result
+    work, scale = [], 1
+    for r in m:
+        nums, den = core.clear(vec(r))
+        work.append(nums)
+        scale *= den
+    den, pivots, sign = _bareiss(work)
+    return Fraction(sign * den, scale) if len(pivots) == len(m) else ZERO
 
 
 def inverse(m: Matrix) -> Matrix:

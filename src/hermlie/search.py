@@ -13,7 +13,8 @@ reported as inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -86,10 +87,6 @@ def _coefficients_of(basis, target, slots, index):
     return sol
 
 
-def _exact_matrix_from_float(s) -> tuple:
-    return tuple(tuple(Fraction(float(x)) for x in row) for row in s)
-
-
 def _condition_form(L: LieAlgebra, J: ComplexStructure, sigma: KForm, kind: str) -> KForm:
     n = L.dim // 2
     if kind == "kahler":
@@ -144,6 +141,20 @@ class SearchConfig:
     # otherwise descent fakes a zero by sliding to a semidefinite point of
     # the condition's kernel (those exist even when no witness does).
     min_eig_floor: float = 1e-3
+
+    def __post_init__(self):
+        # overrides come from documents: each must have its default's shape
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            many = isinstance(default, tuple)
+            kind = numbers.Integral if isinstance(default[0] if many else default, int) else numbers.Real
+            items = value if many else (value,)
+            if (many and not isinstance(value, tuple)) or not all(
+                isinstance(x, kind) and not isinstance(x, bool) for x in items
+            ):
+                what = "a list of " if many else ""
+                noun = "integers" if kind is numbers.Integral else "numbers"
+                raise TypeError(f"{f.name} must be {what}{noun}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,20 @@ computation so the two routes can be checked against each other:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
-from . import linalg
+from . import core, linalg
 from .algebra import LieAlgebra, Subspace, orthogonal_complement, subspace_sum, intersect
 from .errors import (
+    DimensionMismatchError,
     InvalidPreShearError,
     JacobiFailedError,
     NotComplexShearDataError,
 )
-from .forms import KForm, VectorValuedTwoForm, form_power, wedge
+from .forms import VectorValuedTwoForm
 from .hermitian import ComplexStructure, Metric
-from .linalg import ZERO, Matrix, Vector
+from .linalg import Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,26 @@ def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
 
 def validate_pre_shear(data: PreShearData) -> PreShearReport:
     """Report-valued check of w|_(a x a) = 0 and im(w) inside a."""
+    memo = data._check_memo
+    if "pre_shear" in memo:
+        return memo["pre_shear"]
     image_bad = [
         pair for pair, v in data.omega.values.items() if not data.a.contains(v)
     ]
     restriction_bad = []
-    basis = data.a.basis()
+    w = data.omega.ints
+    basis = [core.clear(v)[0] for v in data.a.basis()]
     for p in range(len(basis)):
         for q in range(p + 1, len(basis)):
-            if not linalg.is_zero_vec(data.omega(basis[p], basis[q])):
+            if any(w(basis[p], basis[q])):
                 restriction_bad.append((p + 1, q + 1))
-    return PreShearReport(
+    report = PreShearReport(
         not image_bad and not restriction_bad,
         tuple(image_bad),
         tuple(restriction_bad),
     )
+    memo["pre_shear"] = report
+    return report
 
 
 @dataclass(frozen=True)
@@ -102,28 +108,32 @@ def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShear
     key = J.matrix
     if key in memo:
         return memo[key]
+    if J.dim != data.dim:
+        raise DimensionMismatchError("J and shear data dimensions differ")
     if not validate_pre_shear(data).valid:
         raise InvalidPreShearError("not pre-shear data: form does not vanish on a or leaves a")
+    # numerators only: w over dw, J over dJ
     n = data.dim
-    omega = data.omega
-    units = [linalg.unit_vec(n, t) for t in range(1, n + 1)]
-    j_units = [J.apply(u) for u in units]
-    jacobi_ok = True
-    for i, j, k in combinations(range(1, n + 1), 3):
-        s = omega(omega.on_basis(i, j), units[k - 1])
-        s = linalg.add_vec(s, omega(omega.on_basis(j, k), units[i - 1]))
-        s = linalg.add_vec(s, omega(omega.on_basis(k, i), units[j - 1]))
-        if not linalg.is_zero_vec(s):
-            jacobi_ok = False
-            break
+    w = data.omega.ints
+    rows, dj = J.ints
+    j_units = [list(c) for c in zip(*rows)]  # J e_t
+    on_basis = w.on_basis()
+    # Alt(w(w(.,.),.)) = 0, over dw^2
+    jacobi_ok = not any(
+        any(p + q + r for p, q, r in zip(
+            w.with_basis(on_basis[(i, j)], k),
+            w.with_basis(on_basis[(j, k)], i),
+            w.with_basis(on_basis[(k, i)], j),
+        ))
+        for i, j, k in combinations(range(n), 3)
+    )
+    # w(J e_i, J e_j) = w(e_i, e_j) + J(w(J e_i, e_j) + w(e_i, J e_j)), over dJ^2 dw
+    scale = dj * dj
     integrable_ok = True
-    for i, j in combinations(range(1, n + 1), 2):
-        jei, jej = j_units[i - 1], j_units[j - 1]
-        lhs = omega(jei, jej)
-        rhs = linalg.add_vec(
-            omega.on_basis(i, j),
-            J.apply(linalg.add_vec(omega(jei, units[j - 1]), omega(units[i - 1], jej))),
-        )
+    for i, j in combinations(range(n), 2):
+        lhs = w(j_units[i], j_units[j])
+        mixed = [x - y for x, y in zip(w.with_basis(j_units[i], j), w.with_basis(j_units[j], i))]
+        rhs = [scale * x + y for x, y in zip(on_basis[(i, j)], core.mat_vec(rows, mixed))]
         if lhs != rhs:
             integrable_ok = False
             break
@@ -153,16 +163,13 @@ def _require_complex(data: PreShearData, J: ComplexStructure) -> None:
         )
 
 
-def _sigma_matrix(g: Metric, J: ComplexStructure) -> Matrix:
-    return linalg.mat_mul(linalg.transpose(J.matrix), g.matrix)
-
-
 def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: str) -> bool:
     """Evaluate the metric condition directly on the shear data, exactly.
 
     ``kind`` is one of "kahler", "balanced", "skt".  The flat structure
     (g, J) may be any compatible pair; it is the one transported to the
-    sheared algebra.
+    sheared algebra.  Every expression is a zero test on numerators: w over
+    dw, J over dJ, g over dg.
     """
     _require_complex(data, J)
     if not g.compatible_with(J):
@@ -170,78 +177,65 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
     if kind not in ("kahler", "balanced", "skt"):
         raise ValueError(f"unknown condition kind: {kind}")
     n2 = data.dim
-    omega = data.omega
-    sig = _sigma_matrix(g, J)
-
-    def sigma_pair(x: Vector, y: Vector) -> Fraction:
-        return linalg.dot(x, linalg.mat_vec(sig, y))
+    w = data.omega.ints
+    (jm, _), (gm, _) = J.ints, g.ints
+    ob = w.on_basis()  # (x, y) -> w(e_x, e_y), 0-indexed
 
     if kind in ("kahler", "balanced"):
-        units = [linalg.unit_vec(n2, t) for t in range(1, n2 + 1)]
-        coeffs = {}
-        for i, j, k in combinations(range(1, n2 + 1), 3):
-            val = sigma_pair(omega.on_basis(i, j), units[k - 1])
-            val += sigma_pair(omega.on_basis(j, k), units[i - 1])
-            val += sigma_pair(omega.on_basis(k, i), units[j - 1])
+        # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic, sigma = J^T g
+        sig = core.mat_mul(list(zip(*jm)), gm)
+        sig_cols = list(zip(*sig))
+        tau = {}
+        for i, j, k in combinations(range(n2), 3):
+            val = (
+                core.dot(ob[(i, j)], sig_cols[k])
+                + core.dot(ob[(j, k)], sig_cols[i])
+                + core.dot(ob[(k, i)], sig_cols[j])
+            )
             if val:
-                coeffs[(i, j, k)] = val
-        tau = KForm(n2, 3, coeffs)
+                tau[(1 << i) | (1 << j) | (1 << k)] = val
         if kind == "kahler":
-            return tau.is_zero()
+            return not tau
         n = n2 // 2
         if n < 2:
             return True
-        sigma_form = KForm(
-            n2,
-            2,
-            {
-                (i, j): sig[i - 1][j - 1]
-                for i, j in combinations(range(1, n2 + 1), 2)
-                if sig[i - 1][j - 1]
-            },
-        )
-        return wedge(tau, form_power(sigma_form, n - 2)).is_zero()
+        sigma = {
+            (1 << i) | (1 << j): sig[i][j] for i, j in combinations(range(n2), 2) if sig[i][j]
+        }
+        return not core.wedge(tau, core.power(sigma, n - 2))
 
-    # torsion condition: antisymmetrise the quartic expression.  All the
-    # building blocks are cached up front; the permutation sum then only
-    # does small dot products and lookups.
-    units = [linalg.unit_vec(n2, t) for t in range(1, n2 + 1)]
-    j_units = [J.apply(u) for u in units]
-    gm = g.matrix
-
-    def gv(v: Vector) -> Vector:
-        return linalg.mat_vec(gm, v)
-
-    ob = {}       # (x, y) -> w(e_x, e_y), 0-indexed, x < y
-    g_ob = {}     # (x, y) -> S w(e_x, e_y)
+    # torsion condition: antisymmetrise the quartic expression
+    #   g(w(J a, J b), w(c, d)) + 2 g(w(J w(a, b), J c), d)
+    # whose two terms both come over dg dw^2 dJ^2.  All the building blocks
+    # are cached up front; the permutation sum then only does small dot
+    # products and lookups.
+    j_units = [list(c) for c in zip(*jm)]
+    g_ob = {}     # (x, y) -> g w(e_x, e_y)
     jj = {}       # (x, y) -> w(J e_x, J e_y)
-    g_tv = {}     # (x, y, z) -> S w(J w(e_x, e_y), J e_z)
-    for x in range(n2):
-        for y in range(x + 1, n2):
-            v = omega.on_basis(x + 1, y + 1)
-            ob[(x, y)] = v
-            g_ob[(x, y)] = gv(v)
-            jj[(x, y)] = omega(j_units[x], j_units[y])
-            jv = J.apply(v)
-            for z in range(n2):
-                g_tv[(x, y, z)] = gv(omega(jv, j_units[z]))
+    for x, y in combinations(range(n2), 2):
+        g_ob[(x, y)] = core.mat_vec(gm, ob[(x, y)])
+        g_ob[(y, x)] = [-c for c in g_ob[(x, y)]]
+        jj[(x, y)] = w(j_units[x], j_units[y])
+        jj[(y, x)] = [-c for c in jj[(x, y)]]
+    # gwj[z] is the matrix of v -> g w(J v, J e_z); its middle factor has
+    # columns w(e_m, J e_z) = -w(J e_z, e_m)
+    gwj = []
+    for z in range(n2):
+        cols = [[-c for c in w.with_basis(j_units[z], m)] for m in range(n2)]
+        gwj.append(core.mat_mul(core.mat_mul(gm, list(zip(*cols))), jm))
+    g_tv = {}     # (x, y, z) -> g w(J w(e_x, e_y), J e_z)
+    for x, y in combinations(range(n2), 2):
+        for z in range(n2):
+            g_tv[(x, y, z)] = core.mat_vec(gwj[z], ob[(x, y)])
+            g_tv[(y, x, z)] = [-c for c in g_tv[(x, y, z)]]
 
-    def pair_sign(x: int, y: int) -> tuple[tuple[int, int], int]:
-        return ((x, y), 1) if x < y else ((y, x), -1)
-
-    def term(a: int, b: int, c: int, d: int) -> Fraction:
-        kab, sab = pair_sign(a, b)
-        kcd, scd = pair_sign(c, d)
-        first = sab * scd * linalg.dot(jj[kab], g_ob[kcd])
-        second = sab * g_tv[kab + (c,)][d]
-        return first + 2 * second
+    def term(a: int, b: int, c: int, d: int) -> int:
+        return core.dot(jj[(a, b)], g_ob[(c, d)]) + 2 * g_tv[(a, b, c)][d]
 
     for quad in combinations(range(n2), 4):
-        total = ZERO
-        for perm in permutations(range(4)):
-            sign = _perm_sign(perm)
-            a, b, c, d = (quad[p] for p in perm)
-            total += sign * term(a, b, c, d)
+        total = 0
+        for perm, sign in _SIGNED_PERMS:
+            total += sign * term(*(quad[p] for p in perm))
         if total:
             return False
     return True
@@ -264,11 +258,7 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-class _Endo:
-    """An endomorphism of `a` in a fixed basis, with block decomposition."""
-
-    def __init__(self, matrix: Matrix):
-        self.matrix = matrix
+_SIGNED_PERMS = tuple((perm, _perm_sign(perm)) for perm in permutations(range(4)))
 
 
 @dataclass(frozen=True)
@@ -366,10 +356,7 @@ def shear_operators(
         jx = J.apply(x)
         for j, y in enumerate(ar_basis):
             val = omega(jx, y)
-            c = coords(val)
-            h_vec = linalg.zero_vec(n)
-            for t in range(nj):
-                h_vec = linalg.add_vec(h_vec, linalg.scale_vec(c[t], aj_basis[t]))
+            h_vec = linalg.combination(coords(val)[:nj], aj_basis, n)
             f_vec = linalg.sub_vec(val, h_vec)
             f_map[(i, j)] = f_vec
             h_map[(i, j)] = h_vec
@@ -425,11 +412,7 @@ def shear_operators(
                 comm_ok = False
 
     def ar_part(v: Vector) -> Vector:
-        c = coords(v)
-        out = linalg.zero_vec(n)
-        for t in range(nr):
-            out = linalg.add_vec(out, linalg.scale_vec(c[nj + t], ar_basis[t]))
-        return out
+        return linalg.combination(coords(v)[nj:], ar_basis, n)
 
     omr_ok = True
     for z in U_J.basis():

@@ -247,3 +247,106 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["entries"]
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _shear_doc(data):
+    return {
+        "dim": data.dim,
+        "a": [[str(c) for c in v] for v in data.a.basis()],
+        "omega": [
+            {"i": i, "j": j, "value": [str(c) for c in v]}
+            for (i, j), v in sorted(data.omega.values.items())
+        ],
+    }
+
+
+class TestRoundTrip:
+    def test_build_output_reads_back(self, capsys, tmp_path):
+        from hermlie.documents import load_algebra
+
+        code, out, _ = run_cli(capsys, "shear", _write(tmp_path, "s.json", {
+            "dim": 4,
+            "a": [["1", "0", "0", "0"]],
+            "omega": [{"i": 1, "j": 2, "value": ["-1", "0", "0", "0"]}],
+        }), "--kind", "build")
+        assert code == 0
+        doc = json.loads(out)["algebra"]
+        assert "salamon" in doc and "constants" in doc
+        code, _, _ = run_cli(capsys, "describe", _write(tmp_path, "a.json", doc))
+        assert code == 0
+        assert load_algebra(doc).dim == 4
+
+    def test_d10_generated_shear_reads_back(self, capsys, tmp_path):
+        from hermlie.documents import load_algebra
+        from hermlie.generators import random_complex_shear
+        from hermlie.shear import build_shear
+
+        data, _, _ = random_complex_shear(3, "typeI", 10)
+        code, out, _ = run_cli(capsys, "shear", _write(tmp_path, "s.json", _shear_doc(data)),
+                               "--kind", "build")
+        assert code == 0
+        doc = json.loads(out)["algebra"]
+        assert "salamon" not in doc  # ambiguous index pairs above dimension 9
+        assert load_algebra(doc) == build_shear(data)
+        code, described, _ = run_cli(capsys, "describe", _write(tmp_path, "a.json", doc))
+        assert code == 0 and json.loads(described)["dim"] == 10
+
+    def test_disagreeing_fields_rejected(self, capsys, tmp_path):
+        doc = {"dim": 2, "salamon": "(0,21)", "constants": [[1, 2, 1, "1"]]}
+        code, _, err = run_cli(capsys, "describe", _write(tmp_path, "c.json", doc))
+        assert code == 2 and "different algebras" in err
+
+
+class TestExactResiduals:
+    def test_conjugated_kahler_structure(self, capsys, tmp_path):
+        """Abelian R^4 with J = P J0 P^-1 and g = P^-T P^-1 (entries -1/3 and
+        10/9): every condition holds, so every residual is exactly zero."""
+        from hermlie import linalg as la
+        from hermlie.hermitian import ComplexStructure
+
+        p = la.mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, "1/3"], [0, 0, 0, 1]])
+        p_inv = la.inverse(p)
+        j = la.mat_mul(p, la.mat_mul(ComplexStructure.standard(4).matrix, p_inv))
+        g = la.mat_mul(la.transpose(p_inv), p_inv)
+        assert {str(c) for row in g for c in row} == {"0", "1", "-1", "2", "-1/3", "10/9"}
+        alg = _write(tmp_path, "r4.json", {"dim": 4, "salamon": "(0,0,0,0)"})
+        structure = _write(tmp_path, "st.json", {
+            "J": [[str(c) for c in row] for row in j],
+            "metric": [[str(c) for c in row] for row in g],
+        })
+        code, out, err = run_cli(capsys, "check", alg, structure)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["residuals"] == {"kahler": 0.0, "balanced": 0.0, "skt": 0.0}
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with one line on stderr, never a traceback."""
+
+    def assert_invalid(self, capsys, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+    def test_non_integer_dim(self, capsys, tmp_path):
+        self.assert_invalid(capsys, "describe",
+                            _write(tmp_path, "a.json", {"dim": "x", "salamon": "(0,21)"}))
+
+    def test_params_not_an_object(self, capsys, tmp_path):
+        doc = {"dim": 2, "salamon": "(0,21)", "params": []}
+        self.assert_invalid(capsys, "describe", _write(tmp_path, "a.json", doc))
+
+    @pytest.mark.parametrize("config", [{"seeds": 3}, {"max_iterations": "many"}])
+    def test_bad_search_config(self, capsys, tmp_path, cx1_file, j_file, config):
+        self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
+                            "--config", _write(tmp_path, "cfg.json", config))
+
+    def test_negative_shear_dimension(self, capsys, tmp_path):
+        doc = {"dim": -2, "a": [], "omega": []}
+        self.assert_invalid(capsys, "shear", _write(tmp_path, "s.json", doc), "--kind", "build")
