@@ -56,7 +56,6 @@ def cmd_describe(args) -> int:
     report = {
         "schema": SCHEMA,
         "dim": L.dim,
-        "salamon": render_salamon(L),
         "fingerprint": {
             "derived_series": list(fp.derived_series),
             "lower_central_series": list(fp.lower_central_series),
@@ -68,6 +67,8 @@ def cmd_describe(args) -> int:
         "two_step_solvable": al.is_two_step_solvable(L),
         "citations": ["structural invariants are exact and basis independent"],
     }
+    if L.dim <= 9:  # as in algebra_doc: index pairs stop being unambiguous above 9
+        report["salamon"] = render_salamon(L)
     _emit(report)
     return PASS
 

@@ -48,30 +48,46 @@ def _fraction_vector(row, what: str):
     return tuple(_fraction(c) for c in row)
 
 
+def _document(doc, what: str) -> None:
+    """Check that ``doc`` is a JSON object whose "schema", when present, is ours."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{what} document must be a JSON object")
+    schema = doc.get("schema", SCHEMA)
+    if type(schema) is not int or schema != SCHEMA:
+        raise DocumentError(f'"schema" must be {SCHEMA}, got {schema!r}')
+
+
+def _field(doc: dict, key: str, kind: type, default=None):
+    """``doc[key]``, which must be a JSON value of type ``kind`` (bool is not int)."""
+    value = doc.get(key, default)
+    if type(value) is not kind:
+        noun = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}[kind]
+        raise DocumentError(f'"{key}" must be {noun}, got {value!r}')
+    return value
+
+
 def load_algebra(doc: dict) -> LieAlgebra:
     """AlgebraDocument: {"dim", "salamon" and/or "constants", "params"}.
 
     A document may carry both notations, as ``algebra_doc`` writes them;
     they must then describe the same algebra.
     """
-    if not isinstance(doc, dict):
-        raise DocumentError("algebra document must be a JSON object")
+    _document(doc, "algebra")
     if "salamon" not in doc and "constants" not in doc:
         raise DocumentError('one of "salamon" or "constants" must be present')
-    raw_params = doc.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise DocumentError('"params" must be a JSON object')
-    params = {k: _fraction(v) for k, v in raw_params.items()}
+    params = {k: _fraction(v) for k, v in _field(doc, "params", dict, {}).items()}
+    dim = _field(doc, "dim", int) if "dim" in doc else None
     try:
-        dim = int(doc["dim"]) if "dim" in doc else None
         parsed = []
         if "salamon" in doc:
-            parsed.append(parse_salamon(doc["salamon"], params))
+            parsed.append(parse_salamon(_field(doc, "salamon", str), params))
         if "constants" in doc:
+            if dim is None:
+                raise DocumentError('"constants" need an integer "dim"')
             constants = [
                 (int(i), int(j), int(k), _fraction(c)) for i, j, k, c in doc["constants"]
             ]
-            L = make_algebra(int(doc["dim"]), constants)
+            L = make_algebra(dim, constants)
             if not L.validated:
                 raise DocumentError(
                     f"structure constants violate Jacobi (residual {L.jacobi_residual()})"
@@ -90,6 +106,7 @@ def load_algebra(doc: dict) -> LieAlgebra:
 
 
 def load_complex_structure(doc: dict, dim: int) -> ComplexStructure:
+    _document(doc, "structure")
     if "J" not in doc:
         raise DocumentError('structure document needs a "J" matrix')
     m = _fraction_matrix(doc["J"], '"J"')
@@ -99,6 +116,7 @@ def load_complex_structure(doc: dict, dim: int) -> ComplexStructure:
 
 
 def load_metric(doc: dict, dim: int) -> Metric:
+    _document(doc, "structure")
     if "metric" not in doc:
         raise DocumentError('structure document needs a "metric" matrix')
     m = _fraction_matrix(doc["metric"], '"metric"')
@@ -109,17 +127,15 @@ def load_metric(doc: dict, dim: int) -> Metric:
 
 def load_shear_data(doc: dict):
     """ShearDataDocument: {"dim", "a", "omega", "J"?, "metric"?}."""
-    if not isinstance(doc, dict):
-        raise DocumentError("shear document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise DocumentError('shear document needs an integer "dim"') from None
+    _document(doc, "shear")
+    if "dim" not in doc:
+        raise DocumentError('shear document needs an integer "dim"')
+    dim = _field(doc, "dim", int)
     if dim < 1:
         raise DocumentError(f'"dim" must be positive, got {dim}')
-    a = Subspace.span(dim, [_fraction_vector(v, '"a" vector') for v in doc.get("a", [])])
+    a = Subspace.span(dim, [_fraction_vector(v, '"a" vector') for v in _field(doc, "a", list, [])])
     values = {}
-    for item in doc.get("omega", []):
+    for item in _field(doc, "omega", list, []):
         try:
             i, j = int(item["i"]), int(item["j"])
             v = _fraction_vector(item["value"], '"omega" value')

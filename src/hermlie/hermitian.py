@@ -134,11 +134,7 @@ class Metric:
         """sigma = g(J., .) = J^T g on core bitmasks, over dJ * dg."""
         if not self.compatible_with(J):
             raise IncompatibleMetricError("metric is not J-invariant")
-        (j, dj), (g, dg) = J.ints, self.ints
-        m = core.mat_mul(list(zip(*j)), g)
-        n = len(m)
-        form = {(1 << a) | (1 << b): m[a][b] for a in range(n) for b in range(a + 1, n) if m[a][b]}
-        return form, dj * dg
+        return sigma_of(J, *self.ints)
 
     @staticmethod
     def identity(dim: int) -> "Metric":
@@ -150,6 +146,16 @@ class Metric:
         b = linalg.matrix_from_columns([linalg.vec(v) for v in vectors])
         b_inv = linalg.inverse(b)
         return Metric(linalg.mat_mul(linalg.transpose(b_inv), b_inv))
+
+
+def sigma_of(J: ComplexStructure, g: Sequence[Sequence[int]], dg: int) -> tuple[dict[int, int], int]:
+    """The two-form J^T g of any J-invariant symmetric g, given as numerators
+    over dg, on core bitmasks over dJ * dg; g need not be definite."""
+    j, dj = J.ints
+    m = core.mat_mul(list(zip(*j)), g)
+    n = len(m)
+    form = {(1 << a) | (1 << b): m[a][b] for a in range(n) for b in range(a + 1, n) if m[a][b]}
+    return form, dj * dg
 
 
 def nijenhuis(L: LieAlgebra, J: ComplexStructure, x: Sequence, y: Sequence) -> Vector:

@@ -4,10 +4,14 @@ The compatible symmetric forms make up an n^2-dimensional rational vector
 space for a 2n-dimensional algebra; the search runs multi-start projected
 gradient descent on its coefficients, minimising the squared coefficient
 norm of the relevant closed-form condition plus a log-det barrier keeping
-the iterates positive definite.  Successful runs finish with a
-continued-fraction rationalisation pass followed by exact verification, so
-a "found" witness can be upgraded to a proof; "not found" is only ever
-reported as inconclusive.
+the iterates positive definite.  The condition map is built once from the
+exact core, the same map ``residual`` evaluates; the gradient of the
+barrier objective is analytic, and each iterate costs one batched
+eigendecomposition, of the Armijo backtracking candidates, which yields
+their objective, definiteness and the barrier gradient alike.  Successful
+runs finish with a continued-fraction rationalisation pass followed by
+exact verification, so a "found" witness can be upgraded to a proof;
+"not found" is only ever reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -17,18 +21,18 @@ import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import core, linalg
 from .algebra import LieAlgebra
 from .errors import (
     IncompatibleMetricError,
     NotAComplexStructureError,
     NotIntegrableError,
 )
-from .forms import KForm, ce_differential, form_power, j_pullback, wedge
-from .hermitian import ComplexStructure, Metric, classify_metric, is_integrable
+from .hermitian import ComplexStructure, Metric, classify_metric, is_integrable, sigma_of
 from .linalg import ZERO
 
 KINDS = ("kahler", "balanced", "skt")
@@ -87,16 +91,24 @@ def _coefficients_of(basis, target, slots, index):
     return sol
 
 
-def _condition_form(L: LieAlgebra, J: ComplexStructure, sigma: KForm, kind: str) -> KForm:
+def _condition_form(
+    L: LieAlgebra, J: ComplexStructure, sigma: dict[int, int], den: int, kind: str
+) -> tuple[dict[int, int], int]:
+    """The form that vanishes exactly when ``kind`` holds for the two-form
+    with numerators ``sigma`` over ``den``, as core numerators over the
+    returned denominator."""
+    b = L.ints
     n = L.dim // 2
     if kind == "kahler":
-        return ce_differential(L, sigma)
+        return core.differential(b, sigma), den * b.den
     if kind == "balanced":
         if n < 2:
-            return ce_differential(L, KForm(L.dim, 0, {(): Fraction(0)}))
-        return ce_differential(L, form_power(sigma, n - 1))
+            return {}, 1
+        return core.differential(b, core.power(sigma, n - 1)), den ** (n - 1) * b.den
     if kind == "skt":
-        return ce_differential(L, j_pullback(J.matrix, ce_differential(L, sigma)))
+        rows, dj = J.ints
+        dsigma = core.differential(b, sigma)
+        return core.differential(b, core.pullback(rows, dsigma)), den * b.den**2 * dj**3
     raise ValueError(f"unknown condition kind: {kind}")
 
 
@@ -107,23 +119,11 @@ def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
     exactly, so the result is exactly 0.0 precisely when the condition
     holds for the rational metric the floats denote.
     """
-    s_exact = tuple(tuple(Fraction(x) for x in row) for row in S)
-    metric = Metric(s_exact)
+    metric = Metric(tuple(tuple(Fraction(x) for x in row) for row in S))
     if not metric.compatible_with(J):
         raise IncompatibleMetricError("S is not compatible with J")
-    sigma_m = linalg.mat_mul(linalg.transpose(J.matrix), s_exact)
-    sigma = KForm(
-        L.dim,
-        2,
-        {
-            (i, j): sigma_m[i - 1][j - 1]
-            for i, j in combinations(range(1, L.dim + 1), 2)
-            if sigma_m[i - 1][j - 1]
-        },
-    )
-    out = _condition_form(L, J, sigma, kind)
-    total = sum((c * c for c in out.coeffs.values()), ZERO)
-    return float(total)
+    out, den = _condition_form(L, J, *metric.sigma_ints(J), kind)
+    return float(Fraction(sum(c * c for c in out.values()), den * den))
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,6 @@ class SearchConfig:
     tolerance: float = 1e-9
     barrier_schedule: tuple = (1e-2, 1e-4, 1e-6, 0.0)
     initial_step: float = 0.25
-    fd_step: float = 1e-6
     start_spread: float = 0.2
     stall_iterations: int = 250
     # residuals are homogeneous in the metric, so iterates are held on the
@@ -179,130 +178,109 @@ class SearchResult:
         }
 
 
+def _float_matrix(columns: list) -> np.ndarray:
+    """Columns of core numerators over a denominator as floats, one row per
+    form coefficient that some column uses (int / int rounds correctly)."""
+    masks = sorted(set().union(*(nums for nums, _ in columns)))
+    return np.array([[nums.get(k, 0) / den for nums, den in columns] for k in masks]).reshape(
+        len(masks), len(columns)
+    )
+
+
+class _Batch(NamedTuple):
+    """One evaluation of the objective; row i describes the i-th coefficient vector."""
+
+    f: np.ndarray  # residual - mu * log det S, +inf off the positive definite cone
+    res: np.ndarray  # squared norm of the condition values
+    v: np.ndarray  # condition values
+    w: np.ndarray  # ascending eigenvalues of S
+    u: np.ndarray | None  # eigenvectors of S, only computed when mu > 0
+
+    def row(self, i: int) -> "_Batch":
+        return _Batch(*(None if a is None else a[i] for a in self))
+
+
 class _Problem:
-    """Float-precision linear algebra for one (algebra, J, kind) search."""
+    """Float image of the exact condition map for one (algebra, J, kind) search.
+
+    For the linear kinds the condition values are ``linear @ x``; for
+    balanced in dimension 6 they are the quadratic form
+    ``quad[k] = d(sigma_p ^ sigma_q)`` in the coefficients x.
+    """
 
     def __init__(self, L: LieAlgebra, J: ComplexStructure, kind: str):
         self.L, self.J, self.kind = L, J, kind
         self.param = metric_parameterization(L, J)
-        d = L.dim
-        self.n2 = d
-        self.m = len(self.param.basis)
-        self.basis_arr = np.array(
-            [[[float(c) for c in row] for row in b] for b in self.param.basis]
-        )
-        pairs = list(combinations(range(1, d + 1), 2))
-        self.sigma_map = np.zeros((len(pairs), self.m))
-        jt = linalg.transpose(J.matrix)
-        for p, b in enumerate(self.param.basis):
-            sm = linalg.mat_mul(jt, b)
-            for row_i, (i, j) in enumerate(pairs):
-                self.sigma_map[row_i, p] = float(sm[i - 1][j - 1])
-        self.d2 = self._d_matrix(2)
-        n = d // 2
-        if kind == "kahler" or (kind == "balanced" and n == 2):
-            self.linear = self.d2 @ self.sigma_map
-            self.mode = "linear"
-        elif kind == "skt":
-            p3 = self._pullback_matrix(3)
-            d3 = self._d_matrix(3)
-            self.linear = d3 @ p3 @ self.d2 @ self.sigma_map
-            self.mode = "linear"
-        elif kind == "balanced" and n >= 3:
-            assert n == 3, "balanced search implemented for dimensions up to 6"
-            self.wedge_t = self._wedge_tensor()
-            self.d4 = self._d_matrix(4)
-            self.mode = "quadratic"
-        else:  # dim 2: every compatible metric satisfies everything
-            self.linear = np.zeros((1, self.m))
-            self.mode = "linear"
-
-    def _basis_kforms(self, k):
-        return list(combinations(range(1, self.n2 + 1), k))
-
-    def _d_matrix(self, k):
-        rows = self._basis_kforms(k + 1)
-        cols = self._basis_kforms(k)
-        out = np.zeros((len(rows), len(cols)))
-        row_index = {idx: i for i, idx in enumerate(rows)}
-        for c, idx in enumerate(cols):
-            df = ce_differential(self.L, KForm(self.n2, k, {idx: Fraction(1)}))
-            for ridx, val in df.coeffs.items():
-                out[row_index[ridx], c] = float(val)
-        return out
-
-    def _pullback_matrix(self, k):
-        idxs = self._basis_kforms(k)
-        out = np.zeros((len(idxs), len(idxs)))
-        row_index = {idx: i for i, idx in enumerate(idxs)}
-        for c, idx in enumerate(idxs):
-            pf = j_pullback(self.J.matrix, KForm(self.n2, k, {idx: Fraction(1)}))
-            for ridx, val in pf.coeffs.items():
-                out[row_index[ridx], c] = float(val)
-        return out
-
-    def _wedge_tensor(self):
-        pairs = self._basis_kforms(2)
-        quads = self._basis_kforms(4)
-        qindex = {idx: i for i, idx in enumerate(quads)}
-        t = np.zeros((len(quads), len(pairs), len(pairs)))
-        for a, ia in enumerate(pairs):
-            fa = KForm(self.n2, 2, {ia: Fraction(1)})
-            for b, ib in enumerate(pairs):
-                w = wedge(fa, KForm(self.n2, 2, {ib: Fraction(1)}))
-                for ridx, val in w.coeffs.items():
-                    t[qindex[ridx], a, b] += float(val)
-        return t
+        basis = self.param.basis
+        self.dim, self.m = L.dim, len(basis)
+        self.basis_flat = np.array([[float(c) for row in b for c in row] for b in basis])
+        sigmas = [sigma_of(J, *core.clear_matrix(b)) for b in basis]
+        self.quadratic = kind == "balanced" and L.dim >= 6
+        if self.quadratic:
+            assert L.dim == 6, "balanced search implemented for dimensions up to 6"
+            # sigma^2 is quadratic in the metric: polarise it over pairs of basis metrics
+            diag = [_condition_form(L, J, *sigma, kind) for sigma in sigmas]
+            cols = {(p, p): col for p, col in enumerate(diag)}
+            for p, q in combinations(range(self.m), 2):
+                (sp, dp), (sq, dq) = sigmas[p], sigmas[q]
+                summed = {k: sp.get(k, 0) * dq + sq.get(k, 0) * dp for k in sp.keys() | sq.keys()}
+                # (C(sigma_p + sigma_q) - C(sigma_p) - C(sigma_q)) / 2 over one denominator
+                cb, db = _condition_form(L, J, summed, dp * dq, kind)
+                (cp, ep), (cq, eq) = diag[p], diag[q]
+                cols[p, q] = cols[q, p] = (
+                    {
+                        k: cb.get(k, 0) * ep * eq - cp.get(k, 0) * db * eq - cq.get(k, 0) * db * ep
+                        for k in cb.keys() | cp.keys() | cq.keys()
+                    },
+                    2 * db * ep * eq,
+                )
+            pairs = [(p, q) for p in range(self.m) for q in range(self.m)]
+            self.quad_flat = _float_matrix([cols[pair] for pair in pairs])
+            self.quad = self.quad_flat.reshape(-1, self.m, self.m)
+        else:
+            self.linear = _float_matrix([_condition_form(L, J, *sigma, kind) for sigma in sigmas])
 
     def matrices(self, xs: np.ndarray) -> np.ndarray:
-        return np.einsum("bp,pij->bij", xs, self.basis_arr)
+        return (xs @ self.basis_flat).reshape(len(xs), self.dim, self.dim)
 
-    def residuals(self, xs: np.ndarray) -> np.ndarray:
-        if self.mode == "linear":
-            v = xs @ self.linear.T
-            return np.einsum("bi,bi->b", v, v)
-        sig = xs @ self.sigma_map.T
-        v4 = np.einsum("kac,ba,bc->bk", self.wedge_t, sig, sig)
-        v5 = v4 @ self.d4.T
-        return np.einsum("bi,bi->b", v5, v5)
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        if self.quadratic:
+            return (xs[:, :, None] * xs[:, None, :]).reshape(len(xs), -1) @ self.quad_flat.T
+        return xs @ self.linear.T
 
-    def min_eigs(self, xs: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrices(xs))[:, 0]
+    def evaluate(self, xs: np.ndarray, mu: float) -> _Batch:
+        """The objective on each row of ``xs``, from one batched decomposition.
+
+        This is the one test of positive definiteness: a row whose least
+        eigenvalue is not positive gets objective +inf.
+        """
+        mats = self.matrices(xs)
+        if mu:
+            w, u = np.linalg.eigh(mats)
+        else:
+            w, u = np.linalg.eigvalsh(mats), None
+        v = self.values(xs)
+        res = (v * v).sum(axis=1)
+        definite = w[:, 0] > 0
+        f = res
+        if mu:
+            f = res - mu * np.log(np.where(definite[:, None], w, 1.0)).sum(axis=1)
+        return _Batch(np.where(definite, f, np.inf), res, v, w, u)
 
     def objective(self, xs: np.ndarray, mu: float) -> np.ndarray:
-        res = self.residuals(xs)
-        if mu == 0.0:
-            eigs = self.min_eigs(xs)
-            return np.where(eigs > 0, res, np.inf)
-        mats = self.matrices(xs)
-        eigs = np.linalg.eigvalsh(mats)
-        bad = eigs[:, 0] <= 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logdet = np.sum(np.log(np.where(eigs > 0, eigs, 1.0)), axis=1)
-        out = res - mu * logdet
-        out[bad] = np.inf
-        return out
+        return self.evaluate(xs, mu).f
 
-
-def _fd_gradient(problem: _Problem, x: np.ndarray, mu: float, h: float) -> np.ndarray:
-    m = len(x)
-    steps = h * np.maximum(1.0, np.abs(x))
-    xs = np.repeat(x[None, :], 2 * m, axis=0)
-    for p in range(m):
-        xs[2 * p, p] += steps[p]
-        xs[2 * p + 1, p] -= steps[p]
-    vals = problem.objective(xs, mu)
-    grad = (vals[0::2] - vals[1::2]) / (2 * steps)
-    return np.where(np.isfinite(grad), grad, 0.0)
-
-
-def analytic_gradient(L: LieAlgebra, J: ComplexStructure, kind: str, x: np.ndarray) -> np.ndarray:
-    """Gradient of the pure residual for the linear kinds (test cross-check)."""
-    problem = _Problem(L, J, kind)
-    if problem.mode != "linear":
-        raise ValueError("analytic gradient implemented for the linear kinds")
-    a = problem.linear
-    return 2.0 * (a.T @ (a @ np.asarray(x, dtype=float)))
+    def gradient(self, x: np.ndarray, point: _Batch, mu: float) -> np.ndarray:
+        """Gradient of the objective at a definite ``x`` from its evaluation ``point``:
+        2 (dv/dx)^T v for the residual, -mu tr(S^-1 B_p) for the barrier."""
+        if self.quadratic:
+            grad = 4.0 * (point.v @ (self.quad @ x))
+        else:
+            grad = 2.0 * (point.v @ self.linear)
+        if mu:
+            inverse = (point.u / point.w) @ point.u.T
+            grad -= mu * (self.basis_flat @ inverse.ravel())
+        return grad
 
 
 def _rationalize(problem: _Problem, x: np.ndarray):
@@ -340,22 +318,27 @@ def search_metric(
     config = config or SearchConfig()
     problem = _Problem(L, J, kind)
     x_ref = np.array([float(c) for c in problem.param.reference])
-    trace_vec = np.array([sum(float(b[i][i]) for i in range(L.dim)) for b in problem.param.basis])
+    trace_vec = problem.basis_flat[:, :: L.dim + 1].sum(axis=1)
+    steps = config.initial_step * 0.5 ** np.arange(40)  # the backtracking sequence
     total_iters = 0
     best = (math.inf, None, None)  # residual, x, seed
 
-    def normalized(x: np.ndarray) -> np.ndarray:
-        t = float(trace_vec @ x)
-        return x * (L.dim / t) if t > 0 else x
+    def normalized(xs: np.ndarray) -> np.ndarray:
+        """Each row scaled onto the trace = dim slice; rows of trace <= 0 left alone."""
+        t = xs @ trace_vec
+        return xs * (L.dim / np.where(t > 0, t, L.dim))[:, None]
 
-    def succeeded(x: np.ndarray, res: float) -> bool:
-        return res <= config.tolerance and problem.min_eigs(x[None, :])[0] > config.min_eig_floor
+    def succeeded(point: _Batch) -> bool:
+        return point.res <= config.tolerance and point.w[0] > config.min_eig_floor
 
     for seed in config.seeds:
         rng = np.random.default_rng(seed)
-        x = normalized(x_ref + config.start_spread * rng.standard_normal(problem.m))
-        if problem.min_eigs(x[None, :])[0] <= 0:
+        start = x_ref + config.start_spread * rng.standard_normal(problem.m)
+        x = normalized(start[None, :])[0]
+        point = problem.evaluate(x[None, :], 0.0).row(0)
+        if point.f == math.inf:
             x = x_ref.copy()
+            point = problem.evaluate(x[None, :], 0.0).row(0)
         phases = max(1, len(config.barrier_schedule))
         per_phase = max(1, config.max_iterations // phases)
         stall = 0
@@ -364,41 +347,43 @@ def search_metric(
         for mu in config.barrier_schedule:
             if done:
                 break
+            point = problem.evaluate(x[None, :], mu).row(0)
             for _ in range(per_phase):
                 total_iters += 1
-                grad = _fd_gradient(problem, x, mu, config.fd_step)
+                if point.f == math.inf:
+                    break
+                grad = problem.gradient(x, point, mu)
                 gnorm2 = float(grad @ grad)
-                fx = float(problem.objective(x[None, :], mu)[0])
                 if gnorm2 == 0.0:
                     break
-                step = config.initial_step
+                # Armijo backtracking, four halvings per batched evaluation
                 improved = False
-                for _ in range(40):
-                    xn = normalized(x - step * grad)
-                    fn = float(problem.objective(xn[None, :], mu)[0])
-                    if fn < fx - 1e-4 * step * gnorm2:
-                        x = xn
+                for block in range(0, len(steps), 4):
+                    trial = steps[block : block + 4]
+                    xs = normalized(x - trial[:, None] * grad)
+                    batch = problem.evaluate(xs, mu)
+                    passed = np.flatnonzero(batch.f < point.f - 1e-4 * trial * gnorm2)
+                    if passed.size:
+                        x, point = xs[passed[0]], batch.row(passed[0])
                         improved = True
                         break
-                    step *= 0.5
-                res = float(problem.residuals(x[None, :])[0])
-                if succeeded(x, res):
+                if succeeded(point):
                     done = True
                     break
                 if not improved:
                     break
-                if abs(last - res) < 1e-16:
+                if abs(last - point.res) < 1e-16:
                     stall += 1
                     if stall >= config.stall_iterations:
                         done = True
                         break
                 else:
                     stall = 0
-                last = res
-        res = float(problem.residuals(x[None, :])[0])
-        if res < best[0] and problem.min_eigs(x[None, :])[0] > 0:
+                last = point.res
+        res = float(point.res)
+        if res < best[0] and point.f < math.inf:
             best = (res, x.copy(), seed)
-        if succeeded(x, res):
+        if succeeded(point):
             exact, verified = _rationalize(problem, x)
             return SearchResult(
                 "found",

@@ -1,10 +1,14 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hermlie.cli import main
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 STD6_J = [
     ["0", "-1", "0", "0", "0", "0"],
@@ -297,6 +301,23 @@ class TestRoundTrip:
         code, described, _ = run_cli(capsys, "describe", _write(tmp_path, "a.json", doc))
         assert code == 0 and json.loads(described)["dim"] == 10
 
+    @pytest.mark.parametrize("profile", ["typeI", "typeIII"])
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_described_salamon_reads_back(self, capsys, tmp_path, dim, profile):
+        from hermlie.documents import algebra_doc, load_algebra
+        from hermlie.generators import random_complex_shear
+        from hermlie.shear import build_shear
+
+        for seed in range(3):
+            L = build_shear(random_complex_shear(seed, profile, dim)[0])
+            code, out, err = run_cli(capsys, "describe", _write(tmp_path, "a.json", algebra_doc(L)))
+            assert code == 0, err
+            report = json.loads(out)
+            if dim > 9:
+                assert "salamon" not in report
+            else:
+                assert load_algebra({"dim": dim, "salamon": report["salamon"]}) == L
+
     def test_disagreeing_fields_rejected(self, capsys, tmp_path):
         doc = {"dim": 2, "salamon": "(0,21)", "constants": [[1, 2, 1, "1"]]}
         code, _, err = run_cli(capsys, "describe", _write(tmp_path, "c.json", doc))
@@ -342,7 +363,9 @@ class TestMalformedInput:
         doc = {"dim": 2, "salamon": "(0,21)", "params": []}
         self.assert_invalid(capsys, "describe", _write(tmp_path, "a.json", doc))
 
-    @pytest.mark.parametrize("config", [{"seeds": 3}, {"max_iterations": "many"}])
+    @pytest.mark.parametrize(
+        "config", [{"seeds": 3}, {"max_iterations": "many"}, {"fd_step": 1e-6}]
+    )
     def test_bad_search_config(self, capsys, tmp_path, cx1_file, j_file, config):
         self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
                             "--config", _write(tmp_path, "cfg.json", config))
@@ -350,3 +373,46 @@ class TestMalformedInput:
     def test_negative_shear_dimension(self, capsys, tmp_path):
         doc = {"dim": -2, "a": [], "omega": []}
         self.assert_invalid(capsys, "shear", _write(tmp_path, "s.json", doc), "--kind", "build")
+
+
+# Each command line with the demo documents it reads, in argument order.
+DEMO_COMMANDS = [
+    (("describe", "{0}"), (algebra,))
+    for algebra in ("two_r3", "counterexample_type_I", "rank_one_family")
+] + [
+    (("check", "{0}", "{1}"), (algebra, "standard_structure"))
+    for algebra in ("two_r3", "counterexample_type_I", "rank_one_family")
+] + [
+    (("search", "{0}", "{1}", "--target", "skt"), (algebra, "standard_J"))
+    for algebra in ("two_r3", "counterexample_type_I", "rank_one_family")
+] + [
+    (("shear", "{0}", "--kind", kind, "--cross-check"), ("counterexample_shear",))
+    for kind in ("skt", "build")
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def corrupted_demo(draw):
+    """A demo command line with one top-level field of one of its documents
+    replaced by a JSON value of another type."""
+    argv, names = draw(st.sampled_from(DEMO_COMMANDS))
+    docs = [json.loads((DEMO_DATA / f"{name}.json").read_text()) for name in names]
+    doc = draw(st.sampled_from(docs))
+    key = draw(st.sampled_from(sorted(doc)))
+    doc[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(doc[key])))
+    return argv, docs
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corrupted_demo())
+def test_wrong_typed_field_exits_2(capsys, tmp_path, case):
+    argv, docs = case
+    paths = [_write(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+    code, _, err = run_cli(capsys, *(arg.format(*paths) for arg in argv))
+    assert code == 2, (argv, docs)
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")

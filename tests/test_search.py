@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,12 @@ import pytest
 from hermlie import algebra as al
 from hermlie.errors import IncompatibleMetricError, NotIntegrableError
 from hermlie.generators import random_complex_shear
-from hermlie.hermitian import ComplexStructure, Metric, classify_metric
+from hermlie.forms import ce_differential, form_power, j_pullback
+from hermlie.hermitian import ComplexStructure, Metric, classify_metric, fundamental_form
 from hermlie.salamon import parse_salamon
 from hermlie.search import (
     SearchConfig,
-    _fd_gradient,
     _Problem,
-    analytic_gradient,
     metric_parameterization,
     residual,
     search_metric,
@@ -53,6 +53,17 @@ class TestMetricParameterization:
         assert s == al.linalg.identity_matrix(4)
 
 
+def _kform_residual(L, J, s, kind):
+    """The residual on the public KForm operators, as a reference."""
+    sigma = fundamental_form(L, Metric(s), J)
+    form = {
+        "kahler": lambda: ce_differential(L, sigma),
+        "balanced": lambda: ce_differential(L, form_power(sigma, L.dim // 2 - 1)),
+        "skt": lambda: ce_differential(L, j_pullback(J.matrix, ce_differential(L, sigma))),
+    }[kind]()
+    return float(sum(c * c for c in form.coeffs.values()))
+
+
 class TestResidual:
     def test_counterexample_values(self, cx_type_I, j_std6):
         i6 = identity_float(6)
@@ -86,6 +97,34 @@ class TestResidual:
                 r = residual(L, J, s_float, kind)
                 assert (r == 0.0) == v[kind], (profile, seed, kind)
             checked += 1
+
+
+    @pytest.mark.parametrize("kind", ["kahler", "balanced", "skt"])
+    def test_float_map_matches_exact_residual(self, kind):
+        """The search's float condition map is the exact one, rounded; the
+        basis change gives J and the brackets denominators other than 1."""
+        data, _, j0 = random_complex_shear(0, "typeIII", 6)
+        la = al.linalg
+        # a rotation by (3/5, 4/5) in the (e1, e3) plane: orthogonal, so the
+        # identity stays a compatible metric
+        p = [[int(i == j) for j in range(6)] for i in range(6)]
+        p[0][0], p[0][2], p[2][0], p[2][2] = Q(3, 5), Q(-4, 5), Q(4, 5), Q(3, 5)
+        p = la.mat(p)
+        L = al.change_basis(build_shear(data), p)
+        J = ComplexStructure(la.mat_mul(la.inverse(p), la.mat_mul(j0.matrix, p)))
+        assert L.ints.den > 1 and J.ints[1] > 1
+        problem = _Problem(L, J, kind)
+        rng = np.random.default_rng(3)
+        reference = np.array([float(c) for c in problem.param.reference])
+        for _ in range(5):
+            x = reference + 0.05 * rng.standard_normal(problem.m)
+            s = [
+                [sum(Q(c) * b[i][j] for c, b in zip(x, problem.param.basis)) for j in range(6)]
+                for i in range(6)
+            ]
+            exact = residual(L, J, s, kind)
+            assert exact > 0 and exact == _kform_residual(L, J, s, kind)
+            assert problem.evaluate(x[None, :], 0.0).res[0] == pytest.approx(exact, rel=1e-9)
 
 
 class TestSearch:
@@ -125,16 +164,42 @@ class TestSearch:
         with pytest.raises(NotIntegrableError):
             search_metric(cx_type_III, j_std6, "kahler")
 
-    def test_gradient_cross_check_dim4(self):
-        """Central differences track the analytic gradient on linear kinds."""
-        L = build_shear(random_complex_shear(0, "typeIII", 4)[0])
-        J = ComplexStructure.standard(4)
-        problem = _Problem(L, J, "kahler")
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            x = np.array([float(c) for c in problem.param.reference])
-            x = x + 0.1 * rng.standard_normal(len(x))
-            fd = _fd_gradient(problem, x, 0.0, 1e-6)
-            exact = analytic_gradient(L, J, "kahler", x)
-            denom = np.maximum(1.0, np.abs(exact))
-            assert np.max(np.abs(fd - exact) / denom) < 1e-5
+    def test_no_runtime_warning_on_infeasible_kahler(self, cx_type_III, j_type_III):
+        """Descent towards the cone's boundary stays clear of inf - inf and log(0)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = search_metric(
+                cx_type_III, j_type_III, "kahler", SearchConfig(seeds=(0, 1, 2, 3))
+            )
+        assert result.status == "not_found"
+
+
+GRADIENT_ALGEBRAS = {
+    "typeIII-d4": lambda: build_shear(random_complex_shear(0, "typeIII", 4)[0]),
+    "typeI-d6": lambda: parse_salamon("(0,21,0,0,43,0)"),
+}
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-2])
+@pytest.mark.parametrize(
+    "algebra,kind",
+    # balanced at d6 is the quadratic mode; the others are linear
+    [("typeIII-d4", "kahler"), ("typeI-d6", "kahler"), ("typeI-d6", "skt"), ("typeI-d6", "balanced")],
+)
+def test_gradient_matches_central_differences(algebra, kind, mu):
+    """The analytic gradient tracks central differences of the objective."""
+    L = GRADIENT_ALGEBRAS[algebra]()
+    problem = _Problem(L, ComplexStructure.standard(L.dim), kind)
+    assert problem.quadratic == (kind == "balanced" and L.dim == 6)
+    rng = np.random.default_rng(5)
+    reference = np.array([float(c) for c in problem.param.reference])
+    for _ in range(5):
+        x = reference + 0.1 * rng.standard_normal(problem.m)
+        exact = problem.gradient(x, problem.evaluate(x[None, :], mu).row(0), mu)
+        steps = 1e-6 * np.maximum(1.0, np.abs(x))
+        shifts = np.diag(steps)
+        f = problem.objective(np.concatenate([x + shifts, x - shifts]), mu)
+        assert np.all(np.isfinite(f))
+        fd = (f[: problem.m] - f[problem.m :]) / (2 * steps)
+        denom = np.maximum(1.0, np.abs(exact))
+        assert np.max(np.abs(fd - exact) / denom) < 1e-5
