@@ -199,15 +199,6 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         return self.ints.rational(x, y)
 
-    def ad(self, x: Sequence) -> Matrix:
-        """Matrix of ad(x) = [x, .] acting on column vectors."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError("ad argument must have the algebra's dimension")
-        nums, dx = core.clear(linalg.vec(x))
-        den = self.ints.den * dx
-        cols = [self.ints.with_basis(nums, j) for j in range(self.dim)]
-        return tuple(core.fractions(row, den) for row in zip(*cols))
-
     def jacobi_residual(self) -> Fraction:
         """Max-abs coordinate of the cyclic sum over all basis triples."""
         if self._jacobi_residual is None:
@@ -303,14 +294,25 @@ def center(L: LieAlgebra) -> Subspace:
     return Subspace.span(n, linalg.nullspace(tuple(eqs)))
 
 
+def trace_form(L: LieAlgebra) -> Vector:
+    """The vector t with tr ad(x) = t . x, read off the bracket numerators:
+    t_i = sum_k [e_i, e_k]_k."""
+    b = L.ints
+    t = [0] * L.dim
+    for i, j, nums in b.terms:
+        for k, c in nums:
+            # [e_i, e_j] = c e_k / den enters tr ad(e_i) when k = j and,
+            # as [e_j, e_i] = -c e_k / den, tr ad(e_j) when k = i
+            if k == j:
+                t[i] += c
+            elif k == i:
+                t[j] -= c
+    return core.fractions(t, b.den)
+
+
 def is_unimodular(L: LieAlgebra) -> bool:
     L.require_validated()
-    n = L.dim
-    for i in range(1, n + 1):
-        m = L.ad(linalg.unit_vec(n, i))
-        if sum((m[k][k] for k in range(n)), ZERO) != 0:
-            return False
-    return True
+    return not any(trace_form(L))
 
 
 def is_two_step_solvable(L: LieAlgebra) -> bool:

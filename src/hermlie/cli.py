@@ -27,9 +27,9 @@ from .documents import (
     matrix_doc,
 )
 from .errors import HermlieError
-from .hermitian import classify_metric, hermitian_decomposition
-from .salamon import render_salamon
-from .search import KINDS, SearchConfig, residual, search_metric
+from .hermitian import KINDS, classify_metric, hermitian_decomposition
+from .salamon import MAX_DIM, render_salamon
+from .search import SearchConfig, residual, search_metric
 from .shear import build_shear, check_complex_shear, shear_condition, validate_pre_shear
 from .verify import run_criteria
 
@@ -67,7 +67,7 @@ def cmd_describe(args) -> int:
         "two_step_solvable": al.is_two_step_solvable(L),
         "citations": ["structural invariants are exact and basis independent"],
     }
-    if L.dim <= 9:  # as in algebra_doc: index pairs stop being unambiguous above 9
+    if L.dim <= MAX_DIM:
         report["salamon"] = render_salamon(L)
     _emit(report)
     return PASS

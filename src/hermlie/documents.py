@@ -15,7 +15,7 @@ from .algebra import LieAlgebra, Subspace, make_algebra
 from .errors import HermlieError
 from .forms import VectorValuedTwoForm
 from .hermitian import ComplexStructure, Metric
-from .salamon import parse_salamon
+from .salamon import MAX_DIM, parse_salamon, render_salamon
 from .shear import PreShearData
 
 SCHEMA = 1
@@ -26,20 +26,25 @@ class DocumentError(HermlieError):
 
 
 def _fraction(value) -> Fraction:
+    """A rational from a JSON string or integer (a bool is neither)."""
+    if type(value) not in (str, int):
+        raise DocumentError(f"rationals must be strings or integers, got {value!r}")
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
-            return Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {value!r}: {exc}") from None
-    raise DocumentError(f"rationals must be strings or integers, got {value!r}")
+
+
+def _index(value, what: str) -> int:
+    if type(value) is not int:
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _fraction_matrix(rows, what: str):
     if not isinstance(rows, list) or not rows:
         raise DocumentError(f"{what} must be a nonempty list of rows")
-    return tuple(tuple(_fraction(c) for c in row) for row in rows)
+    return tuple(_fraction_vector(row, f"{what} row") for row in rows)
 
 
 def _fraction_vector(row, what: str):
@@ -84,9 +89,12 @@ def load_algebra(doc: dict) -> LieAlgebra:
         if "constants" in doc:
             if dim is None:
                 raise DocumentError('"constants" need an integer "dim"')
-            constants = [
-                (int(i), int(j), int(k), _fraction(c)) for i, j, k, c in doc["constants"]
-            ]
+            constants = []
+            for entry in _field(doc, "constants", list):
+                if not isinstance(entry, list) or len(entry) != 4:
+                    raise DocumentError(f"a constants entry must be a list [i, j, k, c], got {entry!r}")
+                *ijk, c = entry
+                constants.append((*(_index(x, "a constants index") for x in ijk), _fraction(c)))
             L = make_algebra(dim, constants)
             if not L.validated:
                 raise DocumentError(
@@ -136,14 +144,15 @@ def load_shear_data(doc: dict):
     a = Subspace.span(dim, [_fraction_vector(v, '"a" vector') for v in _field(doc, "a", list, [])])
     values = {}
     for item in _field(doc, "omega", list, []):
-        try:
-            i, j = int(item["i"]), int(item["j"])
-            v = _fraction_vector(item["value"], '"omega" value')
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(f"bad omega entry: {exc}") from None
+        if not isinstance(item, dict) or not {"i", "j", "value"} <= item.keys():
+            raise DocumentError(f'an omega entry must be an object with "i", "j" and "value", got {item!r}')
+        i, j = _index(item["i"], 'omega "i"'), _index(item["j"], 'omega "j"')
+        v = _fraction_vector(item["value"], '"omega" value')
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
+        if (i, j) in values:
+            raise DocumentError(f"omega pair ({i}, {j}) is given twice")
         values[(i, j)] = linalg.scale_vec(sign, v)
     data = PreShearData(dim, a, VectorValuedTwoForm(dim, a, values))
     J = load_complex_structure(doc, dim) if "J" in doc else None
@@ -162,11 +171,9 @@ def matrix_doc(m) -> list:
 def algebra_doc(L: LieAlgebra) -> dict:
     """The algebra as a document ``load_algebra`` reads back.
 
-    ``salamon`` is left out above dimension 9, where its index pairs would
-    need multi-digit indices and stop being unambiguous.
+    ``salamon`` is left out above ``salamon.MAX_DIM``, where its index
+    pairs would need multi-digit indices and stop being unambiguous.
     """
-    from .salamon import render_salamon
-
     doc = {
         "schema": SCHEMA,
         "dim": L.dim,
@@ -174,7 +181,7 @@ def algebra_doc(L: LieAlgebra) -> dict:
             [i, j, k, fraction_str(c)] for (i, j, k, c) in L.structure_constants()
         ],
     }
-    if L.dim <= 9:
+    if L.dim <= MAX_DIM:
         doc["salamon"] = render_salamon(L)
     return doc
 

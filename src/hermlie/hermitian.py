@@ -29,6 +29,7 @@ from .algebra import (
     orthogonal_complement,
     structure_invariants,
     subspace_sum,
+    trace_form,
 )
 from .errors import (
     DimensionMismatchError,
@@ -40,7 +41,6 @@ from .errors import (
     NotPureTypeIIError,
     NotSKTError,
     NotTwoStepSolvableError,
-    NotValidatedError,
     PreconditionViolatedError,
 )
 from .forms import KForm
@@ -121,6 +121,10 @@ class Metric:
         (xs, dx), (ys, dy) = core.clear(linalg.vec(x)), core.clear(linalg.vec(y))
         return Fraction(core.dot(xs, core.mat_vec(rows, ys)), den * dx * dy)
 
+    def gram(self, vectors: Sequence[Sequence]) -> Matrix:
+        """The Gram matrix g(u, v) of ``vectors``."""
+        return linalg.mat([[self.pair(u, v) for v in vectors] for u in vectors])
+
     def compatible_with(self, J: ComplexStructure) -> bool:
         """J^T g J = g, compared on numerators: (dJ^2 dg) J^T g J vs dJ^2 (dg g)."""
         if J.dim != self.dim:
@@ -141,11 +145,15 @@ class Metric:
         return Metric(linalg.identity_matrix(dim))
 
     @staticmethod
+    def from_frame(vectors: Sequence[Sequence], gram: Matrix) -> "Metric":
+        """The metric whose Gram matrix on the given frame is ``gram``: B^-T G B^-1."""
+        b_inv = linalg.inverse(linalg.matrix_from_columns([linalg.vec(v) for v in vectors]))
+        return Metric(linalg.mat_mul(linalg.transpose(b_inv), linalg.mat_mul(linalg.mat(gram), b_inv)))
+
+    @staticmethod
     def from_orthonormal_frame(vectors: Sequence[Sequence]) -> "Metric":
         """The metric for which the given frame is orthonormal."""
-        b = linalg.matrix_from_columns([linalg.vec(v) for v in vectors])
-        b_inv = linalg.inverse(b)
-        return Metric(linalg.mat_mul(linalg.transpose(b_inv), b_inv))
+        return Metric.from_frame(vectors, linalg.identity_matrix(len(vectors)))
 
 
 def sigma_of(J: ComplexStructure, g: Sequence[Sequence[int]], dg: int) -> tuple[dict[int, int], int]:
@@ -208,6 +216,32 @@ def fundamental_form(L: LieAlgebra, g: Metric, J: ComplexStructure) -> KForm:
     return KForm.from_ints(L.dim, 2, nums, den)
 
 
+KINDS = ("kahler", "balanced", "skt")
+
+
+def condition_form(
+    L: LieAlgebra, J: ComplexStructure, sigma: dict[int, int], den: int, kind: str
+) -> tuple[dict[int, int], int]:
+    """The form that vanishes exactly when ``kind`` holds for the two-form
+    with core numerators ``sigma`` over ``den``, as core numerators over the
+    returned denominator: d sigma, d(sigma^(n-1)) or d J* d sigma.
+
+    The one metric-condition map: ``classify_metric`` tests it for zero,
+    ``search`` takes its norm and its float image on compatible metrics.
+    """
+    b = L.ints
+    if kind == "kahler":
+        return core.differential(b, sigma), den * b.den
+    if kind == "balanced":
+        n = L.dim // 2
+        return core.differential(b, core.power(sigma, n - 1)), den ** (n - 1) * b.den
+    if kind == "skt":
+        rows, dj = J.ints
+        dsigma = core.differential(b, sigma)
+        return core.differential(b, core.pullback(rows, dsigma)), den * b.den**2 * dj**3
+    raise ValueError(f"unknown condition kind: {kind}")
+
+
 @dataclass(frozen=True)
 class MetricVerdicts:
     kahler: bool
@@ -233,15 +267,8 @@ def classify_metric(
         raise DimensionMismatchError("J and algebra dimensions differ")
     if not allow_nonintegrable and not is_integrable(L, J):
         raise NotIntegrableError("Nijenhuis tensor does not vanish; pass allow_nonintegrable to force")
-    # zero tests on numerators: sigma over dJ dg, d adds den(L), J^* adds dJ^3
-    sigma, _ = g.sigma_ints(J)
-    b = L.ints
-    n = L.dim // 2
-    dsigma = core.differential(b, sigma)
-    kahler = not dsigma
-    balanced = n < 2 or not core.differential(b, core.power(sigma, n - 1))
-    skt = not core.differential(b, core.pullback(J.ints[0], dsigma))
-    return MetricVerdicts(kahler, balanced, skt)
+    sigma, den = g.sigma_ints(J)
+    return MetricVerdicts(*(not condition_form(L, J, sigma, den, kind)[0] for kind in KINDS))
 
 
 @dataclass(frozen=True)
@@ -263,12 +290,26 @@ def _j_image(J: ComplexStructure, s: Subspace) -> Subspace:
     return Subspace.span(s.ambient_dim, [J.apply(v) for v in s.basis()])
 
 
+def j_adapted_split(
+    a: Subspace, g: Metric, J: ComplexStructure
+) -> tuple[Subspace, Subspace, Subspace, Subspace]:
+    """The J-adapted splitting of a subspace a of the algebra.
+
+    Returns (a_J, a_r, U_r, U_J): a_J = a & Ja, its g-orthogonal complement
+    a_r inside a, U_r = a_r + J a_r, and U_J the g-orthogonal complement of
+    a + Ja.  The four are orthogonal and a_J, U_r, U_J are J-invariant.
+    """
+    ja = _j_image(J, a)
+    a_J = intersect(a, ja)
+    a_r = orthogonal_complement(a_J, g.matrix, within=a)
+    U_r = subspace_sum(a_r, _j_image(J, a_r))
+    U_J = orthogonal_complement(subspace_sum(a, ja), g.matrix)
+    return a_J, a_r, U_r, U_J
+
+
 def hermitian_decomposition(L: LieAlgebra, g: Metric, J: ComplexStructure) -> HermitianDecomposition:
     derg = image_of_bracket(L)
-    derg_J = intersect(derg, _j_image(J, derg))
-    derg_r = orthogonal_complement(derg_J, g.matrix, within=derg)
-    V_r = subspace_sum(derg_r, _j_image(J, derg_r))
-    V_J = orthogonal_complement(subspace_sum(derg, _j_image(J, derg)), g.matrix)
+    derg_J, derg_r, V_r, V_J = j_adapted_split(derg, g, J)
     s, r, ell = derg_J.dim // 2, derg_r.dim, V_J.dim // 2
     if derg.dim == 0:
         tag = "none"
@@ -300,6 +341,11 @@ class UnitaryBasis:
             yield self.vectors[i], self.vectors[i + 1], self.norms_sq[i]
 
 
+def _require_j_invariant(S: Subspace, J: ComplexStructure, message: str) -> None:
+    if not all(S.contains(J.apply(v)) for v in S.basis()):
+        raise NotJInvariantError(message)
+
+
 def unitary_basis(S: Subspace, g: Metric, J: ComplexStructure, order: Sequence[int] | None = None) -> UnitaryBasis:
     """Complex Gram-Schmidt on a J-invariant subspace.
 
@@ -307,9 +353,7 @@ def unitary_basis(S: Subspace, g: Metric, J: ComplexStructure, order: Sequence[i
     different (equally valid) unitary basis; structural criteria must not
     depend on this choice.
     """
-    for v in S.basis():
-        if not S.contains(J.apply(v)):
-            raise NotJInvariantError("subspace is not J-invariant")
+    _require_j_invariant(S, J, "subspace is not J-invariant")
     if S.dim % 2:
         raise NotJInvariantError("J-invariant subspace must have even dimension")
     pool = list(S.basis())
@@ -367,24 +411,17 @@ def balanced_structural(
     if not g.compatible_with(J):
         raise IncompatibleMetricError("metric is not J-invariant")
     dec = hermitian_decomposition(L, g, J)
-    sigma = fundamental_form(L, g, J)
 
     c = linalg.zero_vec(L.dim)
     for space, order in ((dec.V_r, order_vr), (dec.V_J, order_vj)):
         for v, jv, nsq in unitary_basis(space, g, J, order=order).pairs():
             c = linalg.add_vec(c, linalg.scale_vec(1 / nsq, L.bracket(v, jv)))
 
-    def tr(m: Matrix) -> Fraction:
-        return sum((m[k][k] for k in range(L.dim)), ZERO)
-
-    trace_vj = all(tr(L.ad(z)) == 0 for z in dec.V_J.basis())
+    t = trace_form(L)  # tr ad(x) = t . x
+    trace_vj = all(linalg.dot(t, z) == 0 for z in dec.V_J.basis())
     c_orth = all(g.pair(c, y) == 0 for y in dec.derg_J.basis())
-    sigma_matrix = linalg.mat_mul(linalg.transpose(J.matrix), g.matrix)
-
-    def sigma_pair(x: Sequence, y: Sequence) -> Fraction:
-        return linalg.dot(linalg.vec(x), linalg.mat_vec(sigma_matrix, linalg.vec(y)))
-
-    trace_vr = all(tr(L.ad(x)) == -sigma_pair(c, x) for x in dec.V_r.basis())
+    jc = J.apply(c)  # sigma(c, x) = g(Jc, x)
+    trace_vr = all(linalg.dot(t, x) == -g.pair(jc, x) for x in dec.V_r.basis())
 
     if is_unimodular(L):
         verdict = linalg.is_zero_vec(c)
@@ -408,21 +445,9 @@ def _block_metric(
     gram_b: Matrix,
 ) -> Metric:
     """Metric with the two bases spanning orthogonal blocks with given Grams."""
-    b = linalg.matrix_from_columns(list(basis_a) + list(basis_b))
     na, nb = len(basis_a), len(basis_b)
-    gram = [[ZERO] * (na + nb) for _ in range(na + nb)]
-    for i in range(na):
-        for j in range(na):
-            gram[i][j] = gram_a[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            gram[na + i][na + j] = gram_b[i][j]
-    b_inv = linalg.inverse(b)
-    return Metric(
-        linalg.mat_mul(
-            linalg.transpose(b_inv), linalg.mat_mul(linalg.mat(gram), b_inv)
-        )
-    )
+    gram = [list(row) + [ZERO] * nb for row in gram_a] + [[ZERO] * na + list(row) for row in gram_b]
+    return Metric.from_frame(list(basis_a) + list(basis_b), gram)
 
 
 def splice_metric(
@@ -437,16 +462,12 @@ def splice_metric(
     The result restricts to g_inner on S, to g_outer on the g_outer
     orthogonal complement of S, and makes the two orthogonal.
     """
-    for v in S.basis():
-        if not S.contains(J.apply(v)):
-            raise NotJInvariantError("splice subspace must be J-invariant")
+    _require_j_invariant(S, J, "splice subspace must be J-invariant")
     if not (g_inner.compatible_with(J) and g_outer.compatible_with(J)):
         raise IncompatibleMetricError("both metrics must be compatible with J")
     t = orthogonal_complement(S, g_outer.matrix)
     sb, tb = S.basis(), t.basis()
-    gram_s = linalg.mat([[g_inner.pair(u, v) for v in sb] for u in sb])
-    gram_t = linalg.mat([[g_outer.pair(u, v) for v in tb] for u in tb])
-    out = _block_metric(sb, tb, gram_s, gram_t)
+    out = _block_metric(sb, tb, g_inner.gram(sb), g_outer.gram(tb))
     assert out.compatible_with(J)
     return out
 
@@ -533,9 +554,7 @@ def normalize_skt_typeII(
         new_basis.append(linalg.add_vec(flat[idx], r_of(idx, sol)))
     v_tilde = Subspace.span(L.dim, new_basis)
 
-    gram_d = linalg.mat([[g.pair(u, v) for v in derg_basis] for u in derg_basis])
-    gram_v = linalg.mat([[g.pair(u, v) for v in flat] for u in flat])
-    g_new = _block_metric(derg_basis, new_basis, gram_d, gram_v)
+    g_new = _block_metric(derg_basis, new_basis, g.gram(derg_basis), g.gram(flat))
     assert g_new.compatible_with(J)
     return g_new, v_tilde
 
@@ -577,11 +596,6 @@ def kahler_from_skt_and_balanced_typeII(
         assert coords is not None
         images.append(linalg.combination(coords[: len(vh_basis)], vh_basis, L.dim))
 
-    vt_basis = v_tilde.basis()
-    gram_d = linalg.mat([[g_tilde.pair(u, v) for v in derg_basis] for u in derg_basis])
-    gram_v = linalg.mat(
-        [[g_bal.pair(ru, rv) for rv in images] for ru in images]
-    )
-    out = _block_metric(derg_basis, vt_basis, gram_d, gram_v)
+    out = _block_metric(derg_basis, v_tilde.basis(), g_tilde.gram(derg_basis), g_bal.gram(images))
     assert out.compatible_with(J)
     return out

@@ -22,11 +22,15 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, make_algebra
 from .errors import (
+    DimensionMismatchError,
     JacobiFailedError,
     SalamonSyntaxError,
     UnboundParameterError,
 )
 from .linalg import ZERO
+
+# index pairs are two single digits, so the notation stops at dimension 9
+MAX_DIM = 9
 
 
 class _Scanner:
@@ -66,8 +70,8 @@ def _parse_coeff(sc: _Scanner, bindings: dict) -> Fraction:
             den = ""
             while sc.peek().isdigit():
                 den += sc.take()
-            if not den:
-                sc.error("missing denominator")
+            if not den.strip("0"):
+                sc.error("missing or zero denominator")
             return Fraction(int(num), int(den))
         return Fraction(int(num))
     if c.isalpha() or c == "_":
@@ -185,7 +189,7 @@ def parse_salamon(text: str, bindings: dict | None = None) -> LieAlgebra:
     sc.expect("(")
     entries = []
     while True:
-        entries.append(_parse_entry(sc, 9, bindings))
+        entries.append(_parse_entry(sc, MAX_DIM, bindings))
         nxt = sc.peek()
         if nxt == ",":
             sc.take()
@@ -197,8 +201,8 @@ def parse_salamon(text: str, bindings: dict | None = None) -> LieAlgebra:
     if sc.peek():
         sc.error("trailing input after the closing parenthesis")
     dim = len(entries)
-    if dim > 9:
-        raise SalamonSyntaxError("at most nine entries are supported", 0)
+    if dim > MAX_DIM:
+        raise SalamonSyntaxError(f"at most {MAX_DIM} entries are supported", 0)
     constants = []
     for i, entry in enumerate(entries, start=1):
         for (a, b), c in entry.items():
@@ -219,9 +223,12 @@ def render_salamon(L: LieAlgebra) -> str:
     """Deterministic rendering; parse(render(L)) always reproduces L.
 
     Negative coefficients are absorbed by flipping the index pair, so the
-    affine algebra renders as "(0,21)" rather than "(0,-12)".
+    affine algebra renders as "(0,21)" rather than "(0,-12)".  Algebras
+    above ``MAX_DIM`` have no rendering and raise DimensionMismatchError.
     """
     L.require_validated()
+    if L.dim > MAX_DIM:
+        raise DimensionMismatchError(f"Salamon notation covers dimensions up to {MAX_DIM}, not {L.dim}")
     entries = []
     for i in range(1, L.dim + 1):
         terms = []

@@ -4,14 +4,15 @@ The compatible symmetric forms make up an n^2-dimensional rational vector
 space for a 2n-dimensional algebra; the search runs multi-start projected
 gradient descent on its coefficients, minimising the squared coefficient
 norm of the relevant closed-form condition plus a log-det barrier keeping
-the iterates positive definite.  The condition map is built once from the
-exact core, the same map ``residual`` evaluates; the gradient of the
-barrier objective is analytic, and each iterate costs one batched
-eigendecomposition, of the Armijo backtracking candidates, which yields
-their objective, definiteness and the barrier gradient alike.  Successful
-runs finish with a continued-fraction rationalisation pass followed by
-exact verification, so a "found" witness can be upgraded to a proof;
-"not found" is only ever reported as inconclusive.
+the iterates positive definite.  The condition map is
+``hermitian.condition_form``, the map ``classify_metric`` and ``residual``
+evaluate, taken once per search on a basis of the compatible metrics.  The
+gradient of the barrier objective is analytic, and each iterate costs one
+batched eigendecomposition, of the Armijo backtracking candidates, which
+yields their objective, definiteness and the barrier gradient alike.
+Successful runs finish with a continued-fraction rationalisation pass
+followed by exact verification, so a "found" witness can be upgraded to a
+proof; "not found" is only ever reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ import numpy as np
 
 from . import core, linalg
 from .algebra import LieAlgebra
-from .errors import (
-    IncompatibleMetricError,
-    NotAComplexStructureError,
-    NotIntegrableError,
+from .errors import InvalidMetricError, NotAComplexStructureError, NotIntegrableError
+from .hermitian import (
+    KINDS,
+    ComplexStructure,
+    Metric,
+    classify_metric,
+    condition_form,
+    is_integrable,
+    sigma_of,
 )
-from .hermitian import ComplexStructure, Metric, classify_metric, is_integrable, sigma_of
 from .linalg import ZERO
-
-KINDS = ("kahler", "balanced", "skt")
 
 
 @dataclass(frozen=True)
@@ -91,27 +94,6 @@ def _coefficients_of(basis, target, slots, index):
     return sol
 
 
-def _condition_form(
-    L: LieAlgebra, J: ComplexStructure, sigma: dict[int, int], den: int, kind: str
-) -> tuple[dict[int, int], int]:
-    """The form that vanishes exactly when ``kind`` holds for the two-form
-    with numerators ``sigma`` over ``den``, as core numerators over the
-    returned denominator."""
-    b = L.ints
-    n = L.dim // 2
-    if kind == "kahler":
-        return core.differential(b, sigma), den * b.den
-    if kind == "balanced":
-        if n < 2:
-            return {}, 1
-        return core.differential(b, core.power(sigma, n - 1)), den ** (n - 1) * b.den
-    if kind == "skt":
-        rows, dj = J.ints
-        dsigma = core.differential(b, sigma)
-        return core.differential(b, core.pullback(rows, dsigma)), den * b.den**2 * dj**3
-    raise ValueError(f"unknown condition kind: {kind}")
-
-
 def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
     """Squared coefficient norm of the condition form, computed exactly.
 
@@ -120,9 +102,7 @@ def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
     holds for the rational metric the floats denote.
     """
     metric = Metric(tuple(tuple(Fraction(x) for x in row) for row in S))
-    if not metric.compatible_with(J):
-        raise IncompatibleMetricError("S is not compatible with J")
-    out, den = _condition_form(L, J, *metric.sigma_ints(J), kind)
+    out, den = condition_form(L, J, *metric.sigma_ints(J), kind)
     return float(Fraction(sum(c * c for c in out.values()), den * den))
 
 
@@ -219,13 +199,13 @@ class _Problem:
         if self.quadratic:
             assert L.dim == 6, "balanced search implemented for dimensions up to 6"
             # sigma^2 is quadratic in the metric: polarise it over pairs of basis metrics
-            diag = [_condition_form(L, J, *sigma, kind) for sigma in sigmas]
+            diag = [condition_form(L, J, *sigma, kind) for sigma in sigmas]
             cols = {(p, p): col for p, col in enumerate(diag)}
             for p, q in combinations(range(self.m), 2):
                 (sp, dp), (sq, dq) = sigmas[p], sigmas[q]
                 summed = {k: sp.get(k, 0) * dq + sq.get(k, 0) * dp for k in sp.keys() | sq.keys()}
                 # (C(sigma_p + sigma_q) - C(sigma_p) - C(sigma_q)) / 2 over one denominator
-                cb, db = _condition_form(L, J, summed, dp * dq, kind)
+                cb, db = condition_form(L, J, summed, dp * dq, kind)
                 (cp, ep), (cq, eq) = diag[p], diag[q]
                 cols[p, q] = cols[q, p] = (
                     {
@@ -238,7 +218,7 @@ class _Problem:
             self.quad_flat = _float_matrix([cols[pair] for pair in pairs])
             self.quad = self.quad_flat.reshape(-1, self.m, self.m)
         else:
-            self.linear = _float_matrix([_condition_form(L, J, *sigma, kind) for sigma in sigmas])
+            self.linear = _float_matrix([condition_form(L, J, *sigma, kind) for sigma in sigmas])
 
     def matrices(self, xs: np.ndarray) -> np.ndarray:
         return (xs @ self.basis_flat).reshape(len(xs), self.dim, self.dim)
@@ -291,9 +271,10 @@ def _rationalize(problem: _Problem, x: np.ndarray):
         for c, b in zip(coeffs, problem.param.basis):
             term = linalg.mat_scale(c, b)
             s = term if s is None else linalg.mat_add(s, term)
-        if any(m <= 0 for m in linalg.leading_principal_minors(s)):
+        try:
+            metric = Metric(s)
+        except InvalidMetricError:  # not positive definite
             continue
-        metric = Metric(s)
         verdict = classify_metric(problem.L, metric, problem.J, allow_nonintegrable=True)
         if verdict[problem.kind]:
             return s, True

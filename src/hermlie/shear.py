@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from . import core, linalg
-from .algebra import LieAlgebra, Subspace, orthogonal_complement, subspace_sum, intersect
+from .algebra import LieAlgebra, Subspace
 from .errors import (
     DimensionMismatchError,
     InvalidPreShearError,
@@ -30,7 +30,7 @@ from .errors import (
     NotComplexShearDataError,
 )
 from .forms import VectorValuedTwoForm
-from .hermitian import ComplexStructure, Metric
+from .hermitian import ComplexStructure, Metric, j_adapted_split
 from .linalg import Matrix, Vector
 
 
@@ -318,15 +318,8 @@ def shear_operators(
     _require_complex(data, J)
     data = data.normalized()
     n = data.dim
-    a = data.a
     omega = data.omega
-
-    a_J = intersect(a, Subspace.span(n, [J.apply(v) for v in a.basis()]))
-    a_r = orthogonal_complement(a_J, g.matrix, within=a)
-    U_r = subspace_sum(a_r, Subspace.span(n, [J.apply(v) for v in a_r.basis()]))
-    U_J = orthogonal_complement(
-        subspace_sum(a, Subspace.span(n, [J.apply(v) for v in a.basis()])), g.matrix
-    )
+    a_J, a_r, U_r, U_J = j_adapted_split(data.a, g, J)
 
     aj_basis, ar_basis = a_J.basis(), a_r.basis()
     a_basis = aj_basis + ar_basis

@@ -39,7 +39,6 @@ from .hermitian import (
     _block_metric,
 )
 from .normal_forms import (
-    Cq,
     KahlerNormalForm,
     TypeIINormalForm,
     kahler_normal_form,
@@ -337,11 +336,8 @@ def _perturbed_skt_metric(L, J, rng: random.Random) -> Metric:
         new_basis.append(linalg.add_vec(vj_basis[idx], r_vec))
         new_basis.append(linalg.add_vec(vj_basis[idx + 1], J.apply(r_vec)))
     scale = abs(rand_nonzero_fraction(rng, 1, 3, 2))
-    gram_v = linalg.mat_scale(scale, linalg.mat(
-        [[g0.pair(u, v) for v in vj_basis] for u in vj_basis]
-    ))
-    gram_d = linalg.mat([[g0.pair(u, v) for v in derg.basis()] for u in derg.basis()])
-    return _block_metric(derg.basis(), new_basis, gram_d, gram_v)
+    gram_v = linalg.mat_scale(scale, g0.gram(vj_basis))
+    return _block_metric(derg.basis(), new_basis, g0.gram(derg.basis()), gram_v)
 
 
 def _perturbed_balanced_metric(L, J, rng: random.Random) -> Metric:
@@ -353,8 +349,7 @@ def _perturbed_balanced_metric(L, J, rng: random.Random) -> Metric:
     sub_pairs = [(i, i + 1) for i in range(1, k, 2)]
     sub_J = ComplexStructure.from_pairs(k, sub_pairs)
     gram_d = random_compatible_metric(k, sub_J, rng).matrix
-    gram_v = linalg.mat([[g0.pair(u, v) for v in v_j.basis()] for u in v_j.basis()])
-    return _block_metric(derg.basis(), v_j.basis(), gram_d, gram_v)
+    return _block_metric(derg.basis(), v_j.basis(), gram_d, g0.gram(v_j.basis()))
 
 
 def criterion_compatibility_pipeline(draws: int = 5) -> dict:

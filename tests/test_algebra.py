@@ -139,6 +139,32 @@ class TestSolvabilityAndUnimodularity:
         assert sl2.validated and not al.is_two_step_solvable(sl2)
 
 
+def test_trace_form_matches_bracket_traces():
+    """t_i = tr ad(e_i) = sum_k [e_i, e_k]_k, summed on Fractions from
+    ``bracket_basis``, on generated shears of every profile at d4-d10."""
+    from hermlie.errors import DimensionMismatchError
+    from hermlie.generators import PROFILES, random_complex_shear
+    from hermlie.shear import build_shear
+
+    seen, nonzero = set(), 0
+    for dim in (4, 6, 8, 10):
+        for profile in PROFILES:
+            for seed in range(2):
+                try:
+                    data, _, _ = random_complex_shear(seed, profile, dim)
+                except (DimensionMismatchError, ValueError):  # some profiles exist only at d4-d6
+                    continue
+                L = build_shear(data)
+                t = al.trace_form(L)
+                for i in range(1, dim + 1):
+                    assert t[i - 1] == sum((L.bracket_basis(i, k)[k - 1] for k in range(1, dim + 1)), Q(0))
+                assert al.is_unimodular(L) == (not any(t))
+                seen.add((profile, dim))
+                nonzero += any(t)
+    assert {p for p, _ in seen} == set(PROFILES) and {d for _, d in seen} == {4, 6, 8, 10}
+    assert nonzero > 0
+
+
 class TestSubspaceCalculus:
     def test_derived_of_counterexample(self, cx_type_I):
         assert al.image_of_bracket(cx_type_I) == al.Subspace.span(

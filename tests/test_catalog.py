@@ -44,7 +44,7 @@ class TestParser:
             parse_salamon("(21,31,0)")
 
     @pytest.mark.parametrize(
-        "bad", ["(0,2", "(0,21x)", "(0,11)", "(0,90)", "0,21)", "(0,21))", "(0,+21)"]
+        "bad", ["(0,2", "(0,21x)", "(0,11)", "(0,90)", "0,21)", "(0,21))", "(0,+21)", "(0,1/0.21)", "(0,1/00.21)"]
     )
     def test_syntax_errors_carry_position(self, bad):
         with pytest.raises(SalamonSyntaxError) as err:
@@ -64,6 +64,14 @@ class TestRenderer:
 
     def test_heisenberg(self, h3):
         assert render_salamon(h3) == "(0,0,21)"
+
+    def test_no_rendering_above_max_dim(self):
+        from hermlie.errors import DimensionMismatchError
+        from hermlie.salamon import MAX_DIM
+
+        assert render_salamon(al.abelian(MAX_DIM)) == "(" + ",".join("0" * MAX_DIM) + ")"
+        with pytest.raises(DimensionMismatchError):
+            render_salamon(al.abelian(MAX_DIM + 1))
 
     def test_round_trip_table_and_witness_strings(self):
         strings = [

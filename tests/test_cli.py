@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -374,6 +375,40 @@ class TestMalformedInput:
         doc = {"dim": -2, "a": [], "omega": []}
         self.assert_invalid(capsys, "shear", _write(tmp_path, "s.json", doc), "--kind", "build")
 
+    def test_j_rows_must_be_lists(self, capsys, tmp_path, cx1_file):
+        doc = {"J": [1, 2, 3, 4, 5, 6], "metric": IDENTITY6}
+        self.assert_invalid(capsys, "check", cx1_file, _write(tmp_path, "st.json", doc))
+
+    def test_metric_row_string_is_not_read_digit_by_digit(self, capsys, tmp_path, cx1_file):
+        doc = {"J": STD6_J, "metric": ["".join(row) for row in IDENTITY6]}  # "100000", ...
+        self.assert_invalid(capsys, "check", cx1_file, _write(tmp_path, "st.json", doc),
+                            "--condition", "skt")
+
+    def test_boolean_is_not_a_rational(self, capsys, tmp_path, cx1_file):
+        metric = [[True if i == j else "0" for j in range(6)] for i in range(6)]
+        doc = {"J": STD6_J, "metric": metric}
+        self.assert_invalid(capsys, "check", cx1_file, _write(tmp_path, "st.json", doc),
+                            "--condition", "skt")
+
+    @pytest.mark.parametrize("index", [1.9, True, "1"])
+    def test_omega_index_must_be_an_integer(self, capsys, tmp_path, index):
+        doc = json.loads((DEMO_DATA / "counterexample_shear.json").read_text())
+        doc["omega"][0]["i"] = index
+        self.assert_invalid(capsys, "shear", _write(tmp_path, "s.json", doc), "--kind", "skt")
+
+    def test_repeated_omega_pair(self, capsys, tmp_path):
+        """(1, 2) and (2, 1) name one pair, even when the values agree."""
+        doc = json.loads((DEMO_DATA / "counterexample_shear.json").read_text())
+        first = doc["omega"][0]
+        negated = [str(-Fraction(c)) for c in first["value"]]
+        doc["omega"].append({"i": first["j"], "j": first["i"], "value": negated})
+        self.assert_invalid(capsys, "shear", _write(tmp_path, "s.json", doc), "--kind", "skt")
+
+    @pytest.mark.parametrize("index", [1.0, True, "1"])
+    def test_constants_index_must_be_an_integer(self, capsys, tmp_path, index):
+        doc = {"dim": 2, "constants": [[index, 2, 2, "1"]]}
+        self.assert_invalid(capsys, "describe", _write(tmp_path, "a.json", doc))
+
 
 # Each command line with the demo documents it reads, in argument order.
 DEMO_COMMANDS = [
@@ -411,6 +446,68 @@ def corrupted_demo(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(corrupted_demo())
 def test_wrong_typed_field_exits_2(capsys, tmp_path, case):
+    argv, docs = case
+    paths = [_write(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+    code, _, err = run_cli(capsys, *(arg.format(*paths) for arg in argv))
+    assert code == 2, (argv, docs)
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def _demo(name):
+    return json.loads((DEMO_DATA / f"{name}.json").read_text())
+
+
+def _constants_doc(name):
+    """A demo algebra document rewritten in the "constants" notation."""
+    from hermlie.documents import algebra_doc, load_algebra
+
+    doc = algebra_doc(load_algebra(_demo(name)))
+    del doc["salamon"]
+    return doc
+
+
+# Command lines whose documents hold every nested entry the loaders read:
+# the rows and entries of "J", "metric" and "a", omega entries, constants.
+NESTED_CASES = [
+    (("check", "{0}", "{1}"), [_constants_doc("counterexample_type_I"), _demo("standard_structure")]),
+    (("shear", "{0}", "--kind", "skt"), [_demo("counterexample_shear")]),
+]
+
+
+def _nested_slots(doc):
+    """(path, JSON types the loader accepts there) for each nested entry."""
+    slots = []
+    for key in ("J", "metric", "a"):
+        for r, row in enumerate(doc.get(key, [])):
+            slots.append(((key, r), (list,)))
+            slots += [((key, r, c), (str, int)) for c in range(len(row))]
+    for e in range(len(doc.get("omega", []))):
+        slots += [(("omega", e, "i"), (int,)), (("omega", e, "j"), (int,)), (("omega", e, "value"), (list,))]
+    for e in range(len(doc.get("constants", []))):
+        slots += [(("constants", e), (list,))] + [(("constants", e, f), (int,)) for f in range(3)]
+        slots.append((("constants", e, 3), (str, int)))
+    return slots
+
+
+@st.composite
+def corrupted_entry(draw):
+    """A command line with one nested entry of one of its documents replaced
+    by a JSON value of a type the loader does not accept there (a bool is
+    neither an integer nor a rational)."""
+    argv, docs = draw(st.sampled_from(NESTED_CASES))
+    docs = json.loads(json.dumps(docs))
+    doc = draw(st.sampled_from(docs))
+    path, accepted = draw(st.sampled_from(_nested_slots(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(JSON_VALUES.filter(lambda v: type(v) not in accepted))
+    return argv, docs
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corrupted_entry())
+def test_wrong_typed_nested_entry_exits_2(capsys, tmp_path, case):
     argv, docs = case
     paths = [_write(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
     code, _, err = run_cli(capsys, *(arg.format(*paths) for arg in argv))

@@ -72,6 +72,26 @@ class TestMetric:
         assert g_identity6.compatible_with(j_std6)
 
 
+class TestFrameMetric:
+    FRAME = [(1, 0, 0, 0, 0, -1), (0, 1, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1),
+             (0, 0, 0, 0, -1, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 2, 0)]
+
+    def test_gram_of_frame_metric_is_the_given_gram(self, j_std6):
+        gram = random_compatible_metric(6, j_std6, random.Random(4)).matrix
+        assert Metric.from_frame(self.FRAME, gram).gram(self.FRAME) == gram
+        assert Metric.from_orthonormal_frame(self.FRAME).gram(self.FRAME) == la.identity_matrix(6)
+
+    def test_block_metric_grams(self, j_std6):
+        from hermlie.hermitian import _block_metric
+
+        rng = random.Random(5)
+        gram_a = random_compatible_metric(2, ComplexStructure.standard(2), rng).matrix
+        gram_b = random_compatible_metric(4, ComplexStructure.standard(4), rng).matrix
+        g = _block_metric(self.FRAME[:2], self.FRAME[2:], gram_a, gram_b)
+        assert g.gram(self.FRAME[:2]) == gram_a and g.gram(self.FRAME[2:]) == gram_b
+        assert all(g.pair(u, v) == 0 for u in self.FRAME[:2] for v in self.FRAME[2:])
+
+
 class TestFundamentalForm:
     def test_identity_standard(self, cx_type_I, j_std6, g_identity6):
         sigma = fundamental_form(cx_type_I, g_identity6, j_std6)
@@ -112,6 +132,11 @@ class TestClassifyMetric:
             assert classify_metric(L, g, J).as_dict() == {
                 "kahler": True, "balanced": True, "skt": True,
             }
+
+    def test_dimension_two_all_true(self, aff):
+        """sigma^0 = 1 is closed, so balanced needs no special case at n = 1."""
+        v = classify_metric(aff, Metric.identity(2), ComplexStructure.standard(2))
+        assert v.as_dict() == {"kahler": True, "balanced": True, "skt": True}
 
     def test_requires_integrable(self, cx_type_III, j_std6, g_identity6):
         with pytest.raises(NotIntegrableError):

@@ -1,0 +1,51 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hermlie"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names.setdefault(bound, node.lineno)
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those inside string annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

@@ -81,7 +81,12 @@ class TestResidual:
             residual(cx_type_I, j_std6, s, "kahler")
 
     def test_agrees_with_exact_verdicts(self):
-        """Zero residual exactly iff the exact condition holds (200 cases)."""
+        """Zero residual exactly iff the exact condition holds (200 cases).
+
+        ``residual`` and ``classify_metric`` share ``condition_form``, so this
+        checks their plumbing, not the map; the independent checks of the map
+        are the KForm reference in ``test_float_map_matches_exact_residual``
+        and the shear-data oracle (``test_core``, verify-paper criterion 3)."""
         rng = random.Random(99)
         checked = 0
         seed = 0
