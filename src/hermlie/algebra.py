@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,7 +28,8 @@ class Subspace:
     """A subspace of Q^n, stored by its reduced-echelon basis.
 
     The canonical representative makes equality and containment O(1)-ish
-    dictionary work; two spans are equal iff their rows coincide.
+    dictionary work; two spans are equal iff their rows coincide.  The
+    calculus below runs on ``ints``, the same basis as primitive int rows.
     """
 
     ambient_dim: int
@@ -41,8 +43,16 @@ class Subspace:
                 raise DimensionMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        rows, _ = linalg.rref(vectors)
-        return Subspace(ambient_dim, rows)
+        return Subspace.from_echelon(ambient_dim, linalg.echelon(core.clear(v)[0] for v in vectors))
+
+    @staticmethod
+    def from_echelon(ambient_dim: int, basis: list[list[int]]) -> "Subspace":
+        """The subspace with primitive echelon basis ``basis`` (``linalg.echelon``);
+        its reduced rows are the only Fractions the calculus forms."""
+        # a primitive echelon row over its pivot, its first nonzero entry
+        out = Subspace(ambient_dim, tuple(core.fractions(r, next(c for c in r if c)) for r in basis))
+        object.__setattr__(out, "ints", basis)
+        return out
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -62,9 +72,6 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.rows)
-
     def coordinates(self, v: Sequence) -> Vector | None:
         """Coefficients of ``v`` in the echelon basis: its entries at the
         pivots, provided nothing is left after subtracting them."""
@@ -73,43 +80,68 @@ class Subspace:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        rows, den, pivots = self._echelon
-        nums, _ = core.clear(v)
-        # v - sum_r v[p_r] row_r, on numerators over den(v) * den
-        rest = [den * x for x in nums]
-        for p, row in zip(pivots, rows):
-            c = nums[p]
-            if c:
-                rest = [x - c * y for x, y in zip(rest, row)]
-        return None if any(rest) else tuple(v[p] for p in pivots)
+        return tuple(v[p] for p in self._pivots) if in_span(self.ints, core.clear(v)[0]) else None
 
     @cached_property
-    def _echelon(self) -> tuple[list[list[int]], int, tuple[int, ...]]:
-        """Basis numerators over one denominator, and the pivot columns."""
-        rows, den = core.clear_matrix(self.rows)
-        return rows, den, tuple(next(k for k, c in enumerate(r) if c) for r in rows)
+    def ints(self) -> list[list[int]]:
+        """The echelon basis as primitive int rows with positive pivots."""
+        return [core.clear(r)[0] for r in self.rows]
+
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        return tuple(next(k for k, c in enumerate(r) if c) for r in self.ints)
+
+
+def in_span(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """Whether the int vector ``v`` lies in the span of a primitive echelon basis.
+
+    Subtracting row r clears v at r's pivot and leaves the other pivots
+    alone, since echelon rows vanish at each other's pivots.
+    """
+    for row in basis:
+        p = next(k for k, c in enumerate(row) if c)
+        c = v[p]
+        if c:
+            q = row[p]
+            v = [q * x - c * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def intersect_ints(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Echelon basis of a & b from int bases of the same ambient space, via
+    the kernel of [A^T | -B^T]."""
+    if not a or not b:
+        return []
+    m = [[r[c] for r in a] + [-r[c] for r in b] for c in range(len(a[0]))]
+    kern, _ = linalg.kernel(m, len(a) + len(b))
+    return linalg.echelon(core.combine(x[: len(a)], a) for x in kern)
+
+
+def complement_ints(
+    s: Sequence[Sequence[int]], g: Sequence[Sequence[int]], within: Sequence[Sequence[int]] | None = None
+) -> list[list[int]]:
+    """Echelon basis of {w in span(within) : w^T g s = 0 for every row s},
+    for the numerators ``g`` of a positive definite metric; ``within`` is an
+    echelon basis and defaults to the whole space."""
+    if within is None:
+        within = [[int(i == j) for j in range(len(g))] for i in range(len(g))]
+    if not s or not within:
+        return [list(r) for r in within]
+    # unknowns are coefficients of `within`'s rows
+    gs = [core.mat_vec(g, r) for r in s]
+    eqs = [[core.dot(w, x) for w in within] for x in gs]
+    return linalg.echelon(core.combine(x, within) for x in linalg.kernel(eqs, len(within))[0])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace.span(a.ambient_dim, a.rows + b.rows)
+    return Subspace.from_echelon(a.ambient_dim, linalg.echelon([*a.ints, *b.ints]))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces via the kernel of [A^T | -B^T]."""
     _check_same_ambient(a, b)
-    if not a.rows or not b.rows:
-        return Subspace.zero(a.ambient_dim)
-    m = tuple(
-        tuple(a.rows[i][c] for i in range(len(a.rows)))
-        + tuple(-b.rows[j][c] for j in range(len(b.rows)))
-        for c in range(a.ambient_dim)
-    )
-    vectors = [
-        linalg.combination(sol[: len(a.rows)], a.rows, a.ambient_dim)
-        for sol in linalg.nullspace(m)
-    ]
-    return Subspace.span(a.ambient_dim, vectors)
+    return Subspace.from_echelon(a.ambient_dim, intersect_ints(a.ints, b.ints))
 
 
 def orthogonal_complement(s: Subspace, metric_matrix: Matrix, within: Subspace | None = None) -> Subspace:
@@ -119,17 +151,8 @@ def orthogonal_complement(s: Subspace, metric_matrix: Matrix, within: Subspace |
     _check_same_ambient(s, within)
     if not within.rows or not s.rows:
         return within
-    # rows: one equation per basis vector of s, unknowns are coefficients
-    # of `within`'s basis.  On numerators: each equation is scaled by its own
-    # positive constant and every unknown by one, so the kernel is unchanged.
     g, _ = core.clear_matrix(metric_matrix)
-    w, _ = core.clear_matrix(within.rows)
-    gw = [core.mat_vec(g, wi) for wi in w]
-    eqs = [[core.dot(core.clear(v)[0], gwi) for gwi in gw] for v in s.rows]
-    vectors = [
-        linalg.combination(sol, within.rows, s.ambient_dim) for sol in linalg.nullspace(eqs)
-    ]
-    return Subspace.span(s.ambient_dim, vectors)
+    return Subspace.from_echelon(s.ambient_dim, complement_ints(s.ints, g, within.ints))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -170,6 +193,7 @@ class LieAlgebra:
         self._jacobi_residual = None
         self._fingerprint = None
         self._ints = None
+        self._derived = None
 
     def __eq__(self, other):
         return (
@@ -195,6 +219,20 @@ class LieAlgebra:
         if self._ints is None:
             self._ints = core.Bilinear(self.dim, self.table)
         return self._ints
+
+    @property
+    def derived_ints(self) -> list[list[int]]:
+        """Primitive echelon basis of the derived algebra, from the bracket
+        numerators (``linalg.echelon``); callers must not modify it."""
+        if self._derived is None:
+            rows = []
+            for _, _, nums in self.ints.terms:
+                row = [0] * self.dim
+                for k, c in nums:
+                    row[k] = c
+                rows.append(row)
+            self._derived = linalg.echelon(rows)
+        return self._derived
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         return self.ints.rational(x, y)
@@ -272,13 +310,12 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
 
 def image_of_bracket(L: LieAlgebra) -> Subspace:
     """The derived algebra g' = span of all [e_i, e_j]."""
-    return Subspace.span(L.dim, list(L.table.values()))
+    return Subspace.from_echelon(L.dim, L.derived_ints)
 
 
 def bracket_of_subspaces(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    return Subspace.span(
-        L.dim, [L.bracket(u, v) for u in a.basis() for v in b.basis()]
-    )
+    w = L.ints
+    return Subspace.from_echelon(L.dim, linalg.echelon(w(u, v) for u in a.ints for v in b.ints))
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -295,8 +332,13 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def trace_form(L: LieAlgebra) -> Vector:
-    """The vector t with tr ad(x) = t . x, read off the bracket numerators:
-    t_i = sum_k [e_i, e_k]_k."""
+    """The vector t with tr ad(x) = t . x."""
+    return core.fractions(trace_ints(L), L.ints.den)
+
+
+def trace_ints(L: LieAlgebra) -> list[int]:
+    """The numerators over ``L.ints.den`` of ``trace_form``, read off the
+    bracket numerators: t_i = sum_k [e_i, e_k]_k."""
     b = L.ints
     t = [0] * L.dim
     for i, j, nums in b.terms:
@@ -307,19 +349,19 @@ def trace_form(L: LieAlgebra) -> Vector:
                 t[i] += c
             elif k == i:
                 t[j] -= c
-    return core.fractions(t, b.den)
+    return t
 
 
 def is_unimodular(L: LieAlgebra) -> bool:
     L.require_validated()
-    return not any(trace_form(L))
+    return not any(trace_ints(L))
 
 
 def is_two_step_solvable(L: LieAlgebra) -> bool:
     """True iff the derived algebra is Abelian (the Abelian case included)."""
     L.require_validated()
-    derg = image_of_bracket(L)
-    return bracket_of_subspaces(L, derg, derg).dim == 0
+    w, derg = L.ints, L.derived_ints
+    return not any(any(w(x, y)) for x, y in combinations(derg, 2))
 
 
 def structure_invariants(L: LieAlgebra) -> Fingerprint:

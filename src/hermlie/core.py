@@ -50,6 +50,11 @@ def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in m]
 
 
+def combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
+    """sum_i coeffs[i] vectors[i]; ``vectors`` must not be empty."""
+    return mat_vec(list(zip(*vectors)), coeffs)
+
+
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]

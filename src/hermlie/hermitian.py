@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from . import core, linalg
@@ -22,14 +23,14 @@ from .algebra import (
     LieAlgebra,
     Subspace,
     bracket_of_subspaces,
-    image_of_bracket,
-    intersect,
+    complement_ints,
+    in_span,
+    intersect_ints,
     is_two_step_solvable,
     is_unimodular,
     orthogonal_complement,
     structure_invariants,
-    subspace_sum,
-    trace_form,
+    trace_ints,
 )
 from .errors import (
     DimensionMismatchError,
@@ -106,9 +107,11 @@ class Metric:
             raise InvalidMetricError("metric matrix must be square")
         if m != linalg.transpose(m):
             raise InvalidMetricError("metric matrix must be symmetric")
-        if any(minor <= 0 for minor in linalg.leading_principal_minors(m)):
+        rows, den = core.clear_matrix(m)
+        # the minors of the numerators are those of m times powers of den > 0
+        if any(minor <= 0 for minor in linalg.minor_pivots(rows)):
             raise InvalidMetricError("metric matrix is not positive definite")
-        object.__setattr__(self, "ints", core.clear_matrix(m))
+        object.__setattr__(self, "ints", (rows, den))
 
     @property
     def dim(self) -> int:
@@ -286,8 +289,17 @@ class HermitianDecomposition:
     pure_type: str  # one of "I", "II", "III", "mixed", "none"
 
 
-def _j_image(J: ComplexStructure, s: Subspace) -> Subspace:
-    return Subspace.span(s.ambient_dim, [J.apply(v) for v in s.basis()])
+def _split_ints(
+    a: list[list[int]], g: list[list[int]], jrows: list[list[int]]
+) -> tuple[list[list[int]], ...]:
+    """``j_adapted_split`` on primitive echelon int bases, given the
+    numerators of g and J (scalings change neither spans nor g-orthogonality)."""
+    ja = [core.mat_vec(jrows, v) for v in a]
+    a_J = intersect_ints(a, ja)
+    a_r = complement_ints(a_J, g, a)
+    U_r = linalg.echelon([*a_r, *(core.mat_vec(jrows, v) for v in a_r)])
+    U_J = complement_ints(linalg.echelon([*a, *ja]), g)
+    return a_J, a_r, U_r, U_J
 
 
 def j_adapted_split(
@@ -299,17 +311,15 @@ def j_adapted_split(
     a_r inside a, U_r = a_r + J a_r, and U_J the g-orthogonal complement of
     a + Ja.  The four are orthogonal and a_J, U_r, U_J are J-invariant.
     """
-    ja = _j_image(J, a)
-    a_J = intersect(a, ja)
-    a_r = orthogonal_complement(a_J, g.matrix, within=a)
-    U_r = subspace_sum(a_r, _j_image(J, a_r))
-    U_J = orthogonal_complement(subspace_sum(a, ja), g.matrix)
-    return a_J, a_r, U_r, U_J
+    parts = _split_ints(a.ints, g.ints[0], J.ints[0])
+    return tuple(Subspace.from_echelon(a.ambient_dim, p) for p in parts)
 
 
 def hermitian_decomposition(L: LieAlgebra, g: Metric, J: ComplexStructure) -> HermitianDecomposition:
-    derg = image_of_bracket(L)
-    derg_J, derg_r, V_r, V_J = j_adapted_split(derg, g, J)
+    parts = _split_ints(L.derived_ints, g.ints[0], J.ints[0])
+    derg, derg_J, derg_r, V_r, V_J = (
+        Subspace.from_echelon(L.dim, p) for p in (L.derived_ints, *parts)
+    )
     s, r, ell = derg_J.dim // 2, derg_r.dim, V_J.dim // 2
     if derg.dim == 0:
         tag = "none"
@@ -341,9 +351,55 @@ class UnitaryBasis:
             yield self.vectors[i], self.vectors[i + 1], self.norms_sq[i]
 
 
-def _require_j_invariant(S: Subspace, J: ComplexStructure, message: str) -> None:
-    if not all(S.contains(J.apply(v)) for v in S.basis()):
+def _require_j_invariant(basis: list[list[int]], J: ComplexStructure, message: str) -> None:
+    jrows = J.ints[0]
+    if not all(in_span(basis, core.mat_vec(jrows, v)) for v in basis):
         raise NotJInvariantError(message)
+
+
+def _unitary_ints(
+    basis: list[list[int]], g: Metric, J: ComplexStructure, order: Sequence[int] | None
+) -> list[tuple[list[int], list[int], int, int, int]]:
+    """Complex Gram-Schmidt on the primitive echelon basis of a J-invariant
+    subspace, fraction-free.
+
+    Returns (v, jv, nsq, num, den) per complex line: jv = dJ J v and
+    nsq = dg g(v, v) on numerators, and (num / den) v is the vector that
+    Gram-Schmidt on the reduced echelon rows picks.  Each step projects the
+    rest of the pool by w <- dJ^2 nsq w - dJ^2 (w^T g v) v - (w^T g jv) jv,
+    which is dJ^2 nsq times the rational projection, and divides by the gcd;
+    the scale num / den records both factors.
+    """
+    _require_j_invariant(basis, J, "subspace is not J-invariant")
+    if len(basis) % 2:
+        raise NotJInvariantError("J-invariant subspace must have even dimension")
+    (jrows, dj), (gm, _) = J.ints, g.ints
+    dj2 = dj * dj
+    # the echelon row is v over its pivot entry, the first nonzero one
+    pool = [(v, 1, next(c for c in v if c)) for v in basis]
+    if order is not None:
+        pool = [pool[i] for i in order]
+    out = []
+    while True:
+        pool = [item for item in pool if any(item[0])]
+        if not pool:
+            break
+        (v, num, den), rest = pool[0], pool[1:]
+        jv = core.mat_vec(jrows, v)
+        gv, gjv = core.mat_vec(gm, v), core.mat_vec(gm, jv)
+        nsq = core.dot(v, gv)
+        out.append((v, jv, nsq, num, den))
+        step = dj2 * nsq
+        pool = []
+        for w, wn, wd in rest:
+            a, b = dj2 * core.dot(w, gv), core.dot(w, gjv)
+            w = [step * x - a * y - b * z for x, y, z in zip(w, v, jv)]
+            d = gcd(*w) or 1
+            pool.append(([x // d for x in w], wn * d, wd * step))
+    # the projected pool spans the orthogonal complement of the picked
+    # complex lines inside S at every step, so the count always comes out
+    assert 2 * len(out) == len(basis)
+    return out
 
 
 def unitary_basis(S: Subspace, g: Metric, J: ComplexStructure, order: Sequence[int] | None = None) -> UnitaryBasis:
@@ -353,33 +409,12 @@ def unitary_basis(S: Subspace, g: Metric, J: ComplexStructure, order: Sequence[i
     different (equally valid) unitary basis; structural criteria must not
     depend on this choice.
     """
-    _require_j_invariant(S, J, "subspace is not J-invariant")
-    if S.dim % 2:
-        raise NotJInvariantError("J-invariant subspace must have even dimension")
-    pool = list(S.basis())
-    if order is not None:
-        pool = [pool[i] for i in order]
+    dj, dg = J.ints[1], g.ints[1]
     vectors: list[Vector] = []
     norms: list[Fraction] = []
-    remaining = pool
-    while True:
-        remaining = [v for v in remaining if not linalg.is_zero_vec(v)]
-        if not remaining:
-            break
-        v = remaining[0]
-        jv = J.apply(v)
-        nsq = g.pair(v, v)
-        vectors.extend([v, jv])
-        norms.extend([nsq, nsq])
-        reduced = []
-        for w in remaining[1:]:
-            w = linalg.sub_vec(w, linalg.scale_vec(g.pair(w, v) / nsq, v))
-            w = linalg.sub_vec(w, linalg.scale_vec(g.pair(w, jv) / nsq, jv))
-            reduced.append(w)
-        remaining = reduced
-    # the projected pool spans the orthogonal complement of the picked
-    # complex lines inside S at every step, so the count always comes out
-    assert len(vectors) == S.dim
+    for v, jv, nsq, num, den in _unitary_ints(S.ints, g, J, order):
+        vectors += [core.fractions([num * x for x in v], den), core.fractions([num * x for x in jv], den * dj)]
+        norms += [Fraction(num * num * nsq, den * den * dg)] * 2
     return UnitaryBasis(tuple(vectors), tuple(norms))
 
 
@@ -404,30 +439,38 @@ def balanced_structural(
     The element C sums [v, Jv]/|v|^2 over unitary pairs of V_r and V_J; the
     structure is balanced iff tr ad vanishes on V_J, C is orthogonal to
     derg_J and tr(ad X) = -sigma(C, X) on V_r.  For unimodular algebras all
-    three collapse to C = 0.
+    three collapse to C = 0.  Everything runs on numerators: the bracket
+    over den(L), J over dJ, g over dg; only C leaves as Fractions.
     """
     if not is_two_step_solvable(L):
         raise NotTwoStepSolvableError("structural criterion requires a two-step solvable algebra")
     if not g.compatible_with(J):
         raise IncompatibleMetricError("metric is not J-invariant")
-    dec = hermitian_decomposition(L, g, J)
+    w = L.ints
+    (jrows, dj), (gm, dg) = J.ints, g.ints
+    derg_J, _, V_r, V_J = _split_ints(L.derived_ints, gm, jrows)
 
-    c = linalg.zero_vec(L.dim)
-    for space, order in ((dec.V_r, order_vr), (dec.V_J, order_vj)):
-        for v, jv, nsq in unitary_basis(space, g, J, order=order).pairs():
-            c = linalg.add_vec(c, linalg.scale_vec(1 / nsq, L.bracket(v, jv)))
+    # [v, Jv] / g(v, v) = dg w(v, jv) / (den(L) dJ nsq); sum the w(v, jv) / nsq
+    # over the running denominator ``den``
+    num, den = [0] * L.dim, 1
+    for space, order in ((V_r, order_vr), (V_J, order_vj)):
+        for v, jv, nsq, _, _ in _unitary_ints(space, g, J, order):
+            num = [x * nsq + y * den for x, y in zip(num, w(v, jv))]
+            den *= nsq
+    c_num, c_den = [dg * x for x in num], den * w.den * dj
 
-    t = trace_form(L)  # tr ad(x) = t . x
-    trace_vj = all(linalg.dot(t, z) == 0 for z in dec.V_J.basis())
-    c_orth = all(g.pair(c, y) == 0 for y in dec.derg_J.basis())
-    jc = J.apply(c)  # sigma(c, x) = g(Jc, x)
-    trace_vr = all(linalg.dot(t, x) == -g.pair(jc, x) for x in dec.V_r.basis())
+    t = trace_ints(L)  # tr ad(x) = t . x / den(L)
+    trace_vj = not any(core.dot(t, z) for z in V_J)
+    c_orth = not any(core.dot(c_num, core.mat_vec(gm, y)) for y in derg_J)
+    # sigma(C, x) = g(JC, x) = (gm jrows c_num) . x / (dg dJ c_den)
+    gjc = core.mat_vec(gm, core.mat_vec(jrows, c_num))
+    trace_vr = all(core.dot(t, x) * dg * dj * c_den == -w.den * core.dot(gjc, x) for x in V_r)
 
-    if is_unimodular(L):
-        verdict = linalg.is_zero_vec(c)
+    if not any(t):  # unimodular
+        verdict = not any(c_num)
     else:
         verdict = trace_vj and c_orth and trace_vr
-    return BalancedReport(verdict, c, trace_vj, c_orth, trace_vr)
+    return BalancedReport(verdict, core.fractions(c_num, c_den), trace_vj, c_orth, trace_vr)
 
 
 def fingerprint_distinguish(L1: LieAlgebra, L2: LieAlgebra) -> str:
@@ -462,7 +505,7 @@ def splice_metric(
     The result restricts to g_inner on S, to g_outer on the g_outer
     orthogonal complement of S, and makes the two orthogonal.
     """
-    _require_j_invariant(S, J, "splice subspace must be J-invariant")
+    _require_j_invariant(S.ints, J, "splice subspace must be J-invariant")
     if not (g_inner.compatible_with(J) and g_outer.compatible_with(J)):
         raise IncompatibleMetricError("both metrics must be compatible with J")
     t = orthogonal_complement(S, g_outer.matrix)

@@ -6,13 +6,15 @@ row's denominators once and run on Python ints (``hermlie.core``):
 ``rref``, ``nullspace``, ``solve``, ``inverse``, ``det`` and the leading
 principal minors are fraction-free Bareiss eliminations (E. H. Bareiss,
 Math. Comp. 22, 1968), and the canonical Fraction results are formed only
-at the end.
+at the end.  ``echelon``, ``kernel`` and ``minor_pivots`` are the same
+eliminations on int rows, for callers that stay on numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Sequence
 
 from . import core
 
@@ -69,7 +71,7 @@ def combination(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> Vect
         return zero_vec(dim)
     cs, dc = core.clear(coeffs)
     rows, dv = core.clear_matrix(vectors)
-    return core.fractions(core.mat_vec(list(zip(*rows)), cs), dc * dv)
+    return core.fractions(core.combine(cs, rows), dc * dv)
 
 
 def is_zero_vec(u: Sequence) -> bool:
@@ -188,23 +190,49 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows)[0])
 
 
+def echelon(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Primitive reduced-echelon basis of the row space of int rows.
+
+    Each row is a reduced echelon row scaled to coprime int entries with a
+    positive pivot, its first nonzero entry; rows come in pivot order.
+    """
+    work = [list(r) for r in rows]
+    _, pivots, _ = _bareiss(work)
+    return [_primitive(row) for row in work[: len(pivots)]]
+
+
+def _primitive(row: Sequence[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries, first nonzero entry positive."""
+    d = gcd(*row)
+    if next(c for c in row if c) < 0:
+        d = -d
+    return [c // d for c in row]
+
+
+def kernel(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """Basis of {x : M x = 0} for an int matrix with ``ncols`` columns, in
+    reduced echelon convention: one int vector per free column, all over
+    the returned denominator."""
+    work = [list(r) for r in rows]
+    den, pivots, _ = _bareiss(work)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [0] * ncols
+        x[fc] = den
+        for row, pc in zip(work, pivots):
+            x[pc] = -row[fc]
+        basis.append(x)
+    return basis, den
+
+
 def nullspace(m: Iterable[Sequence]) -> tuple[Vector, ...]:
     """Basis of {x : M x = 0}, in reduced echelon convention."""
-    reduced, pivots = rref(m)
-    if reduced:
-        ncols = len(reduced[0])
-    else:
-        m = tuple(tuple(r) for r in m)
-        ncols = len(m[0]) if m else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [ZERO] * ncols
-        x[fc] = ONE
-        for row, pc in zip(reduced, pivots):
-            x[pc] = -row[fc]
-        basis.append(tuple(x))
-    return tuple(basis)
+    m = [vec(r) for r in m]
+    ncols = len(m[0]) if m else 0
+    basis, den = kernel([core.clear(r)[0] for r in m], ncols)
+    return tuple(core.fractions(x, den) for x in basis)
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
@@ -239,8 +267,44 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+def minor_pivots(rows: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The leading principal minors of a square int matrix, in order, as the
+    pivots of one Bareiss elimination without row swaps.
+
+    Elimination without swaps cannot pass a zero pivot, so the minors stop
+    after the first zero one.  ``rows`` is left as it is.
+    """
+    work = [list(r) for r in rows]
+    n = len(work)
+    prev = 1
+    for k in range(n):
+        prow = work[k]
+        p = prow[k]
+        yield p
+        if not p:
+            return
+        for i in range(k + 1, n):
+            row = work[i]
+            f = row[k]
+            if f or p != prev:
+                for j in range(k + 1, n):
+                    row[j] = (p * row[j] - f * prow[j]) // prev
+        prev = p
+
+
 def leading_principal_minors(m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(det(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(len(m)))
+    work, scales, scale = [], [], 1
+    for r in m:
+        nums, den = core.clear(vec(r))
+        work.append(nums)
+        scale *= den
+        scales.append(scale)
+    # row k of ``work`` is row k of m times its den, so the k-th leading
+    # minor of m is the k-th pivot over the product of the first k dens
+    minors = [Fraction(p, s) for p, s in zip(minor_pivots(work), scales)]
+    # past a zero pivot, elimination without swaps stops: the rest by det
+    minors += [det(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(len(minors), len(m))]
+    return tuple(minors)
 
 
 def coordinates_in(vectors: Sequence[Vector], target: Sequence) -> Vector | None:

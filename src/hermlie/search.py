@@ -264,13 +264,23 @@ class _Problem:
 
 
 def _rationalize(problem: _Problem, x: np.ndarray):
-    """Snap coefficients to small rationals and verify exactly."""
+    """Snap coefficients to small rationals and verify exactly.
+
+    Each candidate is one int combination of the basis numerators; a
+    denominator that snaps to the previous candidate's coefficients is
+    skipped, since that candidate has already failed.
+    """
+    n = problem.dim
+    basis, bden = core.clear_matrix([[c for row in b for c in row] for b in problem.param.basis])
+    last = None
     for den in (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96, 480, 4096, 1 << 16, 1 << 24):
         coeffs = [Fraction(float(c)).limit_denominator(den) for c in x]
-        s = None
-        for c, b in zip(coeffs, problem.param.basis):
-            term = linalg.mat_scale(c, b)
-            s = term if s is None else linalg.mat_add(s, term)
+        if coeffs == last:
+            continue
+        last = coeffs
+        cs, dc = core.clear(coeffs)
+        flat = core.combine(cs, basis)
+        s = tuple(core.fractions(flat[i * n : (i + 1) * n], dc * bden) for i in range(n))
         try:
             metric = Metric(s)
         except InvalidMetricError:  # not positive definite

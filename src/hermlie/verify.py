@@ -165,7 +165,8 @@ def criterion_balanced_structural(count: int = 200) -> dict:
         rng.shuffle(order_vr)
         rng.shuffle(order_vj)
         report2 = balanced_structural(L, g, J, order_vr=order_vr, order_vj=order_vj)
-        assert report2.balanced == direct, f"basis dependence at instance {checked}"
+        # C and all three flags, not only the verdict: none depends on the basis
+        assert report2 == report, f"basis dependence at instance {checked}"
         balanced_seen += int(direct)
         checked += 1
 
