@@ -15,7 +15,7 @@ from .algebra import LieAlgebra, Subspace, make_algebra
 from .errors import HermlieError
 from .forms import VectorValuedTwoForm
 from .hermitian import ComplexStructure, Metric
-from .salamon import MAX_DIM, parse_salamon, render_salamon
+from .salamon import MAX_DIM, MAX_DOCUMENT_DIM, parse_salamon, render_salamon
 from .shear import PreShearData
 
 SCHEMA = 1
@@ -71,6 +71,14 @@ def _field(doc: dict, key: str, kind: type, default=None):
     return value
 
 
+def _dim(doc: dict) -> int:
+    """``doc["dim"]``, checked against the document limit before anything is built."""
+    dim = _field(doc, "dim", int)
+    if not 1 <= dim <= MAX_DOCUMENT_DIM:
+        raise DocumentError(f'"dim" must be between 1 and {MAX_DOCUMENT_DIM}, got {dim}')
+    return dim
+
+
 def load_algebra(doc: dict) -> LieAlgebra:
     """AlgebraDocument: {"dim", "salamon" and/or "constants", "params"}.
 
@@ -81,7 +89,7 @@ def load_algebra(doc: dict) -> LieAlgebra:
     if "salamon" not in doc and "constants" not in doc:
         raise DocumentError('one of "salamon" or "constants" must be present')
     params = {k: _fraction(v) for k, v in _field(doc, "params", dict, {}).items()}
-    dim = _field(doc, "dim", int) if "dim" in doc else None
+    dim = _dim(doc) if "dim" in doc else None
     try:
         parsed = []
         if "salamon" in doc:
@@ -138,9 +146,7 @@ def load_shear_data(doc: dict):
     _document(doc, "shear")
     if "dim" not in doc:
         raise DocumentError('shear document needs an integer "dim"')
-    dim = _field(doc, "dim", int)
-    if dim < 1:
-        raise DocumentError(f'"dim" must be positive, got {dim}')
+    dim = _dim(doc)
     a = Subspace.span(dim, [_fraction_vector(v, '"a" vector') for v in _field(doc, "a", list, [])])
     values = {}
     for item in _field(doc, "omega", list, []):

@@ -9,6 +9,10 @@ class DimensionMismatchError(HermlieError):
     pass
 
 
+class UnsupportedDimensionError(HermlieError, ValueError):
+    """A construction does not exist in the requested dimension."""
+
+
 class IndexOutOfRangeError(HermlieError):
     pass
 

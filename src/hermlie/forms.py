@@ -139,11 +139,6 @@ def basis_form(dim: int, *indices: int) -> KForm:
     return KForm(dim, len(indices), {idx: Fraction(sign)})
 
 
-def constant_form(dim: int, value) -> KForm:
-    v = Fraction(value)
-    return KForm(dim, 0, {(): v} if v else {})
-
-
 def form_from_terms(dim: int, degree: int, terms: Iterable[tuple[Sequence[int], object]]) -> KForm:
     acc: dict[tuple[int, ...], Fraction] = {}
     for indices, c in terms:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import core, linalg
 from .algebra import LieAlgebra, change_basis, direct_sum, make_algebra, abelian
+from .errors import UnsupportedDimensionError
 from .forms import form_from_terms, zero_form
 from .hermitian import ComplexStructure, Metric
 from .linalg import ONE, ZERO, Matrix
@@ -30,6 +31,8 @@ from .normal_forms import (
 from .shear import PreShearData, check_complex_shear, pre_shear_from_bracket
 
 PROFILES = ("nilpotent", "typeI", "typeII", "typeIII", "mixed")
+# the profiles built from fixed-size normal forms, and the dimensions they exist in
+FIXED_DIMS = {"nilpotent": (4, 6), "typeII": (4, 6), "mixed": (6,)}
 
 
 def rand_fraction(rng: random.Random, lo: int = -3, hi: int = 3, den: int = 3) -> Fraction:
@@ -326,9 +329,10 @@ def random_complex_shear(
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     if dim % 2 or dim < 4:
-        raise ValueError("dimension must be even and at least 4")
-    if profile == "mixed" and dim != 6:
-        raise ValueError("the mixed profile exists only in dimension 6")
+        raise UnsupportedDimensionError("dimension must be even and at least 4")
+    if dim not in FIXED_DIMS.get(profile, (dim,)):
+        dims = " and ".join(map(str, FIXED_DIMS[profile]))
+        raise UnsupportedDimensionError(f"the {profile} profile exists only in dimension {dims}")
     rng = random.Random((seed, profile, dim).__repr__())
 
     J = ComplexStructure.standard(dim)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -229,8 +230,9 @@ def condition_form(
     with core numerators ``sigma`` over ``den``, as core numerators over the
     returned denominator: d sigma, d(sigma^(n-1)) or d J* d sigma.
 
-    The one metric-condition map: ``classify_metric`` tests it for zero,
-    ``search`` takes its norm and its float image on compatible metrics.
+    The metric-condition map: ``classify_metric`` tests it for zero,
+    ``search.residual`` takes its norm and the Kahler and SKT searches its
+    float image; the balanced search takes ``balanced_inverse_form``.
     """
     b = L.ints
     if kind == "kahler":
@@ -243,6 +245,29 @@ def condition_form(
         dsigma = core.differential(b, sigma)
         return core.differential(b, core.pullback(rows, dsigma)), den * b.den**2 * dj**3
     raise ValueError(f"unknown condition kind: {kind}")
+
+
+def balanced_inverse_form(
+    L: LieAlgebra, J: ComplexStructure, h: Sequence[Sequence[int]], dh: int
+) -> tuple[dict[int, int], int]:
+    """d(iota(-H J^T) vol) for the inverse metric H = G^-1 with numerators h
+    over dh, as core numerators over the returned denominator.
+
+    sigma^(n-1) is a nonzero multiple of iota(Sigma^-1) vol, Sigma = J^T G,
+    and Sigma^-1 = -H J^T, so this form is linear in H and vanishes exactly
+    when the metric is balanced (Michelsohn, Acta Math. 149, 1982).  Here
+    iota(P) vol = sum_{a<b} P_ab iota(e_b) iota(e_a) vol, and for 0-indexed
+    a < b that term is (-1)^(a+b+1) P_ab times vol with e^a, e^b left out.
+    """
+    rows, dj = J.ints
+    full = (1 << L.dim) - 1
+    form = {}
+    for a, b in combinations(range(L.dim), 2):
+        # -(H J^T)_ab = -h[a] . J[b]: the two minus signs cancel at even a + b
+        c = core.dot(h[a], rows[b])
+        if c:
+            form[full ^ (1 << a) ^ (1 << b)] = -c if (a + b) & 1 else c
+    return core.differential(L.ints, form), dh * dj * L.ints.den
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of row
 tuples.  Everything here is pure.  Products and eliminations clear each
 row's denominators once and run on Python ints (``hermlie.core``):
-``rref``, ``nullspace``, ``solve``, ``inverse``, ``det`` and the leading
-principal minors are fraction-free Bareiss eliminations (E. H. Bareiss,
-Math. Comp. 22, 1968), and the canonical Fraction results are formed only
-at the end.  ``echelon``, ``kernel`` and ``minor_pivots`` are the same
-eliminations on int rows, for callers that stay on numerators.
+``rref``, ``nullspace``, ``solve``, ``inverse`` and ``det`` are
+fraction-free Bareiss eliminations (E. H. Bareiss, Math. Comp. 22, 1968),
+and the canonical Fraction results are formed only at the end.
+``echelon``, ``kernel`` and ``minor_pivots`` (the leading principal
+minors) are the same eliminations on int rows, for callers that stay on
+numerators.
 """
 
 from __future__ import annotations
@@ -115,16 +116,8 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(add_vec(r, s) for r, s in zip(a, b, strict=True))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(sub_vec(r, s) for r, s in zip(a, b, strict=True))
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(scale_vec(c, r) for r in a)
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(neg_vec(r) for r in a)
 
 
 def matrix_from_columns(cols: Sequence[Sequence]) -> Matrix:
@@ -290,21 +283,6 @@ def minor_pivots(rows: Sequence[Sequence[int]]) -> Iterator[int]:
                 for j in range(k + 1, n):
                     row[j] = (p * row[j] - f * prow[j]) // prev
         prev = p
-
-
-def leading_principal_minors(m: Matrix) -> tuple[Fraction, ...]:
-    work, scales, scale = [], [], 1
-    for r in m:
-        nums, den = core.clear(vec(r))
-        work.append(nums)
-        scale *= den
-        scales.append(scale)
-    # row k of ``work`` is row k of m times its den, so the k-th leading
-    # minor of m is the k-th pivot over the product of the first k dens
-    minors = [Fraction(p, s) for p, s in zip(minor_pivots(work), scales)]
-    # past a zero pivot, elimination without swaps stops: the rest by det
-    minors += [det(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(len(minors), len(m))]
-    return tuple(minors)
 
 
 def coordinates_in(vectors: Sequence[Vector], target: Sequence) -> Vector | None:

@@ -31,6 +31,9 @@ from .linalg import ZERO
 
 # index pairs are two single digits, so the notation stops at dimension 9
 MAX_DIM = 9
+# documents stop here in any notation: twice the largest dimension in use,
+# where the exact checks still answer within a second
+MAX_DOCUMENT_DIM = 32
 
 
 class _Scanner:

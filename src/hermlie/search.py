@@ -1,18 +1,18 @@
 """Numerical feasibility search over the cone of compatible metrics.
 
-The compatible symmetric forms make up an n^2-dimensional rational vector
-space for a 2n-dimensional algebra; the search runs multi-start projected
-gradient descent on its coefficients, minimising the squared coefficient
-norm of the relevant closed-form condition plus a log-det barrier keeping
-the iterates positive definite.  The condition map is
-``hermitian.condition_form``, the map ``classify_metric`` and ``residual``
-evaluate, taken once per search on a basis of the compatible metrics.  The
-gradient of the barrier objective is analytic, and each iterate costs one
-batched eigendecomposition, of the Armijo backtracking candidates, which
-yields their objective, definiteness and the barrier gradient alike.
-Successful runs finish with a continued-fraction rationalisation pass
-followed by exact verification, so a "found" witness can be upgraded to a
-proof; "not found" is only ever reported as inconclusive.
+Multi-start projected gradient descent minimises the squared norm of a
+linear condition map plus a log-det barrier keeping the iterates positive
+definite.  Every kind is linear in its own coordinates, so there is one
+path: Kahler and SKT search the compatible metrics G with
+``hermitian.condition_form``; balanced searches the inverse metrics
+H = G^-1 with ``hermitian.balanced_inverse_form``, whose norm is its
+reported residual, and so runs in every even dimension.  The gradient is
+analytic, and each iterate costs one batched eigendecomposition of its
+Armijo backtracking candidates, which yields their objective, definiteness
+and the barrier gradient alike.  Successful runs finish with a
+continued-fraction rationalisation pass and exact verification by
+``classify_metric``, on sigma^(n-1) for balanced, so a "found" witness can
+be upgraded to a proof; "not found" is only ever reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from .hermitian import (
     KINDS,
     ComplexStructure,
     Metric,
+    balanced_inverse_form,
     classify_metric,
     condition_form,
     is_integrable,
@@ -43,11 +43,10 @@ from .linalg import ZERO
 
 @dataclass(frozen=True)
 class MetricParameterization:
-    """Rational basis of {S symmetric : J^T S J = S}, with identity reference."""
+    """Rational basis of {S symmetric : J^T S J = S}, with a definite reference."""
 
-    dim: int
     basis: tuple  # exact symmetric matrices
-    reference: tuple  # coefficients of the identity in `basis`
+    reference: tuple  # coefficients of (I + J^T J) / 2 in `basis`
 
 
 def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> MetricParameterization:
@@ -57,10 +56,6 @@ def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> MetricParamet
     # unknowns: upper-triangle entries of S
     slots = [(i, j) for i in range(n) for j in range(i, n)]
     index = {slot: k for k, slot in enumerate(slots)}
-
-    def entry(sol, i, j):
-        return sol[index[(i, j)]] if i <= j else sol[index[(j, i)]]
-
     jm = J.matrix
     rows = []
     for a in range(n):
@@ -77,25 +72,21 @@ def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> MetricParamet
                     row[index[(i, j)]] += jm[p][a] * jm[q][b]
             row[index[(a, b)]] -= 1
             rows.append(tuple(row))
-    basis = []
-    for sol in linalg.nullspace(tuple(rows)):
-        m = tuple(tuple(entry(sol, i, j) for j in range(n)) for i in range(n))
-        basis.append(m)
-    ident = linalg.identity_matrix(n)
-    coeffs = _coefficients_of(basis, ident, slots, index)
-    return MetricParameterization(n, tuple(basis), coeffs)
-
-
-def _coefficients_of(basis, target, slots, index):
-    cols = [tuple(m[i][j] for (i, j) in slots) for m in basis]
-    rhs = tuple(target[i][j] for (i, j) in slots)
-    sol = linalg.solve(linalg.matrix_from_columns(cols), rhs)
-    assert sol is not None, "identity is not in the compatible cone's span"
-    return sol
+    kernel = linalg.nullspace(tuple(rows))
+    basis = tuple(
+        tuple(tuple(sol[index[min(i, j), max(i, j)]] for j in range(n)) for i in range(n))
+        for sol in kernel
+    )
+    # compatible and definite for every J, and the identity for an orthogonal J
+    ref = linalg.mat_add(linalg.identity_matrix(n), linalg.mat_mul(linalg.transpose(jm), jm))
+    coeffs = linalg.solve(linalg.matrix_from_columns(kernel), [ref[i][j] / 2 for i, j in slots])
+    assert coeffs is not None, "the reference is not in the compatible cone's span"
+    return MetricParameterization(basis, coeffs)
 
 
 def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
-    """Squared coefficient norm of the condition form, computed exactly.
+    """Squared coefficient norm of ``condition_form``, computed exactly; for
+    balanced that is d(sigma^(n-1)), not the balanced search's H-map.
 
     ``S`` may be a float or rational matrix; float entries are converted
     exactly, so the result is exactly 0.0 precisely when the condition
@@ -183,50 +174,38 @@ class _Batch(NamedTuple):
 class _Problem:
     """Float image of the exact condition map for one (algebra, J, kind) search.
 
-    For the linear kinds the condition values are ``linear @ x``; for
-    balanced in dimension 6 they are the quadratic form
-    ``quad[k] = d(sigma_p ^ sigma_q)`` in the coefficients x.
+    The condition values are ``linear @ x`` for coefficients x on a basis of
+    the searched matrices: the metrics G for Kahler and SKT, and for balanced
+    the inverse metrics H, which are the metrics compatible with J^T.  The
+    barrier, the trace slice and the eigenvalue floor act on those matrices.
     """
 
     def __init__(self, L: LieAlgebra, J: ComplexStructure, kind: str):
         self.L, self.J, self.kind = L, J, kind
-        self.param = metric_parameterization(L, J)
+        self.inverse = kind == "balanced"
+        self.param = metric_parameterization(
+            L, ComplexStructure(linalg.transpose(J.matrix)) if self.inverse else J
+        )
         basis = self.param.basis
         self.dim, self.m = L.dim, len(basis)
         self.basis_flat = np.array([[float(c) for row in b for c in row] for b in basis])
-        sigmas = [sigma_of(J, *core.clear_matrix(b)) for b in basis]
-        self.quadratic = kind == "balanced" and L.dim >= 6
-        if self.quadratic:
-            assert L.dim == 6, "balanced search implemented for dimensions up to 6"
-            # sigma^2 is quadratic in the metric: polarise it over pairs of basis metrics
-            diag = [condition_form(L, J, *sigma, kind) for sigma in sigmas]
-            cols = {(p, p): col for p, col in enumerate(diag)}
-            for p, q in combinations(range(self.m), 2):
-                (sp, dp), (sq, dq) = sigmas[p], sigmas[q]
-                summed = {k: sp.get(k, 0) * dq + sq.get(k, 0) * dp for k in sp.keys() | sq.keys()}
-                # (C(sigma_p + sigma_q) - C(sigma_p) - C(sigma_q)) / 2 over one denominator
-                cb, db = condition_form(L, J, summed, dp * dq, kind)
-                (cp, ep), (cq, eq) = diag[p], diag[q]
-                cols[p, q] = cols[q, p] = (
-                    {
-                        k: cb.get(k, 0) * ep * eq - cp.get(k, 0) * db * eq - cq.get(k, 0) * db * ep
-                        for k in cb.keys() | cp.keys() | cq.keys()
-                    },
-                    2 * db * ep * eq,
-                )
-            pairs = [(p, q) for p in range(self.m) for q in range(self.m)]
-            self.quad_flat = _float_matrix([cols[pair] for pair in pairs])
-            self.quad = self.quad_flat.reshape(-1, self.m, self.m)
+        ints = [core.clear_matrix(b) for b in basis]
+        if self.inverse:
+            columns = [balanced_inverse_form(L, J, *b) for b in ints]
         else:
-            self.linear = _float_matrix([condition_form(L, J, *sigma, kind) for sigma in sigmas])
+            columns = [condition_form(L, J, *sigma_of(J, *b), kind) for b in ints]
+        self.linear = _float_matrix(columns)
 
     def matrices(self, xs: np.ndarray) -> np.ndarray:
         return (xs @ self.basis_flat).reshape(len(xs), self.dim, self.dim)
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        if self.quadratic:
-            return (xs[:, :, None] * xs[:, None, :]).reshape(len(xs), -1) @ self.quad_flat.T
-        return xs @ self.linear.T
+    def metric(self, x: np.ndarray) -> tuple:
+        """The float metric G at coefficients ``x``, inverting H for balanced."""
+        s = self.matrices(x[None, :])[0]
+        if self.inverse:
+            s = np.linalg.inv(s)
+            s = (s + s.T) / 2
+        return tuple(map(tuple, s.tolist()))
 
     def evaluate(self, xs: np.ndarray, mu: float) -> _Batch:
         """The objective on each row of ``xs``, from one batched decomposition.
@@ -239,7 +218,7 @@ class _Problem:
             w, u = np.linalg.eigh(mats)
         else:
             w, u = np.linalg.eigvalsh(mats), None
-        v = self.values(xs)
+        v = xs @ self.linear.T
         res = (v * v).sum(axis=1)
         definite = w[:, 0] > 0
         f = res
@@ -247,16 +226,10 @@ class _Problem:
             f = res - mu * np.log(np.where(definite[:, None], w, 1.0)).sum(axis=1)
         return _Batch(np.where(definite, f, np.inf), res, v, w, u)
 
-    def objective(self, xs: np.ndarray, mu: float) -> np.ndarray:
-        return self.evaluate(xs, mu).f
-
-    def gradient(self, x: np.ndarray, point: _Batch, mu: float) -> np.ndarray:
-        """Gradient of the objective at a definite ``x`` from its evaluation ``point``:
+    def gradient(self, point: _Batch, mu: float) -> np.ndarray:
+        """Gradient of the objective at a definite point from its evaluation:
         2 (dv/dx)^T v for the residual, -mu tr(S^-1 B_p) for the barrier."""
-        if self.quadratic:
-            grad = 4.0 * (point.v @ (self.quad @ x))
-        else:
-            grad = 2.0 * (point.v @ self.linear)
+        grad = 2.0 * (point.v @ self.linear)
         if mu:
             inverse = (point.u / point.w) @ point.u.T
             grad -= mu * (self.basis_flat @ inverse.ravel())
@@ -283,11 +256,14 @@ def _rationalize(problem: _Problem, x: np.ndarray):
         s = tuple(core.fractions(flat[i * n : (i + 1) * n], dc * bden) for i in range(n))
         try:
             metric = Metric(s)
+            if problem.inverse:  # H is definite, so G = H^-1 is too
+                metric = Metric(linalg.inverse(s))
         except InvalidMetricError:  # not positive definite
             continue
+        # certified on sigma^(n-1), independently of the balanced H-map
         verdict = classify_metric(problem.L, metric, problem.J, allow_nonintegrable=True)
         if verdict[problem.kind]:
-            return s, True
+            return metric.matrix, True
     return None, False
 
 
@@ -343,7 +319,7 @@ def search_metric(
                 total_iters += 1
                 if point.f == math.inf:
                     break
-                grad = problem.gradient(x, point, mu)
+                grad = problem.gradient(point, mu)
                 gnorm2 = float(grad @ grad)
                 if gnorm2 == 0.0:
                     break
@@ -379,7 +355,7 @@ def search_metric(
             return SearchResult(
                 "found",
                 kind,
-                tuple(map(tuple, problem.matrices(x[None, :])[0].tolist())),
+                problem.metric(x),
                 res,
                 total_iters,
                 seed,
@@ -387,7 +363,5 @@ def search_metric(
                 exact_verified=verified,
             )
     res, x, seed = best
-    metric = None
-    if x is not None:
-        metric = tuple(map(tuple, problem.matrices(x[None, :])[0].tolist()))
+    metric = None if x is None else problem.metric(x)
     return SearchResult("not_found", kind, metric, res, total_iters, seed)

@@ -198,6 +198,34 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", cx1_file, str(path), "--target", "skt")
         assert code == 2
 
+    def test_balanced_witness_at_d8(self, capsys, tmp_path):
+        from hermlie.documents import algebra_doc, load_metric
+        from hermlie.generators import random_complex_shear
+        from hermlie.hermitian import classify_metric
+        from hermlie.shear import build_shear
+
+        data, _, J = random_complex_shear(0, "typeI", 8)
+        L = build_shear(data)
+        alg = _write(tmp_path, "a.json", algebra_doc(L))
+        j = _write(tmp_path, "j.json", {"J": [[str(c) for c in row] for row in J.matrix]})
+        code, out, err = run_cli(capsys, "search", alg, j, "--target", "balanced")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["search"]["exact_verified"] is True
+        g = load_metric({"metric": doc["metric_exact"]}, 8)
+        assert classify_metric(L, g, J).balanced
+
+    def test_non_orthogonal_j(self, capsys, tmp_path):
+        """The identity is not compatible with this J; the search still starts."""
+        jm = [["0"] * 6 for _ in range(6)]
+        jm[0][:2], jm[1][:2] = ["1", "-2"], ["1", "-1"]
+        jm[2][3], jm[3][2], jm[4][5], jm[5][4] = "-1", "1", "-1", "1"
+        alg = _write(tmp_path, "a.json", {"dim": 6, "salamon": "(0,0,0,0,0,0)"})
+        j = _write(tmp_path, "j.json", {"J": jm})
+        code, out, err = run_cli(capsys, "search", alg, j, "--target", "kahler")
+        assert code == 0, err
+        assert json.loads(out)["search"]["exact_verified"] is True
+
 
 class TestCatalogCommand:
     def test_listing(self, capsys):
@@ -370,6 +398,24 @@ class TestMalformedInput:
     def test_bad_search_config(self, capsys, tmp_path, cx1_file, j_file, config):
         self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
                             "--config", _write(tmp_path, "cfg.json", config))
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            (("describe", "{}"), {"dim": 10**6, "constants": [[1, 2, 2, "1"]]}),
+            (("shear", "{}", "--kind", "build"), {"dim": 10**6, "a": [], "omega": []}),
+        ],
+    )
+    def test_huge_dimension_rejected_before_building(self, capsys, tmp_path, monkeypatch, command, doc):
+        from hermlie import documents
+
+        def never(*args, **kwargs):
+            raise AssertionError("a document above the dimension limit was built")
+
+        monkeypatch.setattr(documents, "make_algebra", never)
+        monkeypatch.setattr(documents.Subspace, "span", never)
+        path = _write(tmp_path, "big.json", doc)
+        self.assert_invalid(capsys, *(a.format(path) for a in command))
 
     def test_negative_shear_dimension(self, capsys, tmp_path):
         doc = {"dim": -2, "a": [], "omega": []}

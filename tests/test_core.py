@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermlie import core
 from hermlie import forms as fm
 from hermlie import linalg as la
 from hermlie.algebra import LieAlgebra
@@ -212,7 +213,7 @@ def test_wedge(cell, p, q, data):
 def test_form_power_is_repeated_wedge():
     _, g, J, L = instance(10, "typeI", 0)
     sigma = fundamental_form(L, g, J)
-    power = fm.constant_form(10, 1)
+    power = fm.KForm(10, 0, {(): 1})
     for k in range(6):
         assert fm.form_power(sigma, k) == power
         power = naive_wedge(power, sigma)
@@ -283,10 +284,13 @@ def test_rref_matches_gauss_jordan(m):
 @given(square_matrices())
 def test_det_matches_gaussian_elimination(m):
     assert la.det(m) == naive_gauss_det(m)
-    minors = la.leading_principal_minors(m)
-    assert minors == tuple(
-        naive_gauss_det([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))
-    )
+    # the minors Metric's definiteness test reads: those of the numerators
+    # over one den, up to the first zero one, where elimination stops
+    rows, den = core.clear_matrix(m)
+    pivots = list(la.minor_pivots(rows))
+    naive = [naive_gauss_det([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
+    assert [Q(p, den ** (k + 1)) for k, p in enumerate(pivots)] == naive[: len(pivots)]
+    assert len(pivots) == len(m) or pivots[-1] == 0
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 import pytest
 
 from hermlie.algebra import structure_invariants
+from hermlie.errors import HermlieError
 from hermlie.generators import (
     PROFILES,
     random_compatible_metric,
@@ -73,3 +74,11 @@ class TestRandomComplexShear:
             random_complex_shear(0, "mixed", 4)
         with pytest.raises(ValueError):
             random_complex_shear(0, "nonsense", 6)
+
+    @pytest.mark.parametrize(
+        "profile,dim", [("nilpotent", 8), ("nilpotent", 10), ("typeII", 8), ("typeII", 10)]
+    )
+    def test_fixed_size_profiles_reject_other_dimensions(self, profile, dim):
+        # up front, and as a HermlieError, which callers of the generators catch
+        with pytest.raises(HermlieError, match=f"the {profile} profile exists only"):
+            random_complex_shear(0, profile, dim)

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from hermlie import algebra as al
+from hermlie import core
 from hermlie import forms as fm
 from hermlie import linalg as la
 from hermlie.errors import (
@@ -14,10 +16,12 @@ from hermlie.errors import (
     NotJInvariantError,
     PreconditionViolatedError,
 )
-from hermlie.generators import random_compatible_metric
+from hermlie.catalog import witness_lists
+from hermlie.generators import FIXED_DIMS, PROFILES, random_complex_shear, random_compatible_metric
 from hermlie.hermitian import (
     ComplexStructure,
     Metric,
+    balanced_inverse_form,
     balanced_structural,
     classify_metric,
     fingerprint_distinguish,
@@ -32,6 +36,7 @@ from hermlie.hermitian import (
     validate_complex_structure,
 )
 from hermlie.salamon import parse_salamon
+from hermlie.shear import build_shear
 
 Q = Fraction
 
@@ -249,6 +254,62 @@ class TestBalancedStructural:
                 )
 
 
+def _inverse_contraction(g, J):
+    """iota(-H J^T) vol for H = g^-1 on the KForm operators, as a reference.
+
+    iota(e_b) iota(e_a) vol = s e^rest for a < b, where vol = s e^a ^ e^b ^ e^rest.
+    """
+    n = g.dim
+    p = la.mat_scale(-1, la.mat_mul(la.inverse(g.matrix), la.transpose(J.matrix)))
+    terms = []
+    for a, b in combinations(range(1, n + 1), 2):
+        rest = tuple(i for i in range(1, n + 1) if i not in (a, b))
+        s = fm.form_from_terms(n, n, [((a, b, *rest), 1)]).coeff(*range(1, n + 1))
+        terms.append((rest, s * p[a - 1][b - 1]))
+    return fm.form_from_terms(n, n - 2, terms)
+
+
+def _generated_instances():
+    for dim in (4, 6, 8, 10):
+        for profile in PROFILES:
+            if dim not in FIXED_DIMS.get(profile, (dim,)):
+                continue
+            for seed in range(2):
+                data, g, J = random_complex_shear(seed, profile, dim)
+                yield f"{profile}/d{dim}/{seed}", build_shear(data), g, J
+
+
+def _catalog_instances():
+    for entry in witness_lists():
+        for w in entry.witnesses:
+            yield f"{entry.name}/{w.label}", entry.algebra, w.metric, entry.J
+
+
+class TestBalancedInverseForm:
+    """The balanced search's map on H = g^-1 against sigma^(n-1) on KForms."""
+
+    @pytest.mark.parametrize(
+        "source", [_generated_instances, _catalog_instances], ids=["generated", "catalog"]
+    )
+    def test_sigma_power_is_a_multiple_of_the_inverse_contraction(self, source):
+        balanced = 0
+        for label, L, g, J in source():
+            n = L.dim
+            power = fm.form_power(fundamental_form(L, g, J), n // 2 - 1)
+            contraction = _inverse_contraction(g, J)
+            key = next(iter(contraction.coeffs))
+            c = power.coeff(*key) / contraction.coeff(*key)
+            assert c and power == contraction.scale(c), label
+            nums, den = balanced_inverse_form(L, J, *core.clear_matrix(la.inverse(g.matrix)))
+            h_form = fm.KForm.from_ints(n, n - 1, nums, den)
+            assert h_form.scale(c) == fm.ce_differential(L, power), label
+            verdict = classify_metric(L, g, J).balanced
+            assert h_form.is_zero() == verdict, label
+            balanced += verdict
+        if source is _catalog_instances:
+            assert balanced == 25  # every balanced-true catalog witness is checked
+
+
 class TestFingerprintDistinguish:
     def test_counterexample_vs_affine_sums(self, cx_type_I, aff):
         for r in (1, 2, 3):
@@ -359,7 +420,7 @@ class TestUnitaryEndomorphismProperty:
         ja = la.mat_mul(j, a)
         if aj != ja:
             return False
-        return la.transpose(a) == la.mat_neg(a)
+        return la.transpose(a) == la.mat_scale(-1, a)
 
     def test_solutions_are_unitary(self):
         n = 4
@@ -452,7 +513,7 @@ class TestUnitaryEndomorphismProperty:
         assert self._in_sp(a1, sigma) and self._in_sp(a2, sigma)
         relation = la.mat_add(
             la.mat_add(a1, la.mat_mul(jm, la.mat_mul(a1, jm))),
-            la.mat_sub(la.mat_mul(jm, a2), la.mat_mul(a2, jm)),
+            la.mat_add(la.mat_mul(jm, a2), la.mat_scale(-1, la.mat_mul(a2, jm))),
         )
         assert la.is_zero_matrix(relation)
         assert self._is_unitary(a1, jm) and self._is_unitary(a2, jm)

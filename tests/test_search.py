@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from hermlie import algebra as al
+from hermlie import core
 from hermlie.errors import IncompatibleMetricError, NotIntegrableError
 from hermlie.generators import random_complex_shear
 from hermlie.forms import ce_differential, form_power, j_pullback
-from hermlie.hermitian import ComplexStructure, Metric, classify_metric, fundamental_form
+from hermlie.hermitian import (
+    ComplexStructure,
+    Metric,
+    balanced_inverse_form,
+    classify_metric,
+    fundamental_form,
+)
 from hermlie.salamon import parse_salamon
 from hermlie.search import (
     SearchConfig,
@@ -44,13 +51,25 @@ class TestMetricParameterization:
         for b in p.basis:
             assert al.linalg.mat_mul(jt, al.linalg.mat_mul(b, J.matrix)) == b
 
-    def test_reference_is_identity(self):
-        p = metric_parameterization(al.abelian(4), ComplexStructure.standard(4))
+    @staticmethod
+    def _reference(J):
+        p = metric_parameterization(al.abelian(J.dim), J)
         s = None
         for c, b in zip(p.reference, p.basis):
             term = al.linalg.mat_scale(c, b)
             s = term if s is None else al.linalg.mat_add(s, term)
-        assert s == al.linalg.identity_matrix(4)
+        return s
+
+    def test_reference_is_identity(self):
+        assert self._reference(ComplexStructure.standard(4)) == al.linalg.identity_matrix(4)
+
+    def test_reference_for_a_non_orthogonal_j(self):
+        """(I + J^T J) / 2 is compatible and definite when the identity is not."""
+        la = al.linalg
+        J = ComplexStructure(la.mat([[1, -2, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]))
+        s = self._reference(J)
+        assert s == la.mat([["3/2", "-3/2", 0, 0], ["-3/2", 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        Metric(s).sigma_ints(J)  # definite and compatible
 
 
 def _kform_residual(L, J, s, kind):
@@ -107,7 +126,11 @@ class TestResidual:
     @pytest.mark.parametrize("kind", ["kahler", "balanced", "skt"])
     def test_float_map_matches_exact_residual(self, kind):
         """The search's float condition map is the exact one, rounded; the
-        basis change gives J and the brackets denominators other than 1."""
+        basis change gives J and the brackets denominators other than 1.
+
+        Balanced searches the inverse metric H, so its exact map is
+        ``balanced_inverse_form``; that map is tied to the KForm route by
+        ``test_hermitian``'s proportionality test."""
         data, _, j0 = random_complex_shear(0, "typeIII", 6)
         la = al.linalg
         # a rotation by (3/5, 4/5) in the (e1, e3) plane: orthogonal, so the
@@ -127,8 +150,13 @@ class TestResidual:
                 [sum(Q(c) * b[i][j] for c, b in zip(x, problem.param.basis)) for j in range(6)]
                 for i in range(6)
             ]
-            exact = residual(L, J, s, kind)
-            assert exact > 0 and exact == _kform_residual(L, J, s, kind)
+            if kind == "balanced":
+                out, den = balanced_inverse_form(L, J, *core.clear_matrix(s))
+                exact = float(Q(sum(c * c for c in out.values()), den * den))
+            else:
+                exact = residual(L, J, s, kind)
+                assert exact == _kform_residual(L, J, s, kind)
+            assert exact > 0
             assert problem.evaluate(x[None, :], 0.0).res[0] == pytest.approx(exact, rel=1e-9)
 
 
@@ -182,28 +210,33 @@ class TestSearch:
 GRADIENT_ALGEBRAS = {
     "typeIII-d4": lambda: build_shear(random_complex_shear(0, "typeIII", 4)[0]),
     "typeI-d6": lambda: parse_salamon("(0,21,0,0,43,0)"),
+    "typeI-d8": lambda: build_shear(random_complex_shear(0, "typeI", 8)[0]),
 }
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-2])
 @pytest.mark.parametrize(
     "algebra,kind",
-    # balanced at d6 is the quadratic mode; the others are linear
-    [("typeIII-d4", "kahler"), ("typeI-d6", "kahler"), ("typeI-d6", "skt"), ("typeI-d6", "balanced")],
+    [
+        ("typeIII-d4", "kahler"),
+        ("typeI-d6", "kahler"),
+        ("typeI-d6", "skt"),
+        ("typeI-d6", "balanced"),
+        ("typeI-d8", "balanced"),
+    ],
 )
 def test_gradient_matches_central_differences(algebra, kind, mu):
     """The analytic gradient tracks central differences of the objective."""
     L = GRADIENT_ALGEBRAS[algebra]()
     problem = _Problem(L, ComplexStructure.standard(L.dim), kind)
-    assert problem.quadratic == (kind == "balanced" and L.dim == 6)
     rng = np.random.default_rng(5)
     reference = np.array([float(c) for c in problem.param.reference])
     for _ in range(5):
         x = reference + 0.1 * rng.standard_normal(problem.m)
-        exact = problem.gradient(x, problem.evaluate(x[None, :], mu).row(0), mu)
+        exact = problem.gradient(problem.evaluate(x[None, :], mu).row(0), mu)
         steps = 1e-6 * np.maximum(1.0, np.abs(x))
         shifts = np.diag(steps)
-        f = problem.objective(np.concatenate([x + shifts, x - shifts]), mu)
+        f = problem.evaluate(np.concatenate([x + shifts, x - shifts]), mu).f
         assert np.all(np.isfinite(f))
         fd = (f[: problem.m] - f[problem.m :]) / (2 * steps)
         denom = np.maximum(1.0, np.abs(exact))
