@@ -1,35 +1,47 @@
-"""Numerical witness hunting with exact certification.
+"""Exact feasibility search: certified witnesses and certified non-existence.
 
-The search runs projected gradient descent over the compatible-metric
-cone (trace-normalised, log-det barrier) and then tries to snap the float
-witness to small rationals; a snapped witness is re-verified with the
-exact checks, turning evidence into a certificate.  On a target that is
-provably impossible the search reports not_found, which is all a
-numerical method is entitled to say.
+For each kind the special metrics are the definite matrices of one exact
+rational subspace K, so the search decides whether K meets the positive
+definite cone.  On the found side it snaps the analytic centre of K's
+trace-n slice to rationals and certifies it with the exact checks; on the
+other it rounds the dual of the Phase-I barrier to an exact positive
+semidefinite Y orthogonal to K, which proves that no compatible metric of
+that kind exists for this J.
 """
 
 import time
 
-from hermlie import ComplexStructure, Metric, SearchConfig, classify_metric, parse_salamon, search_metric
+from hermlie import (
+    ComplexStructure,
+    Metric,
+    check_certificate,
+    classify_metric,
+    parse_salamon,
+    search_metric,
+)
 
 J = ComplexStructure.standard(6)
 
 for label, salamon, kind in (
     ("closed form on the rank-two family", "(25,-15,46,-36,0,0)", "kahler"),
     ("torsion metric on the counterexample", "(0,21,0,0,43,0)", "skt"),
+    ("balanced metric on the counterexample", "(0,21,0,0,43,0)", "balanced"),
 ):
     L = parse_salamon(salamon)
     t0 = time.time()
     result = search_metric(L, J, kind)
-    print(f"{label}: {result.status} in {time.time()-t0:.2f}s,",
-          f"residual {result.residual:.2e}, seed {result.seed}")
+    print(f"{label}: {result.status} in {time.time()-t0:.3f}s, seed {result.seed}, "
+          f"{result.iterations} Newton steps")
     if result.exact_verified:
         g = Metric(result.exact_metric)
         print("  exact certificate:", classify_metric(L, g, J))
 
 L = parse_salamon("(0,21,0,0,43,0)")
 t0 = time.time()
-result = search_metric(L, J, "kahler", SearchConfig(seeds=tuple(range(8)), max_iterations=1000))
-print(f"closed form on the counterexample: {result.status} in {time.time()-t0:.2f}s "
-      f"(best residual {result.residual:.2e})")
-print("  nonexistence here is a theorem; the search can only say 'not found'")
+result = search_metric(L, J, "kahler")
+print(f"closed form on the counterexample: {result.status} in {time.time()-t0:.3f}s")
+if result.status == "none":
+    print("  no Kahler metric is compatible with this J; the certificate Y:")
+    for row in result.certificate:
+        print("   ", " ".join(f"{str(c):>4}" for c in row))
+    print("  re-checked exactly:", check_certificate(L, J, "kahler", result.certificate))

@@ -1,5 +1,5 @@
 """Exact decision procedures for Kahler, balanced and SKT structures on
-two-step solvable Lie algebras, plus a numerical compatible-metric search.
+two-step solvable Lie algebras, plus a compatible-metric feasibility search.
 
 The core layers:
 
@@ -13,8 +13,8 @@ The core layers:
   condition equations directly on shear data;
 * :mod:`hermlie.normal_forms`, :mod:`hermlie.catalog` -- constructors for
   the classified families and the six-dimensional witness lists;
-* :mod:`hermlie.search` -- numerical feasibility search with exact
-  certification of found witnesses;
+* :mod:`hermlie.search` -- the feasibility search: exact certification of
+  found witnesses and exact certificates of non-existence;
 * :mod:`hermlie.verify` -- the reproducibility harness behind
   ``hermlie verify-paper``.
 """
@@ -68,6 +68,8 @@ from .search import (
     MetricParameterization,
     SearchConfig,
     SearchResult,
+    check_certificate,
+    condition_kernel,
     metric_parameterization,
     residual,
     search_metric,

@@ -154,12 +154,19 @@ def cmd_search(args) -> int:
     report = {
         "schema": SCHEMA,
         "search": result.summary(),
-        "citations": ["a found witness is evidence; not_found is inconclusive"],
+        "citations": [
+            "a found witness is evidence, certified when exact_verified; none is certified: "
+            "certificate_exact is a nonzero positive semidefinite Y with tr(Y X) = 0 for "
+            "every compatible X in the condition's kernel (X = G^-1 for balanced), so no "
+            "such X is definite; not_found is inconclusive"
+        ],
     }
     if result.metric is not None:
         report["metric_float"] = [[float(c) for c in row] for row in result.metric]
     if result.exact_metric is not None:
         report["metric_exact"] = matrix_doc(result.exact_metric)
+    if result.certificate is not None:
+        report["certificate_exact"] = matrix_doc(result.certificate)
     _emit(report)
     return PASS if result.status == "found" else FAIL
 

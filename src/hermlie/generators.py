@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from . import core, linalg
 from .algebra import LieAlgebra, change_basis, direct_sum, make_algebra, abelian
@@ -69,26 +70,19 @@ def random_unitary(dim: int, rng: random.Random, pairs=None) -> Matrix:
         pairs = [(i, i + 1) for i in range(1, dim, 2)]
     m = linalg.identity_matrix(dim)
     npairs = len(pairs)
-
-    def apply_factor(factor: Matrix):
-        nonlocal m
-        m = linalg.mat_mul(factor, m)
-
-    steps = dim + 2
-    for _ in range(steps):
+    for _ in range(dim + 2):
         kind = rng.choice(["rotation", "phase"] if npairs > 1 else ["phase"])
+        rows = [list(r) for r in linalg.identity_matrix(dim)]
         if kind == "rotation":
             p, q = rng.sample(range(npairs), 2)
             t = rand_fraction(rng)
             c = (1 - t * t) / (1 + t * t)
             s = 2 * t / (1 + t * t)
-            rows = [list(r) for r in linalg.identity_matrix(dim)]
             for slot in range(2):  # real and imaginary slots move together
                 i = pairs[p][slot] - 1
                 j = pairs[q][slot] - 1
                 rows[i][i], rows[i][j] = c, -s
                 rows[j][i], rows[j][j] = s, c
-            apply_factor(linalg.mat(rows))
         else:
             p = rng.randrange(npairs)
             mm = rng.randint(1, 3)
@@ -97,10 +91,9 @@ def random_unitary(dim: int, rng: random.Random, pairs=None) -> Matrix:
             if a == 0 and b == 0:
                 continue
             i, j = pairs[p][0] - 1, pairs[p][1] - 1
-            rows = [list(rr) for rr in linalg.identity_matrix(dim)]
             rows[i][i], rows[i][j] = Fraction(a, r), Fraction(-b, r)
             rows[j][i], rows[j][j] = Fraction(b, r), Fraction(a, r)
-            apply_factor(linalg.mat(rows))
+        m = linalg.mat_mul(linalg.mat(rows), m)
     return m
 
 
@@ -371,8 +364,7 @@ def _typeII_params_nilpotent(s: int, ell: int, rng: random.Random) -> TypeIINorm
                  form_from_terms(2, 2, [((1, 2), c.im)])),)
         psis = ((zero_form(2, 2), zero_form(2, 2)),)
         return TypeIINormalForm(s, ell, 0, phis=phis, psis=psis)
-    params = _typeII_params_forced_m0(s, ell, rng)
-    return params
+    return _typeII_params_forced_m0(s, ell, rng)
 
 
 def _typeII_params_forced_m0(s: int, ell: int, rng: random.Random) -> TypeIINormalForm:
@@ -415,10 +407,5 @@ def _typeII_params_forced_m0(s: int, ell: int, rng: random.Random) -> TypeIINorm
 
 
 def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    root = isqrt(n) if n >= 0 else -1
+    return root if root >= 0 and root * root == n else None

@@ -232,7 +232,7 @@ def condition_form(
 
     The metric-condition map: ``classify_metric`` tests it for zero,
     ``search.residual`` takes its norm and the Kahler and SKT searches its
-    float image; the balanced search takes ``balanced_inverse_form``.
+    exact kernel; the balanced search takes ``balanced_inverse_form``'s.
     """
     b = L.ints
     if kind == "kahler":

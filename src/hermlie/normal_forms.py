@@ -51,9 +51,6 @@ class Cq:
     def __neg__(self) -> "Cq":
         return Cq(-self.re, -self.im)
 
-    def conjugate(self) -> "Cq":
-        return Cq(self.re, -self.im)
-
     def scale(self, c) -> "Cq":
         c = Fraction(c)
         return Cq(c * self.re, c * self.im)

@@ -1,27 +1,30 @@
-"""Numerical feasibility search over the cone of compatible metrics.
+"""Exact feasibility search for a compatible special metric.
 
-Multi-start projected gradient descent minimises the squared norm of a
-linear condition map plus a log-det barrier keeping the iterates positive
-definite.  Every kind is linear in its own coordinates, so there is one
-path: Kahler and SKT search the compatible metrics G with
-``hermitian.condition_form``; balanced searches the inverse metrics
-H = G^-1 with ``hermitian.balanced_inverse_form``, whose norm is its
-reported residual, and so runs in every even dimension.  The gradient is
-analytic, and each iterate costs one batched eigendecomposition of its
-Armijo backtracking candidates, which yields their objective, definiteness
-and the barrier gradient alike.  Successful runs finish with a
-continued-fraction rationalisation pass and exact verification by
-``classify_metric``, on sigma^(n-1) for balanced, so a "found" witness can
-be upgraded to a proof; "not found" is only ever reported as inconclusive.
+Each kind is linear in its own coordinates: Kahler and SKT in the metrics
+G (``hermitian.condition_form``), balanced in the inverse metrics H = G^-1,
+which are compatible with J^T (``hermitian.balanced_inverse_form``).  So the
+special metrics are the definite matrices of the exact rational kernel K of
+that map (``condition_kernel``), and the search decides whether K meets the
+positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
+tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
+eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*, 11.4).
+``found``: once s < 0, the analytic centre of the slice is snapped to
+rationals in K and certified by ``classify_metric`` on sigma^(n-1).
+``none``: s stays >= 0 as the gap n / t closes; the dual (X + sI)^-1 / t is
+rounded onto its exact range and projected onto the matrices orthogonal to
+K (Peyrl and Parrilo, *Theor. Comput. Sci.* 409, 2008).  A nonzero
+semidefinite Y with tr(Y M) = 0 for every kernel matrix M proves that no
+compatible metric of the kind exists, since tr(Y X) > 0 for X > 0;
+``check_certificate`` re-checks one.  ``not_found`` is inconclusive.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
+import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple
+from math import gcd, lcm
 
 import numpy as np
 
@@ -38,79 +41,104 @@ from .hermitian import (
     is_integrable,
     sigma_of,
 )
-from .linalg import ZERO
 
 
 @dataclass(frozen=True)
 class MetricParameterization:
-    """Rational basis of {S symmetric : J^T S J = S}, with a definite reference."""
+    """Primitive int basis of {S symmetric : J^T S J = S}, with a definite reference."""
 
-    basis: tuple  # exact symmetric matrices
+    basis: tuple  # int symmetric matrices
     reference: tuple  # coefficients of (I + J^T J) / 2 in `basis`
 
 
 def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> MetricParameterization:
+    """As J^2 = -1, S -> (S + J^T S J) / 2 projects the symmetric matrices
+    onto the compatible ones; the basis is the echelon form of the images
+    of the unit symmetric matrices, on their upper triangles."""
     if J.dim != L.dim:
         raise NotAComplexStructureError("J does not match the algebra's dimension")
     n = L.dim
-    # unknowns: upper-triangle entries of S
-    slots = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {slot: k for k, slot in enumerate(slots)}
-    jm = J.matrix
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            # (J^T S J - S)[a][b] = sum_{p,q} J[p][a] S[p][q] J[q][b] - S[a][b]
-            row = [ZERO] * len(slots)
-            for p in range(n):
-                if jm[p][a] == 0:
-                    continue
-                for q in range(n):
-                    if jm[q][b] == 0:
-                        continue
-                    i, j = (p, q) if p <= q else (q, p)
-                    row[index[(i, j)]] += jm[p][a] * jm[q][b]
-            row[index[(a, b)]] -= 1
-            rows.append(tuple(row))
-    kernel = linalg.nullspace(tuple(rows))
-    basis = tuple(
-        tuple(tuple(sol[index[min(i, j), max(i, j)]] for j in range(n)) for i in range(n))
-        for sol in kernel
+    j, dj = J.ints
+    slots = [(a, b) for a in range(n) for b in range(a, n)]
+    # dj^2 E + J^T E J for E = e_a e_b^T + e_b e_a^T, or e_a e_a^T
+    images = [
+        [dj * dj * ((p, q) == (a, b)) + j[a][p] * j[b][q] + (a != b) * j[b][p] * j[a][q] for p, q in slots]
+        for a, b in slots
+    ]
+    basis = linalg.echelon(images)
+    # (dj^2 I + J^T J) / (2 dj^2), read off at each row's pivot
+    ref = [dj * dj * (p == q) + sum(row[p] * row[q] for row in j) for p, q in slots]
+    pivots = [next(i for i, c in enumerate(row) if c) for row in basis]
+    index = {slot: i for i, slot in enumerate(slots)}
+    return MetricParameterization(
+        tuple(
+            tuple(tuple(row[index[min(a, b), max(a, b)]] for b in range(n)) for a in range(n))
+            for row in basis
+        ),
+        tuple(Fraction(ref[p], 2 * dj * dj * row[p]) for row, p in zip(basis, pivots)),
     )
-    # compatible and definite for every J, and the identity for an orthogonal J
-    ref = linalg.mat_add(linalg.identity_matrix(n), linalg.mat_mul(linalg.transpose(jm), jm))
-    coeffs = linalg.solve(linalg.matrix_from_columns(kernel), [ref[i][j] / 2 for i, j in slots])
-    assert coeffs is not None, "the reference is not in the compatible cone's span"
-    return MetricParameterization(basis, coeffs)
+
+
+def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
+    """Primitive int matrices spanning exactly the compatible symmetric X on
+    which the condition map of ``kind`` vanishes: the metrics G for Kahler
+    and SKT, the inverse metrics H (compatible with J^T) for balanced."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown condition kind: {kind}")
+    if kind == "balanced":
+        basis = metric_parameterization(L, ComplexStructure(linalg.transpose(J.matrix))).basis
+        columns = [balanced_inverse_form(L, J, b, 1) for b in basis]
+    else:
+        basis = metric_parameterization(L, J).basis
+        columns = [condition_form(L, J, *sigma_of(J, b, 1), kind) for b in basis]
+    den = lcm(*(d for _, d in columns))
+    masks = sorted(set().union(*(nums for nums, _ in columns)))
+    rows = [[nums.get(mask, 0) * (den // d) for nums, d in columns] for mask in masks]
+    n = L.dim
+    out = []
+    for x in linalg.kernel(rows, len(basis))[0]:
+        flat = core.combine(x, [[c for row in b for c in row] for b in basis])
+        d = gcd(*flat)
+        out.append(tuple(tuple(c // d for c in flat[i * n : (i + 1) * n]) for i in range(n)))
+    return tuple(out)
 
 
 def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
-    """Squared coefficient norm of ``condition_form``, computed exactly; for
-    balanced that is d(sigma^(n-1)), not the balanced search's H-map.
-
-    ``S`` may be a float or rational matrix; float entries are converted
-    exactly, so the result is exactly 0.0 precisely when the condition
-    holds for the rational metric the floats denote.
-    """
+    """Squared coefficient norm of ``condition_form`` (d(sigma^(n-1)) for
+    balanced), computed exactly; float entries of ``S`` are converted
+    exactly, so it is 0.0 precisely when the condition holds for the
+    rational metric they denote."""
     metric = Metric(tuple(tuple(Fraction(x) for x in row) for row in S))
     out, den = condition_form(L, J, *metric.sigma_ints(J), kind)
     return float(Fraction(sum(c * c for c in out.values()), den * den))
 
 
+def _certifies(kernel, Y) -> bool:
+    """Whether ``Y`` is a nonzero symmetric positive semidefinite matrix
+    orthogonal to every kernel matrix, so that no X > 0 lies in K.  With B
+    an echelon basis of Y's range, Y is semidefinite exactly when B Y B^T
+    is definite, by its leading principal minors."""
+    rows, _ = core.clear_matrix(Y)
+    flat = [c for row in rows for c in row]
+    if rows != [list(col) for col in zip(*rows)] or not any(flat):
+        return False
+    if any(core.dot(flat, [c for row in m for c in row]) for m in kernel):
+        return False
+    b = linalg.echelon(rows)
+    return all(minor > 0 for minor in linalg.minor_pivots(core.mat_mul(core.mat_mul(b, rows), list(zip(*b)))))
+
+
+def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
+    """Whether the rational matrix ``Y`` proves that no metric compatible
+    with J satisfies ``kind``, checked exactly on a fresh kernel."""
+    return _certifies(condition_kernel(L, J, kind), Y)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     seeds: tuple = tuple(range(16))
-    max_iterations: int = 5000
-    tolerance: float = 1e-9
-    barrier_schedule: tuple = (1e-2, 1e-4, 1e-6, 0.0)
-    initial_step: float = 0.25
-    start_spread: float = 0.2
-    stall_iterations: int = 250
-    # residuals are homogeneous in the metric, so iterates are held on the
-    # trace = dim slice and a witness must clear a definiteness margin;
-    # otherwise descent fakes a zero by sliding to a semidefinite point of
-    # the condition's kernel (those exist even when no witness does).
-    min_eig_floor: float = 1e-3
+    max_iterations: int = 500  # Newton steps per seed
+    tolerance: float = 1e-9  # the duality gap n / t at which Phase I stops
 
     def __post_init__(self):
         # overrides come from documents: each must have its default's shape
@@ -129,153 +157,157 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    status: str  # "found" | "not_found"
+    status: str  # "found" | "none" | "not_found"
     kind: str
-    metric: tuple | None
-    residual: float
-    iterations: int
+    metric: tuple | None  # the float witness of a "found"
+    residual: float  # 0.0 when found, else the last Phase-I s, clipped at 0
+    iterations: int  # Newton steps over the seeds run
     seed: int | None
     exact_metric: tuple | None = None
     exact_verified: bool = False
+    certificate: tuple | None = None  # the exact Y of a "none"
 
     def summary(self) -> dict:
-        return {
-            "status": self.status,
-            "kind": self.kind,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "exact_verified": self.exact_verified,
-        }
+        keys = ("status", "kind", "residual", "iterations", "seed", "exact_verified")
+        return {key: getattr(self, key) for key in keys}
 
 
-def _float_matrix(columns: list) -> np.ndarray:
-    """Columns of core numerators over a denominator as floats, one row per
-    form coefficient that some column uses (int / int rounds correctly)."""
-    masks = sorted(set().union(*(nums for nums, _ in columns)))
-    return np.array([[nums.get(k, 0) / den for nums, den in columns] for k in masks]).reshape(
-        len(masks), len(columns)
-    )
+START_SPREAD = 0.1  # seed jitter of the Phase-I start, per orthonormal direction
+FOUND_MARGIN = 1e-6  # s below -FOUND_MARGIN is a definite point of K
 
 
-class _Batch(NamedTuple):
-    """One evaluation of the objective; row i describes the i-th coefficient vector."""
-
-    f: np.ndarray  # residual - mu * log det S, +inf off the positive definite cone
-    res: np.ndarray  # squared norm of the condition values
-    v: np.ndarray  # condition values
-    w: np.ndarray  # ascending eigenvalues of S
-    u: np.ndarray | None  # eigenvectors of S, only computed when mu > 0
-
-    def row(self, i: int) -> "_Batch":
-        return _Batch(*(None if a is None else a[i] for a in self))
+def _unit(matrices) -> tuple[np.ndarray, list[int]]:
+    """The int ``matrices`` as floats scaled into [-1, 1] by powers of two,
+    and those powers."""
+    scales = [1 << max(abs(c) for row in m for c in row).bit_length() for m in matrices]
+    return np.array(matrices, dtype=float) / np.array(scales, dtype=float)[:, None, None], scales
 
 
-class _Problem:
-    """Float image of the exact condition map for one (algebra, J, kind) search.
-
-    The condition values are ``linear @ x`` for coefficients x on a basis of
-    the searched matrices: the metrics G for Kahler and SKT, and for balanced
-    the inverse metrics H, which are the metrics compatible with J^T.  The
-    barrier, the trace slice and the eigenvalue floor act on those matrices.
-    """
-
-    def __init__(self, L: LieAlgebra, J: ComplexStructure, kind: str):
-        self.L, self.J, self.kind = L, J, kind
-        self.inverse = kind == "balanced"
-        self.param = metric_parameterization(
-            L, ComplexStructure(linalg.transpose(J.matrix)) if self.inverse else J
-        )
-        basis = self.param.basis
-        self.dim, self.m = L.dim, len(basis)
-        self.basis_flat = np.array([[float(c) for row in b for c in row] for b in basis])
-        ints = [core.clear_matrix(b) for b in basis]
-        if self.inverse:
-            columns = [balanced_inverse_form(L, J, *b) for b in ints]
-        else:
-            columns = [condition_form(L, J, *sigma_of(J, *b), kind) for b in ints]
-        self.linear = _float_matrix(columns)
-
-    def matrices(self, xs: np.ndarray) -> np.ndarray:
-        return (xs @ self.basis_flat).reshape(len(xs), self.dim, self.dim)
-
-    def metric(self, x: np.ndarray) -> tuple:
-        """The float metric G at coefficients ``x``, inverting H for balanced."""
-        s = self.matrices(x[None, :])[0]
-        if self.inverse:
-            s = np.linalg.inv(s)
-            s = (s + s.T) / 2
-        return tuple(map(tuple, s.tolist()))
-
-    def evaluate(self, xs: np.ndarray, mu: float) -> _Batch:
-        """The objective on each row of ``xs``, from one batched decomposition.
-
-        This is the one test of positive definiteness: a row whose least
-        eigenvalue is not positive gets objective +inf.
-        """
-        mats = self.matrices(xs)
-        if mu:
-            w, u = np.linalg.eigh(mats)
-        else:
-            w, u = np.linalg.eigvalsh(mats), None
-        v = xs @ self.linear.T
-        res = (v * v).sum(axis=1)
-        definite = w[:, 0] > 0
-        f = res
-        if mu:
-            f = res - mu * np.log(np.where(definite[:, None], w, 1.0)).sum(axis=1)
-        return _Batch(np.where(definite, f, np.inf), res, v, w, u)
-
-    def gradient(self, point: _Batch, mu: float) -> np.ndarray:
-        """Gradient of the objective at a definite point from its evaluation:
-        2 (dv/dx)^T v for the residual, -mu tr(S^-1 B_p) for the barrier."""
-        grad = 2.0 * (point.v @ self.linear)
-        if mu:
-            inverse = (point.u / point.w) @ point.u.T
-            grad -= mu * (self.basis_flat @ inverse.ravel())
-        return grad
+def _trace_slice(kernel, n: int):
+    """The trace-n slice of span(kernel) as base + sum_j z_j dirs_j, with
+    orthonormal traceless directions; the base point is the projection of
+    the identity onto the span, scaled to trace n."""
+    ortho = np.linalg.qr(_unit(kernel)[0].reshape(len(kernel), -1).T)[0]
+    # rotate the orthonormal basis so that its first matrix carries the trace
+    rotation = np.linalg.qr(np.column_stack([ortho.T @ np.eye(n).ravel(), np.eye(len(kernel))]))[0]
+    dirs = (ortho @ rotation).T.reshape(-1, n, n)
+    return dirs[0] * (n / np.trace(dirs[0])), dirs[1:]
 
 
-def _rationalize(problem: _Problem, x: np.ndarray):
-    """Snap coefficients to small rationals and verify exactly.
+def _derivatives(base, dirs, u, cost):
+    """The spectrum (w, v) of Z = base + sum_i u_i dirs_i, and the gradient
+    cost_i - tr(Z^-1 E_i) and Hessian tr(Z^-1 E_i Z^-1 E_j) of
+    cost . u - log det Z, from that one eigendecomposition."""
+    w, v = np.linalg.eigh(base + np.tensordot(u, dirs, 1))
+    scaled = (v.T @ dirs @ v) / np.sqrt(np.outer(w, w))  # Z^-1/2 E_i Z^-1/2, rotated
+    flat = scaled.reshape(len(dirs), -1)
+    return w, v, cost - np.trace(scaled, axis1=1, axis2=2), flat @ flat.T
 
-    Each candidate is one int combination of the basis numerators; a
-    denominator that snaps to the previous candidate's coefficients is
-    skipped, since that candidate has already failed.
-    """
-    n = problem.dim
-    basis, bden = core.clear_matrix([[c for row in b for c in row] for b in problem.param.basis])
-    last = None
-    for den in (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96, 480, 4096, 1 << 16, 1 << 24):
-        coeffs = [Fraction(float(c)).limit_denominator(den) for c in x]
-        if coeffs == last:
-            continue
-        last = coeffs
-        cs, dc = core.clear(coeffs)
-        flat = core.combine(cs, basis)
-        s = tuple(core.fractions(flat[i * n : (i + 1) * n], dc * bden) for i in range(n))
-        try:
-            metric = Metric(s)
-            if problem.inverse:  # H is definite, so G = H^-1 is too
-                metric = Metric(linalg.inverse(s))
-        except InvalidMetricError:  # not positive definite
-            continue
-        # certified on sigma^(n-1), independently of the balanced H-map
-        verdict = classify_metric(problem.L, metric, problem.J, allow_nonintegrable=True)
-        if verdict[problem.kind]:
-            return metric.matrix, True
-    return None, False
+
+def _newton_step(base, dirs, u, cost):
+    """One damped Newton step on cost . u - log det(base + sum u_i dirs_i):
+    the new point, the spectrum at the old one and the squared decrement
+    there.  For this self-concordant objective a damping of
+    1 / (1 + decrement) stays inside the cone, so there is no line search;
+    below a decrement of 1/4 the full step is taken."""
+    w, v, grad, hess = _derivatives(base, dirs, u, cost)
+    step = -np.linalg.solve(hess, grad)
+    decrement2 = float(-grad @ step)
+    return u + step / (1.0 if decrement2 < 1 / 16 else 1.0 + decrement2**0.5), w, v, decrement2
+
+
+def _snap(matrices, target):
+    """A rational combination of the int ``matrices`` near the float
+    ``target``, as Fractions.  The coordinates are fitted by least squares
+    and rounded on ``_unit(matrices)``, under a denominator bound that keeps
+    the rounding's move, at most the sum of their Frobenius norms over twice
+    the bound, below the fit's least eigenvalue; InvalidMetricError when the
+    fit is not definite."""
+    unit, scales = _unit(matrices)
+    flat = unit.reshape(len(matrices), -1)
+    coords = np.linalg.lstsq(flat.T, target.ravel(), rcond=None)[0]
+    margin = np.linalg.eigvalsh(np.tensordot(coords, unit, 1))[0]
+    if margin <= 0:
+        raise InvalidMetricError("the fit to the target is not definite")
+    bound = int(2 * np.sqrt(np.square(flat).sum(axis=1)).sum() / margin) + 1
+    cs, dc = core.clear([Fraction(float(c)).limit_denominator(bound) / d for c, d in zip(coords, scales)])
+    n = len(target)
+    flat = core.combine(cs, [[c for row in m for c in row] for m in matrices])
+    return tuple(core.fractions(flat[i * n : (i + 1) * n], dc) for i in range(n))
+
+
+def _face(Y: np.ndarray) -> list[list[int]]:
+    """An exact int basis, as the columns of an n x r matrix, of the range
+    of the float semidefinite ``Y`` cut at its widest spectral gap: Y's
+    float reduced echelon form, snapped to rationals."""
+    n = len(Y)
+    w, v = np.linalg.eigh(Y)
+    # eigenvalues within rounding of zero are one cluster, not gaps
+    gaps = np.diff(np.log(np.maximum(w / w[-1], 1e-13)))
+    if gaps.max() < np.log(1e4):
+        return [[int(a == b) for b in range(n)] for a in range(n)]
+    r = n - 1 - int(np.argmax(gaps))
+    rows = v[:, n - r :].T.copy()
+    for i in range(r):  # pivot on the largest entry left in each row
+        col = np.argmax(np.abs(rows[i]))
+        rows[i] /= rows[i, col]
+        others = np.arange(r) != i
+        rows[others] -= np.outer(rows[others, col], rows[i])
+    snapped = [core.clear([Fraction(float(c)).limit_denominator(10**7) for c in row])[0] for row in rows]
+    return [list(col) for col in zip(*snapped)]
+
+
+def _round_certificate(Y: np.ndarray, kernel):
+    """An exact certificate near the float dual ``Y``, or None: on the exact
+    face U of Y's range, Y = U Z U^T, and Z is snapped within the exact
+    {Z symmetric : tr(Z U^T M U) = 0 for every kernel matrix M}."""
+    if np.linalg.eigvalsh(Y)[-1] <= 0:
+        return None
+    u = _face(Y)
+    ut = [list(row) for row in zip(*u)]
+    r = len(ut)
+    slots = [(a, b) for a in range(r) for b in range(a, r)]
+    faces = [core.mat_mul(core.mat_mul(ut, m), u) for m in kernel]
+    zmats = []
+    for z in linalg.kernel([[f[a][b] * (1 + (a != b)) for a, b in slots] for f in faces], len(slots))[0]:
+        entries = dict(zip(slots, z))
+        zmats.append([[entries[min(a, b), max(a, b)] for b in range(r)] for a in range(r)])
+    if not zmats:
+        return None
+    pinv = np.linalg.pinv(np.array(u, dtype=float))
+    try:
+        z = _snap(zmats, pinv @ Y @ pinv.T)
+    except InvalidMetricError:
+        return None
+    y = core.mat_mul(core.mat_mul(u, core.clear_matrix(z)[0]), ut)
+    d = gcd(*(c for row in y for c in row))
+    return tuple(tuple(Fraction(c // d) for c in row) for row in y)
+
+
+def _witness(L, J, kind, kernel, centre):
+    """The exact metric snapped from the float point ``centre`` of K, or
+    None when the snap is not definite, and whether ``classify_metric``
+    certifies it on sigma^(n-1), independently of the balanced H-map."""
+    try:
+        exact = Metric(_snap(kernel, centre))
+        if kind == "balanced":  # H is definite, so G = H^-1 is too
+            exact = Metric(linalg.inverse(exact.matrix))
+    except InvalidMetricError:
+        return None, False
+    return exact.matrix, classify_metric(L, exact, J, allow_nonintegrable=True)[kind]
 
 
 def search_metric(
     L: LieAlgebra, J: ComplexStructure, kind: str, config: SearchConfig | None = None
 ) -> SearchResult:
-    """Multi-start barrier gradient descent for a compatible special metric.
+    """Decide whether a metric compatible with J satisfies ``kind``.
 
-    Deterministic in the config's seed list; seeds run in order and the
-    first success wins.  A successful run reports the float witness plus,
-    when the rationalisation pass lands, an exact certified metric.
-    not_found means only that the budget was exhausted.
+    Seeds run in order, each jittering the Phase-I start, and the first
+    conclusive seed wins.  ``found`` reports the float analytic centre of
+    the trace-n slice and, when its snap lands, the exact metric certified
+    by ``classify_metric``; ``none`` carries the exact Y in ``certificate``;
+    ``not_found`` means that no seed concluded within ``max_iterations``
+    Newton steps.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
@@ -283,85 +315,47 @@ def search_metric(
     if not is_integrable(L, J):
         raise NotIntegrableError("J is not integrable on this algebra")
     config = config or SearchConfig()
-    problem = _Problem(L, J, kind)
-    x_ref = np.array([float(c) for c in problem.param.reference])
-    trace_vec = problem.basis_flat[:, :: L.dim + 1].sum(axis=1)
-    steps = config.initial_step * 0.5 ** np.arange(40)  # the backtracking sequence
-    total_iters = 0
-    best = (math.inf, None, None)  # residual, x, seed
-
-    def normalized(xs: np.ndarray) -> np.ndarray:
-        """Each row scaled onto the trace = dim slice; rows of trace <= 0 left alone."""
-        t = xs @ trace_vec
-        return xs * (L.dim / np.where(t > 0, t, L.dim))[:, None]
-
-    def succeeded(point: _Batch) -> bool:
-        return point.res <= config.tolerance and point.w[0] > config.min_eig_floor
-
+    n = L.dim
+    kernel = condition_kernel(L, J, kind)
+    if not any(sum(m[a][a] for a in range(n)) for m in kernel):
+        # every kernel matrix is traceless, so tr(I X) = 0 rules out X > 0
+        return SearchResult("none", kind, None, float(n), 0, None, certificate=linalg.identity_matrix(n))
+    base, dirs = _trace_slice(kernel, n)
+    phase_one = np.concatenate([dirs, np.eye(n)[None]])
+    total, s = 0, float(n)
     for seed in config.seeds:
-        rng = np.random.default_rng(seed)
-        start = x_ref + config.start_spread * rng.standard_normal(problem.m)
-        x = normalized(start[None, :])[0]
-        point = problem.evaluate(x[None, :], 0.0).row(0)
-        if point.f == math.inf:
-            x = x_ref.copy()
-            point = problem.evaluate(x[None, :], 0.0).row(0)
-        phases = max(1, len(config.barrier_schedule))
-        per_phase = max(1, config.max_iterations // phases)
-        stall = 0
-        last = math.inf
-        done = False
-        for mu in config.barrier_schedule:
-            if done:
+        rng = random.Random(seed)
+        z = np.array([rng.gauss(0.0, START_SPREAD) for _ in dirs])
+        u = np.append(z, 1.0 - min(0.0, np.linalg.eigvalsh(base + np.tensordot(z, dirs, 1))[0]))
+        t = 1.0
+        for _ in range(config.max_iterations):
+            total += 1
+            new, w, v, decrement2 = _newton_step(base, phase_one, u, np.append(np.zeros(len(dirs)), t))
+            s = float(u[-1])
+            centred = decrement2 < 1e-10
+            if s < -FOUND_MARGIN or (centred and n / t < config.tolerance):
                 break
-            point = problem.evaluate(x[None, :], mu).row(0)
-            for _ in range(per_phase):
-                total_iters += 1
-                if point.f == math.inf:
+            t, u = (8.0 * t, u) if centred else (t, new)
+        else:
+            continue
+        if s < -FOUND_MARGIN:
+            z = u[:-1]
+            for _ in range(config.max_iterations if len(dirs) else 0):
+                total += 1
+                z, _, _, decrement2 = _newton_step(base, dirs, z, np.zeros(len(dirs)))
+                if decrement2 < 1e-12:
                     break
-                grad = problem.gradient(point, mu)
-                gnorm2 = float(grad @ grad)
-                if gnorm2 == 0.0:
-                    break
-                # Armijo backtracking, four halvings per batched evaluation
-                improved = False
-                for block in range(0, len(steps), 4):
-                    trial = steps[block : block + 4]
-                    xs = normalized(x - trial[:, None] * grad)
-                    batch = problem.evaluate(xs, mu)
-                    passed = np.flatnonzero(batch.f < point.f - 1e-4 * trial * gnorm2)
-                    if passed.size:
-                        x, point = xs[passed[0]], batch.row(passed[0])
-                        improved = True
-                        break
-                if succeeded(point):
-                    done = True
-                    break
-                if not improved:
-                    break
-                if abs(last - point.res) < 1e-16:
-                    stall += 1
-                    if stall >= config.stall_iterations:
-                        done = True
-                        break
-                else:
-                    stall = 0
-                last = point.res
-        res = float(point.res)
-        if res < best[0] and point.f < math.inf:
-            best = (res, x.copy(), seed)
-        if succeeded(point):
-            exact, verified = _rationalize(problem, x)
-            return SearchResult(
-                "found",
-                kind,
-                problem.metric(x),
-                res,
-                total_iters,
-                seed,
-                exact_metric=exact,
-                exact_verified=verified,
-            )
-    res, x, seed = best
-    metric = None if x is None else problem.metric(x)
-    return SearchResult("not_found", kind, metric, res, total_iters, seed)
+            centre = base + np.tensordot(z, dirs, 1)
+            exact, verified = _witness(L, J, kind, kernel, centre)
+            if kind == "balanced":
+                centre = np.linalg.inv(centre)
+            metric = tuple(map(tuple, ((centre + centre.T) / 2).tolist()))
+            return SearchResult("found", kind, metric, 0.0, total, seed, exact, verified)
+        # the dual point (X + sI)^-1 / t, shifted by a multiple of I so that
+        # it is orthogonal to the base point as well
+        dual = (v / w) @ v.T / t
+        dual -= np.eye(n) * (np.sum(dual * base) / n)
+        certificate = _round_certificate(dual, kernel)
+        if certificate is not None and _certifies(kernel, certificate):
+            return SearchResult("none", kind, None, max(s, 0.0), total, seed, certificate=certificate)
+    return SearchResult("not_found", kind, None, max(s, 0.0), total, None)

@@ -10,23 +10,26 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra as al
 from . import linalg
-from .algebra import Subspace, bracket_of_subspaces, intersect, orthogonal_complement
+from .algebra import Subspace, bracket_of_subspaces, intersect
 from .catalog import verify_catalog, witness_lists
-from .errors import ParameterConstraintViolatedError
+from .documents import matrix_doc
+from .errors import InvalidMetricError, ParameterConstraintViolatedError
 from .forms import basis_form, ce_differential, form_from_terms, j_pullback, wedge
 from .generators import (
     PROFILES,
     _typeII_params,
+    rand_fraction,
     rand_nonzero_fraction,
-    random_compatible_metric,
     random_complex_shear,
 )
 from .hermitian import (
+    KINDS,
     ComplexStructure,
     Metric,
     balanced_structural,
@@ -36,7 +39,6 @@ from .hermitian import (
     hermitian_decomposition,
     kahler_from_skt_and_balanced_typeII,
     normalize_skt_typeII,
-    _block_metric,
 )
 from .normal_forms import (
     KahlerNormalForm,
@@ -45,7 +47,7 @@ from .normal_forms import (
     skt_typeII_normal_form,
 )
 from .salamon import parse_salamon
-from .search import SearchConfig, search_metric
+from .search import SearchConfig, check_certificate, condition_kernel, search_metric
 from .shear import build_shear, shear_condition
 
 Q = Fraction
@@ -79,6 +81,19 @@ def _counterexample_type_III():
     return L, J, Metric.identity(6), Metric.from_orthonormal_frame(frame)
 
 
+def _searched_for(L, J) -> dict:
+    """The search certifies that no Kahler metric is compatible with J and
+    finds certified SKT and balanced ones; the certificate is re-checked
+    exactly here, on a fresh kernel, whatever the search reported."""
+    kahler = search_metric(L, J, "kahler")
+    assert kahler.status == "none", f"Kahler search: {kahler.status}, not a certified none"
+    assert check_certificate(L, J, "kahler", kahler.certificate), "certificate fails the exact check"
+    for kind in ("skt", "balanced"):
+        result = search_metric(L, J, kind)
+        assert result.status == "found" and result.exact_verified, f"{kind} search: {result.status}"
+    return {"no_kahler_certificate": matrix_doc(kahler.certificate)}
+
+
 def criterion_counterexample_type_I() -> dict:
     """Type I structure with both special metrics and no closed form."""
     L, J, g_std, g_tilt = _counterexample_type_I()
@@ -99,7 +114,7 @@ def criterion_counterexample_type_I() -> dict:
             blocks.append(al.abelian(6 - 2 * r))
         other = al.direct_sum(*blocks)
         assert fingerprint_distinguish(L, other) == "distinct", f"not separated from {r} affine blocks"
-    return {"standard": v_std.as_dict(), "tilted": v_tilt.as_dict()}
+    return {"standard": v_std.as_dict(), "tilted": v_tilt.as_dict(), **_searched_for(L, J)}
 
 
 def criterion_counterexample_type_III() -> dict:
@@ -115,6 +130,7 @@ def criterion_counterexample_type_III() -> dict:
         "standard": v_std.as_dict(),
         "tilted": v_tilt.as_dict(),
         "decomposition": [dec.s, dec.r, dec.ell],
+        **_searched_for(L, J),
     }
 
 
@@ -310,61 +326,50 @@ def criterion_six_dimensional_lists() -> dict:
     return {"witness_rows": len(rows)}
 
 
-def _perturbed_skt_metric(L, J, rng: random.Random) -> Metric:
-    """Change the complement and its scale; the derived block is pinned."""
-    derg = al.image_of_bracket(L)
-    g0 = Metric.identity(L.dim)
-    v_j = orthogonal_complement(derg, g0.matrix)
-    # complex-linear tilt of the complement into the derived algebra
-    vj_basis = []
-    used = []
-    for v in v_j.basis():
-        if any(linalg.dot(v, u) != 0 for u in used):
+def _kernel_source(L, J, kind: str):
+    """The exact kernel of ``kind`` with a certified definite point of it,
+    from the search, or None when the search certifies no witness."""
+    found = search_metric(L, J, kind)
+    if not found.exact_verified:
+        assert found.status != "found", f"{kind} search: uncertified witness"
+        return None
+    centre = linalg.inverse(found.exact_metric) if kind == "balanced" else found.exact_metric
+    return kind, centre, condition_kernel(L, J, kind)
+
+
+def _kernel_metric(source, rng: random.Random) -> Metric:
+    """A metric satisfying the source's kind: a random definite rational
+    point of its kernel near the certified one, shrunk until ``Metric``'s
+    exact test passes (the inverse of that point for balanced)."""
+    kind, centre, kernel = source
+    n = len(centre)
+    coeffs = [rand_fraction(rng, -2, 2, 4) for _ in kernel]
+    move = [[sum(c * m[a][b] for c, m in zip(coeffs, kernel)) for b in range(n)] for a in range(n)]
+    step = Fraction(1, 2 * max(abs(c) for m in kernel for row in m for c in row))
+    while True:
+        try:
+            x = Metric(linalg.mat_add(centre, linalg.mat_scale(step, move)))
+        except InvalidMetricError:
+            step /= 2
             continue
-        jv = J.apply(v)
-        vj_basis.extend([v, jv])
-        used.extend([v, jv])
-        if len(vj_basis) == v_j.dim:
-            break
-    tilt = [
-        linalg.vec([rand_nonzero_fraction(rng, -2, 2, 2) if derg.contains(linalg.unit_vec(L.dim, t + 1)) else 0
-                    for t in range(L.dim)])
-        for _ in range(len(vj_basis) // 2)
-    ]
-    new_basis = []
-    for idx in range(0, len(vj_basis), 2):
-        r_vec = tilt[idx // 2]
-        new_basis.append(linalg.add_vec(vj_basis[idx], r_vec))
-        new_basis.append(linalg.add_vec(vj_basis[idx + 1], J.apply(r_vec)))
-    scale = abs(rand_nonzero_fraction(rng, 1, 3, 2))
-    gram_v = linalg.mat_scale(scale, g0.gram(vj_basis))
-    return _block_metric(derg.basis(), new_basis, g0.gram(derg.basis()), gram_v)
-
-
-def _perturbed_balanced_metric(L, J, rng: random.Random) -> Metric:
-    """Randomise the derived block; the complement and its metric are pinned."""
-    derg = al.image_of_bracket(L)
-    g0 = Metric.identity(L.dim)
-    v_j = orthogonal_complement(derg, g0.matrix)
-    k = derg.dim
-    sub_pairs = [(i, i + 1) for i in range(1, k, 2)]
-    sub_J = ComplexStructure.from_pairs(k, sub_pairs)
-    gram_d = random_compatible_metric(k, sub_J, rng).matrix
-    return _block_metric(derg.basis(), v_j.basis(), gram_d, g0.gram(v_j.basis()))
+        return Metric(linalg.inverse(x.matrix)) if kind == "balanced" else x
 
 
 def criterion_compatibility_pipeline(draws: int = 5) -> dict:
-    """Merging verified special metrics yields a closed fundamental form."""
+    """Merging verified special metrics yields a closed fundamental form.
+
+    The SKT and balanced metrics are random definite points of the exact
+    kernels of their conditions."""
     rng = random.Random("pipeline")
     outputs = 0
     for salamon in ("(25,-15,46,-36,0,0)", "(25,-15,45,-35,0,0)"):
         L = parse_salamon(salamon)
         J = ComplexStructure.standard(6)
+        skt, balanced = _kernel_source(L, J, "skt"), _kernel_source(L, J, "balanced")
         for _ in range(draws):
-            g_skt = _perturbed_skt_metric(L, J, rng)
-            g_bal = _perturbed_balanced_metric(L, J, rng)
-            assert classify_metric(L, g_skt, J).skt, "perturbed metric lost the torsion condition"
-            assert classify_metric(L, g_bal, J).balanced, "perturbed metric lost balancedness"
+            g_skt, g_bal = _kernel_metric(skt, rng), _kernel_metric(balanced, rng)
+            assert classify_metric(L, g_skt, J).skt, "kernel draw lost the torsion condition"
+            assert classify_metric(L, g_bal, J).balanced, "kernel draw lost balancedness"
             g_out = kahler_from_skt_and_balanced_typeII(L, J, g_skt, g_bal)
             assert classify_metric(L, g_out, J).kahler, "pipeline output is not closed"
             outputs += 1
@@ -386,28 +391,33 @@ def criterion_metric_search() -> dict:
         assert result.status == "found", f"{name}: no witness found"
         assert result.residual < config.tolerance
         assert result.iterations <= len(config.seeds) * config.max_iterations
-        assert result.exact_verified, f"{name}: rationalisation failed exact verification"
+        assert result.exact_verified, f"{name}: the snapped witness failed exact verification"
         assert elapsed < 10.0, f"{name}: took {elapsed:.1f}s"
         results[name] = {"residual": result.residual, "seconds": round(elapsed, 2)}
     return results
 
 
 def criterion_special_pair_is_closed(count: int = 500) -> dict:
-    """No metric is simultaneously balanced and SKT without being closed."""
-    entries = witness_lists()
+    """No metric is simultaneously balanced and SKT without being closed.
+
+    Every draw is SKT: a random definite point of the entry's exact SKT
+    kernel, so each draw tests whether balanced forces closed.  Entries
+    with no SKT metric are counted."""
     rng = random.Random("special-pair")
-    checked = 0
-    idx = 0
-    while checked < count:
-        entry = entries[idx % len(entries)]
-        idx += 1
-        g = random_compatible_metric(entry.algebra.dim, entry.J, rng)
-        v = classify_metric(entry.algebra, g, entry.J)
+    sources = [(e, _kernel_source(e.algebra, e.J, "skt")) for e in witness_lists()]
+    with_skt = [(e, source) for e, source in sources if source is not None]
+    verdicts = Counter()
+    for i in range(count):
+        entry, source = with_skt[i % len(with_skt)]
+        v = classify_metric(entry.algebra, _kernel_metric(source, rng), entry.J)
+        assert v.skt, f"a draw from the SKT kernel of {entry.name} is not SKT: {v}"
         assert v.kahler == (v.balanced and v.skt), (
             f"closedness equivalence fails on {entry.name}: {v}"
         )
-        checked += 1
-    return {"instances": checked}
+        verdicts["+".join(kind for kind in KINDS if v[kind])] += 1
+    return {"instances": count, "entries": len(with_skt),
+            "entries_without_skt": len(sources) - len(with_skt),
+            "verdicts": dict(sorted(verdicts.items()))}
 
 
 @dataclass(frozen=True)

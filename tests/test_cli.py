@@ -177,13 +177,34 @@ class TestSearchCommand:
         assert "metric_exact" in doc
 
     def test_not_found_exit_1(self, capsys, cx1_file, j_file, tmp_path, monkeypatch):
+        """Two Newton steps per seed conclude neither side: inconclusive."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seeds": [0, 1], "max_iterations": 200}))
+        cfg.write_text(json.dumps({"seeds": [0, 1], "max_iterations": 2}))
         code, out, _ = run_cli(
             capsys, "search", cx1_file, j_file, "--target", "kahler", "--config", str(cfg)
         )
         assert code == 1
-        assert json.loads(out)["search"]["status"] == "not_found"
+        doc = json.loads(out)
+        assert doc["search"]["status"] == "not_found"
+        assert "certificate_exact" not in doc
+
+    def test_none_certificate_round_trip(self, capsys):
+        """A certified none exits 1, and its certificate reloads from the
+        report and passes the exact check."""
+        from hermlie.documents import load_algebra, load_complex_structure
+        from hermlie.search import check_certificate
+
+        alg, j = str(DEMO_DATA / "counterexample_type_I.json"), str(DEMO_DATA / "standard_J.json")
+        code, out, _ = run_cli(capsys, "search", alg, j, "--target", "kahler")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["search"]["status"] == "none"
+        assert "none is certified" in doc["citations"][0]
+        assert "not_found is inconclusive" in doc["citations"][0]
+        L = load_algebra(json.loads(Path(alg).read_text()))
+        J = load_complex_structure(json.loads(Path(j).read_text()), L.dim)
+        y = [[Fraction(c) for c in row] for row in doc["certificate_exact"]]
+        assert check_certificate(L, J, "kahler", y)
 
     def test_seed_env_override(self, capsys, cx1_file, j_file, monkeypatch):
         monkeypatch.setenv("HERMLIE_SEEDS", "3")
@@ -393,7 +414,18 @@ class TestMalformedInput:
         self.assert_invalid(capsys, "describe", _write(tmp_path, "a.json", doc))
 
     @pytest.mark.parametrize(
-        "config", [{"seeds": 3}, {"max_iterations": "many"}, {"fd_step": 1e-6}]
+        "config",
+        [
+            {"seeds": 3},
+            {"max_iterations": "many"},
+            {"fd_step": 1e-6},
+            # the removed gradient-descent fields
+            {"barrier_schedule": [1e-2, 0.0]},
+            {"initial_step": 0.25},
+            {"start_spread": 0.2},
+            {"stall_iterations": 250},
+            {"min_eig_floor": 1e-3},
+        ],
     )
     def test_bad_search_config(self, capsys, tmp_path, cx1_file, j_file, config):
         self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",

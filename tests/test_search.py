@@ -1,16 +1,22 @@
+import itertools
+import json
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hermlie import algebra as al
 from hermlie import core
-from hermlie.errors import IncompatibleMetricError, NotIntegrableError
-from hermlie.generators import random_complex_shear
-from hermlie.forms import ce_differential, form_power, j_pullback
+from hermlie.catalog import witness_lists
+from hermlie.documents import load_algebra, load_complex_structure, load_shear_data
+from hermlie.errors import IncompatibleMetricError, InvalidMetricError, NotIntegrableError
+from hermlie.generators import random_compatible_metric, random_complex_shear, random_unitary
+from hermlie.forms import ce_differential, form_from_terms, form_power, j_pullback
 from hermlie.hermitian import (
+    KINDS,
     ComplexStructure,
     Metric,
     balanced_inverse_form,
@@ -20,12 +26,16 @@ from hermlie.hermitian import (
 from hermlie.salamon import parse_salamon
 from hermlie.search import (
     SearchConfig,
-    _Problem,
+    _derivatives,
+    _trace_slice,
+    check_certificate,
+    condition_kernel,
     metric_parameterization,
     residual,
     search_metric,
 )
 from hermlie.shear import build_shear
+from hermlie import search as search_module
 
 Q = Fraction
 
@@ -104,7 +114,7 @@ class TestResidual:
 
         ``residual`` and ``classify_metric`` share ``condition_form``, so this
         checks their plumbing, not the map; the independent checks of the map
-        are the KForm reference in ``test_float_map_matches_exact_residual``
+        are the KForm reference in ``test_matches_the_kform_route``
         and the shear-data oracle (``test_core``, verify-paper criterion 3)."""
         rng = random.Random(99)
         checked = 0
@@ -124,40 +134,134 @@ class TestResidual:
 
 
     @pytest.mark.parametrize("kind", ["kahler", "balanced", "skt"])
-    def test_float_map_matches_exact_residual(self, kind):
-        """The search's float condition map is the exact one, rounded; the
-        basis change gives J and the brackets denominators other than 1.
+    def test_kernel_is_exact_zero_on_kform_route(self, kind):
+        """Every matrix of the search's exact kernel satisfies the condition
+        on the public KForm operators; the basis change gives J and the
+        brackets denominators other than 1.
 
-        Balanced searches the inverse metric H, so its exact map is
-        ``balanced_inverse_form``; that map is tied to the KForm route by
-        ``test_hermitian``'s proportionality test."""
-        data, _, j0 = random_complex_shear(0, "typeIII", 6)
+        Balanced is linear in H = G^-1, so there the kernel matrices move a
+        known balanced H0 and sigma^(n-1) of each (H0 + eps M)^-1 is closed."""
         la = al.linalg
-        # a rotation by (3/5, 4/5) in the (e1, e3) plane: orthogonal, so the
-        # identity stays a compatible metric
-        p = [[int(i == j) for j in range(6)] for i in range(6)]
-        p[0][0], p[0][2], p[2][0], p[2][2] = Q(3, 5), Q(-4, 5), Q(4, 5), Q(3, 5)
-        p = la.mat(p)
-        L = al.change_basis(build_shear(data), p)
-        J = ComplexStructure(la.mat_mul(la.inverse(p), la.mat_mul(j0.matrix, p)))
-        assert L.ints.den > 1 and J.ints[1] > 1
-        problem = _Problem(L, J, kind)
-        rng = np.random.default_rng(3)
-        reference = np.array([float(c) for c in problem.param.reference])
-        for _ in range(5):
-            x = reference + 0.05 * rng.standard_normal(problem.m)
-            s = [
-                [sum(Q(c) * b[i][j] for c, b in zip(x, problem.param.basis)) for j in range(6)]
-                for i in range(6)
-            ]
+        L, J, tilted = _rotated_type_III()
+        kernel = condition_kernel(L, J, kind)
+        assert kernel
+        for m in kernel:
             if kind == "balanced":
-                out, den = balanced_inverse_form(L, J, *core.clear_matrix(s))
-                exact = float(Q(sum(c * c for c in out.values()), den * den))
+                h0 = la.inverse(tilted.matrix)
+                eps = Q(1, 2 * max(abs(c) for row in m for c in row))
+                while True:
+                    try:
+                        g = Metric(la.inverse(la.mat_add(h0, la.mat_scale(eps, m))))
+                        break
+                    except InvalidMetricError:
+                        eps /= 2
+                sigma = fundamental_form(L, g, J)
+                assert ce_differential(L, form_power(sigma, 2)).is_zero()
+                continue
+            sigma = _sigma_form(J, m)
+            d = ce_differential(L, sigma)
+            if kind == "kahler":
+                assert d.is_zero()
             else:
-                exact = residual(L, J, s, kind)
-                assert exact == _kform_residual(L, J, s, kind)
-            assert exact > 0
-            assert problem.evaluate(x[None, :], 0.0).res[0] == pytest.approx(exact, rel=1e-9)
+                assert ce_differential(L, j_pullback(J.matrix, d)).is_zero()
+
+
+    @pytest.mark.parametrize("kind", ["kahler", "balanced", "skt"])
+    def test_matches_the_kform_route(self, kind):
+        """``residual`` equals the squared norm of the condition on the
+        public KForm operators, on metrics with denominators other than 1."""
+        L, J, _ = _rotated_type_III()
+        rng = random.Random(3)
+        for _ in range(5):
+            s = random_compatible_metric(6, J, rng).matrix
+            exact = residual(L, J, s, kind)
+            assert exact > 0 and exact == _kform_residual(L, J, s, kind)
+
+
+def _rotated_type_III():
+    """The type III counterexample with its J and its balanced tilted
+    metric, after a rotation by (3/5, 4/5) in the (e1, e3) plane, which
+    gives J and the brackets denominators other than 1."""
+    la = al.linalg
+    L0 = parse_salamon("(-15+16,-25+26,2.(35+46),2.(36+45),0,0)")
+    j0 = ComplexStructure.from_pairs(6, [(1, 2), (3, 5), (4, 6)])
+    frame = [
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1),
+    ]
+    tilted = Metric.from_orthonormal_frame(frame)  # balanced for j0
+    p = [[int(i == j) for j in range(6)] for i in range(6)]
+    p[0][0], p[0][2], p[2][0], p[2][2] = Q(3, 5), Q(-4, 5), Q(4, 5), Q(3, 5)
+    p = la.mat(p)
+    L = al.change_basis(L0, p)
+    J = ComplexStructure(la.mat_mul(la.inverse(p), la.mat_mul(j0.matrix, p)))
+    assert L.ints.den > 1 and J.ints[1] > 1
+    return L, J, Metric(la.mat_mul(la.transpose(p), la.mat_mul(tilted.matrix, p)))
+
+
+def _sigma_form(J, s):
+    """sigma(x, y) = s(Jx, y) for any symmetric s, as a KForm."""
+    la = al.linalg
+    m = la.mat_mul(la.transpose(J.matrix), la.mat(s))
+    n = len(m)
+    return form_from_terms(n, 2, [((a + 1, b + 1), m[a][b]) for a in range(n) for b in range(a + 1, n)])
+
+
+def _compatible_space(J):
+    """A basis of {S symmetric : J^T S J = S} from a Fraction nullspace of its own."""
+    la = al.linalg
+    jm, n = J.matrix, J.dim
+    slots = [(i, j) for i in range(n) for j in range(i, n)]
+    rows = [
+        [
+            jm[i][a] * jm[j][b] + (jm[j][a] * jm[i][b] if i != j else 0) - ((i, j) == (a, b))
+            for i, j in slots
+        ]
+        for a, b in slots
+    ]
+    basis = []
+    for sol in la.nullspace(rows):
+        s = [[Q(0)] * n for _ in range(n)]
+        for (i, j), c in zip(slots, sol):
+            s[i][j] = s[j][i] = c
+        basis.append(s)
+    return basis
+
+
+def recheck_none(L, J, kind, Y):
+    """An exact check of a non-existence certificate that shares nothing with
+    the solver: Y is symmetric, nonzero, has no negative principal minor,
+    and is orthogonal to a kernel computed here on the KForm route (on the
+    linear H-map ``balanced_inverse_form`` for balanced)."""
+    la = al.linalg
+    Y = la.mat(Y)
+    n = len(Y)
+    assert Y == la.transpose(Y) and not la.is_zero_matrix(Y)
+    for size in range(1, n + 1):
+        for idx in itertools.combinations(range(n), size):
+            assert la.det([[Y[i][j] for j in idx] for i in idx]) >= 0, idx
+    if kind == "balanced":
+        space = _compatible_space(ComplexStructure(la.transpose(J.matrix)))
+        images = []
+        for h in space:
+            nums, den = balanced_inverse_form(L, J, *core.clear_matrix(h))
+            images.append({k: Q(c, den) for k, c in nums.items()})
+    else:
+        space = _compatible_space(J)
+        images = []
+        for s in space:
+            d = ce_differential(L, _sigma_form(J, s))
+            if kind == "skt":
+                d = ce_differential(L, j_pullback(J.matrix, d))
+            images.append(d.coeffs)
+    keys = sorted(set().union(*images))
+    if keys:
+        combos = la.nullspace([[img.get(key, 0) for img in images] for key in keys])
+    else:
+        combos = la.identity_matrix(len(space))
+    for c in combos:
+        x = [[sum(ci * s[i][j] for ci, s in zip(c, space)) for j in range(n)] for i in range(n)]
+        assert sum(Y[i][j] * x[i][j] for i in range(n) for j in range(n)) == 0
 
 
 class TestSearch:
@@ -173,10 +277,37 @@ class TestSearch:
         result = search_metric(cx_type_I, j_std6, "skt")
         assert result.status == "found" and result.exact_verified
 
-    def test_inconclusive_on_nonexistent(self, cx_type_I, j_std6):
+    def test_certified_none_on_nonexistent(self, cx_type_I, j_std6):
         config = SearchConfig(seeds=(0, 1), max_iterations=300)
         result = search_metric(cx_type_I, j_std6, "kahler", config)
-        assert result.status == "not_found"
+        assert result.status == "none" and result.metric is None
+        recheck_none(cx_type_I, j_std6, "kahler", result.certificate)
+
+    def test_inconclusive_when_capped(self, cx_type_I, j_std6):
+        """Too few Newton steps for either side: not_found, no certificate."""
+        result = search_metric(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1), max_iterations=3))
+        assert result.status == "not_found" and result.certificate is None
+        assert result.iterations == 6
+
+    def test_hopf_surface_is_certified(self):
+        """su(2) + R carries no Kahler and no balanced metric (in dimension 4
+        they agree); its kernels are one matrix each, so Phase I moves s alone."""
+        L = parse_salamon("(-23,-31,12,0)")
+        J = ComplexStructure.standard(4)
+        for kind in ("kahler", "balanced"):
+            assert len(condition_kernel(L, J, kind)) == 1
+            result = search_metric(L, J, kind)
+            assert result.status == "none", kind
+            recheck_none(L, J, kind, result.certificate)
+        assert search_metric(L, J, "skt").exact_verified
+
+    def test_empty_kernel_is_certified_by_the_identity(self, cx_type_I, j_std6, monkeypatch):
+        """With no kernel matrix, or only traceless ones, the slice tr X = n is
+        empty and Y = I is the whole certificate."""
+        monkeypatch.setattr(search_module, "condition_kernel", lambda *args: ())
+        result = search_metric(cx_type_I, j_std6, "kahler")
+        assert result.status == "none" and result.iterations == 0
+        assert result.certificate == al.linalg.identity_matrix(6)
 
     def test_determinism(self, cx_type_I, j_std6):
         a = search_metric(cx_type_I, j_std6, "skt")
@@ -184,7 +315,7 @@ class TestSearch:
         assert a == b
 
     def test_iterates_stay_positive_definite(self, cx_type_I, j_std6):
-        # every reported metric, found or best-effort, is positive definite
+        # every reported metric is positive definite
         for kind in ("kahler", "balanced", "skt"):
             result = search_metric(
                 cx_type_I, j_std6, kind, SearchConfig(seeds=(0,), max_iterations=200)
@@ -198,13 +329,51 @@ class TestSearch:
             search_metric(cx_type_III, j_std6, "kahler")
 
     def test_no_runtime_warning_on_infeasible_kahler(self, cx_type_III, j_type_III):
-        """Descent towards the cone's boundary stays clear of inf - inf and log(0)."""
+        """Phase I towards the cone's boundary stays clear of log(0) and 1/0."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = search_metric(
                 cx_type_III, j_type_III, "kahler", SearchConfig(seeds=(0, 1, 2, 3))
             )
-        assert result.status == "not_found"
+        assert result.status == "none"
+
+
+class TestCertificateCheck:
+    def _certificate(self, cx_type_I, j_std6):
+        return search_metric(cx_type_I, j_std6, "kahler").certificate
+
+    def test_accepts_the_search_certificate(self, cx_type_I, j_std6):
+        assert check_certificate(cx_type_I, j_std6, "kahler", self._certificate(cx_type_I, j_std6))
+
+    def test_rejects_broken_certificates(self, cx_type_I, j_std6):
+        la = al.linalg
+        y = self._certificate(cx_type_I, j_std6)
+        n = len(y)
+        zero = la.mat([[0] * n for _ in range(n)])
+        unsymmetric = [list(row) for row in y]
+        unsymmetric[0][1] += 1
+        for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n)):
+            assert not check_certificate(cx_type_I, j_std6, "kahler", bad)
+
+    def test_every_kernel_matrix_is_checked(self, j_std6):
+        """On r'_{3,0} + r'_{3,0}, for each Kahler kernel matrix M a rank-one
+        semidefinite Y is orthogonal to every other kernel matrix but not
+        to M, and the check rejects it: a check that skipped M would not."""
+        L = parse_salamon("(-25,15,-46,36,0,0)")
+        kernel = condition_kernel(L, j_std6, "kahler")
+        assert len(kernel) == 3
+        for skip, missed in enumerate(kernel):
+            others = [m for i, m in enumerate(kernel) if i != skip]
+            v = next(
+                v for v in itertools.product(range(-1, 2), repeat=6)
+                if _quadratic(missed, v) and not any(_quadratic(m, v) for m in others)
+            )
+            y = al.linalg.mat([[a * b for b in v] for a in v])
+            assert not check_certificate(L, j_std6, "kahler", y), skip
+
+
+def _quadratic(m, v):
+    return sum(v[a] * m[a][b] * v[b] for a in range(len(v)) for b in range(len(v)))
 
 
 GRADIENT_ALGEBRAS = {
@@ -214,7 +383,7 @@ GRADIENT_ALGEBRAS = {
 }
 
 
-@pytest.mark.parametrize("mu", [0.0, 1e-2])
+@pytest.mark.parametrize("t", [0.0, 1e-2])
 @pytest.mark.parametrize(
     "algebra,kind",
     [
@@ -225,19 +394,99 @@ GRADIENT_ALGEBRAS = {
         ("typeI-d8", "balanced"),
     ],
 )
-def test_gradient_matches_central_differences(algebra, kind, mu):
-    """The analytic gradient tracks central differences of the objective."""
+def test_gradient_matches_central_differences(algebra, kind, t):
+    """The Newton gradient and Hessian of the Phase-I barrier
+    t s - log det(X(z) + s I) on the trace-n slice of the kernel track
+    central differences of the objective and of the gradient."""
     L = GRADIENT_ALGEBRAS[algebra]()
-    problem = _Problem(L, ComplexStructure.standard(L.dim), kind)
+    n = L.dim
+    kernel = condition_kernel(L, ComplexStructure.standard(n), kind)
+    base, dirs = _trace_slice(kernel, n)
+    dirs = np.concatenate([dirs, np.eye(n)[None]])
+    m = len(dirs)
+    cost = np.append(np.zeros(m - 1), t)
+
+    def objective(u):
+        return cost @ u - np.linalg.slogdet(base + np.tensordot(u, dirs, 1))[1]
+
     rng = np.random.default_rng(5)
-    reference = np.array([float(c) for c in problem.param.reference])
     for _ in range(5):
-        x = reference + 0.1 * rng.standard_normal(problem.m)
-        exact = problem.gradient(problem.evaluate(x[None, :], mu).row(0), mu)
-        steps = 1e-6 * np.maximum(1.0, np.abs(x))
-        shifts = np.diag(steps)
-        f = problem.evaluate(np.concatenate([x + shifts, x - shifts]), mu).f
-        assert np.all(np.isfinite(f))
-        fd = (f[: problem.m] - f[problem.m :]) / (2 * steps)
-        denom = np.maximum(1.0, np.abs(exact))
-        assert np.max(np.abs(fd - exact) / denom) < 1e-5
+        u = 0.1 * rng.standard_normal(m)
+        u[-1] = 1.0 - min(0.0, np.linalg.eigvalsh(base + np.tensordot(u[:-1], dirs[:-1], 1))[0])
+        _, _, grad, hess = _derivatives(base, dirs, u, cost)
+        h = 1e-5
+        shifts = h * np.eye(m)
+        fd = np.array([(objective(u + e) - objective(u - e)) / (2 * h) for e in shifts])
+        assert np.max(np.abs(fd - grad)) < 1e-6 * max(1.0, np.abs(grad).max())
+        def gradient(x):
+            return _derivatives(base, dirs, x, cost)[2]
+
+        fd2 = np.array([(gradient(u + e) - gradient(u - e)) / (2 * h) for e in shifts])
+        assert np.max(np.abs(fd2 - hess)) < 1e-5 * max(1.0, np.abs(hess).max())
+
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+SEARCH_CASES = (  # the metric-search benchmark cases
+    ("(25,-15,46,-36,0,0)", ((1, 2), (3, 4), (5, 6)), "kahler", True),
+    ("(0,21,0,0,43,0)", ((1, 2), (3, 4), (5, 6)), "skt", True),
+    ("(0,21,0,0,43,0)", ((1, 2), (3, 4), (5, 6)), "balanced", True),
+    ("(-15+16,-25+26,2.(35+46),2.(36+45),0,0)", ((1, 2), (3, 5), (4, 6)), "skt", True),
+    ("(-15+16,-25+26,2.(35+46),2.(36+45),0,0)", ((1, 2), (3, 5), (4, 6)), "balanced", True),
+    ("(0,21,0,0,43,0)", ((1, 2), (3, 4), (5, 6)), "kahler", False),
+    ("(-15+16,-25+26,2.(35+46),2.(36+45),0,0)", ((1, 2), (3, 5), (4, 6)), "kahler", False),
+)
+
+
+def _check_outcome(L, J, kind, result):
+    """A found witness passes classify_metric; a none passes the re-check."""
+    if result.status == "found":
+        assert result.exact_verified
+        assert classify_metric(L, Metric(result.exact_metric), J)[kind]
+    elif result.status == "none":
+        recheck_none(L, J, kind, result.certificate)
+
+
+class TestFeasibility:
+    def test_never_none_on_a_catalog_witness(self):
+        """Every kind some stored witness satisfies is found, never refuted."""
+        for entry in witness_lists():
+            kinds = {kind for w in entry.witnesses for kind in KINDS if w.expected[kind]}
+            for kind in sorted(kinds):
+                result = search_metric(entry.algebra, entry.J, kind)
+                assert result.status == "found", (entry.name, kind, result.status)
+                _check_outcome(entry.algebra, entry.J, kind, result)
+
+    @pytest.mark.parametrize("conjugation", [0, 1, 2, 3])
+    def test_search_cases(self, conjugation):
+        rng = random.Random(f"test-search/{conjugation}")
+        for salamon, pairs, kind, feasible in SEARCH_CASES:
+            L = parse_salamon(salamon)
+            J = ComplexStructure.from_pairs(6, pairs)
+            if conjugation:
+                L = al.change_basis(L, random_unitary(6, rng, pairs=list(pairs)))
+            result = search_metric(L, J, kind, SearchConfig(seeds=tuple(range(4))))
+            assert result.status == ("found" if feasible else "none"), (salamon, kind)
+            _check_outcome(L, J, kind, result)
+
+    @pytest.mark.parametrize("dim,seed", [(8, 3), (10, 0)])
+    def test_generated_shears_above_six(self, dim, seed):
+        """typeI shears at d8 and d10 with a certified Kahler none, and the
+        other kinds found; the stored metric's kinds are never refuted."""
+        data, g, J = random_complex_shear(seed, "typeI", dim)
+        L = build_shear(data)
+        stored = classify_metric(L, g, J)
+        for kind in KINDS:
+            result = search_metric(L, J, kind)
+            assert result.status == ("none" if kind == "kahler" else "found"), kind
+            assert not (stored[kind] and result.status == "none")
+            _check_outcome(L, J, kind, result)
+
+    @pytest.mark.parametrize("name", ["counterexample_type_I", "counterexample_shear"])
+    def test_demo_counterexamples(self, name):
+        doc = json.loads((DEMO_DATA / f"{name}.json").read_text())
+        L = build_shear(load_shear_data(doc)[0]) if "omega" in doc else load_algebra(doc)
+        J = load_complex_structure(json.loads((DEMO_DATA / "standard_J.json").read_text()), 6)
+        for kind in KINDS:
+            result = search_metric(L, J, kind)
+            assert result.status == ("none" if kind == "kahler" else "found"), kind
+            _check_outcome(L, J, kind, result)
