@@ -65,7 +65,6 @@ from .normal_forms import (
 )
 from .salamon import parse_salamon, render_salamon
 from .search import (
-    MetricParameterization,
     SearchConfig,
     SearchResult,
     check_certificate,

@@ -566,16 +566,12 @@ def normalize_skt_typeII(
     d1 = bracket_of_subspaces(L, Subspace.full(L.dim), derg)
     d2 = orthogonal_complement(d1, g.matrix, within=derg)
 
-    vj_pairs = [(v, jv) for v, jv, _ in unitary_basis(v_j, g, J).pairs()]
-    flat = []
-    for v, jv in vj_pairs:
-        flat.extend([v, jv])
+    flat = [x for v, jv, _ in unitary_basis(v_j, g, J).pairs() for x in (v, jv)]
     derg_basis = derg.basis()
     nd = len(derg_basis)
-    ell = len(vj_pairs)
     # unknowns: coefficients of r(v_c) in the derg basis, complex-linearly
     # extended by r(Jv_c) = J r(v_c).
-    nunk = ell * nd
+    nunk = len(flat) // 2 * nd
 
     def r_of(index: int, coeffs: Sequence[Fraction]) -> Vector:
         # index runs over `flat`; odd entries are J-partners
@@ -583,32 +579,22 @@ def normalize_skt_typeII(
         v = linalg.combination(coeffs[c * nd: (c + 1) * nd], derg_basis, L.dim)
         return J.apply(v) if is_j else v
 
-    eqs: list[list[Fraction]] = []
+    # the d1-component of a vector of derg = d1 + d2
+    to_d1 = linalg.coordinate_map(d1.basis() + d2.basis())[: d1.dim]
+    eqs: list[Vector] = []
     rhs: list[Fraction] = []
-    d1_basis = d1.basis()
-
-    def d1_coordinates(v: Vector) -> Vector:
-        # component of v along d1 in the splitting derg = d1 + d2
-        coords = linalg.coordinates_in(d1_basis + d2.basis(), v)
-        assert coords is not None
-        return coords[: len(d1_basis)]
-
-    for p in range(len(flat)):
-        for q in range(p + 1, len(flat)):
-            base = d1_coordinates(L.bracket(flat[p], flat[q]))
-            # coefficient of each unknown in the d1-component of
-            # [r(P), Q] + [P, r(Q)] = -ad(Q) r(P) + ad(P) r(Q)
-            row_block = []
-            for u in range(nunk):
-                unit = [ZERO] * nunk
-                unit[u] = ONE
-                contrib = linalg.sub_vec(
-                    L.bracket(r_of(p, unit), flat[q]), L.bracket(r_of(q, unit), flat[p])
-                )
-                row_block.append(d1_coordinates(contrib))
-            for k in range(len(d1_basis)):
-                eqs.append([row_block[u][k] for u in range(nunk)])
-                rhs.append(-base[k])
+    for p, q in combinations(range(len(flat)), 2):
+        rhs.extend(-c for c in linalg.mat_vec(to_d1, L.bracket(flat[p], flat[q])))
+        # coefficient of each unknown in the d1-component of
+        # [r(P), Q] + [P, r(Q)] = -ad(Q) r(P) + ad(P) r(Q)
+        contribs = []
+        for u in range(nunk):
+            unit = [ZERO] * nunk
+            unit[u] = ONE
+            contribs.append(
+                linalg.sub_vec(L.bracket(r_of(p, unit), flat[q]), L.bracket(r_of(q, unit), flat[p]))
+            )
+        eqs.extend(linalg.mat_mul(to_d1, linalg.matrix_from_columns(contribs)))
 
     if nunk == 0 or not eqs:
         sol = (ZERO,) * nunk
@@ -617,9 +603,7 @@ def normalize_skt_typeII(
         if sol is None:
             raise NotSKTError("no complement correction exists; input is not of the expected form")
 
-    new_basis = []
-    for idx in range(len(flat)):
-        new_basis.append(linalg.add_vec(flat[idx], r_of(idx, sol)))
+    new_basis = [linalg.add_vec(x, r_of(idx, sol)) for idx, x in enumerate(flat)]
     v_tilde = Subspace.span(L.dim, new_basis)
 
     g_new = _block_metric(derg_basis, new_basis, g.gram(derg_basis), g.gram(flat))
@@ -658,11 +642,8 @@ def kahler_from_skt_and_balanced_typeII(
     # R maps v_tilde to v_hat along derg: R(z) = z + r(z) with r into derg.
     vh_basis = v_hat.basis()
     derg_basis = derg.basis()
-    images = []
-    for z in v_tilde.basis():
-        coords = linalg.coordinates_in(vh_basis + derg_basis, z)
-        assert coords is not None
-        images.append(linalg.combination(coords[: len(vh_basis)], vh_basis, L.dim))
+    to_vh = linalg.coordinate_map(vh_basis + derg_basis)[: len(vh_basis)]
+    images = [linalg.combination(linalg.mat_vec(to_vh, z), vh_basis, L.dim) for z in v_tilde.basis()]
 
     out = _block_metric(derg_basis, v_tilde.basis(), g_tilde.gram(derg_basis), g_bal.gram(images))
     assert out.compatible_with(J)

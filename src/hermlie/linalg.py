@@ -8,7 +8,8 @@ fraction-free Bareiss eliminations (E. H. Bareiss, Math. Comp. 22, 1968),
 and the canonical Fraction results are formed only at the end.
 ``echelon``, ``kernel`` and ``minor_pivots`` (the leading principal
 minors) are the same eliminations on int rows, for callers that stay on
-numerators.
+numerators; ``coordinate_map`` is the one map from a basis's span to
+coordinates in it.
 """
 
 from __future__ import annotations
@@ -285,8 +286,20 @@ def minor_pivots(rows: Sequence[Sequence[int]]) -> Iterator[int]:
         prev = p
 
 
+def coordinate_map(vectors: Sequence[Sequence]) -> Matrix:
+    """The exact left inverse (B^T B)^-1 B^T of the independent ``vectors``,
+    the columns of B: it sends each vector of their span to its coordinates
+    in them.  One elimination of [V V^T | V] on the numerators V of B^T."""
+    rows, den = core.clear_matrix(vectors)
+    k = len(rows)
+    work = [gram + row for gram, row in zip(core.mat_mul(rows, list(zip(*rows))), rows)]
+    d, pivots, _ = _bareiss(work)
+    if pivots[:k] != list(range(k)):
+        raise ZeroDivisionError("vectors are dependent")
+    return tuple(core.fractions([den * c for c in row[k:]], d) for row in work[:k])
+
+
 def coordinates_in(vectors: Sequence[Vector], target: Sequence) -> Vector | None:
-    """Coefficients expressing ``target`` in ``vectors``, or None."""
-    if not vectors:
-        return () if is_zero_vec(target) else None
-    return solve(matrix_from_columns(vectors), target)
+    """Coefficients expressing ``target`` in the independent ``vectors``, or None."""
+    coords = mat_vec(coordinate_map(vectors), target)
+    return coords if combination(coords, vectors, len(target)) == vec(target) else None

@@ -15,7 +15,7 @@ from itertools import combinations
 from . import linalg
 from .algebra import LieAlgebra
 from .errors import ParameterConstraintViolatedError
-from .forms import KForm, evaluate, j_pullback, wedge
+from .forms import KForm, j_pullback, wedge
 from .hermitian import (
     ComplexStructure,
     Metric,
@@ -81,22 +81,16 @@ def _is_type_11(form: ComplexTwoForm, J: ComplexStructure) -> bool:
 
 
 def _is_type_20(form: ComplexTwoForm, J: ComplexStructure) -> bool:
-    re, im = form
-    n = re.dim
-    for p in range(1, n + 1):
-        jp = J.apply(linalg.unit_vec(n, p))
-        for q in range(1, n + 1):
-            eq = linalg.unit_vec(n, q)
-            ep = linalg.unit_vec(n, p)
-            if evaluate(re, [jp, eq]) != -evaluate(im, [ep, eq]):
-                return False
-            if evaluate(im, [jp, eq]) != evaluate(re, [ep, eq]):
-                return False
-    return True
+    # form(J., .) = i form on the coefficient matrices M, form(x, y) = x^T M y:
+    # J^T Re = -Im and J^T Im = Re
+    idx = range(1, form[0].dim + 1)
+    re, im = (tuple(tuple(part.coeff(p, q) for q in idx) for p in idx) for part in form)
+    jt = linalg.transpose(J.matrix)
+    return linalg.mat_mul(jt, re) == tuple(map(linalg.neg_vec, im)) and linalg.mat_mul(jt, im) == re
 
 
-def _cform_eval(form: ComplexTwoForm, x: Vector, y: Vector) -> Cq:
-    return Cq(evaluate(form[0], [x, y]), evaluate(form[1], [x, y]))
+def _cform_coeff(form: ComplexTwoForm, t: int, u: int) -> Cq:
+    return Cq(form[0].coeff(t, u), form[1].coeff(t, u))
 
 
 def _cform_self_wedge_conjugate(form: ComplexTwoForm) -> KForm:
@@ -282,7 +276,6 @@ def skt_typeII_normal_form(
                 constants.append((z_global(t), jy, y, -a))
 
     # [Z, W] for complement pairs
-    loc_units = [linalg.unit_vec(2 * ell, t) for t in range(1, 2 * ell + 1)]
     loc_J = _local_standard_J(ell)
     table_extra: dict[tuple[int, int], list[Fraction]] = {}
     for t, u in combinations(range(1, 2 * ell + 1), 2):
@@ -303,9 +296,7 @@ def skt_typeII_normal_form(
         for k in range(m + 1, s + 1):
             phi = params.phis[k - m - 1]
             psi = params.psis[k - m - 1]
-            c = _cform_eval(phi, loc_units[t - 1], loc_units[u - 1]) + _cform_eval(
-                psi, loc_units[t - 1], loc_units[u - 1]
-            )
+            c = _cform_coeff(phi, t, u) + _cform_coeff(psi, t, u)
             value[2 * k - 2] += c.re
             value[2 * k - 1] += c.im
         if any(value):

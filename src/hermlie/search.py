@@ -43,18 +43,11 @@ from .hermitian import (
 )
 
 
-@dataclass(frozen=True)
-class MetricParameterization:
-    """Primitive int basis of {S symmetric : J^T S J = S}, with a definite reference."""
-
-    basis: tuple  # int symmetric matrices
-    reference: tuple  # coefficients of (I + J^T J) / 2 in `basis`
-
-
-def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> MetricParameterization:
-    """As J^2 = -1, S -> (S + J^T S J) / 2 projects the symmetric matrices
-    onto the compatible ones; the basis is the echelon form of the images
-    of the unit symmetric matrices, on their upper triangles."""
+def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> tuple:
+    """Primitive int basis of {S symmetric : J^T S J = S}.  As J^2 = -1,
+    S -> (S + J^T S J) / 2 projects the symmetric matrices onto the
+    compatible ones; the basis is the echelon form of the images of the unit
+    symmetric matrices, on their upper triangles."""
     if J.dim != L.dim:
         raise NotAComplexStructureError("J does not match the algebra's dimension")
     n = L.dim
@@ -65,17 +58,10 @@ def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> MetricParamet
         [dj * dj * ((p, q) == (a, b)) + j[a][p] * j[b][q] + (a != b) * j[b][p] * j[a][q] for p, q in slots]
         for a, b in slots
     ]
-    basis = linalg.echelon(images)
-    # (dj^2 I + J^T J) / (2 dj^2), read off at each row's pivot
-    ref = [dj * dj * (p == q) + sum(row[p] * row[q] for row in j) for p, q in slots]
-    pivots = [next(i for i, c in enumerate(row) if c) for row in basis]
     index = {slot: i for i, slot in enumerate(slots)}
-    return MetricParameterization(
-        tuple(
-            tuple(tuple(row[index[min(a, b), max(a, b)]] for b in range(n)) for a in range(n))
-            for row in basis
-        ),
-        tuple(Fraction(ref[p], 2 * dj * dj * row[p]) for row, p in zip(basis, pivots)),
+    return tuple(
+        tuple(tuple(row[index[min(a, b), max(a, b)]] for b in range(n)) for a in range(n))
+        for row in linalg.echelon(images)
     )
 
 
@@ -86,10 +72,10 @@ def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
     if kind == "balanced":
-        basis = metric_parameterization(L, ComplexStructure(linalg.transpose(J.matrix))).basis
+        basis = metric_parameterization(L, ComplexStructure(linalg.transpose(J.matrix)))
         columns = [balanced_inverse_form(L, J, b, 1) for b in basis]
     else:
-        basis = metric_parameterization(L, J).basis
+        basis = metric_parameterization(L, J)
         columns = [condition_form(L, J, *sigma_of(J, b, 1), kind) for b in basis]
     den = lcm(*(d for _, d in columns))
     masks = sorted(set().union(*(nums for nums, _ in columns)))
@@ -302,12 +288,13 @@ def search_metric(
 ) -> SearchResult:
     """Decide whether a metric compatible with J satisfies ``kind``.
 
-    Seeds run in order, each jittering the Phase-I start, and the first
-    conclusive seed wins.  ``found`` reports the float analytic centre of
-    the trace-n slice and, when its snap lands, the exact metric certified
-    by ``classify_metric``; ``none`` carries the exact Y in ``certificate``;
-    ``not_found`` means that no seed concluded within ``max_iterations``
-    Newton steps.
+    Seeds run in order, each jittering the Phase-I start, and a further
+    seed runs only when the previous one used up ``max_iterations`` Newton
+    steps.  ``found`` reports the float analytic centre of the trace-n
+    slice and, when its snap lands, the exact metric certified by
+    ``classify_metric``; ``none`` carries the exact Y in ``certificate``;
+    ``not_found`` means that no seed concluded, or that the dual of the
+    concluded Phase I did not round to a certificate.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
@@ -358,4 +345,5 @@ def search_metric(
         certificate = _round_certificate(dual, kernel)
         if certificate is not None and _certifies(kernel, certificate):
             return SearchResult("none", kind, None, max(s, 0.0), total, seed, certificate=certificate)
+        break  # Phase I follows the same central path from any start
     return SearchResult("not_found", kind, None, max(s, 0.0), total, None)

@@ -318,102 +318,66 @@ def shear_operators(
     _require_complex(data, J)
     data = data.normalized()
     n = data.dim
-    omega = data.omega
-    a_J, a_r, U_r, U_J = j_adapted_split(data.a, g, J)
+    omega, a = data.omega, data.a
+    a_J, a_r, U_r, U_J = j_adapted_split(a, g, J)
 
     aj_basis, ar_basis = a_J.basis(), a_r.basis()
     a_basis = aj_basis + ar_basis
     nj, nr = len(aj_basis), len(ar_basis)
+    to_a = linalg.coordinate_map(a_basis)
 
-    def coords(v: Vector) -> Vector:
-        c = linalg.coordinates_in(a_basis, v)
-        assert c is not None, "operator value left the subspace a"
-        return c
+    def coords(values: Sequence[Vector]) -> Matrix:
+        # the columns are the coordinates of `values` in a_basis
+        assert all(a.contains(v) for v in values), "operator value left the subspace a"
+        return linalg.mat_mul(to_a, linalg.matrix_from_columns(values))
 
-    def endo_matrix(source_vector_map) -> Matrix:
-        cols = [coords(source_vector_map(u)) for u in a_basis]
-        return linalg.matrix_from_columns(cols) if cols else ()
+    def block(m: Matrix, rows: range, cols: range) -> Matrix:
+        return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
-    A, K, G, H, F = {}, {}, {}, {}, {}
-    for idx, x in enumerate(ar_basis):
-        jx = J.apply(x)
-        m = endo_matrix(lambda u: omega(jx, u))
-        A[idx] = m
-        K[idx] = tuple(tuple(m[i][j] for j in range(nj)) for i in range(nj))
-        G[idx] = tuple(tuple(m[nj + i][j] for j in range(nj)) for i in range(nr))
-        H[idx] = tuple(tuple(m[i][nj + j] for j in range(nr)) for i in range(nj))
-        F[idx] = tuple(tuple(m[nj + i][nj + j] for j in range(nr)) for i in range(nr))
+    on_j, on_r = range(nj), range(nj, nj + nr)
+    j_ar = [J.apply(x) for x in ar_basis]
+    A, K, G, H, F, f_map, h_map = {}, {}, {}, {}, {}, {}, {}
+    for i, jx in enumerate(j_ar):
+        m = A[i] = coords([omega(jx, u) for u in a_basis])
+        K[i], G[i] = block(m, on_j, on_j), block(m, on_r, on_j)
+        H[i], F[i] = block(m, on_j, on_r), block(m, on_r, on_r)
+        # w(JX_i, X_j) is column nj + j of A_i: h and f are its a_J and a_r parts
+        for j in range(nr):
+            h_map[(i, j)] = linalg.combination([row[j] for row in H[i]], aj_basis, n)
+            f_map[(i, j)] = linalg.combination([row[j] for row in F[i]], ar_basis, n)
 
-    f_map, h_map = {}, {}
-    for i, x in enumerate(ar_basis):
-        jx = J.apply(x)
-        for j, y in enumerate(ar_basis):
-            val = omega(jx, y)
-            h_vec = linalg.combination(coords(val)[:nj], aj_basis, n)
-            f_vec = linalg.sub_vec(val, h_vec)
-            f_map[(i, j)] = f_vec
-            h_map[(i, j)] = h_vec
-
-    B = {}
-    for idx, z in enumerate(U_J.basis()):
-        B[idx] = endo_matrix(lambda u: omega(z, u))
+    uj_basis = U_J.basis()
+    B = {idx: coords([omega(z, u) for u in a_basis]) for idx, z in enumerate(uj_basis)}
 
     ops = ShearOperators(a_J, a_r, U_r, U_J, a_basis, A, K, G, H, F, f_map, h_map, B)
 
     # identities every valid datum satisfies
     g_ok = all(linalg.is_zero_matrix(m) for m in G.values())
-    if nj:
-        j_on_aj = linalg.matrix_from_columns([
-            linalg.coordinates_in(aj_basis, J.apply(u)) for u in aj_basis
-        ])
-        k_ok = all(
-            linalg.mat_mul(j_on_aj, K[i]) == linalg.mat_mul(K[i], j_on_aj) for i in K
-        )
-    else:
-        k_ok = True
+    j_on_aj = coords([J.apply(u) for u in aj_basis])[:nj]
+    k_ok = all(linalg.mat_mul(j_on_aj, k) == linalg.mat_mul(k, j_on_aj) for k in K.values())
     f_ok = all(f_map[(i, j)] == f_map[(j, i)] for i in range(nr) for j in range(nr))
 
     jj_in = True
     jj_match = True
-    for i, x in enumerate(ar_basis):
-        for j, y in enumerate(ar_basis):
-            val = omega(J.apply(x), J.apply(y))
+    for i, jx in enumerate(j_ar):
+        for j, jy in enumerate(j_ar):
+            val = omega(jx, jy)
             if not a_J.contains(val):
                 jj_in = False
-            expect = J.apply(linalg.sub_vec(h_map[(i, j)], h_map[(j, i)]))
-            if val != expect:
+            if val != J.apply(linalg.sub_vec(h_map[(i, j)], h_map[(j, i)])):
                 jj_match = False
 
     def commute(m1: Matrix, m2: Matrix) -> bool:
         return linalg.mat_mul(m1, m2) == linalg.mat_mul(m2, m1)
 
-    comm_ok = True
-    ops_a = list(A.values())
-    ops_b = list(B.values())
-    for m1 in ops_a:
-        for m2 in ops_a + ops_b:
-            if not commute(m1, m2):
-                comm_ok = False
-    for m1 in ops_b:
-        for m2 in ops_b:
-            if not commute(m1, m2):
-                comm_ok = False
-    ks = list(K.values())
-    for m1 in ks:
-        for m2 in ks:
-            if not commute(m1, m2):
-                comm_ok = False
-
-    def ar_part(v: Vector) -> Vector:
-        return linalg.combination(coords(v)[nj:], ar_basis, n)
-
-    omr_ok = True
-    for z in U_J.basis():
-        for x in ar_basis:
-            lhs = ar_part(omega(J.apply(z), J.apply(x)))
-            rhs = ar_part(omega(z, x))
-            if lhs != rhs:
-                omr_ok = False
+    comm_ok = all(
+        commute(m1, m2) for m1, m2 in combinations([*A.values(), *B.values()], 2)
+    ) and all(commute(k1, k2) for k1, k2 in combinations(K.values(), 2))
+    # the a_r-part of w(JZ, JX) against that of w(Z, X), column nj + j of B_Z
+    omr_ok = all(
+        coords([omega(J.apply(z), jx) for jx in j_ar])[nj:] == block(B[idx], on_r, on_r)
+        for idx, z in enumerate(uj_basis)
+    )
 
     report = OperatorIdentityReport(g_ok, k_ok, f_ok, jj_in, jj_match, comm_ok, omr_ok)
     return ops, report

@@ -53,32 +53,11 @@ from .shear import build_shear, shear_condition
 Q = Fraction
 
 
-def _counterexample_type_I():
-    L = parse_salamon("(0,21,0,0,43,0)")
-    J = ComplexStructure.standard(6)
-    frame = [
-        (1, 0, 0, 0, 0, -1),
-        (0, 1, 0, 0, 1, 0),
-        (0, 0, 0, 0, 0, 1),
-        (0, 0, 0, 0, -1, 0),
-        (0, 0, 1, 0, 0, 0),
-        (0, 0, 0, 1, 0, 0),
-    ]
-    return L, J, Metric.identity(6), Metric.from_orthonormal_frame(frame)
-
-
-def _counterexample_type_III():
-    L = parse_salamon("(-15+16,-25+26,2.(35+46),2.(36+45),0,0)")
-    J = ComplexStructure.from_pairs(6, [(1, 2), (3, 5), (4, 6)])
-    frame = [
-        (1, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 0),
-        (0, 0, 1, 0, 0, 0),
-        (0, 0, 0, 0, 1, 0),
-        (0, 0, 1, 1, 0, 0),
-        (0, 0, 0, 0, 1, 1),
-    ]
-    return L, J, Metric.identity(6), Metric.from_orthonormal_frame(frame)
+def _counterexample(name: str):
+    """(L, J, standard metric, tilted metric) of a catalog counterexample."""
+    entry = next(e for e in witness_lists() if e.name == name)
+    standard, tilted = (w.metric for w in entry.witnesses)
+    return entry.algebra, entry.J, standard, tilted
 
 
 def _searched_for(L, J) -> dict:
@@ -96,7 +75,7 @@ def _searched_for(L, J) -> dict:
 
 def criterion_counterexample_type_I() -> dict:
     """Type I structure with both special metrics and no closed form."""
-    L, J, g_std, g_tilt = _counterexample_type_I()
+    L, J, g_std, g_tilt = _counterexample("aff_R + h_3 + R")
     sigma = fundamental_form(L, g_std, J)
     dsigma = ce_differential(L, sigma)
     assert dsigma == basis_form(6, 3, 4, 6).scale(-1), "d sigma differs from -e^346"
@@ -119,7 +98,7 @@ def criterion_counterexample_type_I() -> dict:
 
 def criterion_counterexample_type_III() -> dict:
     """Type III structure with both special metrics and no closed form."""
-    L, J, g_std, g_tilt = _counterexample_type_III()
+    L, J, g_std, g_tilt = _counterexample("N_{6,1}-type counterexample")
     v_std = classify_metric(L, g_std, J)
     assert v_std.skt and not v_std.kahler, "standard metric verdicts wrong"
     v_tilt = classify_metric(L, g_tilt, J)

@@ -49,3 +49,31 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private top-level function or class, with its line."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a name or as an attribute."""
+    return _used_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    dead = [
+        f"{name}.{definition} (line {line})"
+        for name, tree in trees.items()
+        for definition, line in _private_definitions(tree).items()
+        if definition not in referenced
+    ]
+    assert not dead, f"private definitions no package module references: {', '.join(dead)}"

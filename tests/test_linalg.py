@@ -69,3 +69,13 @@ def test_coordinates_in():
     assert la.coordinates_in(basis, la.vec([0, 0, 1])) is None
     assert la.coordinates_in([], la.vec([0, 0])) == ()
     assert la.coordinates_in([], la.vec([1, 0])) is None
+
+
+def test_coordinate_map():
+    """A left inverse of a non-orthogonal basis; dependent vectors have none."""
+    basis = [la.vec([1, 2, 0, 1]), la.vec([0, 1, "1/3", 0]), la.vec([2, 0, 0, -1])]
+    m = la.coordinate_map(basis)
+    assert la.mat_mul(m, la.matrix_from_columns(basis)) == la.identity_matrix(3)
+    assert la.coordinate_map([]) == ()
+    with pytest.raises(ZeroDivisionError):
+        la.coordinate_map([la.vec([1, 2]), la.vec([2, 4])])

@@ -108,6 +108,17 @@ class TestTypeIISKTNormalForm:
         L2, g2, J2 = skt_typeII_normal_form(bad, _validate=False)
         assert not classify_metric(L2, g2, J2).skt
 
+    def test_psi_must_be_of_type_20(self):
+        """conj(psi), of type (0,2), and an invariant (1,1) form are rejected."""
+        u12 = fm.form_from_terms(4, 2, [((1, 2), 1)])
+        psi_re = fm.form_from_terms(4, 2, [((1, 3), 1), ((2, 4), -1)])
+        psi_im = fm.form_from_terms(4, 2, [((1, 4), 1), ((2, 3), 1)])
+        for bad_psi in ((psi_re, psi_im.scale(-1)), (u12, fm.zero_form(4, 2))):
+            bad = TypeIINormalForm(1, 2, 0, phis=((u12, u12),), psis=(bad_psi,))
+            with pytest.raises(ParameterConstraintViolatedError) as err:
+                skt_typeII_normal_form(bad)
+            assert err.value.constraint == "psi type"
+
     def test_dependent_parts_rejected(self):
         # real and imaginary parts proportional: the bracket image is a
         # real line, so the derived algebra is not complex

@@ -9,13 +9,16 @@ from hermlie.errors import (
     InvalidPreShearError,
     JacobiFailedError,
     NotComplexShearDataError,
+    UnsupportedDimensionError,
 )
 from hermlie.forms import VectorValuedTwoForm
 from hermlie.generators import PROFILES, random_complex_shear
-from hermlie.hermitian import ComplexStructure, Metric, classify_metric, nijenhuis
+from hermlie.hermitian import ComplexStructure, Metric, classify_metric, j_adapted_split, nijenhuis
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
 from hermlie.shear import (
+    OperatorIdentityReport,
     PreShearData,
+    ShearOperators,
     build_shear,
     check_complex_shear,
     pre_shear_from_bracket,
@@ -34,6 +37,80 @@ def e(n, i):
 def zero_data(dim):
     a = al.Subspace.zero(dim)
     return PreShearData(dim, a, VectorValuedTwoForm(dim, a, {}))
+
+
+def reference_shear_operators(data, g, J):
+    """``shear_operators`` with one exact solve per value, as a reference:
+    every operator column, f and h, J on a_J and the a_r-parts are solved for
+    separately, and commutation is tested over ordered pairs."""
+    data = data.normalized()
+    n = data.dim
+    omega = data.omega
+    a_J, a_r, U_r, U_J = j_adapted_split(data.a, g, J)
+    aj_basis, ar_basis = a_J.basis(), a_r.basis()
+    a_basis = aj_basis + ar_basis
+    nj, nr = len(aj_basis), len(ar_basis)
+
+    def solve_in(basis, v):
+        c = la.solve(la.matrix_from_columns(basis), v) if basis else ()
+        assert c is not None and la.combination(c, basis, n) == v
+        return c
+
+    def endo_matrix(value_of):
+        cols = [solve_in(a_basis, value_of(u)) for u in a_basis]
+        return la.matrix_from_columns(cols) if cols else ()
+
+    A, K, G, H, F = {}, {}, {}, {}, {}
+    for idx, x in enumerate(ar_basis):
+        jx = J.apply(x)
+        m = A[idx] = endo_matrix(lambda u: omega(jx, u))
+        K[idx] = tuple(tuple(m[i][j] for j in range(nj)) for i in range(nj))
+        G[idx] = tuple(tuple(m[nj + i][j] for j in range(nj)) for i in range(nr))
+        H[idx] = tuple(tuple(m[i][nj + j] for j in range(nr)) for i in range(nj))
+        F[idx] = tuple(tuple(m[nj + i][nj + j] for j in range(nr)) for i in range(nr))
+    f_map, h_map = {}, {}
+    for i, x in enumerate(ar_basis):
+        for j, y in enumerate(ar_basis):
+            val = omega(J.apply(x), y)
+            h_map[(i, j)] = la.combination(solve_in(a_basis, val)[:nj], aj_basis, n)
+            f_map[(i, j)] = la.sub_vec(val, h_map[(i, j)])
+    B = {idx: endo_matrix(lambda u: omega(z, u)) for idx, z in enumerate(U_J.basis())}
+    ops = ShearOperators(a_J, a_r, U_r, U_J, a_basis, A, K, G, H, F, f_map, h_map, B)
+
+    j_on_aj = la.matrix_from_columns([solve_in(aj_basis, J.apply(u)) for u in aj_basis]) if nj else ()
+    k_ok = all(la.mat_mul(j_on_aj, k) == la.mat_mul(k, j_on_aj) for k in K.values())
+    jj_in = jj_match = True
+    for i, x in enumerate(ar_basis):
+        for j, y in enumerate(ar_basis):
+            val = omega(J.apply(x), J.apply(y))
+            jj_in = jj_in and a_J.contains(val)
+            jj_match = jj_match and val == J.apply(la.sub_vec(h_map[(i, j)], h_map[(j, i)]))
+    operators = [*A.values(), *B.values()]
+    comm_ok = all(
+        la.mat_mul(m1, m2) == la.mat_mul(m2, m1)
+        for group in (operators, list(K.values()))
+        for m1 in group
+        for m2 in group
+    )
+
+    def ar_part(v):
+        return la.combination(solve_in(a_basis, v)[nj:], ar_basis, n)
+
+    omr_ok = all(
+        ar_part(omega(J.apply(z), J.apply(x))) == ar_part(omega(z, x))
+        for z in U_J.basis()
+        for x in ar_basis
+    )
+    report = OperatorIdentityReport(
+        all(la.is_zero_matrix(m) for m in G.values()),
+        k_ok,
+        all(f_map[(i, j)] == f_map[(j, i)] for i in range(nr) for j in range(nr)),
+        jj_in,
+        jj_match,
+        comm_ok,
+        omr_ok,
+    )
+    return ops, report
 
 
 class TestPreShearValidation:
@@ -202,12 +279,25 @@ class TestShearOperators:
         assert f_val == la.scale_vec(-lam, e(4, 3))
 
     def test_identities_hold_on_random_data(self):
-        for profile in ("typeI", "typeII", "typeIII", "mixed"):
-            dim = 6
-            for seed in range(4):
+        cells = [(6, profile, range(4)) for profile in ("typeI", "typeII", "typeIII", "mixed")]
+        cells += [(dim, profile, range(2)) for dim in (8, 10) for profile in ("typeI", "typeIII")]
+        for dim, profile, seeds in cells:
+            for seed in seeds:
                 data, g, J = random_complex_shear(seed, profile, dim)
                 _, report = shear_operators(data, g, J)
-                assert report.clean, (profile, seed, report)
+                assert report.clean, (dim, profile, seed, report)
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_matches_the_per_vector_reference(self, dim):
+        """One coordinate map per splitting gives the operators and the report
+        of one solve per value, on every profile the generator builds."""
+        for profile in PROFILES:
+            for seed in range(2):
+                try:
+                    data, g, J = random_complex_shear(seed, profile, dim)
+                except UnsupportedDimensionError:
+                    continue
+                assert shear_operators(data, g, J) == reference_shear_operators(data, g, J), (profile, seed)
 
 
 class TestKahlerShearConsequences:
