@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import LieAlgebra
 from .errors import ConstraintViolatedError, UnknownNameError
@@ -166,8 +167,10 @@ def _identity_witness(expected):
     return Witness("standard", Metric.identity(6), expected)
 
 
+@cache
 def witness_lists() -> tuple[CatalogEntry, ...]:
-    """The six-dimensional catalog with explicit verdict witnesses."""
+    """The six-dimensional catalog with explicit verdict witnesses, built
+    once per process; callers share the entries and must not mutate them."""
     entries: list[CatalogEntry] = []
     all_true = _verdicts(True, True, True)
 

@@ -15,7 +15,7 @@ from math import isqrt
 
 from . import core, linalg
 from .algebra import LieAlgebra, change_basis, direct_sum, make_algebra, abelian
-from .errors import UnsupportedDimensionError
+from .errors import ParameterConstraintViolatedError, UnsupportedDimensionError
 from .forms import form_from_terms, zero_form
 from .hermitian import ComplexStructure, Metric
 from .linalg import ONE, ZERO, Matrix
@@ -134,6 +134,8 @@ def _volume_coefficient(form) -> Fraction:
 def _typeII_params(dim: int, rng: random.Random) -> TypeIINormalForm:
     if dim == 4:
         s, ell = 1, 1
+    elif dim == 8:
+        s, ell = 2, 2
     else:
         s, ell = rng.choice([(2, 1), (1, 2)])
     # a two-dimensional complement carries no room for invariant forms
@@ -183,7 +185,7 @@ def _typeII_params(dim: int, rng: random.Random) -> TypeIINormalForm:
             try:
                 skt_typeII_normal_form(trial)
                 return trial
-            except Exception:
+            except ParameterConstraintViolatedError:
                 continue
         raise AssertionError("could not balance the invariant-form budget")
     return TypeIINormalForm(
@@ -305,7 +307,7 @@ def _mixed_params(rng: random.Random) -> SixDNonPureData:
     w = tuple(Cq(wre[2 * t], wre[2 * t + 1]) for t in range(6))
     try:
         skt_6d_nonpure_normal_form(SixDNonPureData(base.b, base.deltas, base.z, w))
-    except Exception:
+    except ParameterConstraintViolatedError:
         return base
     return SixDNonPureData(base.b, base.deltas, base.z, w)
 
@@ -397,7 +399,7 @@ def _typeII_params_forced_m0(s: int, ell: int, rng: random.Random) -> TypeIINorm
         try:
             skt_typeII_normal_form(params)
             return params
-        except Exception:
+        except ParameterConstraintViolatedError:
             continue
     # fallback: independent parts, each with zero self-wedge
     re = form_from_terms(4, 2, [((1, 2), 1)])

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .forms import KForm
-from .linalg import ONE, ZERO, Matrix, Vector
+from .linalg import ZERO, Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -570,15 +570,10 @@ def normalize_skt_typeII(
     derg_basis = derg.basis()
     nd = len(derg_basis)
     # unknowns: coefficients of r(v_c) in the derg basis, complex-linearly
-    # extended by r(Jv_c) = J r(v_c).
+    # extended by r(Jv_c) = J r(v_c); flat[index] takes the unknowns of
+    # block index // 2 on units[index % 2], the d_k or the J d_k
     nunk = len(flat) // 2 * nd
-
-    def r_of(index: int, coeffs: Sequence[Fraction]) -> Vector:
-        # index runs over `flat`; odd entries are J-partners
-        c, is_j = divmod(index, 2)
-        v = linalg.combination(coeffs[c * nd: (c + 1) * nd], derg_basis, L.dim)
-        return J.apply(v) if is_j else v
-
+    units = (derg_basis, [J.apply(v) for v in derg_basis])
     # the d1-component of a vector of derg = d1 + d2
     to_d1 = linalg.coordinate_map(d1.basis() + d2.basis())[: d1.dim]
     eqs: list[Vector] = []
@@ -586,14 +581,12 @@ def normalize_skt_typeII(
     for p, q in combinations(range(len(flat)), 2):
         rhs.extend(-c for c in linalg.mat_vec(to_d1, L.bracket(flat[p], flat[q])))
         # coefficient of each unknown in the d1-component of
-        # [r(P), Q] + [P, r(Q)] = -ad(Q) r(P) + ad(P) r(Q)
-        contribs = []
-        for u in range(nunk):
-            unit = [ZERO] * nunk
-            unit[u] = ONE
-            contribs.append(
-                linalg.sub_vec(L.bracket(r_of(p, unit), flat[q]), L.bracket(r_of(q, unit), flat[p]))
-            )
+        # [r(P), Q] + [P, r(Q)]; only the unknowns of P's and Q's blocks enter
+        contribs = [linalg.zero_vec(L.dim)] * nunk
+        for k in range(nd):
+            contribs[p // 2 * nd + k] = L.bracket(units[p % 2][k], flat[q])
+            u = q // 2 * nd + k
+            contribs[u] = linalg.add_vec(contribs[u], L.bracket(flat[p], units[q % 2][k]))
         eqs.extend(linalg.mat_mul(to_d1, linalg.matrix_from_columns(contribs)))
 
     if nunk == 0 or not eqs:
@@ -603,7 +596,10 @@ def normalize_skt_typeII(
         if sol is None:
             raise NotSKTError("no complement correction exists; input is not of the expected form")
 
-    new_basis = [linalg.add_vec(x, r_of(idx, sol)) for idx, x in enumerate(flat)]
+    new_basis = [
+        linalg.add_vec(x, linalg.combination(sol[i // 2 * nd: (i // 2 + 1) * nd], units[i % 2], L.dim))
+        for i, x in enumerate(flat)
+    ]
     v_tilde = Subspace.span(L.dim, new_basis)
 
     g_new = _block_metric(derg_basis, new_basis, g.gram(derg_basis), g.gram(flat))

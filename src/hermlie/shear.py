@@ -13,12 +13,19 @@ computation so the two routes can be checked against each other:
   Kahler:    Alt(sigma(w(.,.),.)) = 0
   balanced:  Alt(sigma(w(.,.),.)) ^ sigma^{n-2} = 0
   torsion:   Alt(g(w(J.,J.), w(.,.)) + 2 g(w(J w(.,.), J.), .)) = 0
+
+Both torsion terms are antisymmetric in their first two slots and the
+first also in its last two, so, as for a wedge of two-forms, the
+alternation on a basis 4-subset is four times a signed sum over its six
+splits into sorted pairs A = (a, b), B = (c, d):
+
+  sum sign(A, B) (g(w(Ja,Jb), w(c,d)) + g(w(J w(a,b), Jc), d) - g(w(J w(a,b), Jd), c))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Sequence
 
 from . import core, linalg
@@ -204,61 +211,41 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
         }
         return not core.wedge(tau, core.power(sigma, n - 2))
 
-    # torsion condition: antisymmetrise the quartic expression
-    #   g(w(J a, J b), w(c, d)) + 2 g(w(J w(a, b), J c), d)
-    # whose two terms both come over dg dw^2 dJ^2.  All the building blocks
-    # are cached up front; the permutation sum then only does small dot
-    # products and lookups.
+    # torsion condition in its split form (module docstring); both terms
+    # come over dg dw^2 dJ^2
     j_units = [list(c) for c in zip(*jm)]
-    g_ob = {}     # (x, y) -> g w(e_x, e_y)
-    jj = {}       # (x, y) -> w(J e_x, J e_y)
-    for x, y in combinations(range(n2), 2):
-        g_ob[(x, y)] = core.mat_vec(gm, ob[(x, y)])
-        g_ob[(y, x)] = [-c for c in g_ob[(x, y)]]
-        jj[(x, y)] = w(j_units[x], j_units[y])
-        jj[(y, x)] = [-c for c in jj[(x, y)]]
     # gwj[z] is the matrix of v -> g w(J v, J e_z); its middle factor has
     # columns w(e_m, J e_z) = -w(J e_z, e_m)
     gwj = []
     for z in range(n2):
         cols = [[-c for c in w.with_basis(j_units[z], m)] for m in range(n2)]
         gwj.append(core.mat_mul(core.mat_mul(gm, list(zip(*cols))), jm))
-    g_tv = {}     # (x, y, z) -> g w(J w(e_x, e_y), J e_z)
+    g_ob, jj, alt = {}, {}, {}
     for x, y in combinations(range(n2), 2):
-        for z in range(n2):
-            g_tv[(x, y, z)] = core.mat_vec(gwj[z], ob[(x, y)])
-            g_tv[(y, x, z)] = [-c for c in g_tv[(x, y, z)]]
-
-    def term(a: int, b: int, c: int, d: int) -> int:
-        return core.dot(jj[(a, b)], g_ob[(c, d)]) + 2 * g_tv[(a, b, c)][d]
-
+        g_ob[(x, y)] = core.mat_vec(gm, ob[(x, y)])  # g w(e_x, e_y)
+        jj[(x, y)] = w(j_units[x], j_units[y])  # w(J e_x, J e_y)
+        # alt[(x, y)] . w(a, b) = g(w(J w(a, b), J e_x), e_y) - (x <-> y)
+        alt[(x, y)] = [p - q for p, q in zip(gwj[x][y], gwj[y][x])]
     for quad in combinations(range(n2), 4):
         total = 0
-        for perm, sign in _SIGNED_PERMS:
-            total += sign * term(*(quad[p] for p in perm))
+        for (p, q), (r, s), sign in _SPLITS:
+            A, B = (quad[p], quad[q]), (quad[r], quad[s])
+            total += sign * (core.dot(jj[A], g_ob[B]) + core.dot(ob[A], alt[B]))
         if total:
             return False
     return True
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-_SIGNED_PERMS = tuple((perm, _perm_sign(perm)) for perm in permutations(range(4)))
+# the splits of four sorted positions into two sorted pairs, with the sign
+# of the permutation that lists the first pair, then the second
+_SPLITS = (
+    ((0, 1), (2, 3), 1),
+    ((0, 2), (1, 3), -1),
+    ((0, 3), (1, 2), 1),
+    ((1, 2), (0, 3), 1),
+    ((1, 3), (0, 2), -1),
+    ((2, 3), (0, 1), 1),
+)
 
 
 @dataclass(frozen=True)

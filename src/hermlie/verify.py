@@ -241,9 +241,10 @@ def criterion_typeII_skt(count: int = 100) -> dict:
     built = 0
     perturbed = 0
     normalized = 0
+    nondegenerate = 0  # draws where both [g, derg] and [V~, V~] are nonzero
     i = 0
     while built < count:
-        dim = (4, 6)[i % 2]
+        dim = (4, 6, 8)[i % 3]
         params = _typeII_params(dim, random.Random(f"params-{i}"))
         i += 1
         L, g, J = skt_typeII_normal_form(params)
@@ -261,6 +262,8 @@ def criterion_typeII_skt(count: int = 100) -> dict:
                 assert g2.pair(u, v) == 0, "splitting is not orthogonal"
         assert classify_metric(L, g2, J).skt, "normalised metric lost the torsion condition"
         normalized += 1
+        nondegenerate += bool(d1.dim and d2.dim)
+    assert nondegenerate, "no draw splits derg into two nonzero parts"
 
     zero4 = form_from_terms(4, 2, [])
     while perturbed < count:
@@ -292,7 +295,8 @@ def criterion_typeII_skt(count: int = 100) -> dict:
         L2, g2, J2 = skt_typeII_normal_form(bad, _validate=False)
         assert not classify_metric(L2, g2, J2).skt, f"perturbation kept SKT at draw {perturbed}"
         perturbed += 1
-    return {"constructed": built, "perturbed": perturbed, "normalized": normalized}
+    return {"constructed": built, "perturbed": perturbed, "normalized": normalized,
+            "nondegenerate_splittings": nondegenerate}
 
 
 def criterion_six_dimensional_lists() -> dict:

@@ -77,3 +77,25 @@ def test_no_unreferenced_private_definitions():
         if definition not in referenced
     ]
     assert not dead, f"private definitions no package module references: {', '.join(dead)}"
+
+
+_CATCH_ALL = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.Module) -> list[int]:
+    """Lines of handlers that are bare or name Exception or BaseException."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if node.type is None or any(isinstance(c, ast.Name) and c.id in _CATCH_ALL for c in caught):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_catch_all_handlers(path):
+    """A handler names the errors it expects, so any other failure surfaces."""
+    lines = _broad_handlers(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} catches every exception at lines {lines}"

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from hermlie import algebra as al
+from hermlie import core
 from hermlie import linalg as la
 from hermlie.errors import (
     InvalidPreShearError,
@@ -12,7 +14,7 @@ from hermlie.errors import (
     UnsupportedDimensionError,
 )
 from hermlie.forms import VectorValuedTwoForm
-from hermlie.generators import PROFILES, random_complex_shear
+from hermlie.generators import PROFILES, random_compatible_metric, random_complex_shear
 from hermlie.hermitian import ComplexStructure, Metric, classify_metric, j_adapted_split, nijenhuis
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
 from hermlie.shear import (
@@ -111,6 +113,52 @@ def reference_shear_operators(data, g, J):
         omr_ok,
     )
     return ops, report
+
+
+def _perm_sign(perm):
+    sign = 1
+    for i, j in combinations(range(len(perm)), 2):
+        if perm[i] > perm[j]:
+            sign = -sign
+    return sign
+
+
+_SIGNED_PERMS = tuple((perm, _perm_sign(perm)) for perm in permutations(range(4)))
+
+
+def reference_skt(data, g, J):
+    """The torsion condition as the full alternation over S_4 of
+    g(w(J a, J b), w(c, d)) + 2 g(w(J w(a, b), J c), d) on every basis
+    4-subset, with mirrored tables for unsorted pairs, as a reference for
+    the split form of ``shear_condition``."""
+    n2 = data.dim
+    w = data.omega.ints
+    (jm, _), (gm, _) = J.ints, g.ints
+    ob = w.on_basis()
+    j_units = [list(c) for c in zip(*jm)]
+    g_ob, jj = {}, {}
+    for x, y in combinations(range(n2), 2):
+        g_ob[(x, y)] = core.mat_vec(gm, ob[(x, y)])
+        g_ob[(y, x)] = [-c for c in g_ob[(x, y)]]
+        jj[(x, y)] = w(j_units[x], j_units[y])
+        jj[(y, x)] = [-c for c in jj[(x, y)]]
+    gwj = []
+    for z in range(n2):
+        cols = [[-c for c in w.with_basis(j_units[z], m)] for m in range(n2)]
+        gwj.append(core.mat_mul(core.mat_mul(gm, list(zip(*cols))), jm))
+    g_tv = {}
+    for x, y in combinations(range(n2), 2):
+        for z in range(n2):
+            g_tv[(x, y, z)] = core.mat_vec(gwj[z], ob[(x, y)])
+            g_tv[(y, x, z)] = [-c for c in g_tv[(x, y, z)]]
+
+    def term(a, b, c, d):
+        return core.dot(jj[(a, b)], g_ob[(c, d)]) + 2 * g_tv[(a, b, c)][d]
+
+    return not any(
+        sum(sign * term(*(quad[p] for p in perm)) for perm, sign in _SIGNED_PERMS)
+        for quad in combinations(range(n2), 4)
+    )
 
 
 class TestPreShearValidation:
@@ -243,6 +291,47 @@ class TestShearCondition:
                     v = classify_metric(build_shear(data), g, J)
                     for kind in ("kahler", "balanced", "skt"):
                         assert shear_condition(data, g, J, kind) == v[kind]
+
+    # closed normal forms are SKT, so the whole 4-subset loop runs on them
+    CLOSED_FORMS = {
+        8: (
+            KahlerNormalForm("I", 0, 2, 2, lambdas=(Q(1), Q(-3, 2))),
+            KahlerNormalForm("II", 2, 0, 2, ((), ()), ((Q(1), 0, Q(2), Q(-1)), (0, Q(1, 2), Q(1), Q(1)))),
+            KahlerNormalForm("III", 1, 3, 0, ((Q(1), Q(-2), Q(1, 2)),), ((),), (Q(1), Q(2), Q(-1))),
+        ),
+        10: (
+            KahlerNormalForm("I", 0, 3, 2, lambdas=(Q(1), Q(-3, 2), Q(2))),
+            KahlerNormalForm("II", 2, 0, 3, ((), ()), ((Q(1), 0, Q(2), Q(-1), 0, Q(1)), (0, Q(1, 2), Q(1), Q(1), Q(-2), 0))),
+            KahlerNormalForm("III", 2, 3, 0, ((Q(1), Q(-2), Q(1, 2)), (Q(2), Q(1), Q(-1))), ((), ()), (Q(1), Q(2), Q(-1))),
+        ),
+    }
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_split_form_matches_the_permutation_sum(self, dim):
+        """The signed sum over pair splits decides SKT exactly as the 24-term
+        alternation, on every profile the generator builds, each with its own
+        and an independent metric, and on closed normal forms; both verdicts
+        occur.  Flipping the sign of one split, or leaving alt unalternated,
+        breaks it."""
+        instances = []
+        for profile in PROFILES:
+            for seed in range(3):
+                try:
+                    data, g, J = random_complex_shear(seed, profile, dim)
+                except UnsupportedDimensionError:
+                    break
+                instances.append((data, g, J))
+        for params in self.CLOSED_FORMS.get(dim, ()):
+            L, g, J = kahler_normal_form(params)
+            instances.append((pre_shear_from_bracket(L), g, J))
+        verdicts = set()
+        for k, (data, g, J) in enumerate(instances):
+            other = random_compatible_metric(dim, J, random.Random(f"skt-split-{dim}-{k}"))
+            for metric in (g, other):
+                verdict = shear_condition(data, metric, J, "skt")
+                assert verdict == reference_skt(data, metric, J), (dim, k)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestShearOperators:
