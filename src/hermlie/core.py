@@ -9,15 +9,17 @@ such a homogeneous expression, so the zero tests run on ints alone and no
 gcd is taken until a value leaves the core.
 
 Forms are dicts from bitmasks (bit i - 1 set for index i) to numerators;
-vectors and matrices are lists of ints, 0-indexed.
+vectors and matrices are lists of ints, 0-indexed.  Wedges look up the free
+slots of each term, and powers are a Pfaffian recursion (``power``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
-from operator import mul
+from functools import lru_cache, reduce
+from itertools import combinations
+from math import comb, factorial, lcm
+from operator import mul, or_
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError
@@ -60,6 +62,10 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+def is_skew(m: Sequence[Sequence[int]]) -> bool:
+    return all(m[a][b] == -m[b][a] for a in range(len(m)) for b in range(a, len(m)))
+
+
 class Bilinear:
     """An alternating bilinear map on Q^n as a sparse table of numerators.
 
@@ -68,7 +74,7 @@ class Bilinear:
     ``(i, j, ((k, c), ...))`` with 0-indexed i < j: w(e_i, e_j) has
     coordinate c / den on e_k.  ``column[k]`` maps a to the same sparse form
     of w(e_a, e_k), signs included, and ``de[k]`` lists the terms
-    ``(a, b, mask, -c)`` of de^k = -sum_{a<b} c_ab^k e^a ^ e^b.
+    ``(mask, _above_parity(mask), -c)`` of de^k = -sum_{a<b} c_ab^k e^a ^ e^b.
     """
 
     __slots__ = ("dim", "den", "terms", "column", "de")
@@ -90,7 +96,8 @@ class Bilinear:
             self.column[j][i] = nums
             self.column[i][j] = tuple((k, -c) for k, c in nums)
             for k, c in nums:
-                self.de[k].append((i, j, (1 << i) | (1 << j), -c))
+                pair = (1 << i) | (1 << j)
+                self.de[k].append((pair, _above_parity(pair), -c))
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
         """Numerators of w(x, y) over den * den(x) * den(y)."""
@@ -162,32 +169,58 @@ def indices(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in bits(mask))
 
 
-def _sign(a: int, b: int) -> int:
-    """Sign of sorting e^a ^ e^b for disjoint masks: count pairs x in a, y in b, x > y."""
-    flips = 0
-    for y in bits(b):
-        flips += (a >> (y + 1)).bit_count()
-    return -1 if flips & 1 else 1
+@lru_cache(maxsize=1 << 12)
+def _subsets(free: int, size: int) -> tuple[int, ...]:
+    """The masks of the ``size``-subsets of the set bits of ``free``."""
+    return tuple(sum(1 << i for i in combo) for combo in combinations(bits(free), size))
+
+
+@lru_cache(maxsize=1 << 12)
+def _above_parity(mask: int) -> int:
+    """Bit y set when an odd number of bits of ``mask`` lie above y, so that
+    e^a ^ e^b sorts with sign (-1)^popcount(b & _above_parity(a))."""
+    return sum(1 << y for y in range(mask.bit_length()) if (mask >> y + 1).bit_count() & 1)
+
+
+def _wedge(a: dict[int, int], b: dict[int, int], lowest: bool) -> dict[int, int]:
+    """sum sign a_P b_R e^(P | R) over disjoint terms, with ``lowest`` only
+    where P holds the lowest index.  Each P meets the fewer of the terms of b
+    and the deg(b)-subsets of the slots it leaves free, looked up in b."""
+    out: dict[int, int] = {}
+    size, support = next(iter(b), 0).bit_count(), reduce(or_, b, 0)
+    for ma, ca in a.items():
+        taken = ma | ((ma & -ma) - 1) if lowest else ma
+        free, parity = support & ~taken, _above_parity(ma)
+        if comb(free.bit_count(), size) < len(b):
+            items = [(mb, b[mb]) for mb in _subsets(free, size) if mb in b]
+        else:
+            items = [(mb, cb) for mb, cb in b.items() if not mb & taken]
+        for mb, cb in items:
+            key, v = ma | mb, ca * cb
+            out[key] = out.get(key, 0) + (-v if (mb & parity).bit_count() & 1 else v)
+    return {k: v for k, v in out.items() if v}
 
 
 def wedge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Numerators over den(a) * den(b)."""
-    out: dict[int, int] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            if ma & mb:
-                continue
-            key = ma | mb
-            out[key] = out.get(key, 0) + _sign(ma, mb) * ca * cb
-    return {k: v for k, v in out.items() if v}
+    return _wedge(a, b, False)
 
 
 def power(a: dict[int, int], k: int) -> dict[int, int]:
-    """a^k with the empty wedge {0: 1}; numerators over den(a)**k."""
-    out = {0: 1}
-    for _ in range(k):
-        out = wedge(out, a)
-    return out
+    """a^k with the empty wedge {0: 1}; numerators over den(a)**k.
+
+    For even degree a^k = k! sum_I F(I) e^I, where F(I) sums sign a_P F(I - P)
+    over the terms P holding the lowest index of I, so each set of k disjoint
+    terms is counted once; for a two-form F(I) = Pf(a_I).
+    """
+    if 0 in a:  # a number, with no lowest index to recurse on
+        return {0: a[0] ** k}
+    if k > 1 and any(m.bit_count() & 1 for m in a):  # a ^ a = 0 at odd degree
+        return {}
+    f = {m: c for m, c in a.items() if c} if k else {0: 1}
+    for _ in range(k - 1):
+        f = _wedge(a, f, True)
+    return {m: factorial(k) * c for m, c in f.items()}
 
 
 def pullback(rows: Sequence[Sequence[int]], form: dict[int, int]) -> dict[int, int]:
@@ -250,13 +283,10 @@ def differential(b: Bilinear, form: dict[int, int]) -> dict[int, int]:
     for mask, c in form.items():
         for t, m in enumerate(bits(mask)):
             rest = mask ^ (1 << m)
-            for lo, hi, pair, v in de[m]:
+            for pair, parity, v in de[m]:
                 if rest & pair:
                     continue
-                # sorting e^lo ^ e^hi ^ e^rest moves lo and hi past the
-                # smaller indices of rest
-                below = (rest & ((1 << lo) - 1)).bit_count() + (rest & ((1 << hi) - 1)).bit_count()
-                flips = t + below
+                flips = t + (rest & parity).bit_count()
                 key = rest | pair
                 out[key] = out.get(key, 0) + (-c * v if flips & 1 else c * v)
     return {k: v for k, v in out.items() if v}

@@ -152,8 +152,6 @@ def form_from_terms(dim: int, degree: int, terms: Iterable[tuple[Sequence[int], 
 def wedge(a: KForm, b: KForm) -> KForm:
     if a.dim != b.dim:
         raise DimensionMismatchError("wedge factors live on different spaces")
-    if a.degree + b.degree > a.dim:
-        return zero_form(a.dim, a.degree + b.degree)
     (na, da), (nb, db) = a.ints, b.ints
     return KForm.from_ints(a.dim, a.degree + b.degree, core.wedge(na, nb), da * db)
 

@@ -130,19 +130,14 @@ class Metric:
         return linalg.mat([[self.pair(u, v) for v in vectors] for u in vectors])
 
     def compatible_with(self, J: ComplexStructure) -> bool:
-        """J^T g J = g, compared on numerators: (dJ^2 dg) J^T g J vs dJ^2 (dg g)."""
-        if J.dim != self.dim:
-            raise DimensionMismatchError("metric and J dimensions differ")
-        (j, dj), (g, _) = J.ints, self.ints
-        jt_g_j = core.mat_mul(core.mat_mul(list(zip(*j)), g), j)
-        scale = dj * dj
-        return all(a == scale * b for ra, rb in zip(jt_g_j, g) for a, b in zip(ra, rb))
+        """J^T g J = g, which as J^2 = -1 holds exactly when J^T g is skew."""
+        return sigma_of(J, *self.ints) is not None
 
     def sigma_ints(self, J: ComplexStructure) -> tuple[dict[int, int], int]:
         """sigma = g(J., .) = J^T g on core bitmasks, over dJ * dg."""
-        if not self.compatible_with(J):
+        if (sigma := sigma_of(J, *self.ints)) is None:
             raise IncompatibleMetricError("metric is not J-invariant")
-        return sigma_of(J, *self.ints)
+        return sigma
 
     @staticmethod
     def identity(dim: int) -> "Metric":
@@ -160,11 +155,15 @@ class Metric:
         return Metric.from_frame(vectors, linalg.identity_matrix(len(vectors)))
 
 
-def sigma_of(J: ComplexStructure, g: Sequence[Sequence[int]], dg: int) -> tuple[dict[int, int], int]:
-    """The two-form J^T g of any J-invariant symmetric g, given as numerators
-    over dg, on core bitmasks over dJ * dg; g need not be definite."""
+def sigma_of(J: ComplexStructure, g: Sequence[Sequence[int]], dg: int) -> tuple[dict[int, int], int] | None:
+    """The two-form J^T g of a symmetric g with numerators over dg, on core bitmasks
+    over dJ * dg, or None when g is not J-invariant; g need not be definite."""
     j, dj = J.ints
+    if len(g) != len(j):
+        raise DimensionMismatchError("metric and J dimensions differ")
     m = core.mat_mul(list(zip(*j)), g)
+    if not core.is_skew(m):
+        return None
     n = len(m)
     form = {(1 << a) | (1 << b): m[a][b] for a in range(n) for b in range(a + 1, n) if m[a][b]}
     return form, dj * dg
@@ -241,10 +240,14 @@ def condition_form(
         n = L.dim // 2
         return core.differential(b, core.power(sigma, n - 1)), den ** (n - 1) * b.den
     if kind == "skt":
-        rows, dj = J.ints
-        dsigma = core.differential(b, sigma)
-        return core.differential(b, core.pullback(rows, dsigma)), den * b.den**2 * dj**3
+        return _torsion_form(L, J, *condition_form(L, J, sigma, den, "kahler"))
     raise ValueError(f"unknown condition kind: {kind}")
+
+
+def _torsion_form(L: LieAlgebra, J: ComplexStructure, dsigma: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """d J* d sigma from the numerators ``dsigma`` of d sigma over ``den``."""
+    rows, dj = J.ints
+    return core.differential(L.ints, core.pullback(rows, dsigma)), den * L.ints.den * dj**3
 
 
 def balanced_inverse_form(
@@ -296,7 +299,9 @@ def classify_metric(
     if not allow_nonintegrable and not is_integrable(L, J):
         raise NotIntegrableError("Nijenhuis tensor does not vanish; pass allow_nonintegrable to force")
     sigma, den = g.sigma_ints(J)
-    return MetricVerdicts(*(not condition_form(L, J, sigma, den, kind)[0] for kind in KINDS))
+    dsigma, dd = condition_form(L, J, sigma, den, "kahler")  # Kahler implies the other two
+    balanced = not dsigma or not condition_form(L, J, sigma, den, "balanced")[0]
+    return MetricVerdicts(not dsigma, balanced, not dsigma or not _torsion_form(L, J, dsigma, dd)[0])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
 tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
 eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*, 11.4).
 ``found``: once s < 0, the analytic centre of the slice is snapped to
-rationals in K and certified by ``classify_metric`` on sigma^(n-1).
+rationals in K and certified by its kind's ``condition_form`` (d sigma^(n-1) for balanced).
 ``none``: s stays >= 0 as the gap n / t closes; the dual (X + sI)^-1 / t is
 rounded onto its exact range and projected onto the matrices orthogonal to
 K (Peyrl and Parrilo, *Theor. Comput. Sci.* 409, 2008).  A nonzero
@@ -36,7 +36,6 @@ from .hermitian import (
     ComplexStructure,
     Metric,
     balanced_inverse_form,
-    classify_metric,
     condition_form,
     is_integrable,
     sigma_of,
@@ -272,15 +271,15 @@ def _round_certificate(Y: np.ndarray, kernel):
 
 def _witness(L, J, kind, kernel, centre):
     """The exact metric snapped from the float point ``centre`` of K, or
-    None when the snap is not definite, and whether ``classify_metric``
-    certifies it on sigma^(n-1), independently of the balanced H-map."""
+    None when the snap is not definite, and whether ``condition_form`` of
+    ``kind`` vanishes on its sigma, for balanced independently of the H-map."""
     try:
         exact = Metric(_snap(kernel, centre))
         if kind == "balanced":  # H is definite, so G = H^-1 is too
             exact = Metric(linalg.inverse(exact.matrix))
     except InvalidMetricError:
         return None, False
-    return exact.matrix, classify_metric(L, exact, J, allow_nonintegrable=True)[kind]
+    return exact.matrix, not condition_form(L, J, *exact.sigma_ints(J), kind)[0]
 
 
 def search_metric(
@@ -291,10 +290,10 @@ def search_metric(
     Seeds run in order, each jittering the Phase-I start, and a further
     seed runs only when the previous one used up ``max_iterations`` Newton
     steps.  ``found`` reports the float analytic centre of the trace-n
-    slice and, when its snap lands, the exact metric certified by
-    ``classify_metric``; ``none`` carries the exact Y in ``certificate``;
-    ``not_found`` means that no seed concluded, or that the dual of the
-    concluded Phase I did not round to a certificate.
+    slice and, when its snap lands, the exact metric on whose sigma
+    ``condition_form`` of ``kind`` vanishes; ``none`` carries the exact Y
+    in ``certificate``; ``not_found`` means that no seed concluded, or that
+    the dual of the concluded Phase I did not round to a certificate.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")

@@ -112,7 +112,8 @@ class ComplexShearReport:
 
 def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShearReport:
     memo = data._check_memo
-    key = J.matrix
+    rows, dj = J.ints
+    key = (tuple(map(tuple, rows)), dj)
     if key in memo:
         return memo[key]
     if J.dim != data.dim:
@@ -122,7 +123,6 @@ def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShear
     # numerators only: w over dw, J over dJ
     n = data.dim
     w = data.omega.ints
-    rows, dj = J.ints
     j_units = [list(c) for c in zip(*rows)]  # J e_t
     on_basis = w.on_basis()
     # Alt(w(w(.,.),.)) = 0, over dw^2
@@ -179,18 +179,21 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
     dw, J over dJ, g over dg.
     """
     _require_complex(data, J)
-    if not g.compatible_with(J):
+    if J.dim != g.dim:
+        raise DimensionMismatchError("metric and J dimensions differ")
+    (jm, _), (gm, _) = J.ints, g.ints
+    # sigma = J^T g; as J^2 = -1, g is J-invariant exactly when sigma is skew
+    sig = core.mat_mul(list(zip(*jm)), gm)
+    if not core.is_skew(sig):
         raise NotComplexShearDataError("metric is not compatible with J")
     if kind not in ("kahler", "balanced", "skt"):
         raise ValueError(f"unknown condition kind: {kind}")
     n2 = data.dim
     w = data.omega.ints
-    (jm, _), (gm, _) = J.ints, g.ints
     ob = w.on_basis()  # (x, y) -> w(e_x, e_y), 0-indexed
 
     if kind in ("kahler", "balanced"):
-        # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic, sigma = J^T g
-        sig = core.mat_mul(list(zip(*jm)), gm)
+        # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic
         sig_cols = list(zip(*sig))
         tau = {}
         for i, j, k in combinations(range(n2), 3):
@@ -201,15 +204,10 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
             )
             if val:
                 tau[(1 << i) | (1 << j) | (1 << k)] = val
-        if kind == "kahler":
+        if kind == "kahler" or not tau:  # tau = 0 is Kahler, and then balanced
             return not tau
-        n = n2 // 2
-        if n < 2:
-            return True
-        sigma = {
-            (1 << i) | (1 << j): sig[i][j] for i, j in combinations(range(n2), 2) if sig[i][j]
-        }
-        return not core.wedge(tau, core.power(sigma, n - 2))
+        sigma = {(1 << i) | (1 << j): sig[i][j] for i, j in combinations(range(n2), 2) if sig[i][j]}
+        return not core.wedge(tau, core.power(sigma, n2 // 2 - 2))
 
     # torsion condition in its split form (module docstring); both terms
     # come over dg dw^2 dJ^2

@@ -64,10 +64,16 @@ def test_criterion_08_compatibility_pipeline():
 
 
 def test_criterion_09_metric_search():
+    # the criterion itself asserts the 10 s limit on each search
     details = _run(9, "numerical witness search", verify.criterion_metric_search)
     for entry in details.values():
         assert entry["residual"] < 1e-9
-        assert entry["seconds"] < 10.0
+
+
+def test_criterion_09_details_repeat():
+    """The details hold no wall time, so ``verify-paper --json`` repeats."""
+    first, second = (verify.run_criteria([9], out=lambda line: None)[0] for _ in range(2))
+    assert first.passed and first.details == second.details
 
 
 def test_criterion_10_special_pair_forces_closed():

@@ -16,8 +16,10 @@ from hermlie import core
 from hermlie import forms as fm
 from hermlie import linalg as la
 from hermlie.algebra import LieAlgebra
-from hermlie.generators import random_complex_shear
-from hermlie.hermitian import classify_metric, fundamental_form
+from hermlie.catalog import witness_lists
+from hermlie.errors import IncompatibleMetricError
+from hermlie.generators import FIXED_DIMS, PROFILES, random_complex_shear
+from hermlie.hermitian import Metric, classify_metric, fundamental_form
 from hermlie.shear import build_shear, shear_condition
 
 Q = Fraction
@@ -210,13 +212,74 @@ def test_wedge(cell, p, q, data):
     assert fm.wedge(a, b) == naive_wedge(a, b)
 
 
+def assert_powers(form, top):
+    """core.power against repeated naive wedges for k = 0..top, and past
+    the top degree."""
+    nums, den = form.ints
+    power = fm.KForm(form.dim, 0, {(): 1})
+    for k in range(top + 1):
+        assert fm.KForm.from_ints(form.dim, form.degree * k, core.power(nums, k), den**k) == power
+        power = naive_wedge(power, form)
+    assert power.is_zero() and core.power(nums, top + 1) == {}
+
+
+BUILDABLE = [
+    (dim, profile) for dim in (4, 6, 8, 10) for profile in PROFILES
+    if dim in FIXED_DIMS.get(profile, (dim,))
+]
+
+
 def test_form_power_is_repeated_wedge():
-    _, g, J, L = instance(10, "typeI", 0)
+    """Every power of the dense sigma of each buildable profile at d4-d10."""
+    for dim, profile in BUILDABLE:
+        _, g, J = random_complex_shear(0, profile, dim)
+        assert_powers(fm.KForm.from_ints(dim, 2, *g.sigma_ints(J)), dim // 2)
+
+
+def test_power_of_sparse_sigma_and_higher_degrees():
+    for entry in witness_lists()[::5]:
+        for witness in entry.witnesses:
+            assert_powers(fundamental_form(entry.algebra, witness.metric, entry.J), 3)
+    _, g, J, L = instance(8, "typeIII", 1)
     sigma = fundamental_form(L, g, J)
-    power = fm.KForm(10, 0, {(): 1})
-    for k in range(6):
-        assert fm.form_power(sigma, k) == power
-        power = naive_wedge(power, sigma)
+    four = naive_wedge(sigma, sigma) + fm.form_from_terms(8, 4, [((1, 2, 5, 7), 3), ((3, 4, 6, 8), -1)])
+    assert_powers(four, 2)
+    three = fm.ce_differential(L, sigma)
+    assert not three.is_zero()
+    assert_powers(three, 1)
+
+
+def test_wedge_on_both_enumerations():
+    """A dense high-degree b is looked up on the free slots of each term of
+    a; a sparse b is scanned term by term."""
+    _, g, J, L = instance(10, "typeIII", 0)
+    sigma = fundamental_form(L, g, J)
+    dense = [fm.ce_differential(L, sigma), sigma, fm.form_power(sigma, 3), fm.form_power(sigma, 4)]
+    sparse = [fm.form_from_terms(10, 3, [((1, 4, 9), 2), ((2, 3, 10), -5)]), fm.basis_form(10, 6, 7)]
+    for a in dense + sparse:
+        for b in dense + sparse:
+            assert fm.wedge(a, b) == naive_wedge(a, b)
+
+
+@pytest.mark.parametrize("cell", CELLS[::2])
+def test_compatible_with_is_the_literal_invariance(cell):
+    _, g, J, _ = instance(*cell)
+    n = g.dim
+
+    def add(a, b):
+        return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+    for a in range(n):
+        unit = [[Q(int(p == q == a)) for q in range(n)] for p in range(n)]
+        pulled = la.mat_mul(la.transpose(J.matrix), la.mat_mul(unit, J.matrix))
+        # adding unit alone breaks J-invariance, adding unit + J^T unit J keeps it
+        for bump in (unit, add(unit, pulled)):
+            metric = Metric(add(g.matrix, bump))
+            literal = la.mat_mul(la.transpose(J.matrix), la.mat_mul(metric.matrix, J.matrix))
+            assert metric.compatible_with(J) == (literal == metric.matrix) == (bump is not unit)
+            if bump is unit:
+                with pytest.raises(IncompatibleMetricError):
+                    metric.sigma_ints(J)
 
 
 @pytest.mark.parametrize("cell", CELLS[::2])
