@@ -79,6 +79,7 @@ from .shear import (
     check_complex_shear,
     pre_shear_from_bracket,
     shear_condition,
+    shear_kernel,
     shear_operators,
     validate_pre_shear,
 )

@@ -77,7 +77,7 @@ class Bilinear:
     ``(mask, _above_parity(mask), -c)`` of de^k = -sum_{a<b} c_ab^k e^a ^ e^b.
     """
 
-    __slots__ = ("dim", "den", "terms", "column", "de")
+    __slots__ = ("dim", "den", "terms", "column", "de", "_on_basis")
 
     def __init__(self, dim: int, table: dict):
         self.dim = dim
@@ -85,6 +85,7 @@ class Bilinear:
         self.terms = []
         self.column = [{} for _ in range(dim)]
         self.de = [[] for _ in range(dim)]
+        self._on_basis = None
         for (i, j), v in table.items():
             i, j = i - 1, j - 1
             nums = tuple(
@@ -120,15 +121,17 @@ class Bilinear:
         return out
 
     def on_basis(self) -> dict[tuple[int, int], list[int]]:
-        """Numerators of w(e_i, e_j) over den, for every pair i != j."""
-        out = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i != j:
-                    out[(i, j)] = [0] * self.dim
-                    for k, c in self.column[j].get(i, ()):
-                        out[(i, j)][k] = c
-        return out
+        """Numerators of w(e_i, e_j) over den, for every pair i != j; built
+        once, and read only by every caller."""
+        if self._on_basis is None:
+            self._on_basis = {}
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    if i != j:
+                        out = self._on_basis[(i, j)] = [0] * self.dim
+                        for k, c in self.column[j].get(i, ()):
+                            out[k] = c
+        return self._on_basis
 
     def rational(self, x: Sequence, y: Sequence) -> tuple:
         """w(x, y) for rational vectors, as Fractions."""

@@ -169,6 +169,38 @@ def sigma_of(J: ComplexStructure, g: Sequence[Sequence[int]], dg: int) -> tuple[
     return form, dj * dg
 
 
+def compatible_basis(J: ComplexStructure) -> tuple:
+    """Primitive int basis of {S symmetric : J^T S J = S}.  As J^2 = -1,
+    S -> (S + J^T S J) / 2 projects the symmetric matrices onto the
+    compatible ones; the basis is the echelon form of the images of the unit
+    symmetric matrices, on their upper triangles."""
+    j, dj = J.ints
+    n = len(j)
+    slots = [(a, b) for a in range(n) for b in range(a, n)]
+    # dj^2 E + J^T E J for E = e_a e_b^T + e_b e_a^T, or e_a e_a^T
+    images = [
+        [dj * dj * ((p, q) == (a, b)) + j[a][p] * j[b][q] + (a != b) * j[b][p] * j[a][q] for p, q in slots]
+        for a, b in slots
+    ]
+    index = {slot: i for i, slot in enumerate(slots)}
+    return tuple(
+        tuple(tuple(row[index[min(a, b), max(a, b)]] for b in range(n)) for a in range(n))
+        for row in linalg.echelon(images)
+    )
+
+
+def kernel_matrices(rows: Sequence[Sequence[int]], basis: Sequence) -> tuple:
+    """Primitive int matrices spanning the combinations sum x_i basis_i of
+    the int ``basis`` matrices whose coefficients x satisfy rows . x = 0."""
+    n = len(basis[0])
+    out = []
+    for x in linalg.kernel(rows, len(basis))[0]:
+        flat = core.combine(x, [[c for row in b for c in row] for b in basis])
+        d = gcd(*flat)
+        out.append(tuple(tuple(c // d for c in flat[i * n : (i + 1) * n]) for i in range(n)))
+    return tuple(out)
+
+
 def nijenhuis(L: LieAlgebra, J: ComplexStructure, x: Sequence, y: Sequence) -> Vector:
     """N(x,y) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y]."""
     jx, jy = J.apply(x), J.apply(y)

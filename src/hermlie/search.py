@@ -29,39 +29,27 @@ from math import gcd, lcm
 import numpy as np
 
 from . import core, linalg
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, is_two_step_solvable
 from .errors import InvalidMetricError, NotAComplexStructureError, NotIntegrableError
 from .hermitian import (
     KINDS,
     ComplexStructure,
     Metric,
     balanced_inverse_form,
+    compatible_basis,
     condition_form,
     is_integrable,
+    kernel_matrices,
     sigma_of,
 )
+from .shear import pre_shear_from_bracket, shear_kernel
 
 
 def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> tuple:
-    """Primitive int basis of {S symmetric : J^T S J = S}.  As J^2 = -1,
-    S -> (S + J^T S J) / 2 projects the symmetric matrices onto the
-    compatible ones; the basis is the echelon form of the images of the unit
-    symmetric matrices, on their upper triangles."""
+    """``hermitian.compatible_basis`` of a J of the algebra's dimension."""
     if J.dim != L.dim:
         raise NotAComplexStructureError("J does not match the algebra's dimension")
-    n = L.dim
-    j, dj = J.ints
-    slots = [(a, b) for a in range(n) for b in range(a, n)]
-    # dj^2 E + J^T E J for E = e_a e_b^T + e_b e_a^T, or e_a e_a^T
-    images = [
-        [dj * dj * ((p, q) == (a, b)) + j[a][p] * j[b][q] + (a != b) * j[b][p] * j[a][q] for p, q in slots]
-        for a, b in slots
-    ]
-    index = {slot: i for i, slot in enumerate(slots)}
-    return tuple(
-        tuple(tuple(row[index[min(a, b), max(a, b)]] for b in range(n)) for a in range(n))
-        for row in linalg.echelon(images)
-    )
+    return compatible_basis(J)
 
 
 def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
@@ -78,14 +66,7 @@ def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
         columns = [condition_form(L, J, *sigma_of(J, b, 1), kind) for b in basis]
     den = lcm(*(d for _, d in columns))
     masks = sorted(set().union(*(nums for nums, _ in columns)))
-    rows = [[nums.get(mask, 0) * (den // d) for nums, d in columns] for mask in masks]
-    n = L.dim
-    out = []
-    for x in linalg.kernel(rows, len(basis))[0]:
-        flat = core.combine(x, [[c for row in b for c in row] for b in basis])
-        d = gcd(*flat)
-        out.append(tuple(tuple(c // d for c in flat[i * n : (i + 1) * n]) for i in range(n)))
-    return tuple(out)
+    return kernel_matrices([[nums.get(mask, 0) * (den // d) for nums, d in columns] for mask in masks], basis)
 
 
 def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
@@ -115,8 +96,13 @@ def _certifies(kernel, Y) -> bool:
 
 def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
     """Whether the rational matrix ``Y`` proves that no metric compatible
-    with J satisfies ``kind``, checked exactly on a fresh kernel."""
-    return _certifies(condition_kernel(L, J, kind), Y)
+    with J satisfies ``kind``, checked exactly on a fresh kernel and, for
+    Kahler and SKT on a two-step solvable L with J integrable, also on the
+    shear route's kernel."""
+    kernel = condition_kernel(L, J, kind)
+    if kind != "balanced" and is_two_step_solvable(L) and is_integrable(L, J):
+        kernel += shear_kernel(pre_shear_from_bracket(L), J, kind)
+    return _certifies(kernel, Y)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,15 @@ data; they are implemented here independently of the differential
 computation so the two routes can be checked against each other:
 
   complex:   Alt(w(w(.,.),.)) = 0  and  w(J.,J.) = w + J(w(J.,.) + w(.,J.))
-  Kahler:    Alt(sigma(w(.,.),.)) = 0
-  balanced:  Alt(sigma(w(.,.),.)) ^ sigma^{n-2} = 0
+  Kahler:    tau = Alt(sigma(w(.,.),.)) = 0
+  balanced:  tau ^ sigma^{n-2} = 0
   torsion:   Alt(g(w(J.,J.), w(.,.)) + 2 g(w(J w(.,.), J.), .)) = 0
+
+The Kahler and torsion equations are linear in g: each is one map from the
+metric's numerators to its values on the basis subsets.  At g it gives the
+verdict (``shear_condition``); on a basis of the compatible metrics it gives
+the shear route's own exact kernel (``shear_kernel``), whose span must equal
+that of the direct route's ``search.condition_kernel``.
 
 Both torsion terms are antisymmetric in their first two slots and the
 first also in its last two, so, as for a wedge of two-forms, the
@@ -24,20 +30,21 @@ splits into sorted pairs A = (a, b), B = (c, d):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Sequence
 
 from . import core, linalg
-from .algebra import LieAlgebra, Subspace
+from .algebra import LieAlgebra, Subspace, image_of_bracket
 from .errors import (
     DimensionMismatchError,
+    IncompatibleMetricError,
     InvalidPreShearError,
     JacobiFailedError,
     NotComplexShearDataError,
 )
 from .forms import VectorValuedTwoForm
-from .hermitian import ComplexStructure, Metric, j_adapted_split
+from .hermitian import KINDS, ComplexStructure, Metric, compatible_basis, j_adapted_split, kernel_matrices, sigma_of
 from .linalg import Matrix, Vector
 
 
@@ -69,8 +76,6 @@ class PreShearReport:
 
 def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
     """Reconstruct (a, w) = (derg, -bracket) from a two-step solvable algebra."""
-    from .algebra import image_of_bracket
-
     img = image_of_bracket(L)
     values = {pair: linalg.neg_vec(v) for pair, v in L.table.items()}
     return PreShearData(L.dim, img, VectorValuedTwoForm(L.dim, img, values))
@@ -170,72 +175,52 @@ def _require_complex(data: PreShearData, J: ComplexStructure) -> None:
         )
 
 
-def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: str) -> bool:
-    """Evaluate the metric condition directly on the shear data, exactly.
-
-    ``kind`` is one of "kahler", "balanced", "skt".  The flat structure
-    (g, J) may be any compatible pair; it is the one transported to the
-    sheared algebra.  Every expression is a zero test on numerators: w over
-    dw, J over dJ, g over dg.
-    """
-    _require_complex(data, J)
-    if J.dim != g.dim:
-        raise DimensionMismatchError("metric and J dimensions differ")
-    (jm, _), (gm, _) = J.ints, g.ints
-    # sigma = J^T g; as J^2 = -1, g is J-invariant exactly when sigma is skew
-    sig = core.mat_mul(list(zip(*jm)), gm)
-    if not core.is_skew(sig):
-        raise NotComplexShearDataError("metric is not compatible with J")
-    if kind not in ("kahler", "balanced", "skt"):
-        raise ValueError(f"unknown condition kind: {kind}")
+def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
+    """The Kahler (tau) or torsion equations as one map: gm -> their values
+    on the basis 3-subsets (``combinations`` order) or 4-subsets, ints linear
+    in the symmetric numerators gm.  What does not depend on g is built once."""
     n2 = data.dim
     w = data.omega.ints
+    jm, _ = J.ints
+    j_units = [list(c) for c in zip(*jm)]  # J e_t, the rows of J^T
     ob = w.on_basis()  # (x, y) -> w(e_x, e_y), 0-indexed
+    if kind == "kahler":
+        triples = list(combinations(range(n2), 3))
 
-    if kind in ("kahler", "balanced"):
-        # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic
-        sig_cols = list(zip(*sig))
-        tau = {}
-        for i, j, k in combinations(range(n2), 3):
-            val = (
-                core.dot(ob[(i, j)], sig_cols[k])
-                + core.dot(ob[(j, k)], sig_cols[i])
-                + core.dot(ob[(k, i)], sig_cols[j])
-            )
-            if val:
-                tau[(1 << i) | (1 << j) | (1 << k)] = val
-        if kind == "kahler" or not tau:  # tau = 0 is Kahler, and then balanced
-            return not tau
-        sigma = {(1 << i) | (1 << j): sig[i][j] for i, j in combinations(range(n2), 2) if sig[i][j]}
-        return not core.wedge(tau, core.power(sigma, n2 // 2 - 2))
+        def tau(gm):
+            # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic, sigma = J^T g
+            sig = list(zip(*core.mat_mul(j_units, gm)))  # columns
+            for i, j, k in triples:
+                yield core.dot(ob[(i, j)], sig[k]) + core.dot(ob[(j, k)], sig[i]) + core.dot(ob[(k, i)], sig[j])
 
-    # torsion condition in its split form (module docstring); both terms
-    # come over dg dw^2 dJ^2
-    j_units = [list(c) for c in zip(*jm)]
-    # gwj[z] is the matrix of v -> g w(J v, J e_z); its middle factor has
+        return tau
+    # the split form, both terms over dg dw^2 dJ^2
+    pairs = list(combinations(range(n2), 2))
+    jj = {(x, y): w(j_units[x], j_units[y]) for x, y in pairs}  # w(J e_x, J e_y)
+    # g wj[z] is the matrix of v -> g w(J v, J e_z): W_z J, where W_z has
     # columns w(e_m, J e_z) = -w(J e_z, e_m)
-    gwj = []
-    for z in range(n2):
-        cols = [[-c for c in w.with_basis(j_units[z], m)] for m in range(n2)]
-        gwj.append(core.mat_mul(core.mat_mul(gm, list(zip(*cols))), jm))
-    g_ob, jj, alt = {}, {}, {}
-    for x, y in combinations(range(n2), 2):
-        g_ob[(x, y)] = core.mat_vec(gm, ob[(x, y)])  # g w(e_x, e_y)
-        jj[(x, y)] = w(j_units[x], j_units[y])  # w(J e_x, J e_y)
+    wj = [
+        core.mat_mul(list(zip(*[[-c for c in w.with_basis(j_units[z], m)] for m in range(n2)])), jm)
+        for z in range(n2)
+    ]
+    quads = list(combinations(range(n2), 4))
+
+    def torsion(gm):
+        gwj = [core.mat_mul(gm, m) for m in wj]
+        g_ob = {pair: core.mat_vec(gm, ob[pair]) for pair in pairs}  # g w(e_x, e_y)
         # alt[(x, y)] . w(a, b) = g(w(J w(a, b), J e_x), e_y) - (x <-> y)
-        alt[(x, y)] = [p - q for p, q in zip(gwj[x][y], gwj[y][x])]
-    for quad in combinations(range(n2), 4):
-        total = 0
-        for (p, q), (r, s), sign in _SPLITS:
-            A, B = (quad[p], quad[q]), (quad[r], quad[s])
-            total += sign * (core.dot(jj[A], g_ob[B]) + core.dot(ob[A], alt[B]))
-        if total:
-            return False
-    return True
+        alt = {(x, y): [p - q for p, q in zip(gwj[x][y], gwj[y][x])] for x, y in pairs}
+        for quad in quads:
+            total = 0
+            for (p, q), (r, s), sign in _SPLITS:
+                A, B = (quad[p], quad[q]), (quad[r], quad[s])
+                total += sign * (core.dot(jj[A], g_ob[B]) + core.dot(ob[A], alt[B]))
+            yield total
+
+    return torsion
 
 
-# the splits of four sorted positions into two sorted pairs, with the sign
-# of the permutation that lists the first pair, then the second
+# the splits of four sorted positions into sorted pairs, signed as the permutation (first, second)
 _SPLITS = (
     ((0, 1), (2, 3), 1),
     ((0, 2), (1, 3), -1),
@@ -244,6 +229,41 @@ _SPLITS = (
     ((1, 3), (0, 2), -1),
     ((2, 3), (0, 1), 1),
 )
+
+
+def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: str) -> bool:
+    """Evaluate the metric condition directly on the shear data, exactly.
+
+    ``kind`` is one of "kahler", "balanced", "skt".  The flat structure
+    (g, J) may be any compatible pair; it is the one transported to the
+    sheared algebra.  Kahler and SKT hold when ``_shear_map`` vanishes at g;
+    balanced wedges that map's tau with sigma^{n-2}.
+    """
+    _require_complex(data, J)
+    if (sigma := sigma_of(J, *g.ints)) is None:
+        raise IncompatibleMetricError("metric is not compatible with J")
+    if kind not in KINDS:
+        raise ValueError(f"unknown condition kind: {kind}")
+    gm, n2 = g.ints[0], data.dim
+    if kind != "balanced":
+        return not any(_shear_map(data, J, kind)(gm))
+    values = zip(combinations(range(n2), 3), _shear_map(data, J, "kahler")(gm))
+    tau = {(1 << i) | (1 << j) | (1 << k): v for (i, j, k), v in values if v}
+    # tau = 0 is Kahler, and then balanced
+    return not tau or not core.wedge(tau, core.power(sigma[0], n2 // 2 - 2))
+
+
+def shear_kernel(data: PreShearData, J: ComplexStructure, kind: str) -> tuple:
+    """Primitive int matrices spanning exactly the compatible symmetric X on
+    which the Kahler or SKT shear equations vanish, as
+    ``search.condition_kernel`` gives them: ``_shear_map`` on the
+    compatible basis, and its kernel."""
+    _require_complex(data, J)
+    if kind not in ("kahler", "skt"):
+        raise ValueError(f"the shear kernel is linear only for kahler and skt, not {kind}")
+    basis, equations = compatible_basis(J), _shear_map(data, J, kind)
+    rows = [row for row in zip(*(list(equations(b)) for b in basis)) if any(row)]
+    return kernel_matrices(rows, basis)
 
 
 @dataclass(frozen=True)
@@ -275,17 +295,7 @@ class OperatorIdentityReport:
 
     @property
     def clean(self) -> bool:
-        return all(
-            (
-                self.g_blocks_vanish,
-                self.k_commutes_with_j,
-                self.f_symmetric,
-                self.omega_jj_in_a_J,
-                self.omega_jj_matches_h,
-                self.commutators_vanish,
-                self.omega_r_j_invariant,
-            )
-        )
+        return all(getattr(self, f.name) for f in fields(self))
 
 
 def shear_operators(
@@ -342,22 +352,14 @@ def shear_operators(
     k_ok = all(linalg.mat_mul(j_on_aj, k) == linalg.mat_mul(k, j_on_aj) for k in K.values())
     f_ok = all(f_map[(i, j)] == f_map[(j, i)] for i in range(nr) for j in range(nr))
 
-    jj_in = True
-    jj_match = True
-    for i, jx in enumerate(j_ar):
-        for j, jy in enumerate(j_ar):
-            val = omega(jx, jy)
-            if not a_J.contains(val):
-                jj_in = False
-            if val != J.apply(linalg.sub_vec(h_map[(i, j)], h_map[(j, i)])):
-                jj_match = False
-
-    def commute(m1: Matrix, m2: Matrix) -> bool:
-        return linalg.mat_mul(m1, m2) == linalg.mat_mul(m2, m1)
-
+    jj = {(i, j): omega(jx, jy) for i, jx in enumerate(j_ar) for j, jy in enumerate(j_ar)}
+    jj_in = all(a_J.contains(val) for val in jj.values())
+    jj_match = all(val == J.apply(linalg.sub_vec(h_map[(i, j)], h_map[(j, i)])) for (i, j), val in jj.items())
     comm_ok = all(
-        commute(m1, m2) for m1, m2 in combinations([*A.values(), *B.values()], 2)
-    ) and all(commute(k1, k2) for k1, k2 in combinations(K.values(), 2))
+        linalg.mat_mul(m1, m2) == linalg.mat_mul(m2, m1)
+        for group in ([*A.values(), *B.values()], list(K.values()))
+        for m1, m2 in combinations(group, 2)
+    )
     # the a_r-part of w(JZ, JX) against that of w(Z, X), column nj + j of B_Z
     omr_ok = all(
         coords([omega(J.apply(z), jx) for jx in j_ar])[nj:] == block(B[idx], on_r, on_r)

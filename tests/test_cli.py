@@ -153,6 +153,13 @@ class TestShear:
         assert code == 0
         assert json.loads(out)["cross_check"]["agreement"] is True
 
+    def test_metric_not_j_invariant(self, capsys, tmp_path, shear_file):
+        doc = json.loads(Path(shear_file).read_text())
+        doc["metric"][0][0] = "2"
+        code, _, err = run_cli(capsys, "shear", _write(tmp_path, "g.json", doc), "--kind", "skt")
+        assert code == 2
+        assert err == "error: metric is not compatible with J\n"
+
     def test_invalid_data(self, capsys, tmp_path):
         doc = {
             "dim": 4,

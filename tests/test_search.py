@@ -34,7 +34,7 @@ from hermlie.search import (
     residual,
     search_metric,
 )
-from hermlie.shear import build_shear
+from hermlie.shear import build_shear, shear_kernel
 from hermlie import search as search_module
 
 Q = Fraction
@@ -341,6 +341,23 @@ class TestCertificateCheck:
         unsymmetric[0][1] += 1
         for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n)):
             assert not check_certificate(cx_type_I, j_std6, "kahler", bad)
+
+    def test_shear_kernel_is_a_second_route(self, cx_type_I, j_std6, monkeypatch):
+        """On a two-step solvable algebra the certificate must also be
+        orthogonal to the shear route's kernel: one extra shear kernel matrix
+        that Y does not annihilate, here the identity, rejects it."""
+        y = self._certificate(cx_type_I, j_std6)
+        calls = []
+
+        def extra(data, J, kind):
+            calls.append(kind)
+            return shear_kernel(data, J, kind) + (al.linalg.identity_matrix(6),)
+
+        monkeypatch.setattr(search_module, "shear_kernel", extra)
+        assert not check_certificate(cx_type_I, j_std6, "kahler", y)
+        assert calls == ["kahler"]
+        monkeypatch.setattr(search_module, "shear_kernel", shear_kernel)
+        assert check_certificate(cx_type_I, j_std6, "kahler", y)
 
     def test_every_kernel_matrix_is_checked(self, j_std6):
         """On r'_{3,0} + r'_{3,0}, for each Kahler kernel matrix M a rank-one

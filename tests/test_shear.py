@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from hermlie import algebra as al
 from hermlie import core
 from hermlie import linalg as la
 from hermlie.errors import (
+    IncompatibleMetricError,
     InvalidPreShearError,
     JacobiFailedError,
     NotComplexShearDataError,
@@ -17,6 +19,7 @@ from hermlie.forms import VectorValuedTwoForm
 from hermlie.generators import PROFILES, random_compatible_metric, random_complex_shear
 from hermlie.hermitian import ComplexStructure, Metric, classify_metric, j_adapted_split, nijenhuis
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
+from hermlie.search import condition_kernel
 from hermlie.shear import (
     OperatorIdentityReport,
     PreShearData,
@@ -25,6 +28,7 @@ from hermlie.shear import (
     check_complex_shear,
     pre_shear_from_bracket,
     shear_condition,
+    shear_kernel,
     shear_operators,
     validate_pre_shear,
 )
@@ -282,6 +286,13 @@ class TestShearCondition:
                 PreShearData(4, a, w), Metric.identity(4), ComplexStructure.standard(4), "skt"
             )
 
+    def test_metric_not_j_invariant_rejected(self, cx_type_I, j_std6):
+        """A g that is not J-invariant is a bad metric, not bad shear data."""
+        g = Metric([[2 if i == j == 0 else int(i == j) for j in range(6)] for i in range(6)])
+        for kind in ("kahler", "balanced", "skt"):
+            with pytest.raises(IncompatibleMetricError, match="metric is not compatible with J"):
+                shear_condition(pre_shear_from_bracket(cx_type_I), g, j_std6, kind)
+
     def test_oracle_equivalence_sample(self):
         for profile in PROFILES:
             dims = (6,) if profile == "mixed" else (4, 6)
@@ -332,6 +343,49 @@ class TestShearCondition:
                 assert verdict == reference_skt(data, metric, J), (dim, k)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def span(kernel):
+    """Echelon form of the flattened kernel matrices: equal exactly for equal spans."""
+    return la.echelon([c for row in m for c in row] for m in kernel)
+
+
+class TestShearKernel:
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_spans_the_direct_kernel(self, dim):
+        """On every profile the generator builds and on the closed normal
+        forms, the shear route's kernel spans exactly the direct route's, and
+        the verdict at g is membership of g in it: one map gives both."""
+        instances = []
+        for profile in PROFILES:
+            for seed in range(2):
+                try:
+                    data, g, J = random_complex_shear(seed, profile, dim)
+                except UnsupportedDimensionError:
+                    break
+                instances.append((data, g, J, build_shear(data)))
+        for params in TestShearCondition.CLOSED_FORMS.get(dim, ()):
+            L, g, J = kahler_normal_form(params)
+            instances.append((pre_shear_from_bracket(L), g, J, L))
+        for k, (data, g, J, L) in enumerate(instances):
+            for kind in ("kahler", "skt"):
+                kernel = shear_kernel(data, J, kind)
+                assert kernel and span(kernel) == span(condition_kernel(L, J, kind)), (dim, k, kind)
+                gm = core.clear_matrix(g.matrix)[0]
+                member = len(span([*kernel, gm])) == len(kernel)
+                assert shear_condition(data, g, J, kind) == member, (dim, k, kind)
+
+    def test_matrices_are_primitive_and_compatible(self, cx_type_I, j_std6):
+        jm = j_std6.matrix
+        for kind in ("kahler", "skt"):
+            for m in shear_kernel(pre_shear_from_bracket(cx_type_I), j_std6, kind):
+                assert all(isinstance(c, int) for row in m for c in row)
+                assert gcd(*(c for row in m for c in row)) == 1
+                assert la.mat_mul(la.transpose(jm), la.mat_mul(m, jm)) == la.mat(m)
+
+    def test_balanced_has_no_linear_shear_kernel(self, cx_type_I, j_std6):
+        with pytest.raises(ValueError):
+            shear_kernel(pre_shear_from_bracket(cx_type_I), j_std6, "balanced")
 
 
 class TestShearOperators:

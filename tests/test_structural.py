@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 
 from hermlie import algebra as al
-from hermlie import core, hermitian
+from hermlie import core, hermitian, linalg
 from hermlie.catalog import witness_lists
 from hermlie.errors import IncompatibleMetricError, NotJInvariantError, NotTwoStepSolvableError
 from hermlie.generators import random_complex_shear
@@ -30,7 +30,8 @@ from hermlie.hermitian import (
     splice_metric,
     unitary_basis,
 )
-from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition
+from hermlie.search import condition_kernel
+from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition, shear_kernel
 
 Q = Fraction
 KINDS = ("kahler", "balanced", "skt")
@@ -55,6 +56,11 @@ def balanced_witnesses():
         for k, w in enumerate(e.witnesses)
         if w.expected["balanced"]
     ]
+
+
+def span(kernel):
+    """Echelon form of the flattened kernel matrices: equal exactly for equal spans."""
+    return linalg.echelon([c for row in m for c in row] for m in kernel)
 
 
 # --- the Fraction reference ------------------------------------------------
@@ -261,7 +267,7 @@ class TestErrors:
 
 def test_routes_share_no_differential(monkeypatch):
     """The shear-data and structural routes answer with the direct route's
-    operator disabled, and agree with it."""
+    operator disabled, and agree with it, the shear kernels included."""
     cells = [(6, p, seed) for p in ("nilpotent", "typeI", "typeII", "typeIII", "mixed") for seed in (0, 1)]
     cells += [(8, p, 0) for p in ("typeI", "typeIII")]
     cases = [(L, g, J, data) for data, g, J, L in (instance(*cell) for cell in cells)]
@@ -272,6 +278,7 @@ def test_routes_share_no_differential(monkeypatch):
     ]
     expected = [classify_metric(L, g, J) for L, g, J, _ in cases]
     assert any(v.balanced for v in expected) and not all(v.balanced for v in expected)
+    kernels = [{kind: span(condition_kernel(L, J, kind)) for kind in ("kahler", "skt")} for L, _, J, _ in cases]
 
     def direct_route(*args, **kwargs):
         raise AssertionError("the direct route's operator was called")
@@ -284,3 +291,6 @@ def test_routes_share_no_differential(monkeypatch):
         assert balanced_structural(L, g, J).balanced == direct.balanced
         for kind in KINDS:
             assert shear_condition(data, g, J, kind) == direct[kind]
+    for (L, g, J, data), direct in zip(cases, kernels):
+        for kind, expected_span in direct.items():
+            assert span(shear_kernel(data, J, kind)) == expected_span
