@@ -201,6 +201,11 @@ def kernel_matrices(rows: Sequence[Sequence[int]], basis: Sequence) -> tuple:
     return tuple(out)
 
 
+def kernel_span(matrices: Sequence) -> list:
+    """Echelon form of the flattened matrices: equal exactly for equal spans."""
+    return linalg.echelon([c for row in m for c in row] for m in matrices)
+
+
 def nijenhuis(L: LieAlgebra, J: ComplexStructure, x: Sequence, y: Sequence) -> Vector:
     """N(x,y) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y]."""
     jx, jy = J.apply(x), J.apply(y)

@@ -15,10 +15,11 @@ computation so the two routes can be checked against each other:
   torsion:   Alt(g(w(J.,J.), w(.,.)) + 2 g(w(J w(.,.), J.), .)) = 0
 
 The Kahler and torsion equations are linear in g: each is one map from the
-metric's numerators to its values on the basis subsets.  At g it gives the
-verdict (``shear_condition``); on a basis of the compatible metrics it gives
-the shear route's own exact kernel (``shear_kernel``), whose span must equal
-that of the direct route's ``search.condition_kernel``.
+numerators of sigma = J^T g (Kahler) or of g (torsion) to its values on the
+basis subsets.  At g it gives the verdict (``shear_condition``); on a basis
+of the compatible metrics it gives the shear route's own exact kernel
+(``shear_kernel``), whose span must equal that of the direct route's
+``search.condition_kernel``.
 
 Both torsion terms are antisymmetric in their first two slots and the
 first also in its last two, so, as for a wedge of two-forms, the
@@ -30,7 +31,7 @@ splits into sorted pairs A = (a, b), B = (c, d):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -44,7 +45,7 @@ from .errors import (
     NotComplexShearDataError,
 )
 from .forms import VectorValuedTwoForm
-from .hermitian import KINDS, ComplexStructure, Metric, compatible_basis, j_adapted_split, kernel_matrices, sigma_of
+from .hermitian import KINDS, ComplexStructure, Metric, compatible_basis, j_adapted_split, kernel_matrices
 from .linalg import Matrix, Vector
 
 
@@ -176,25 +177,26 @@ def _require_complex(data: PreShearData, J: ComplexStructure) -> None:
 
 
 def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
-    """The Kahler (tau) or torsion equations as one map: gm -> their values
-    on the basis 3-subsets (``combinations`` order) or 4-subsets, ints linear
-    in the symmetric numerators gm.  What does not depend on g is built once."""
+    """The Kahler (tau) or torsion equations as one map to their values on
+    the basis 3-subsets (``combinations`` order) or 4-subsets, ints linear in
+    its argument: the numerators of sigma = J^T g for Kahler, of g for
+    torsion.  What does not depend on g is built once."""
     n2 = data.dim
     w = data.omega.ints
-    jm, _ = J.ints
-    j_units = [list(c) for c in zip(*jm)]  # J e_t, the rows of J^T
     ob = w.on_basis()  # (x, y) -> w(e_x, e_y), 0-indexed
     if kind == "kahler":
         triples = list(combinations(range(n2), 3))
 
-        def tau(gm):
-            # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic, sigma = J^T g
-            sig = list(zip(*core.mat_mul(j_units, gm)))  # columns
+        def tau(sig):
+            # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic
+            cols = list(zip(*sig))
             for i, j, k in triples:
-                yield core.dot(ob[(i, j)], sig[k]) + core.dot(ob[(j, k)], sig[i]) + core.dot(ob[(k, i)], sig[j])
+                yield core.dot(ob[(i, j)], cols[k]) + core.dot(ob[(j, k)], cols[i]) + core.dot(ob[(k, i)], cols[j])
 
         return tau
     # the split form, both terms over dg dw^2 dJ^2
+    jm, _ = J.ints
+    j_units = [list(c) for c in zip(*jm)]  # J e_t
     pairs = list(combinations(range(n2), 2))
     jj = {(x, y): w(j_units[x], j_units[y]) for x, y in pairs}  # w(J e_x, J e_y)
     # g wj[z] is the matrix of v -> g w(J v, J e_z): W_z J, where W_z has
@@ -220,7 +222,8 @@ def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
     return torsion
 
 
-# the splits of four sorted positions into sorted pairs, signed as the permutation (first, second)
+# the splits of four sorted positions into two sorted pairs, with the sign
+# of the permutation that lists the first pair, then the second
 _SPLITS = (
     ((0, 1), (2, 3), 1),
     ((0, 2), (1, 3), -1),
@@ -236,33 +239,42 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
 
     ``kind`` is one of "kahler", "balanced", "skt".  The flat structure
     (g, J) may be any compatible pair; it is the one transported to the
-    sheared algebra.  Kahler and SKT hold when ``_shear_map`` vanishes at g;
-    balanced wedges that map's tau with sigma^{n-2}.
+    sheared algebra.  Kahler and SKT hold when their ``_shear_map``
+    vanishes, at sigma = J^T g and at g; balanced wedges Kahler's tau with
+    sigma^{n-2}.
     """
     _require_complex(data, J)
-    if (sigma := sigma_of(J, *g.ints)) is None:
+    if J.dim != g.dim:
+        raise DimensionMismatchError("metric and J dimensions differ")
+    (jm, _), (gm, _) = J.ints, g.ints
+    # sigma = J^T g; as J^2 = -1, g is J-invariant exactly when sigma is skew
+    sig = core.mat_mul(list(zip(*jm)), gm)
+    if not core.is_skew(sig):
         raise IncompatibleMetricError("metric is not compatible with J")
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
-    gm, n2 = g.ints[0], data.dim
     if kind != "balanced":
-        return not any(_shear_map(data, J, kind)(gm))
-    values = zip(combinations(range(n2), 3), _shear_map(data, J, "kahler")(gm))
+        return not any(_shear_map(data, J, kind)(sig if kind == "kahler" else gm))
+    n2 = data.dim
+    values = zip(combinations(range(n2), 3), _shear_map(data, J, "kahler")(sig))
     tau = {(1 << i) | (1 << j) | (1 << k): v for (i, j, k), v in values if v}
+    sigma = {(1 << i) | (1 << j): sig[i][j] for i, j in combinations(range(n2), 2) if sig[i][j]}
     # tau = 0 is Kahler, and then balanced
-    return not tau or not core.wedge(tau, core.power(sigma[0], n2 // 2 - 2))
+    return not tau or not core.wedge(tau, core.power(sigma, n2 // 2 - 2))
 
 
 def shear_kernel(data: PreShearData, J: ComplexStructure, kind: str) -> tuple:
     """Primitive int matrices spanning exactly the compatible symmetric X on
     which the Kahler or SKT shear equations vanish, as
     ``search.condition_kernel`` gives them: ``_shear_map`` on the
-    compatible basis, and its kernel."""
+    compatible basis (through J^T X for Kahler), and its kernel."""
     _require_complex(data, J)
     if kind not in ("kahler", "skt"):
         raise ValueError(f"the shear kernel is linear only for kahler and skt, not {kind}")
     basis, equations = compatible_basis(J), _shear_map(data, J, kind)
-    rows = [row for row in zip(*(list(equations(b)) for b in basis)) if any(row)]
+    jt = list(zip(*J.ints[0]))
+    points = [core.mat_mul(jt, b) for b in basis] if kind == "kahler" else basis
+    rows = [row for row in zip(*(list(equations(p)) for p in points)) if any(row)]
     return kernel_matrices(rows, basis)
 
 
@@ -295,7 +307,17 @@ class OperatorIdentityReport:
 
     @property
     def clean(self) -> bool:
-        return all(getattr(self, f.name) for f in fields(self))
+        return all(
+            (
+                self.g_blocks_vanish,
+                self.k_commutes_with_j,
+                self.f_symmetric,
+                self.omega_jj_in_a_J,
+                self.omega_jj_matches_h,
+                self.commutators_vanish,
+                self.omega_r_j_invariant,
+            )
+        )
 
 
 def shear_operators(
@@ -352,14 +374,22 @@ def shear_operators(
     k_ok = all(linalg.mat_mul(j_on_aj, k) == linalg.mat_mul(k, j_on_aj) for k in K.values())
     f_ok = all(f_map[(i, j)] == f_map[(j, i)] for i in range(nr) for j in range(nr))
 
-    jj = {(i, j): omega(jx, jy) for i, jx in enumerate(j_ar) for j, jy in enumerate(j_ar)}
-    jj_in = all(a_J.contains(val) for val in jj.values())
-    jj_match = all(val == J.apply(linalg.sub_vec(h_map[(i, j)], h_map[(j, i)])) for (i, j), val in jj.items())
+    jj_in = True
+    jj_match = True
+    for i, jx in enumerate(j_ar):
+        for j, jy in enumerate(j_ar):
+            val = omega(jx, jy)
+            if not a_J.contains(val):
+                jj_in = False
+            if val != J.apply(linalg.sub_vec(h_map[(i, j)], h_map[(j, i)])):
+                jj_match = False
+
+    def commute(m1: Matrix, m2: Matrix) -> bool:
+        return linalg.mat_mul(m1, m2) == linalg.mat_mul(m2, m1)
+
     comm_ok = all(
-        linalg.mat_mul(m1, m2) == linalg.mat_mul(m2, m1)
-        for group in ([*A.values(), *B.values()], list(K.values()))
-        for m1, m2 in combinations(group, 2)
-    )
+        commute(m1, m2) for m1, m2 in combinations([*A.values(), *B.values()], 2)
+    ) and all(commute(k1, k2) for k1, k2 in combinations(K.values(), 2))
     # the a_r-part of w(JZ, JX) against that of w(Z, X), column nj + j of B_Z
     omr_ok = all(
         coords([omega(J.apply(z), jx) for jx in j_ar])[nj:] == block(B[idx], on_r, on_r)

@@ -38,6 +38,7 @@ from .hermitian import (
     fundamental_form,
     hermitian_decomposition,
     kahler_from_skt_and_balanced_typeII,
+    kernel_span,
     normalize_skt_typeII,
 )
 from .normal_forms import (
@@ -113,11 +114,12 @@ def criterion_counterexample_type_III() -> dict:
     }
 
 
-def criterion_oracle_equivalence(per_cell: int = 56, drawn: int = 14) -> dict:
+def criterion_oracle_equivalence(per_cell: int = 56) -> dict:
     """The shear-data equations equal the direct route: their Kahler and SKT
     kernels have equal echelon forms, so equal spans, and all three verdicts
-    agree on the generated metric and, on the first ``drawn`` seeds of each
-    cell, on a metric drawn from the exact balanced kernel."""
+    agree on the generated metric and, on seeds 0-13 of each cell, on a
+    metric drawn from the exact balanced kernel.  The generated metrics are
+    never balanced; drawing on 14 seeds per cell gives both verdicts."""
     rng, kernel_dims, verdicts = random.Random("oracle"), Counter(), Counter()
     dims = {p: (6,) if p == "mixed" else (4, 6) for p in PROFILES}
     cells = [(p, dim, seed) for p in PROFILES for dim in dims[p] for seed in range(per_cell)]
@@ -126,10 +128,9 @@ def criterion_oracle_equivalence(per_cell: int = 56, drawn: int = 14) -> dict:
         L, where = build_shear(data), f"{profile}/{dim}/seed {seed}"
         for kind in ("kahler", "skt"):
             kernels = (shear_kernel(data, J, kind), condition_kernel(L, J, kind))
-            spans = [linalg.echelon([c for row in m for c in row] for m in k) for k in kernels]
-            assert spans[0] == spans[1], f"kernel mismatch: {where}/{kind}"
+            assert kernel_span(kernels[0]) == kernel_span(kernels[1]), f"kernel mismatch: {where}/{kind}"
             kernel_dims[f"{kind} {len(kernels[0])}"] += 1
-        source = _kernel_source(L, J, "balanced") if seed < drawn else None
+        source = _kernel_source(L, J, "balanced") if seed < 14 else None
         for metric in (g,) if source is None else (g, _kernel_metric(source, rng)):
             v = classify_metric(L, metric, J)
             for kind in KINDS:
@@ -144,6 +145,7 @@ def criterion_oracle_equivalence(per_cell: int = 56, drawn: int = 14) -> dict:
 def criterion_balanced_structural(count: int = 200) -> dict:
     """Trace/commutator criterion agrees with d(sigma^{n-1}) = 0."""
     rng = random.Random("balanced-structural")
+    profiles = [p for p in PROFILES]
     checked = 0
     balanced_seen = 0
     seed = 0
@@ -176,7 +178,7 @@ def criterion_balanced_structural(count: int = 200) -> dict:
             L, g, J = balanced_pool[checked % len(balanced_pool)]
             check(L, g, J)
             continue
-        profile = PROFILES[checked % len(PROFILES)]
+        profile = profiles[checked % len(profiles)]
         dim = 6 if profile == "mixed" else (4, 6)[checked % 2]
         data, g, J = random_complex_shear(seed, profile, dim)
         seed += 1

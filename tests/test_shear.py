@@ -17,7 +17,7 @@ from hermlie.errors import (
 )
 from hermlie.forms import VectorValuedTwoForm
 from hermlie.generators import PROFILES, random_compatible_metric, random_complex_shear
-from hermlie.hermitian import ComplexStructure, Metric, classify_metric, j_adapted_split, nijenhuis
+from hermlie.hermitian import ComplexStructure, Metric, classify_metric, j_adapted_split, kernel_span, nijenhuis
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
 from hermlie.search import condition_kernel
 from hermlie.shear import (
@@ -345,11 +345,6 @@ class TestShearCondition:
         assert verdicts == {True, False}
 
 
-def span(kernel):
-    """Echelon form of the flattened kernel matrices: equal exactly for equal spans."""
-    return la.echelon([c for row in m for c in row] for m in kernel)
-
-
 class TestShearKernel:
     @pytest.mark.parametrize("dim", [4, 6, 8, 10])
     def test_spans_the_direct_kernel(self, dim):
@@ -370,9 +365,9 @@ class TestShearKernel:
         for k, (data, g, J, L) in enumerate(instances):
             for kind in ("kahler", "skt"):
                 kernel = shear_kernel(data, J, kind)
-                assert kernel and span(kernel) == span(condition_kernel(L, J, kind)), (dim, k, kind)
+                assert kernel and kernel_span(kernel) == kernel_span(condition_kernel(L, J, kind)), (dim, k, kind)
                 gm = core.clear_matrix(g.matrix)[0]
-                member = len(span([*kernel, gm])) == len(kernel)
+                member = len(kernel_span([*kernel, gm])) == len(kernel)
                 assert shear_condition(data, g, J, kind) == member, (dim, k, kind)
 
     def test_matrices_are_primitive_and_compatible(self, cx_type_I, j_std6):

@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 
 from hermlie import algebra as al
-from hermlie import core, hermitian, linalg
+from hermlie import core, hermitian
 from hermlie.catalog import witness_lists
 from hermlie.errors import IncompatibleMetricError, NotJInvariantError, NotTwoStepSolvableError
 from hermlie.generators import random_complex_shear
@@ -27,6 +27,7 @@ from hermlie.hermitian import (
     balanced_structural,
     classify_metric,
     hermitian_decomposition,
+    kernel_span,
     splice_metric,
     unitary_basis,
 )
@@ -56,11 +57,6 @@ def balanced_witnesses():
         for k, w in enumerate(e.witnesses)
         if w.expected["balanced"]
     ]
-
-
-def span(kernel):
-    """Echelon form of the flattened kernel matrices: equal exactly for equal spans."""
-    return linalg.echelon([c for row in m for c in row] for m in kernel)
 
 
 # --- the Fraction reference ------------------------------------------------
@@ -278,7 +274,7 @@ def test_routes_share_no_differential(monkeypatch):
     ]
     expected = [classify_metric(L, g, J) for L, g, J, _ in cases]
     assert any(v.balanced for v in expected) and not all(v.balanced for v in expected)
-    kernels = [{kind: span(condition_kernel(L, J, kind)) for kind in ("kahler", "skt")} for L, _, J, _ in cases]
+    kernels = [{kind: kernel_span(condition_kernel(L, J, kind)) for kind in ("kahler", "skt")} for L, _, J, _ in cases]
 
     def direct_route(*args, **kwargs):
         raise AssertionError("the direct route's operator was called")
@@ -293,4 +289,4 @@ def test_routes_share_no_differential(monkeypatch):
             assert shear_condition(data, g, J, kind) == direct[kind]
     for (L, g, J, data), direct in zip(cases, kernels):
         for kind, expected_span in direct.items():
-            assert span(shear_kernel(data, J, kind)) == expected_span
+            assert kernel_span(shear_kernel(data, J, kind)) == expected_span
