@@ -143,6 +143,8 @@ def cmd_search(args) -> int:
     overrides = {}
     if args.config:
         overrides = _read_json(args.config)
+        if not isinstance(overrides, dict):
+            raise DocumentError("search config must be a JSON object")
     seeds = _seeds_from_env()
     if seeds is not None:
         overrides["seeds"] = seeds

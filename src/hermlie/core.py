@@ -66,6 +66,23 @@ def is_skew(m: Sequence[Sequence[int]]) -> bool:
     return all(m[a][b] == -m[b][a] for a in range(len(m)) for b in range(a, len(m)))
 
 
+def height(rows: Sequence[Sequence[int]], b: "Bilinear") -> int:
+    """max(1, |entries of rows|, |numerators of b|)."""
+    return max(1, *(abs(c) for row in rows for c in row), *(abs(c) for _, _, nums in b.terms for _, c in nums))
+
+
+def unpack(value: int, width: int, count: int) -> list[int]:
+    """The digits d_0, .., d_(count-1) of value = sum_i d_i 2^(width i), each
+    |d_i| < 2^(width-1): a Kronecker-substituted value read back.  Adding
+    2^(width-1) to every digit makes them all nonnegative, so they are the
+    plain base-2^width digits of the sum, and nothing may be left above the
+    top slot."""
+    half, mask = 1 << width - 1, (1 << width) - 1
+    shifted = value + half * (((1 << width * count) - 1) // mask)
+    assert not shifted >> width * count, "a packed value overflows its slots"
+    return [(shifted >> width * i & mask) - half for i in range(count)]
+
+
 class Bilinear:
     """An alternating bilinear map on Q^n as a sparse table of numerators.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import core, linalg
 from .algebra import (
@@ -177,25 +177,42 @@ def compatible_basis(J: ComplexStructure) -> tuple:
     j, dj = J.ints
     n = len(j)
     slots = [(a, b) for a in range(n) for b in range(a, n)]
-    # dj^2 E + J^T E J for E = e_a e_b^T + e_b e_a^T, or e_a e_a^T
-    images = [
-        [dj * dj * ((p, q) == (a, b)) + j[a][p] * j[b][q] + (a != b) * j[b][p] * j[a][q] for p, q in slots]
-        for a, b in slots
-    ]
+    # dj^2 E + J^T E J for E = e_a e_a^T, or e_a e_b^T + e_b e_a^T: on the
+    # slot (p, q), the outer product ja[p] ja[q], or ja[p] jb[q] + jb[p] ja[q]
+    images = []
+    for i, (a, b) in enumerate(slots):
+        ja, jb = j[a], j[b]
+        if a == b:
+            row = [ja[p] * ja[q] for p, q in slots]
+        else:
+            row = [ja[p] * jb[q] + jb[p] * ja[q] for p, q in slots]
+        row[i] += dj * dj
+        images.append(row)
     index = {slot: i for i, slot in enumerate(slots)}
-    return tuple(
-        tuple(tuple(row[index[min(a, b), max(a, b)]] for b in range(n)) for a in range(n))
-        for row in linalg.echelon(images)
-    )
+    at = [[index[min(a, b), max(a, b)] for b in range(n)] for a in range(n)]
+    return tuple(tuple(tuple(row[i] for i in line) for line in at) for row in linalg.echelon(images))
 
 
-def kernel_matrices(rows: Sequence[Sequence[int]], basis: Sequence) -> tuple:
-    """Primitive int matrices spanning the combinations sum x_i basis_i of
-    the int ``basis`` matrices whose coefficients x satisfy rows . x = 0."""
-    n = len(basis[0])
+def packed_kernel(basis: Sequence, evaluate: Callable, gain: int) -> tuple:
+    """Primitive int matrices spanning the combinations sum x_i X_i of the
+    int ``basis`` matrices X_i on which the linear map ``evaluate`` vanishes.
+
+    ``evaluate`` takes an int matrix to its outputs, in a fixed order, by
+    + and * with int constants only, and ``gain`` bounds each output per
+    unit of the largest |entry| of its input.  So the map runs once, on
+    P = sum_i X_i 2^(W i) (Kronecker substitution): its outputs are
+    sum_i f(X_i) 2^(W i) exactly, and as each |f(X_i)| < 2^(W-1) the
+    balanced base-2^W digits of every nonzero output are that output's row
+    of the kernel system.
+    """
+    n, k = len(basis[0]), len(basis)
+    columns = list(zip(*([c for row in b for c in row] for b in basis)))  # entry -> its value in each X_i
+    width = (gain * max(max(map(abs, col)) for col in columns)).bit_length() + 1
+    flat = core.mat_vec(columns, [1 << width * i for i in range(k)])
+    rows = [core.unpack(v, width, k) for v in evaluate([flat[r * n : (r + 1) * n] for r in range(n)]) if v]
     out = []
-    for x in linalg.kernel(rows, len(basis))[0]:
-        flat = core.combine(x, [[c for row in b for c in row] for b in basis])
+    for x in linalg.kernel(rows, k)[0]:
+        flat = core.mat_vec(columns, x)
         d = gcd(*flat)
         out.append(tuple(tuple(c // d for c in flat[i * n : (i + 1) * n]) for i in range(n)))
     return tuple(out)

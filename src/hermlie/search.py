@@ -4,8 +4,9 @@ Each kind is linear in its own coordinates: Kahler and SKT in the metrics
 G (``hermitian.condition_form``), balanced in the inverse metrics H = G^-1,
 which are compatible with J^T (``hermitian.balanced_inverse_form``).  So the
 special metrics are the definite matrices of the exact rational kernel K of
-that map (``condition_kernel``), and the search decides whether K meets the
-positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
+that map (``condition_kernel``, which runs the map once, on the compatible
+basis packed into one int matrix), and the search decides whether K meets
+the positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
 tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
 eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*, 11.4).
 ``found``: once s < 0, the analytic centre of the slice is snapped to
@@ -24,7 +25,7 @@ import numbers
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .hermitian import (
     compatible_basis,
     condition_form,
     is_integrable,
-    kernel_matrices,
+    packed_kernel,
     sigma_of,
 )
 from .shear import pre_shear_from_bracket, shear_kernel
@@ -55,18 +56,31 @@ def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> tuple:
 def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
     """Primitive int matrices spanning exactly the compatible symmetric X on
     which the condition map of ``kind`` vanishes: the metrics G for Kahler
-    and SKT, the inverse metrics H (compatible with J^T) for balanced."""
+    and SKT, the inverse metrics H (compatible with J^T) for balanced.  The
+    map runs once, on the compatible basis packed into one int matrix
+    (``hermitian.packed_kernel``)."""
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
-    if kind == "balanced":
-        basis = metric_parameterization(L, ComplexStructure(linalg.transpose(J.matrix)))
-        columns = [balanced_inverse_form(L, J, b, 1) for b in basis]
-    else:
-        basis = metric_parameterization(L, J)
-        columns = [condition_form(L, J, *sigma_of(J, b, 1), kind) for b in basis]
-    den = lcm(*(d for _, d in columns))
-    masks = sorted(set().union(*(nums for nums, _ in columns)))
-    return kernel_matrices([[nums.get(mask, 0) * (den // d) for nums, d in columns] for mask in masks], basis)
+    # Gains, with N = dim, M the largest numerator of J and the bracket (at
+    # least 1) and X standing for max |X|.  J^T X and -H J^T have entries at
+    # most N M X.  d of a k-form with coefficients at most c sums, on each
+    # (k+1)-subset, at most C(k+1, 2) N bracket numerators times coefficients
+    # (a pair in the subset, an index put back outside the rest), so it is at
+    # most C(k+1, 2) N M c; J* of a 3-form sums at most C(N, 3) <= N^3 / 6
+    # coefficients times 3 x 3 minors of J, so it is at most N^3 M^3 c:
+    #   kahler    d(J^T X)             <= 3N M (N M X)               = 3 N^2 M^2 X
+    #   balanced  d iota(-H J^T) vol   <= C(N-1, 2) N M (N M X)      <= N^4 M^2 X
+    #   skt       d J* d(J^T X)        <= 6N M N^3 M^3 (3 N^2 M^2 X) = 18 N^6 M^6 X
+    n, m = L.dim, core.height(J.ints[0], L.ints)
+    gain = {"kahler": 3 * n**2 * m**2, "balanced": n**4 * m**2, "skt": 18 * n**6 * m**6}[kind]
+
+    def outputs(p):
+        if kind == "balanced":
+            return [v for _, v in sorted(balanced_inverse_form(L, J, p, 1)[0].items())]
+        return [v for _, v in sorted(condition_form(L, J, *sigma_of(J, p, 1), kind)[0].items())]
+
+    basis = metric_parameterization(L, ComplexStructure(linalg.transpose(J.matrix)) if kind == "balanced" else J)
+    return packed_kernel(basis, outputs, gain)
 
 
 def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:

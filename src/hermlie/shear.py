@@ -16,8 +16,9 @@ computation so the two routes can be checked against each other:
 
 The Kahler and torsion equations are linear in g: each is one map from the
 numerators of sigma = J^T g (Kahler) or of g (torsion) to its values on the
-basis subsets.  At g it gives the verdict (``shear_condition``); on a basis
-of the compatible metrics it gives the shear route's own exact kernel
+basis subsets.  At g it gives the verdict (``shear_condition``); run once
+on the basis of the compatible metrics packed into one int matrix
+(``hermitian.packed_kernel``) it gives the shear route's own exact kernel
 (``shear_kernel``), whose span must equal that of the direct route's
 ``search.condition_kernel``.
 
@@ -45,7 +46,7 @@ from .errors import (
     NotComplexShearDataError,
 )
 from .forms import VectorValuedTwoForm
-from .hermitian import KINDS, ComplexStructure, Metric, compatible_basis, j_adapted_split, kernel_matrices
+from .hermitian import KINDS, ComplexStructure, Metric, compatible_basis, j_adapted_split, packed_kernel
 from .linalg import Matrix, Vector
 
 
@@ -131,15 +132,8 @@ def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShear
     w = data.omega.ints
     j_units = [list(c) for c in zip(*rows)]  # J e_t
     on_basis = w.on_basis()
-    # Alt(w(w(.,.),.)) = 0, over dw^2
-    jacobi_ok = not any(
-        any(p + q + r for p, q, r in zip(
-            w.with_basis(on_basis[(i, j)], k),
-            w.with_basis(on_basis[(j, k)], i),
-            w.with_basis(on_basis[(k, i)], j),
-        ))
-        for i, j, k in combinations(range(n), 3)
-    )
+    # Alt(w(w(.,.),.)) = 0: the Jacobi sums of w, as [[x, y], z] = w(w(x, y), z)
+    jacobi_ok = not any(map(any, core.jacobi_sums(w)))
     # w(J e_i, J e_j) = w(e_i, e_j) + J(w(J e_i, e_j) + w(e_i, J e_j)), over dJ^2 dw
     scale = dj * dj
     integrable_ok = True
@@ -266,16 +260,25 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
 def shear_kernel(data: PreShearData, J: ComplexStructure, kind: str) -> tuple:
     """Primitive int matrices spanning exactly the compatible symmetric X on
     which the Kahler or SKT shear equations vanish, as
-    ``search.condition_kernel`` gives them: ``_shear_map`` on the
-    compatible basis (through J^T X for Kahler), and its kernel."""
+    ``search.condition_kernel`` gives them: ``_shear_map`` run once on the
+    packed compatible basis (through J^T X for Kahler), and its kernel."""
     _require_complex(data, J)
     if kind not in ("kahler", "skt"):
         raise ValueError(f"the shear kernel is linear only for kahler and skt, not {kind}")
-    basis, equations = compatible_basis(J), _shear_map(data, J, kind)
-    jt = list(zip(*J.ints[0]))
-    points = [core.mat_mul(jt, b) for b in basis] if kind == "kahler" else basis
-    rows = [row for row in zip(*(list(equations(p)) for p in points)) if any(row)]
-    return kernel_matrices(rows, basis)
+    jm, _ = J.ints
+    equations = _shear_map(data, J, kind)
+    # Gains, with N = dim, M the largest numerator of J and w (at least 1) and
+    # X standing for max |X|, as sums of products.  Kahler: J^T X <= N M X and
+    # tau sums three dot products of it with w(e_i, e_j), so tau <= 3 N^2 M^2 X.
+    # Torsion: w(J e_x, J e_y) <= N^2 M^3 and W_z J <= N (N M^2) M, so
+    # g (W_z J) <= N^3 M^3 X and alt <= 2 N^3 M^3 X; g w(e_x, e_y) <= N M X; each
+    # of the six splits adds N (N^2 M^3)(N M X) + N M (2 N^3 M^3 X) = 3 N^4 M^4 X,
+    # so a value is at most 18 N^4 M^4 X.
+    n, m = data.dim, core.height(jm, data.omega.ints)
+    if kind == "kahler":
+        jt = list(zip(*jm))
+        return packed_kernel(compatible_basis(J), lambda p: equations(core.mat_mul(jt, p)), 3 * n**2 * m**2)
+    return packed_kernel(compatible_basis(J), equations, 18 * n**4 * m**4)
 
 
 @dataclass(frozen=True)

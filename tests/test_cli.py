@@ -438,6 +438,16 @@ class TestMalformedInput:
         self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
                             "--config", _write(tmp_path, "cfg.json", config))
 
+    @pytest.mark.parametrize("seeds", [None, "0"])
+    @pytest.mark.parametrize("config", [[1, 2], "s", 3, None])
+    def test_search_config_not_an_object(self, capsys, tmp_path, cx1_file, j_file, monkeypatch, config, seeds):
+        if seeds is None:
+            monkeypatch.delenv("HERMLIE_SEEDS", raising=False)
+        else:
+            monkeypatch.setenv("HERMLIE_SEEDS", seeds)
+        self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
+                            "--config", _write(tmp_path, "cfg.json", config))
+
     @pytest.mark.parametrize(
         "command,doc",
         [

@@ -7,7 +7,7 @@ and wedges by permutation sums, and elimination by textbook Gauss-Jordan.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,3 +369,21 @@ def test_rref_and_det_match_sympy(m):
     square = [row[: len(m)] for row in m] if len(m) <= len(m[0]) else None
     if square is not None:
         assert la.det(square) == Q(str(sympy.Matrix(square).det()))
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 31, 64, 65, 200])
+@pytest.mark.parametrize("count", [1, 2, 3, 9])
+def test_unpack_round_trip(width, count):
+    """Digits at +-(2^(width-1) - 1) and 0 in every slot pack into one int
+    and come back; anything above the top slot is refused."""
+    top = (1 << width - 1) - 1
+    values = (-top, 0, top)
+    patterns = list(product(values, repeat=count)) if count <= 3 else [
+        [values[(i + shift) % 3] for i in range(count)] for shift in range(3)
+    ] + [[v] * count for v in values]
+    for digits in patterns:
+        packed = sum(d << width * i for i, d in enumerate(digits))
+        assert core.unpack(packed, width, count) == list(digits)
+    for over in ((top + 1) << width * (count - 1), -(top + 2) << width * (count - 1), 1 << width * count):
+        with pytest.raises(AssertionError):
+            core.unpack(over, width, count)

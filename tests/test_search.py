@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -12,8 +13,8 @@ from hermlie import algebra as al
 from hermlie import core
 from hermlie.catalog import witness_lists
 from hermlie.documents import load_algebra, load_complex_structure, load_shear_data
-from hermlie.errors import IncompatibleMetricError, InvalidMetricError, NotIntegrableError
-from hermlie.generators import random_compatible_metric, random_complex_shear, random_unitary
+from hermlie.errors import IncompatibleMetricError, InvalidMetricError, NotIntegrableError, UnsupportedDimensionError
+from hermlie.generators import PROFILES, random_compatible_metric, random_complex_shear, random_unitary
 from hermlie.forms import ce_differential, form_from_terms, form_power, j_pullback
 from hermlie.hermitian import (
     KINDS,
@@ -21,7 +22,11 @@ from hermlie.hermitian import (
     Metric,
     balanced_inverse_form,
     classify_metric,
+    compatible_basis,
+    condition_form,
     fundamental_form,
+    is_integrable,
+    sigma_of,
 )
 from hermlie.salamon import parse_salamon
 from hermlie.search import (
@@ -34,7 +39,7 @@ from hermlie.search import (
     residual,
     search_metric,
 )
-from hermlie.shear import build_shear, shear_kernel
+from hermlie.shear import _shear_map, build_shear, pre_shear_from_bracket, shear_kernel
 from hermlie import search as search_module
 
 Q = Fraction
@@ -494,3 +499,84 @@ class TestFeasibility:
             result = search_metric(L, J, kind)
             assert result.status == ("none" if kind == "kahler" else "found"), kind
             _check_outcome(L, J, kind, result)
+
+
+def reference_basis(J):
+    """The compatible basis entry by entry: dj^2 E + J^T E J on every slot."""
+    j, dj = J.ints
+    n = len(j)
+    slots = [(a, b) for a in range(n) for b in range(a, n)]
+    images = [
+        [dj * dj * ((p, q) == (a, b)) + j[a][p] * j[b][q] + (a != b) * j[b][p] * j[a][q] for p, q in slots]
+        for a, b in slots
+    ]
+    return tuple(
+        tuple(tuple(row[slots.index((min(a, b), max(a, b)))] for b in range(n)) for a in range(n))
+        for row in al.linalg.echelon(images)
+    )
+
+
+def reference_kernel(basis, outputs):
+    """The kernel of a linear map evaluated once per basis matrix: ``outputs``
+    gives each matrix's nonzero values as {key: int}, and each key is one
+    row of the system, in key order (the row order fixes the kernel's signs)."""
+    values = [outputs(b) for b in basis]
+    keys = sorted(set().union(*values))
+    rows = [[v.get(key, 0) for v in values] for key in keys]
+    n = len(basis[0])
+    out = []
+    for x in al.linalg.kernel(rows, len(basis))[0]:
+        flat = [sum(c * b[r][t] for c, b in zip(x, basis)) for r in range(n) for t in range(n)]
+        d = math.gcd(*flat)
+        out.append(tuple(tuple(c // d for c in flat[r * n : (r + 1) * n]) for r in range(n)))
+    return tuple(out)
+
+
+def reference_condition_kernel(L, J, kind):
+    if kind == "balanced":
+        basis = reference_basis(ComplexStructure(al.linalg.transpose(J.matrix)))
+        return reference_kernel(basis, lambda b: balanced_inverse_form(L, J, b, 1)[0])
+    return reference_kernel(reference_basis(J), lambda b: condition_form(L, J, *sigma_of(J, b, 1), kind)[0])
+
+
+def reference_shear_kernel(data, J, kind):
+    jt = al.linalg.transpose(J.ints[0])
+    equations = _shear_map(data, J, kind)
+    return reference_kernel(
+        reference_basis(J),
+        lambda b: {i: v for i, v in enumerate(equations(core.mat_mul(jt, b) if kind == "kahler" else b)) if v},
+    )
+
+
+def _packing_instances():
+    """Every buildable profile at d4-d10, seeds 0-1; the catalog; and a typeI
+    d10 shear conjugated once more, whose numerators are the largest."""
+    out = []
+    for dim in (4, 6, 8, 10):
+        for profile in PROFILES:
+            for seed in range(2):
+                try:
+                    data, _, J = random_complex_shear(seed, profile, dim)
+                except UnsupportedDimensionError:
+                    break
+                out.append((f"{profile}-d{dim}-{seed}", build_shear(data), J))
+    out += [(entry.name, entry.algebra, entry.J) for entry in witness_lists()]
+    data, _, J = random_complex_shear(0, "typeI", 10)  # J is the standard pairing
+    out.append(("typeI-d10-conjugated", al.change_basis(build_shear(data), random_unitary(10, random.Random(13))), J))
+    return out
+
+
+class TestPackedKernel:
+    """The packed evaluation of each condition map gives exactly the kernel
+    of its evaluation on one basis matrix at a time."""
+
+    @pytest.mark.parametrize("case", _packing_instances(), ids=lambda case: case[0])
+    def test_equals_the_per_matrix_evaluation(self, case):
+        _, L, J = case
+        assert compatible_basis(J) == reference_basis(J)
+        for kind in KINDS:
+            assert condition_kernel(L, J, kind) == reference_condition_kernel(L, J, kind), kind
+        if al.is_two_step_solvable(L) and is_integrable(L, J):
+            data = pre_shear_from_bracket(L)
+            for kind in ("kahler", "skt"):
+                assert shear_kernel(data, J, kind) == reference_shear_kernel(data, J, kind), kind
