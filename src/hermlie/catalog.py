@@ -15,7 +15,7 @@ from functools import cache
 
 from .algebra import LieAlgebra
 from .errors import ConstraintViolatedError, UnknownNameError
-from .hermitian import ComplexStructure, Metric
+from .hermitian import ComplexStructure, Metric, classify_metric
 from .salamon import parse_salamon
 
 Q = Fraction
@@ -384,8 +384,6 @@ def witness_lists() -> tuple[CatalogEntry, ...]:
 
 def verify_catalog(entries=None) -> list[tuple[str, str, bool]]:
     """Recompute every stored verdict; returns (entry, witness, ok) rows."""
-    from .hermitian import classify_metric
-
     rows = []
     for entry in entries if entries is not None else witness_lists():
         for witness in entry.witnesses:

@@ -27,7 +27,7 @@ from .documents import (
     matrix_doc,
 )
 from .errors import HermlieError
-from .hermitian import KINDS, classify_metric, hermitian_decomposition
+from .hermitian import KINDS, Metric, classify_metric, hermitian_decomposition
 from .salamon import MAX_DIM, render_salamon
 from .search import SearchConfig, residual, search_metric
 from .shear import build_shear, check_complex_shear, shear_condition, validate_pre_shear
@@ -109,8 +109,6 @@ def cmd_shear(args) -> int:
     else:
         if J is None:
             raise DocumentError('condition checks need a "J" entry in the document')
-        from .hermitian import Metric
-
         g = g or Metric.identity(data.dim)
         cs = check_complex_shear(data, J)
         report["complex_shear"] = {"jacobi_ok": cs.jacobi_ok, "integrable_ok": cs.integrable_ok}
@@ -150,7 +148,7 @@ def cmd_search(args) -> int:
         overrides["seeds"] = seeds
     try:
         config = SearchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad search config: {exc}") from None
     result = search_metric(L, J, args.target, config)
     report = {

@@ -16,7 +16,7 @@ from math import isqrt
 from . import core, linalg
 from .algebra import LieAlgebra, change_basis, direct_sum, make_algebra, abelian
 from .errors import ParameterConstraintViolatedError, UnsupportedDimensionError
-from .forms import form_from_terms, zero_form
+from .forms import form_from_terms, wedge, zero_form
 from .hermitian import ComplexStructure, Metric
 from .linalg import ONE, ZERO, Matrix
 from .normal_forms import (
@@ -88,8 +88,6 @@ def random_unitary(dim: int, rng: random.Random, pairs=None) -> Matrix:
             mm = rng.randint(1, 3)
             kk = rng.randint(0, mm)
             a, b, r = mm * mm - kk * kk, 2 * mm * kk, mm * mm + kk * kk
-            if a == 0 and b == 0:
-                continue
             i, j = pairs[p][0] - 1, pairs[p][1] - 1
             rows[i][i], rows[i][j] = Fraction(a, r), Fraction(-b, r)
             rows[j][i], rows[j][j] = Fraction(b, r), Fraction(a, r)
@@ -125,8 +123,6 @@ def _random_11_form(ell: int, rng: random.Random):
 
 def _volume_coefficient(form) -> Fraction:
     """c with form ^ form = c * u^{1234} on four local coordinates."""
-    from .forms import wedge
-
     sq = wedge(form, form)
     return sq.coeffs.get((1, 2, 3, 4), ZERO)
 

@@ -245,21 +245,16 @@ def validate_complex_structure(L: LieAlgebra, J: ComplexStructure) -> ComplexStr
         raise DimensionMismatchError("J and algebra dimensions differ")
     b = L.ints
     rows, dj = J.ints
-    n = L.dim
     cols = [list(c) for c in zip(*rows)]  # J e_i
-    # left[i][j] = B(J e_i, e_j); B(J e_i, J e_j) = sum_k (J e_j)_k left[i][k]
-    left = [[b.with_basis(cols[i], j) for j in range(n)] for i in range(n)]
-    left_t = [list(zip(*row)) for row in left]
     plain = b.on_basis()
     scale = dj * dj
     failing = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            mixed = [x - y for x, y in zip(left[i][j], left[j][i])]
-            out = core.mat_vec(rows, mixed)
-            jj = core.mat_vec(left_t[i], cols[j])
-            if any(p - q - scale * r for p, q, r in zip(jj, out, plain[(i, j)])):
-                failing.append((i + 1, j + 1))
+    for i, j in combinations(range(L.dim), 2):
+        # B(J e_i, e_j) + B(e_i, J e_j) = B(J e_i, e_j) - B(J e_j, e_i)
+        mixed = [x - y for x, y in zip(b.with_basis(cols[i], j), b.with_basis(cols[j], i))]
+        out = core.mat_vec(rows, mixed)
+        if any(p - q - scale * r for p, q, r in zip(b(cols[i], cols[j]), out, plain[(i, j)])):
+            failing.append((i + 1, j + 1))
     return ComplexStructureReport(not failing, tuple(failing))
 
 

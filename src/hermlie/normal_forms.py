@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from . import linalg
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, make_algebra
 from .errors import ParameterConstraintViolatedError
 from .forms import KForm, j_pullback, wedge
 from .hermitian import (
@@ -175,8 +175,6 @@ def kahler_normal_form(
     for k in range(1, r + 1):
         constants.append((jx_slot(k), x_slot(k), x_slot(k), lambdas[k - 1]))
 
-    from .algebra import make_algebra
-
     L = make_algebra(dim, constants)
     pairs = [(y_slot(j), y_slot(j) + 1) for j in range(1, s + 1)]
     pairs += [(x_slot(k), jx_slot(k)) for k in range(1, r + 1)]
@@ -301,8 +299,6 @@ def skt_typeII_normal_form(
             value[2 * k - 1] += c.im
         if any(value):
             table_extra[(z_global(t), z_global(u))] = value
-
-    from .algebra import make_algebra
 
     L0 = make_algebra(dim, constants)
     table = dict(L0.table)

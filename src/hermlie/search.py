@@ -25,7 +25,7 @@ import numbers
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import numpy as np
 
@@ -113,6 +113,8 @@ def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
     with J satisfies ``kind``, checked exactly on a fresh kernel and, for
     Kahler and SKT on a two-step solvable L with J integrable, also on the
     shear route's kernel."""
+    if len(Y) != L.dim or any(len(row) != L.dim for row in Y):
+        return False
     kernel = condition_kernel(L, J, kind)
     if kind != "balanced" and is_two_step_solvable(L) and is_integrable(L, J):
         kernel += shear_kernel(pre_shear_from_bracket(L), J, kind)
@@ -138,6 +140,13 @@ class SearchConfig:
                 what = "a list of " if many else ""
                 noun = "integers" if kind is numbers.Integral else "numbers"
                 raise TypeError(f"{f.name} must be {what}{noun}, got {value!r}")
+        # and each must let a search run: NaN fails the comparison too
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if not 0 < self.tolerance < inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ The three metric conditions have equivalent formulations directly on the
 data; they are implemented here independently of the differential
 computation so the two routes can be checked against each other:
 
-  complex:   Alt(w(w(.,.),.)) = 0  and  w(J.,J.) = w + J(w(J.,.) + w(.,J.))
+  complex:   the built algebra satisfies Jacobi and J is integrable on it
   Kahler:    tau = Alt(sigma(w(.,.),.)) = 0
   balanced:  tau ^ sigma^{n-2} = 0
   torsion:   Alt(g(w(J.,J.), w(.,.)) + 2 g(w(J w(.,.), J.), .)) = 0
@@ -46,7 +46,9 @@ from .errors import (
     NotComplexShearDataError,
 )
 from .forms import VectorValuedTwoForm
-from .hermitian import KINDS, ComplexStructure, Metric, compatible_basis, j_adapted_split, packed_kernel
+from .hermitian import (
+    KINDS, ComplexStructure, Metric, compatible_basis, is_integrable, j_adapted_split, packed_kernel
+)
 from .linalg import Matrix, Vector
 
 
@@ -77,10 +79,21 @@ class PreShearReport:
 
 
 def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
-    """Reconstruct (a, w) = (derg, -bracket) from a two-step solvable algebra."""
+    """Reconstruct (a, w) = (derg, -bracket); the algebra it builds is L."""
     img = image_of_bracket(L)
     values = {pair: linalg.neg_vec(v) for pair, v in L.table.items()}
-    return PreShearData(L.dim, img, VectorValuedTwoForm(L.dim, img, values))
+    data = PreShearData(L.dim, img, VectorValuedTwoForm(L.dim, img, values))
+    data._check_memo["algebra"] = L
+    return data
+
+
+def _algebra(data: PreShearData) -> LieAlgebra:
+    """The algebra [x, y] = -w(x, y), built once per data and not validated."""
+    memo = data._check_memo
+    if "algebra" not in memo:
+        table = {pair: linalg.neg_vec(v) for pair, v in data.omega.values.items()}
+        memo["algebra"] = LieAlgebra(data.dim, table)
+    return memo["algebra"]
 
 
 def validate_pre_shear(data: PreShearData) -> PreShearReport:
@@ -118,6 +131,7 @@ class ComplexShearReport:
 
 
 def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShearReport:
+    """Jacobi and the integrability of J on the algebra the data builds."""
     memo = data._check_memo
     rows, dj = J.ints
     key = (tuple(map(tuple, rows)), dj)
@@ -127,25 +141,8 @@ def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShear
         raise DimensionMismatchError("J and shear data dimensions differ")
     if not validate_pre_shear(data).valid:
         raise InvalidPreShearError("not pre-shear data: form does not vanish on a or leaves a")
-    # numerators only: w over dw, J over dJ
-    n = data.dim
-    w = data.omega.ints
-    j_units = [list(c) for c in zip(*rows)]  # J e_t
-    on_basis = w.on_basis()
-    # Alt(w(w(.,.),.)) = 0: the Jacobi sums of w, as [[x, y], z] = w(w(x, y), z)
-    jacobi_ok = not any(map(any, core.jacobi_sums(w)))
-    # w(J e_i, J e_j) = w(e_i, e_j) + J(w(J e_i, e_j) + w(e_i, J e_j)), over dJ^2 dw
-    scale = dj * dj
-    integrable_ok = True
-    for i, j in combinations(range(n), 2):
-        lhs = w(j_units[i], j_units[j])
-        mixed = [x - y for x, y in zip(w.with_basis(j_units[i], j), w.with_basis(j_units[j], i))]
-        rhs = [scale * x + y for x, y in zip(on_basis[(i, j)], core.mat_vec(rows, mixed))]
-        if lhs != rhs:
-            integrable_ok = False
-            break
-    report = ComplexShearReport(jacobi_ok, integrable_ok)
-    memo[key] = report
+    L = _algebra(data)
+    report = memo[key] = ComplexShearReport(L.validated, is_integrable(L, J))
     return report
 
 
@@ -153,8 +150,7 @@ def build_shear(data: PreShearData) -> LieAlgebra:
     """The algebra [x, y] = -w(x, y); requires the quadratic closure condition."""
     if not validate_pre_shear(data).valid:
         raise InvalidPreShearError("not pre-shear data")
-    table = {pair: linalg.neg_vec(v) for pair, v in data.omega.values.items()}
-    L = LieAlgebra(data.dim, table)
+    L = _algebra(data)
     if not L.validated:
         raise JacobiFailedError(
             f"shear data does not close: Jacobi residual {L.jacobi_residual()}"

@@ -53,6 +53,14 @@ from .shear import build_shear, shear_condition, shear_kernel
 
 Q = Fraction
 
+# the size of each randomised criterion
+ORACLE_SEEDS_PER_CELL = 56  # criterion 3: seeds per (profile, dimension)
+STRUCTURAL_INSTANCES = 200  # criterion 4
+KAHLER_DRAWS_PER_TYPE = 100  # criterion 5: per pure type
+TYPEII_DRAWS = 100  # criterion 6: built, and again perturbed
+PIPELINE_DRAWS = 5  # criterion 8: per algebra
+SPECIAL_PAIR_DRAWS = 500  # criterion 10
+
 
 def _counterexample(name: str):
     """(L, J, standard metric, tilted metric) of a catalog counterexample."""
@@ -114,7 +122,7 @@ def criterion_counterexample_type_III() -> dict:
     }
 
 
-def criterion_oracle_equivalence(per_cell: int = 56) -> dict:
+def criterion_oracle_equivalence() -> dict:
     """The shear-data equations equal the direct route: their Kahler and SKT
     kernels have equal echelon forms, so equal spans, and all three verdicts
     agree on the generated metric and, on seeds 0-13 of each cell, on a
@@ -122,7 +130,7 @@ def criterion_oracle_equivalence(per_cell: int = 56) -> dict:
     never balanced; drawing on 14 seeds per cell gives both verdicts."""
     rng, kernel_dims, verdicts = random.Random("oracle"), Counter(), Counter()
     dims = {p: (6,) if p == "mixed" else (4, 6) for p in PROFILES}
-    cells = [(p, dim, seed) for p in PROFILES for dim in dims[p] for seed in range(per_cell)]
+    cells = [(p, dim, seed) for p in PROFILES for dim in dims[p] for seed in range(ORACLE_SEEDS_PER_CELL)]
     for profile, dim, seed in cells:
         data, g, J = random_complex_shear(seed, profile, dim)
         L, where = build_shear(data), f"{profile}/{dim}/seed {seed}"
@@ -142,7 +150,7 @@ def criterion_oracle_equivalence(per_cell: int = 56) -> dict:
             "verdicts": dict(sorted(verdicts.items()))}
 
 
-def criterion_balanced_structural(count: int = 200) -> dict:
+def criterion_balanced_structural() -> dict:
     """Trace/commutator criterion agrees with d(sigma^{n-1}) = 0."""
     rng = random.Random("balanced-structural")
     profiles = [p for p in PROFILES]
@@ -173,7 +181,7 @@ def criterion_balanced_structural(count: int = 200) -> dict:
         balanced_seen += int(direct)
         checked += 1
 
-    while checked < count:
+    while checked < STRUCTURAL_INSTANCES:
         if checked % 4 == 3:
             L, g, J = balanced_pool[checked % len(balanced_pool)]
             check(L, g, J)
@@ -213,18 +221,18 @@ def _random_kahler_params(pure_type: str, rng: random.Random) -> KahlerNormalFor
     return KahlerNormalForm(pure_type, s, r, ell, tuple(alphas), tuple(betas), lambdas)
 
 
-def criterion_kahler_normal_forms(per_type: int = 100) -> dict:
+def criterion_kahler_normal_forms() -> dict:
     """Constructor outputs close the fundamental form; guards reject zeros."""
     counts = {}
     for pure_type in ("I", "II", "III"):
         rng = random.Random(f"kahler-{pure_type}")
-        for i in range(per_type):
+        for i in range(KAHLER_DRAWS_PER_TYPE):
             params = _random_kahler_params(pure_type, rng)
             L, g, J = kahler_normal_form(params)
             assert classify_metric(L, g, J).kahler, f"not closed: {pure_type} draw {i}"
             dec = hermitian_decomposition(L, g, J)
             assert dec.pure_type == pure_type
-        counts[pure_type] = per_type
+        counts[pure_type] = KAHLER_DRAWS_PER_TYPE
         # dropping a nonvanishing constraint must be rejected
         params = _random_kahler_params(pure_type, rng)
         if pure_type == "I":
@@ -243,7 +251,7 @@ def criterion_kahler_normal_forms(per_type: int = 100) -> dict:
     return counts
 
 
-def criterion_typeII_skt(count: int = 100) -> dict:
+def criterion_typeII_skt() -> dict:
     """Type II torsion family: construction, perturbation, normalisation."""
     rng = random.Random("typeII-skt")
     built = 0
@@ -251,7 +259,7 @@ def criterion_typeII_skt(count: int = 100) -> dict:
     normalized = 0
     nondegenerate = 0  # draws where both [g, derg] and [V~, V~] are nonzero
     i = 0
-    while built < count:
+    while built < TYPEII_DRAWS:
         dim = (4, 6, 8)[i % 3]
         params = _typeII_params(dim, random.Random(f"params-{i}"))
         i += 1
@@ -274,7 +282,7 @@ def criterion_typeII_skt(count: int = 100) -> dict:
     assert nondegenerate, "no draw splits derg into two nonzero parts"
 
     zero4 = form_from_terms(4, 2, [])
-    while perturbed < count:
+    while perturbed < TYPEII_DRAWS:
         prng = random.Random(f"perturb-{perturbed}")
         # valid base on a four-dimensional complement: u^{12} and u^{34}
         # each have vanishing self-wedge, so the sum constraint holds
@@ -346,7 +354,7 @@ def _kernel_metric(source, rng: random.Random) -> Metric:
         return Metric(linalg.inverse(x.matrix)) if kind == "balanced" else x
 
 
-def criterion_compatibility_pipeline(draws: int = 5) -> dict:
+def criterion_compatibility_pipeline() -> dict:
     """Merging verified special metrics yields a closed fundamental form.
 
     The SKT and balanced metrics are random definite points of the exact
@@ -357,7 +365,7 @@ def criterion_compatibility_pipeline(draws: int = 5) -> dict:
         L = parse_salamon(salamon)
         J = ComplexStructure.standard(6)
         skt, balanced = _kernel_source(L, J, "skt"), _kernel_source(L, J, "balanced")
-        for _ in range(draws):
+        for _ in range(PIPELINE_DRAWS):
             g_skt, g_bal = _kernel_metric(skt, rng), _kernel_metric(balanced, rng)
             assert classify_metric(L, g_skt, J).skt, "kernel draw lost the torsion condition"
             assert classify_metric(L, g_bal, J).balanced, "kernel draw lost balancedness"
@@ -388,7 +396,7 @@ def criterion_metric_search() -> dict:
     return results
 
 
-def criterion_special_pair_is_closed(count: int = 500) -> dict:
+def criterion_special_pair_is_closed() -> dict:
     """No metric is simultaneously balanced and SKT without being closed.
 
     Every draw is SKT: a random definite point of the entry's exact SKT
@@ -398,7 +406,7 @@ def criterion_special_pair_is_closed(count: int = 500) -> dict:
     sources = [(e, _kernel_source(e.algebra, e.J, "skt")) for e in witness_lists()]
     with_skt = [(e, source) for e, source in sources if source is not None]
     verdicts = Counter()
-    for i in range(count):
+    for i in range(SPECIAL_PAIR_DRAWS):
         entry, source = with_skt[i % len(with_skt)]
         v = classify_metric(entry.algebra, _kernel_metric(source, rng), entry.J)
         assert v.skt, f"a draw from the SKT kernel of {entry.name} is not SKT: {v}"
@@ -406,7 +414,7 @@ def criterion_special_pair_is_closed(count: int = 500) -> dict:
             f"closedness equivalence fails on {entry.name}: {v}"
         )
         verdicts["+".join(kind for kind in KINDS if v[kind])] += 1
-    return {"instances": count, "entries": len(with_skt),
+    return {"instances": SPECIAL_PAIR_DRAWS, "entries": len(with_skt),
             "entries_without_skt": len(sources) - len(with_skt),
             "verdicts": dict(sorted(verdicts.items()))}
 

@@ -432,6 +432,14 @@ class TestMalformedInput:
             {"start_spread": 0.2},
             {"stall_iterations": 250},
             {"min_eig_floor": 1e-3},
+            # configs no search can use
+            {"max_iterations": 0},
+            {"max_iterations": -3},
+            {"seeds": []},
+            {"tolerance": 0},
+            {"tolerance": -1e-9},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
         ],
     )
     def test_bad_search_config(self, capsys, tmp_path, cx1_file, j_file, config):

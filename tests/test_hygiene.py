@@ -99,3 +99,21 @@ def test_no_catch_all_handlers(path):
     """A handler names the errors it expects, so any other failure surfaces."""
     lines = _broad_handlers(ast.parse(path.read_text(encoding="utf-8")))
     assert not lines, f"{path.name} catches every exception at lines {lines}"
+
+
+def _function_imports(tree: ast.Module) -> list[int]:
+    """Lines of import statements inside a function or method."""
+    return sorted({
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    """Every import is at the top of its module, where the reader looks."""
+    lines = _function_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} imports inside a function at lines {lines}"

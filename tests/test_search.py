@@ -344,7 +344,10 @@ class TestCertificateCheck:
         zero = la.mat([[0] * n for _ in range(n)])
         unsymmetric = [list(row) for row in y]
         unsymmetric[0][1] += 1
-        for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n)):
+        # of the wrong size: each is orthogonal to a truncated flattening
+        small = [[0, 0], [0, 1]]
+        large = [[int(i == j == n) for j in range(n + 1)] for i in range(n + 1)]
+        for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n), small, large):
             assert not check_certificate(cx_type_I, j_std6, "kahler", bad)
 
     def test_shear_kernel_is_a_second_route(self, cx_type_I, j_std6, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hermlie import algebra as al
 from hermlie import core
 from hermlie import linalg as la
+from hermlie import shear as shear_module
 from hermlie.errors import (
     IncompatibleMetricError,
     InvalidPreShearError,
@@ -16,8 +17,16 @@ from hermlie.errors import (
     UnsupportedDimensionError,
 )
 from hermlie.forms import VectorValuedTwoForm
-from hermlie.generators import PROFILES, random_compatible_metric, random_complex_shear
-from hermlie.hermitian import ComplexStructure, Metric, classify_metric, j_adapted_split, kernel_span, nijenhuis
+from hermlie.generators import FIXED_DIMS, PROFILES, random_compatible_metric, random_complex_shear
+from hermlie.hermitian import (
+    ComplexStructure,
+    Metric,
+    classify_metric,
+    j_adapted_split,
+    kernel_span,
+    nijenhuis,
+    validate_complex_structure,
+)
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
 from hermlie.search import condition_kernel
 from hermlie.shear import (
@@ -239,6 +248,90 @@ class TestCheckComplexShear:
             both_true += int(rep.jacobi_ok and rep.integrable_ok)
         # the sample has to hit every case for the equivalence to mean much
         assert jacobi_false and integrable_false and both_true
+
+
+def _complex_shear_cases():
+    """(label, data, J): every buildable profile at d4-d10 on seeds 0-1 with
+    its own J, the standard J where that differs, and a densely conjugated
+    J, each also on the data with one value doubled, which may break
+    closure or leave the data no longer pre-shear."""
+    for dim in (4, 6, 8, 10):
+        for profile in PROFILES:
+            if dim not in FIXED_DIMS.get(profile, (dim,)):
+                continue
+            for seed in range(2):
+                data, _, J = random_complex_shear(seed, profile, dim)
+                rng = random.Random(f"complex-shear/{profile}/{dim}/{seed}")
+                while la.det(p := la.mat([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])) == 0:
+                    pass
+                structures = [J, ComplexStructure(la.mat_mul(la.mat_mul(p, J.matrix), la.inverse(p)))]
+                if ComplexStructure.standard(dim) != J:
+                    structures.append(ComplexStructure.standard(dim))
+                first, *_ = data.omega.values
+                doubled = {pair: la.scale_vec(2 if pair == first else 1, v) for pair, v in data.omega.values.items()}
+                for k, J in enumerate(structures):
+                    for name, values in (("data", data.omega.values), ("doubled", doubled)):
+                        # fresh data each time: nothing is memoised yet
+                        fresh = PreShearData(dim, data.a, VectorValuedTwoForm(dim, data.a, values))
+                        yield f"{profile}/d{dim}/{seed}/J{k}/{name}", fresh, J
+
+
+def _jacobi_reference(L):
+    """Whether the Fraction Jacobi sum over ``L.bracket`` vanishes on every triple."""
+    n = L.dim
+    for i, j, k in combinations(range(1, n + 1), 3):
+        x, y, z = e(n, i), e(n, j), e(n, k)
+        terms = (L.bracket(L.bracket(x, y), z), L.bracket(L.bracket(y, z), x), L.bracket(L.bracket(z, x), y))
+        if any(map(sum, zip(*terms))):
+            return False
+    return True
+
+
+class TestComplexShearOnTheBuiltAlgebra:
+    def test_matches_the_fraction_references(self, monkeypatch):
+        """``check_complex_shear`` reads Jacobi and integrability off the one
+        algebra ``build_shear`` returns, and both agree with Fraction
+        references; ``validate_complex_structure`` fails exactly on the
+        basis pairs where the Fraction Nijenhuis tensor is nonzero."""
+        built = []
+
+        def counted(*args):
+            built.append(al.LieAlgebra(*args))
+            return built[-1]
+
+        monkeypatch.setattr(shear_module, "LieAlgebra", counted)
+        seen = {"jacobi_ok": set(), "integrable_ok": set()}
+        for label, data, J in _complex_shear_cases():
+            n = data.dim
+            if not validate_pre_shear(data).valid:
+                with pytest.raises(InvalidPreShearError):
+                    check_complex_shear(data, J)
+                with pytest.raises(InvalidPreShearError):
+                    build_shear(data)
+                continue
+            del built[:]
+            rep = check_complex_shear(data, J)
+            L = al.LieAlgebra(n, {pair: la.neg_vec(v) for pair, v in data.omega.values.items()})
+            failing = tuple(
+                (i, j) for i, j in combinations(range(1, n + 1), 2) if any(nijenhuis(L, J, e(n, i), e(n, j)))
+            )
+            assert rep.jacobi_ok == _jacobi_reference(L), label
+            assert rep.integrable_ok == (not failing), label
+            assert validate_complex_structure(L, J).failing_pairs == failing, label
+            if rep.jacobi_ok:
+                assert build_shear(data) is built[0], label
+            else:
+                with pytest.raises(JacobiFailedError):
+                    build_shear(data)
+            assert len(built) == 1, label
+            seen["jacobi_ok"].add(rep.jacobi_ok)
+            seen["integrable_ok"].add(rep.integrable_ok)
+        assert seen == {"jacobi_ok": {True, False}, "integrable_ok": {True, False}}
+
+    def test_data_from_a_bracket_builds_that_algebra(self, cx_type_I, j_std6):
+        data = pre_shear_from_bracket(cx_type_I)
+        assert check_complex_shear(data, j_std6).valid
+        assert build_shear(data) is cx_type_I
 
 
 class TestBuildShear:
