@@ -190,10 +190,7 @@ class LieAlgebra:
         for (i, j), v in self.table.items():
             if not (1 <= i < j <= dim) or len(v) != dim:
                 raise IndexOutOfRangeError(f"bad table entry for pair ({i}, {j})")
-        self._jacobi_residual = None
-        self._fingerprint = None
-        self._ints = None
-        self._derived = None
+        self.integrability: dict[tuple, bool] = {}  # by J's numerators: ``hermitian.is_integrable``
 
     def __eq__(self, other):
         return (
@@ -213,46 +210,75 @@ class LieAlgebra:
             return self.table.get((i, j), linalg.zero_vec(self.dim))
         return linalg.neg_vec(self.table.get((j, i), linalg.zero_vec(self.dim)))
 
-    @property
+    @cached_property
     def ints(self) -> core.Bilinear:
         """The bracket table as integer numerators over one denominator."""
-        if self._ints is None:
-            self._ints = core.Bilinear(self.dim, self.table)
-        return self._ints
+        return core.Bilinear(self.dim, self.table)
 
-    @property
+    @cached_property
     def derived_ints(self) -> list[list[int]]:
         """Primitive echelon basis of the derived algebra, from the bracket
         numerators (``linalg.echelon``); callers must not modify it."""
-        if self._derived is None:
-            rows = []
-            for _, _, nums in self.ints.terms:
-                row = [0] * self.dim
-                for k, c in nums:
-                    row[k] = c
-                rows.append(row)
-            self._derived = linalg.echelon(rows)
-        return self._derived
+        rows = []
+        for _, _, nums in self.ints.terms:
+            row = [0] * self.dim
+            for k, c in nums:
+                row[k] = c
+            rows.append(row)
+        return linalg.echelon(rows)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         return self.ints.rational(x, y)
 
     def jacobi_residual(self) -> Fraction:
         """Max-abs coordinate of the cyclic sum over all basis triples."""
-        if self._jacobi_residual is None:
-            worst = max((abs(c) for s in core.jacobi_sums(self.ints) for c in s), default=0)
-            self._jacobi_residual = Fraction(worst, self.ints.den**2)
-        return self._jacobi_residual
+        worst = max((abs(c) for s in core.jacobi_sums(self.ints) for c in s), default=0)
+        return Fraction(worst, self.ints.den**2)
 
-    @property
+    @cached_property
     def validated(self) -> bool:
-        return self.jacobi_residual() == 0
+        """Whether the Jacobi identity holds: ``jacobi_residual() == 0``."""
+        return not any(any(s) for s in core.jacobi_sums(self.ints))
 
     def require_validated(self):
         if not self.validated:
             raise NotValidatedError(
                 f"Jacobi identity fails with residual {self.jacobi_residual()}"
             )
+
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        """The invariants ``structure_invariants`` reports; meaningful only
+        once the Jacobi identity holds."""
+        derived = []
+        current = Subspace.full(self.dim)
+        while True:
+            nxt = bracket_of_subspaces(self, current, current)
+            derived.append(nxt.dim)
+            if nxt.dim == current.dim or nxt.dim == 0:
+                break
+            current = nxt
+
+        lower = []
+        current = bracket_of_subspaces(self, Subspace.full(self.dim), Subspace.full(self.dim))
+        lower.append(current.dim)
+        while current.dim:
+            nxt = bracket_of_subspaces(self, Subspace.full(self.dim), current)
+            if nxt.dim == current.dim:
+                break
+            current = nxt
+            lower.append(current.dim)
+
+        z = center(self)
+        return Fingerprint(
+            dim=self.dim,
+            derived_series=tuple(derived),
+            lower_central_series=tuple(lower),
+            center_dim=z.dim,
+            derived_center_dim=intersect(image_of_bracket(self), z).dim,
+            unimodular=is_unimodular(self),
+            nilpotent=(lower[-1] == 0),
+        )
 
     def structure_constants(self):
         """Iterate (i, j, k, c) over the stored i < j entries."""
@@ -366,40 +392,7 @@ def is_two_step_solvable(L: LieAlgebra) -> bool:
 
 def structure_invariants(L: LieAlgebra) -> Fingerprint:
     L.require_validated()
-    if L._fingerprint is not None:
-        return L._fingerprint
-
-    derived = []
-    current = Subspace.full(L.dim)
-    while True:
-        nxt = bracket_of_subspaces(L, current, current)
-        derived.append(nxt.dim)
-        if nxt.dim == current.dim or nxt.dim == 0:
-            break
-        current = nxt
-
-    lower = []
-    current = bracket_of_subspaces(L, Subspace.full(L.dim), Subspace.full(L.dim))
-    lower.append(current.dim)
-    while current.dim:
-        nxt = bracket_of_subspaces(L, Subspace.full(L.dim), current)
-        if nxt.dim == current.dim:
-            break
-        current = nxt
-        lower.append(current.dim)
-
-    z = center(L)
-    fp = Fingerprint(
-        dim=L.dim,
-        derived_series=tuple(derived),
-        lower_central_series=tuple(lower),
-        center_dim=z.dim,
-        derived_center_dim=intersect(image_of_bracket(L), z).dim,
-        unimodular=is_unimodular(L),
-        nilpotent=(lower[-1] == 0),
-    )
-    L._fingerprint = fp
-    return fp
+    return L.fingerprint
 
 
 def change_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:

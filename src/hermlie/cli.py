@@ -42,7 +42,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise DocumentError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise DocumentError(f"{path}: invalid JSON: {exc}") from None
 
 

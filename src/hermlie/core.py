@@ -16,7 +16,7 @@ slots of each term, and powers are a Pfaffian recursion (``power``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial, lcm
 from operator import mul, or_
@@ -94,15 +94,12 @@ class Bilinear:
     ``(mask, _above_parity(mask), -c)`` of de^k = -sum_{a<b} c_ab^k e^a ^ e^b.
     """
 
-    __slots__ = ("dim", "den", "terms", "column", "de", "_on_basis")
-
     def __init__(self, dim: int, table: dict):
         self.dim = dim
         self.den = lcm(*[c.denominator for v in table.values() for c in v])
         self.terms = []
         self.column = [{} for _ in range(dim)]
         self.de = [[] for _ in range(dim)]
-        self._on_basis = None
         for (i, j), v in table.items():
             i, j = i - 1, j - 1
             nums = tuple(
@@ -137,18 +134,18 @@ class Bilinear:
                     out[m] += xa * v
         return out
 
+    @cached_property
     def on_basis(self) -> dict[tuple[int, int], list[int]]:
-        """Numerators of w(e_i, e_j) over den, for every pair i != j; built
-        once, and read only by every caller."""
-        if self._on_basis is None:
-            self._on_basis = {}
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if i != j:
-                        out = self._on_basis[(i, j)] = [0] * self.dim
-                        for k, c in self.column[j].get(i, ()):
-                            out[k] = c
-        return self._on_basis
+        """Numerators of w(e_i, e_j) over den, for every pair i != j; read
+        only by every caller."""
+        out = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if i != j:
+                    value = out[(i, j)] = [0] * self.dim
+                    for k, c in self.column[j].get(i, ()):
+                        value[k] = c
+        return out
 
     def rational(self, x: Sequence, y: Sequence) -> tuple:
         """w(x, y) for rational vectors, as Fractions."""

@@ -8,6 +8,8 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from . import linalg
@@ -25,14 +27,29 @@ class DocumentError(HermlieError):
     """Malformed or inconsistent input document."""
 
 
+# the exponent of a decimal literal such as "1.5e-3", as ``Fraction`` reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _fraction(value) -> Fraction:
-    """A rational from a JSON string or integer (a bool is neither)."""
+    """A rational from a JSON string or integer (a bool is neither) whose
+    numerator and denominator Python will write in decimal."""
     if type(value) not in (str, int):
         raise DocumentError(f"rationals must be strings or integers, got {value!r}")
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(value) if limit and type(value) is str else None
     try:
-        return Fraction(value)
+        # 10^e with |e| past the limit by more than the literal's length takes a
+        # nonzero mantissa past the limit: decide before Fraction expands it
+        if exponent and abs(int(exponent[1])) > limit + len(value):
+            if Fraction(value[: exponent.start()]):
+                raise ValueError(f"more than {limit} digits")
+            return Fraction(0)
+        x = Fraction(value)
+        str(x)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {value!r}: {exc}") from None
+    return x
 
 
 def _index(value, what: str) -> int:

@@ -213,7 +213,6 @@ class VectorValuedTwoForm:
             raise DimensionMismatchError("target subspace has the wrong ambient dimension")
         self.dim = dim
         self.target = target
-        self._ints = None
         self.values = {}
         for (i, j), v in sorted(values.items()):
             if not (1 <= i < j <= dim):
@@ -230,12 +229,10 @@ class VectorValuedTwoForm:
             and (self.dim, self.target, self.values) == (other.dim, other.target, other.values)
         )
 
-    @property
+    @cached_property
     def ints(self) -> core.Bilinear:
         """The values as integer numerators over one denominator."""
-        if self._ints is None:
-            self._ints = core.Bilinear(self.dim, self.values)
-        return self._ints
+        return core.Bilinear(self.dim, self.values)
 
     def __call__(self, x: Sequence, y: Sequence) -> Vector:
         return self.ints.rational(x, y)

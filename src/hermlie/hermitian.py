@@ -13,7 +13,7 @@ d(J^* d sigma) = 0 where J^* pulls back arguments with no extra sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -246,7 +246,7 @@ def validate_complex_structure(L: LieAlgebra, J: ComplexStructure) -> ComplexStr
     b = L.ints
     rows, dj = J.ints
     cols = [list(c) for c in zip(*rows)]  # J e_i
-    plain = b.on_basis()
+    plain = b.on_basis
     scale = dj * dj
     failing = []
     for i, j in combinations(range(L.dim), 2):
@@ -259,7 +259,16 @@ def validate_complex_structure(L: LieAlgebra, J: ComplexStructure) -> ComplexStr
 
 
 def is_integrable(L: LieAlgebra, J: ComplexStructure) -> bool:
-    return validate_complex_structure(L, J).integrable
+    """Whether the Nijenhuis tensor of J vanishes on L, decided once per
+    (L, J): the verdict is kept on L under J's numerators, so that
+    ``check_complex_shear``, ``classify_metric``, the search, its
+    certificate and the normal forms share one ``validate_complex_structure``
+    run, which itself keeps nothing."""
+    rows, dj = J.ints
+    key = (tuple(map(tuple, rows)), dj)
+    if key not in L.integrability:
+        L.integrability[key] = validate_complex_structure(L, J).integrable
+    return L.integrability[key]
 
 
 def fundamental_form(L: LieAlgebra, g: Metric, J: ComplexStructure) -> KForm:
@@ -329,10 +338,10 @@ class MetricVerdicts:
     skt: bool
 
     def __getitem__(self, kind: str) -> bool:
-        return {"kahler": self.kahler, "balanced": self.balanced, "skt": self.skt}[kind]
+        return self.as_dict()[kind]
 
     def as_dict(self) -> dict[str, bool]:
-        return {"kahler": self.kahler, "balanced": self.balanced, "skt": self.skt}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def classify_metric(

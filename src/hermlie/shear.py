@@ -32,7 +32,8 @@ splits into sorted pairs A = (a, b), B = (c, d):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -60,14 +61,31 @@ class PreShearData:
     a: Subspace
     omega: VectorValuedTwoForm
 
-    def __post_init__(self):
-        object.__setattr__(self, "_check_memo", {})
-
     def normalized(self) -> "PreShearData":
         """Shrink `a` to the image of the form (the derived algebra)."""
         img = self.omega.image()
         return PreShearData(
             self.dim, img, VectorValuedTwoForm(self.dim, img, self.omega.values)
+        )
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """The algebra [x, y] = -w(x, y), not validated."""
+        return LieAlgebra(self.dim, {pair: linalg.neg_vec(v) for pair, v in self.omega.values.items()})
+
+    @cached_property
+    def pre_shear(self) -> PreShearReport:
+        """The check of w|_(a x a) = 0 and im(w) inside a."""
+        image_bad = [pair for pair, v in self.omega.values.items() if not self.a.contains(v)]
+        w = self.omega.ints
+        basis = [core.clear(v)[0] for v in self.a.basis()]
+        restriction_bad = [
+            (p + 1, q + 1) for p, q in combinations(range(len(basis)), 2) if any(w(basis[p], basis[q]))
+        ]
+        return PreShearReport(
+            not image_bad and not restriction_bad,
+            tuple(image_bad),
+            tuple(restriction_bad),
         )
 
 
@@ -83,41 +101,13 @@ def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
     img = image_of_bracket(L)
     values = {pair: linalg.neg_vec(v) for pair, v in L.table.items()}
     data = PreShearData(L.dim, img, VectorValuedTwoForm(L.dim, img, values))
-    data._check_memo["algebra"] = L
+    object.__setattr__(data, "algebra", L)
     return data
-
-
-def _algebra(data: PreShearData) -> LieAlgebra:
-    """The algebra [x, y] = -w(x, y), built once per data and not validated."""
-    memo = data._check_memo
-    if "algebra" not in memo:
-        table = {pair: linalg.neg_vec(v) for pair, v in data.omega.values.items()}
-        memo["algebra"] = LieAlgebra(data.dim, table)
-    return memo["algebra"]
 
 
 def validate_pre_shear(data: PreShearData) -> PreShearReport:
     """Report-valued check of w|_(a x a) = 0 and im(w) inside a."""
-    memo = data._check_memo
-    if "pre_shear" in memo:
-        return memo["pre_shear"]
-    image_bad = [
-        pair for pair, v in data.omega.values.items() if not data.a.contains(v)
-    ]
-    restriction_bad = []
-    w = data.omega.ints
-    basis = [core.clear(v)[0] for v in data.a.basis()]
-    for p in range(len(basis)):
-        for q in range(p + 1, len(basis)):
-            if any(w(basis[p], basis[q])):
-                restriction_bad.append((p + 1, q + 1))
-    report = PreShearReport(
-        not image_bad and not restriction_bad,
-        tuple(image_bad),
-        tuple(restriction_bad),
-    )
-    memo["pre_shear"] = report
-    return report
+    return data.pre_shear
 
 
 @dataclass(frozen=True)
@@ -131,26 +121,22 @@ class ComplexShearReport:
 
 
 def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShearReport:
-    """Jacobi and the integrability of J on the algebra the data builds."""
-    memo = data._check_memo
-    rows, dj = J.ints
-    key = (tuple(map(tuple, rows)), dj)
-    if key in memo:
-        return memo[key]
+    """Jacobi and the integrability of J on the algebra the data builds: two
+    cached facts of that algebra, the second decided once per (L, J) by
+    ``hermitian.is_integrable``."""
     if J.dim != data.dim:
         raise DimensionMismatchError("J and shear data dimensions differ")
-    if not validate_pre_shear(data).valid:
+    if not data.pre_shear.valid:
         raise InvalidPreShearError("not pre-shear data: form does not vanish on a or leaves a")
-    L = _algebra(data)
-    report = memo[key] = ComplexShearReport(L.validated, is_integrable(L, J))
-    return report
+    L = data.algebra
+    return ComplexShearReport(L.validated, is_integrable(L, J))
 
 
 def build_shear(data: PreShearData) -> LieAlgebra:
     """The algebra [x, y] = -w(x, y); requires the quadratic closure condition."""
-    if not validate_pre_shear(data).valid:
+    if not data.pre_shear.valid:
         raise InvalidPreShearError("not pre-shear data")
-    L = _algebra(data)
+    L = data.algebra
     if not L.validated:
         raise JacobiFailedError(
             f"shear data does not close: Jacobi residual {L.jacobi_residual()}"
@@ -173,7 +159,7 @@ def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
     torsion.  What does not depend on g is built once."""
     n2 = data.dim
     w = data.omega.ints
-    ob = w.on_basis()  # (x, y) -> w(e_x, e_y), 0-indexed
+    ob = w.on_basis  # (x, y) -> w(e_x, e_y), 0-indexed
     if kind == "kahler":
         triples = list(combinations(range(n2), 3))
 
@@ -306,17 +292,7 @@ class OperatorIdentityReport:
 
     @property
     def clean(self) -> bool:
-        return all(
-            (
-                self.g_blocks_vanish,
-                self.k_commutes_with_j,
-                self.f_symmetric,
-                self.omega_jj_in_a_J,
-                self.omega_jj_matches_h,
-                self.commutators_vanish,
-                self.omega_r_j_invariant,
-            )
-        )
+        return all(getattr(self, f.name) for f in fields(self))
 
 
 def shear_operators(

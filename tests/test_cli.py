@@ -1,12 +1,14 @@
 import json
 import shutil
 import subprocess
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hermlie import documents
 from hermlie.cli import main
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -464,8 +466,6 @@ class TestMalformedInput:
         ],
     )
     def test_huge_dimension_rejected_before_building(self, capsys, tmp_path, monkeypatch, command, doc):
-        from hermlie import documents
-
         def never(*args, **kwargs):
             raise AssertionError("a document above the dimension limit was built")
 
@@ -511,6 +511,53 @@ class TestMalformedInput:
     def test_constants_index_must_be_an_integer(self, capsys, tmp_path, index):
         doc = {"dim": 2, "constants": [[index, 2, 2, "1"]]}
         self.assert_invalid(capsys, "describe", _write(tmp_path, "a.json", doc))
+
+    @pytest.mark.parametrize("literal", ["1e5000", "1e-5000", "5e-4301", "1e3000000"])
+    @pytest.mark.parametrize("command", ["describe", "params", "check", "shear"])
+    def test_oversized_rational(self, capsys, tmp_path, monkeypatch, cx1_file, command, literal):
+        """A rational whose numerator or denominator has more digits than
+        Python writes is refused at once, wherever a document holds it, and
+        before ``Fraction`` expands a power of ten of millions of digits."""
+
+        def unexpanded(value=0, *args):
+            if isinstance(value, str):
+                assert len(value.lower().partition("e")[2].lstrip("+-")) < 7, f"Fraction expands {value!r}"
+            return Fraction(value, *args)
+
+        monkeypatch.setattr(documents, "Fraction", unexpanded)
+        if command == "describe":
+            argv = ["describe", _write(tmp_path, "a.json", {"dim": 2, "constants": [[1, 2, 2, literal]]})]
+        elif command == "params":
+            doc = {"dim": 2, "salamon": "(0,a.21)", "params": {"a": literal}}
+            argv = ["describe", _write(tmp_path, "a.json", doc)]
+        elif command == "check":
+            metric = [row[:] for row in IDENTITY6]
+            metric[0][0] = metric[1][1] = literal  # still compatible with J
+            argv = ["check", cx1_file, _write(tmp_path, "st.json", {"J": STD6_J, "metric": metric})]
+        else:
+            doc = json.loads((DEMO_DATA / "counterexample_shear.json").read_text())
+            doc["omega"][0]["value"][1] = literal  # [e_1, e_2] = -literal e_2
+            argv = ["shear", _write(tmp_path, "s.json", doc), "--kind", "build"]
+        start = time.perf_counter()
+        self.assert_invalid(capsys, *argv)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"dim": 2, "constants": [[1, 2, 2, ' + b"7" * 5000 + b"]]}", b'{"dim": 2, "salamon": "(0,21)\xff"}'],
+        ids=["integer-too-long-to-read", "not-utf-8"],
+    )
+    def test_unreadable_json(self, capsys, tmp_path, raw):
+        path = tmp_path / "a.json"
+        path.write_bytes(raw)
+        self.assert_invalid(capsys, "describe", str(path))
+
+    @pytest.mark.parametrize(
+        "literal,value",
+        [("1e3", 1000), ("0.5", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)), ("0e3000000", 0), ("1e4299", 10**4299)],
+    )
+    def test_long_literals_within_the_limit_are_read(self, literal, value):
+        assert documents._fraction(literal) == value
 
 
 # Each command line with the demo documents it reads, in argument order.

@@ -65,6 +65,25 @@ class TestComplexStructure:
         x, y = report.failing_pairs[0]
         assert not la.is_zero_vec(nijenhuis(cx_type_III, j_std6, e(6, x), e(6, y)))
 
+    def test_each_structure_gets_its_own_verdict(self):
+        """``is_integrable`` keeps its verdict on L per J: an integrable J
+        and a densely conjugated one that is not keep their own answers on
+        one algebra, in either order, and a J rebuilt from the same matrix
+        reads the same entry."""
+        data, _, J = random_complex_shear(0, "typeI", 6)
+        L = build_shear(data)
+        rng = random.Random(5)
+        while la.det(p := la.mat([[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)])) == 0:
+            pass
+        K = ComplexStructure(la.mat_mul(la.mat_mul(p, J.matrix), la.inverse(p)))
+        assert validate_complex_structure(L, J).integrable and not validate_complex_structure(L, K).integrable
+        for order in ((J, K), (K, J)):
+            M = al.LieAlgebra(L.dim, L.table)
+            assert [is_integrable(M, S) for S in order * 2] == [S is J for S in order * 2]
+            assert is_integrable(M, ComplexStructure(J.matrix)) and not is_integrable(M, ComplexStructure(K.matrix))
+        with pytest.raises(NotIntegrableError):
+            classify_metric(L, random_compatible_metric(6, K, rng), K)
+
 
 class TestMetric:
     def test_positive_definite_enforced(self):

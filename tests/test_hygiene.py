@@ -117,3 +117,44 @@ def test_imports_at_module_level(path):
     """Every import is at the top of its module, where the reader looks."""
     lines = _function_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not lines, f"{path.name} imports inside a function at lines {lines}"
+
+
+def _hand_rolled_memos(tree: ast.Module) -> list[str]:
+    """Functions that test an attribute against None and also assign it,
+    and every ``*_memo`` attribute or string key, each with its line."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tested = {
+            (ast.dump(node.left.value), node.left.attr)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Attribute)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
+        }
+        assigned = {
+            (ast.dump(node.value), node.attr)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        }
+        found += [f"{fn.name} ({fn.lineno}) sets .{attr}" for _, attr in sorted(tested & assigned)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name.endswith("_memo"):
+            found.append(f"{name} ({node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_memo_idiom(path):
+    """A derived fact is a ``functools.cached_property`` of the object it
+    belongs to: no lazy value behind a None test, and no memo attribute or key."""
+    found = _hand_rolled_memos(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} keeps hand-rolled memos: {', '.join(found)}"

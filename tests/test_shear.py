@@ -7,6 +7,7 @@ import pytest
 
 from hermlie import algebra as al
 from hermlie import core
+from hermlie import hermitian as hermitian_module
 from hermlie import linalg as la
 from hermlie import shear as shear_module
 from hermlie.errors import (
@@ -19,16 +20,18 @@ from hermlie.errors import (
 from hermlie.forms import VectorValuedTwoForm
 from hermlie.generators import FIXED_DIMS, PROFILES, random_compatible_metric, random_complex_shear
 from hermlie.hermitian import (
+    KINDS,
     ComplexStructure,
     Metric,
     classify_metric,
+    is_integrable,
     j_adapted_split,
     kernel_span,
     nijenhuis,
     validate_complex_structure,
 )
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
-from hermlie.search import condition_kernel
+from hermlie.search import check_certificate, condition_kernel, search_metric
 from hermlie.shear import (
     OperatorIdentityReport,
     PreShearData,
@@ -147,7 +150,7 @@ def reference_skt(data, g, J):
     n2 = data.dim
     w = data.omega.ints
     (jm, _), (gm, _) = J.ints, g.ints
-    ob = w.on_basis()
+    ob = w.on_basis
     j_units = [list(c) for c in zip(*jm)]
     g_ob, jj = {}, {}
     for x, y in combinations(range(n2), 2):
@@ -318,6 +321,8 @@ class TestComplexShearOnTheBuiltAlgebra:
             assert rep.jacobi_ok == _jacobi_reference(L), label
             assert rep.integrable_ok == (not failing), label
             assert validate_complex_structure(L, J).failing_pairs == failing, label
+            assert is_integrable(L, J) == validate_complex_structure(L, J).integrable, label
+            assert L.validated == (L.jacobi_residual() == 0), label
             if rep.jacobi_ok:
                 assert build_shear(data) is built[0], label
             else:
@@ -332,6 +337,30 @@ class TestComplexShearOnTheBuiltAlgebra:
         data = pre_shear_from_bracket(cx_type_I)
         assert check_complex_shear(data, j_std6).valid
         assert build_shear(data) is cx_type_I
+
+    @pytest.mark.parametrize("dim", [6, 8])
+    def test_every_verdict_shares_one_nijenhuis_run(self, monkeypatch, dim):
+        """Integrability is decided once per (L, J): the complex-shear check,
+        the direct verdicts, the shear conditions, the search and its
+        certificate, and a J rebuilt from the same matrix, all on one
+        generated (data, L, J), run ``validate_complex_structure`` once."""
+        runs = []
+
+        def counted(L, J):
+            runs.append(J)
+            return validate_complex_structure(L, J)
+
+        monkeypatch.setattr(hermitian_module, "validate_complex_structure", counted)
+        data, g, J = random_complex_shear(0, "typeI", dim)
+        L = build_shear(data)
+        assert check_complex_shear(data, J).valid
+        verdicts = classify_metric(L, g, J)
+        assert [shear_condition(data, g, J, kind) for kind in KINDS] == [verdicts[kind] for kind in KINDS]
+        result = search_metric(L, J, "kahler")
+        Y = result.certificate if result.certificate is not None else la.identity_matrix(dim)
+        assert check_certificate(L, J, "kahler", Y) == (result.status == "none")
+        assert classify_metric(L, g, ComplexStructure(J.matrix)) == verdicts
+        assert len(runs) == 1
 
 
 class TestBuildShear:
