@@ -396,14 +396,14 @@ def structure_invariants(L: LieAlgebra) -> Fingerprint:
 
 
 def change_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
-    """Structure constants in the basis f_i = P e_i (P invertible)."""
-    p_inv = linalg.inverse(p)
-    cols = linalg.columns(p)
-    n = L.dim
-    table = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = linalg.mat_vec(p_inv, L.bracket(cols[i - 1], cols[j - 1]))
-            if not linalg.is_zero_vec(v):
-                table[(i, j)] = v
-    return LieAlgebra(n, table)
+    """Structure constants in the basis f_i = P e_i (P invertible).  With
+    P = R / d, P^-1 [P e_i, P e_j] is R^-1 [R e_i, R e_j] / d: one
+    elimination (``linalg.solve_ints``) for every pair, on numerators."""
+    n, b = L.dim, L.ints
+    rows, d = core.clear_matrix(p)
+    cols = list(zip(*rows))
+    pairs = list(combinations(range(n), 2))
+    brackets = [b(cols[i], cols[j]) for i, j in pairs]
+    x, den = linalg.solve_ints(rows, [[v[k] for v in brackets] for k in range(n)])
+    den *= b.den * d
+    return LieAlgebra(n, {(i + 1, j + 1): core.fractions(v, den) for (i, j), v in zip(pairs, zip(*x))})

@@ -239,6 +239,3 @@ class VectorValuedTwoForm:
 
     def image(self) -> Subspace:
         return Subspace.span(self.dim, list(self.values.values()))
-
-    def image_in_target(self) -> bool:
-        return all(self.target.contains(v) for v in self.values.values())

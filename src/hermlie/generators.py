@@ -5,6 +5,10 @@ closure condition is quadratic, so rejection sampling is hopeless) and then
 moved to general position by a rational unitary change of basis and an
 independent random compatible metric.  Everything is deterministic in the
 seed.
+
+The unitary, the basis change, the metric and the mixed family's sampling
+run on ``core``'s int numerators, never on Fraction matrix products;
+Fractions are formed only for their results.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from math import isqrt
 from . import core, linalg
 from .algebra import LieAlgebra, change_basis, direct_sum, make_algebra, abelian
 from .errors import ParameterConstraintViolatedError, UnsupportedDimensionError
-from .forms import form_from_terms, wedge, zero_form
+from .forms import form_from_terms, zero_form
 from .hermitian import ComplexStructure, Metric
 from .linalg import ONE, ZERO, Matrix
 from .normal_forms import (
@@ -24,6 +28,7 @@ from .normal_forms import (
     KahlerNormalForm,
     SixDNonPureData,
     TypeIINormalForm,
+    W_PAIRS,
     kahler_normal_form,
     skt_6d_nonpure_normal_form,
     skt_typeII_normal_form,
@@ -50,7 +55,7 @@ def rand_nonzero_fraction(rng: random.Random, lo: int = -3, hi: int = 3, den: in
 def _pairs_of(J: ComplexStructure) -> list[tuple[int, int]]:
     """Complex coordinate pairs (a, b) with J e_a = e_b, for pairing-type J."""
     pairs = []
-    cols = linalg.columns(J.matrix)
+    cols = linalg.transpose(J.matrix)
     for a in range(1, J.dim + 1):
         col = cols[a - 1]
         plus = [i + 1 for i, c in enumerate(col) if c == 1]
@@ -65,50 +70,48 @@ def random_unitary(dim: int, rng: random.Random, pairs=None) -> Matrix:
 
     Built from complex rotations with rational cosine/sine (parametrised
     points on the circle) and rational phases from Pythagorean triples.
+    Each step (x, y, r), x^2 + y^2 = r^2, rotates the rows of its planes in
+    one int matrix by (x, -y; y, x) and scales the rest and the denominator by r.
     """
     if pairs is None:
         pairs = [(i, i + 1) for i in range(1, dim, 2)]
-    m = linalg.identity_matrix(dim)
+    m, den = [[int(i == j) for j in range(dim)] for i in range(dim)], 1
     npairs = len(pairs)
     for _ in range(dim + 2):
         kind = rng.choice(["rotation", "phase"] if npairs > 1 else ["phase"])
-        rows = [list(r) for r in linalg.identity_matrix(dim)]
         if kind == "rotation":
             p, q = rng.sample(range(npairs), 2)
             t = rand_fraction(rng)
-            c = (1 - t * t) / (1 + t * t)
-            s = 2 * t / (1 + t * t)
-            for slot in range(2):  # real and imaginary slots move together
-                i = pairs[p][slot] - 1
-                j = pairs[q][slot] - 1
-                rows[i][i], rows[i][j] = c, -s
-                rows[j][i], rows[j][j] = s, c
+            u, v = t.numerator, t.denominator
+            x, y, r = v * v - u * u, 2 * u * v, v * v + u * u
+            # real and imaginary slots move together
+            planes = [(pairs[p][slot] - 1, pairs[q][slot] - 1) for slot in range(2)]
         else:
             p = rng.randrange(npairs)
             mm = rng.randint(1, 3)
             kk = rng.randint(0, mm)
-            a, b, r = mm * mm - kk * kk, 2 * mm * kk, mm * mm + kk * kk
-            i, j = pairs[p][0] - 1, pairs[p][1] - 1
-            rows[i][i], rows[i][j] = Fraction(a, r), Fraction(-b, r)
-            rows[j][i], rows[j][j] = Fraction(b, r), Fraction(a, r)
-        m = linalg.mat_mul(linalg.mat(rows), m)
-    return m
+            x, y, r = mm * mm - kk * kk, 2 * mm * kk, mm * mm + kk * kk
+            planes = [(pairs[p][0] - 1, pairs[p][1] - 1)]
+        moved = {}
+        for i, j in planes:
+            moved[i] = [x * a - y * b for a, b in zip(m[i], m[j])]
+            moved[j] = [y * a + x * b for a, b in zip(m[i], m[j])]
+        m = [moved[i] if i in moved else [r * c for c in row] for i, row in enumerate(m)]
+        den *= r
+    return tuple(core.fractions(row, den) for row in m)
 
 
 def random_compatible_metric(dim: int, J: ComplexStructure, rng: random.Random) -> Metric:
-    """A random rational positive definite metric with J^T S J = S."""
-    a = tuple(
-        tuple(rand_fraction(rng, -1, 1, 2) for _ in range(dim)) for _ in range(dim)
-    )
-    s0 = linalg.mat_add(
-        linalg.mat_mul(linalg.transpose(a), a), linalg.identity_matrix(dim)
-    )
-    jt = linalg.transpose(J.matrix)
-    s = linalg.mat_scale(
-        Fraction(1, 2),
-        linalg.mat_add(s0, linalg.mat_mul(jt, linalg.mat_mul(s0, J.matrix))),
-    )
-    return Metric(s)
+    """A random rational positive definite metric with J^T S J = S: the
+    J-average of A^T A + I, with A drawn over the denominator 2, so that
+    4 (A^T A + I) is an int matrix."""
+    # 2 a for a = rand_fraction(rng, -1, 1, 2), with the same two draws
+    a = [[rng.randint(-1, 1) * (2 // rng.randint(1, 2)) for _ in range(dim)] for _ in range(dim)]
+    s0 = [[c + 4 * (i == j) for j, c in enumerate(row)] for i, row in enumerate(core.mat_mul(list(zip(*a)), a))]
+    rows, dj = J.ints
+    js = core.mat_mul(list(zip(*rows)), core.mat_mul(s0, rows))
+    den = 8 * dj * dj
+    return Metric(tuple(core.fractions([dj * dj * x + y for x, y in zip(r, t)], den) for r, t in zip(s0, js)))
 
 
 def _random_11_form(ell: int, rng: random.Random):
@@ -122,9 +125,15 @@ def _random_11_form(ell: int, rng: random.Random):
 
 
 def _volume_coefficient(form) -> Fraction:
-    """c with form ^ form = c * u^{1234} on four local coordinates."""
-    sq = wedge(form, form)
-    return sq.coeffs.get((1, 2, 3, 4), ZERO)
+    """c with form ^ form = c * u^{1234} on four local coordinates: twice
+    the Pfaffian of the form's coefficients."""
+    a = [form.coeffs.get(pair, ZERO) for pair in ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))]
+    return 2 * (a[0] * a[1] - a[2] * a[3] + a[4] * a[5])
+
+
+# the (2,0)-form psi0 = (u13 - u24) + i (u14 + u23) on four local coordinates
+PSI0_RE = form_from_terms(4, 2, [((1, 3), 1), ((2, 4), -1)])
+PSI0_IM = form_from_terms(4, 2, [((1, 4), 1), ((2, 3), 1)])
 
 
 def _typeII_params(dim: int, rng: random.Random) -> TypeIINormalForm:
@@ -153,13 +162,11 @@ def _typeII_params(dim: int, rng: random.Random) -> TypeIINormalForm:
         # a final form whose real and imaginary parts stay independent
         budget = ZERO
         zero4 = zero_form(4, 2)
-        psi0_re = form_from_terms(4, 2, [((1, 3), 1), ((2, 4), -1)])
-        psi0_im = form_from_terms(4, 2, [((1, 4), 1), ((2, 3), 1)])
         for _ in range(free - 1):
             re, im = _random_11_form(2, rng), _random_11_form(2, rng)
             c = Cq(rand_fraction(rng, -1, 1, 2), rand_fraction(rng, -1, 1, 2))
-            psi_re = psi0_re.scale(c.re) - psi0_im.scale(c.im)
-            psi_im = psi0_re.scale(c.im) + psi0_im.scale(c.re)
+            psi_re = PSI0_RE.scale(c.re) - PSI0_IM.scale(c.im)
+            psi_im = PSI0_RE.scale(c.im) + PSI0_IM.scale(c.re)
             phis.append((re, im))
             psis.append((psi_re, psi_im))
             budget += (
@@ -277,29 +284,24 @@ def _mixed_params(rng: random.Random) -> SixDNonPureData:
     )
     if rng.random() < 0.5:
         return base
-    # sample w from the kernel of the (linear) closure conditions
-    units = []
+    # sample w from the kernel of the (linear) closure conditions.  The table
+    # is affine in w: Re w_c and Im w_c add to the Y and JY coordinates of
+    # [u, v] = W_PAIRS[c].  Column t holds the Jacobi sums of the base table
+    # with the t-th of (Re w_0, Im w_0, Re w_1, ..) set to 1, over den ** 2
+    b = sixd_nonpure_table(base).ints
+    table = {(i + 1, j + 1): b.on_basis[(i, j)] for i, j, _ in b.terms}
+    cols = []
     for t in range(12):
-        w = [Cq(0)] * 6
-        comp, is_im = divmod(t, 2)
-        w[comp] = Cq(0, 1) if is_im else Cq(1)
-        units.append(tuple(w))
-
-    def residual(wvec) -> tuple:
-        L = sixd_nonpure_table(
-            SixDNonPureData(base.b, base.deltas, base.z, wvec)
-        )
-        den = L.ints.den ** 2
-        return tuple(Fraction(c, den) for s in core.jacobi_sums(L.ints) for c in s)
-
-    cols = [residual(u) for u in units]
-    kernel = linalg.nullspace(linalg.matrix_from_columns(cols))
+        u, v = W_PAIRS[t // 2]
+        pair = (min(u, v), max(u, v))
+        shifted = {**table, pair: list(table.get(pair, [0] * 6))}
+        shifted[pair][t % 2] += b.den if u < v else -b.den
+        cols.append([c for s in core.jacobi_sums(core.Bilinear(6, shifted)) for c in s])
+    kernel, den = linalg.kernel(list(zip(*cols)), 12)
     if not kernel:
         return base
-    coeffs = [rand_fraction(rng, -2, 2, 2) for _ in kernel]
-    wre = [ZERO] * 12
-    for c, k in zip(coeffs, kernel):
-        wre = [a + c * b for a, b in zip(wre, k)]
+    cs, dc = core.clear([rand_fraction(rng, -2, 2, 2) for _ in kernel])
+    wre = core.fractions(core.combine(cs, kernel), dc * den)
     w = tuple(Cq(wre[2 * t], wre[2 * t + 1]) for t in range(6))
     try:
         skt_6d_nonpure_normal_form(SixDNonPureData(base.b, base.deltas, base.z, w))
@@ -326,7 +328,6 @@ def random_complex_shear(
         raise UnsupportedDimensionError(f"the {profile} profile exists only in dimension {dims}")
     rng = random.Random((seed, profile, dim).__repr__())
 
-    J = ComplexStructure.standard(dim)
     if profile == "nilpotent":
         s, ell = (1, 1) if dim == 4 else (1, 2)
         params = _typeII_params_nilpotent(s, ell, rng)
@@ -334,7 +335,7 @@ def random_complex_shear(
         # which the type II constructor rightly rejects; build it anyway
         L, _, J = skt_typeII_normal_form(params, _validate=(ell != 1))
     elif profile == "typeI":
-        L = _typeI_block_algebra(dim, rng)
+        L, J = _typeI_block_algebra(dim, rng), ComplexStructure.standard(dim)
     elif profile == "typeII":
         L, _, J = skt_typeII_normal_form(_typeII_params(dim, rng))
     elif profile == "typeIII":
@@ -372,8 +373,6 @@ def _typeII_params_forced_m0(s: int, ell: int, rng: random.Random) -> TypeIINorm
         re = _random_11_form(2, rng)
         im = _random_11_form(2, rng)
         budget = _volume_coefficient(re) + _volume_coefficient(im)
-        psi0_re = form_from_terms(4, 2, [((1, 3), 1), ((2, 4), -1)])
-        psi0_im = form_from_terms(4, 2, [((1, 4), 1), ((2, 3), 1)])
         # psi ^ conj(psi) for c*psi0 has volume coefficient 4|c|^2
         # so we need budget = 4 (cre^2 + cim^2): representable as a sum of
         # two rational squares only sometimes; retry on failure
@@ -387,8 +386,8 @@ def _typeII_params_forced_m0(s: int, ell: int, rng: random.Random) -> TypeIINorm
             continue
         x = Fraction(root_num, den)
         c = Cq(x, 0)
-        psi_re = psi0_re.scale(c.re)
-        psi_im = psi0_im.scale(c.re)
+        psi_re = PSI0_RE.scale(c.re)
+        psi_im = PSI0_IM.scale(c.re)
         params = TypeIINormalForm(
             s, ell, 0, phis=((re, im),), psis=((psi_re, psi_im),)
         )

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .forms import KForm
-from .linalg import ZERO, Matrix, Vector
+from .linalg import ONE, ZERO, Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,10 @@ class ComplexStructure:
     @staticmethod
     def from_pairs(dim: int, pairs: Sequence[tuple[int, int]]) -> "ComplexStructure":
         """Build J from pairs (a, b) meaning J e_a = e_b (so J e_b = -e_a)."""
-        cols = [linalg.zero_vec(dim)] * dim
+        rows = [[ZERO] * dim for _ in range(dim)]
         for a, b in pairs:
-            cols[a - 1] = linalg.unit_vec(dim, b)
-            cols[b - 1] = linalg.scale_vec(-1, linalg.unit_vec(dim, a))
-        return ComplexStructure(linalg.matrix_from_columns(cols))
+            rows[b - 1][a - 1], rows[a - 1][b - 1] = ONE, -ONE
+        return ComplexStructure(tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ row's denominators once and run on Python ints (``hermlie.core``):
 ``rref``, ``nullspace``, ``solve``, ``inverse`` and ``det`` are
 fraction-free Bareiss eliminations (E. H. Bareiss, Math. Comp. 22, 1968),
 and the canonical Fraction results are formed only at the end.
-``echelon``, ``kernel`` and ``minor_pivots`` (the leading principal
-minors) are the same eliminations on int rows, for callers that stay on
-numerators; ``coordinate_map`` is the one map from a basis's span to
+``echelon``, ``kernel``, ``solve_ints`` and ``minor_pivots`` (the leading
+principal minors) are the same eliminations on int rows, for callers that
+stay on numerators; ``coordinate_map`` is the one map from a basis's span to
 coordinates in it.
 """
 
@@ -123,10 +123,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 def matrix_from_columns(cols: Sequence[Sequence]) -> Matrix:
     return transpose(tuple(vec(c) for c in cols))
-
-
-def columns(m: Matrix) -> tuple[Vector, ...]:
-    return transpose(m)
 
 
 def is_zero_matrix(m: Matrix) -> bool:
@@ -253,12 +249,21 @@ def det(m: Matrix) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(r) + list(unit_vec(n, i + 1)) for i, r in enumerate(m)]
-    reduced, pivots = rref(aug)
-    if len(reduced) < n or pivots[:n] != tuple(range(n)):
+    rows = [core.clear(vec(r)) for r in m]  # m X = I is A X = diag(d) for rows A_i = d_i m_i
+    x, den = solve_ints([r for r, _ in rows], [[d * (i == j) for j in range(len(m))] for i, (_, d) in enumerate(rows)])
+    return tuple(core.fractions(row, den) for row in x)
+
+
+def solve_ints(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """X with A X = B for a nonsingular square int matrix A and an int
+    matrix B, as int numerators over the returned denominator: one
+    fraction-free elimination of [A | B]."""
+    n = len(a)
+    work = [list(r) + list(s) for r, s in zip(a, b, strict=True)]
+    den, pivots, _ = _bareiss(work)
+    if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+    return [row[n:] for row in work], den
 
 
 def minor_pivots(rows: Sequence[Sequence[int]]) -> Iterator[int]:
@@ -291,15 +296,5 @@ def coordinate_map(vectors: Sequence[Sequence]) -> Matrix:
     the columns of B: it sends each vector of their span to its coordinates
     in them.  One elimination of [V V^T | V] on the numerators V of B^T."""
     rows, den = core.clear_matrix(vectors)
-    k = len(rows)
-    work = [gram + row for gram, row in zip(core.mat_mul(rows, list(zip(*rows))), rows)]
-    d, pivots, _ = _bareiss(work)
-    if pivots[:k] != list(range(k)):
-        raise ZeroDivisionError("vectors are dependent")
-    return tuple(core.fractions([den * c for c in row[k:]], d) for row in work[:k])
-
-
-def coordinates_in(vectors: Sequence[Vector], target: Sequence) -> Vector | None:
-    """Coefficients expressing ``target`` in the independent ``vectors``, or None."""
-    coords = mat_vec(coordinate_map(vectors), target)
-    return coords if combination(coords, vectors, len(target)) == vec(target) else None
+    x, d = solve_ints(core.mat_mul(rows, list(zip(*rows))), rows)
+    return tuple(core.fractions([den * c for c in row], d) for row in x)

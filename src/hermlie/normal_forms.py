@@ -326,6 +326,10 @@ class SixDNonPureData:
     w: tuple[Cq, Cq, Cq, Cq, Cq, Cq] = (CZERO,) * 6
 
 
+# [u, v] carries w_t on the Y-line, for (u, v) = W_PAIRS[t]
+W_PAIRS = ((4, 3), (5, 3), (6, 3), (5, 4), (6, 4), (5, 6))
+
+
 def sixd_nonpure_table(params: SixDNonPureData) -> LieAlgebra:
     """The raw bracket table, with no constraint validation (test hook)."""
     b = tuple(Fraction(c) for c in params.b)
@@ -352,12 +356,8 @@ def sixd_nonpure_table(params: SixDNonPureData) -> LieAlgebra:
         v[2] += bc
         return tuple(v)
 
-    add(4, 3, x_plus_w(b[0], w[0]))
-    add(5, 3, x_plus_w(b[1], w[1]))
-    add(6, 3, x_plus_w(b[2], w[2]))
-    add(5, 4, x_plus_w(-b[2], w[3]))
-    add(6, 4, x_plus_w(b[1], w[4]))
-    add(5, 6, x_plus_w(b[3], w[5]))
+    for (u, v), bc, wc in zip(W_PAIRS, (b[0], b[1], b[2], -b[2], b[1], b[3]), w):
+        add(u, v, x_plus_w(bc, wc))
     return LieAlgebra(dim, {p: tuple(v) for p, v in table.items()})
 
 

@@ -309,9 +309,16 @@ def search_metric(
     L.require_validated()
     if not is_integrable(L, J):
         raise NotIntegrableError("J is not integrable on this algebra")
+    return search_kernel(L, J, kind, condition_kernel(L, J, kind), config)
+
+
+def search_kernel(
+    L: LieAlgebra, J: ComplexStructure, kind: str, kernel, config: SearchConfig | None = None
+) -> SearchResult:
+    """``search_metric`` on ``kernel = condition_kernel(L, J, kind)``, kept by the
+    caller; like ``search_metric``, it needs L validated and J integrable."""
     config = config or SearchConfig()
     n = L.dim
-    kernel = condition_kernel(L, J, kind)
     if not any(sum(m[a][a] for a in range(n)) for m in kernel):
         # every kernel matrix is traceless, so tr(I X) = 0 rules out X > 0
         return SearchResult("none", kind, None, float(n), 0, None, certificate=linalg.identity_matrix(n))

@@ -38,7 +38,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import core, linalg
-from .algebra import LieAlgebra, Subspace, image_of_bracket
+from .algebra import LieAlgebra, Subspace, image_of_bracket, in_span
 from .errors import (
     DimensionMismatchError,
     IncompatibleMetricError,
@@ -76,9 +76,8 @@ class PreShearData:
     @cached_property
     def pre_shear(self) -> PreShearReport:
         """The check of w|_(a x a) = 0 and im(w) inside a."""
-        image_bad = [pair for pair, v in self.omega.values.items() if not self.a.contains(v)]
-        w = self.omega.ints
-        basis = [core.clear(v)[0] for v in self.a.basis()]
+        w, basis = self.omega.ints, self.a.ints
+        image_bad = [(i + 1, j + 1) for i, j, _ in w.terms if not in_span(basis, w.on_basis[(i, j)])]
         restriction_bad = [
             (p + 1, q + 1) for p, q in combinations(range(len(basis)), 2) if any(w(basis[p], basis[q]))
         ]

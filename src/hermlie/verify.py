@@ -48,7 +48,7 @@ from .normal_forms import (
     skt_typeII_normal_form,
 )
 from .salamon import parse_salamon
-from .search import SearchConfig, check_certificate, condition_kernel, search_metric
+from .search import SearchConfig, check_certificate, condition_kernel, search_kernel, search_metric
 from .shear import build_shear, shear_condition, shear_kernel
 
 Q = Fraction
@@ -328,12 +328,13 @@ def criterion_six_dimensional_lists() -> dict:
 def _kernel_source(L, J, kind: str):
     """The exact kernel of ``kind`` with a certified definite point of it,
     from the search, or None when the search certifies no witness."""
-    found = search_metric(L, J, kind)
+    kernel = condition_kernel(L, J, kind)
+    found = search_kernel(L, J, kind, kernel)
     if not found.exact_verified:
         assert found.status != "found", f"{kind} search: uncertified witness"
         return None
     centre = linalg.inverse(found.exact_metric) if kind == "balanced" else found.exact_metric
-    return kind, centre, condition_kernel(L, J, kind)
+    return kind, centre, kernel
 
 
 def _kernel_metric(source, rng: random.Random) -> Metric:

@@ -11,6 +11,8 @@ from hermlie.errors import (
     IndexOutOfRangeError,
     NotValidatedError,
 )
+from hermlie.generators import random_complex_shear
+from hermlie.shear import build_shear
 
 from conftest import random_table
 
@@ -118,6 +120,50 @@ class TestStructureInvariants:
                 trials += 1
                 conj = al.change_basis(L, p)
                 assert al.structure_invariants(conj) == fp
+
+
+def reference_change_basis(L, p):
+    """The Fraction form of ``change_basis``: P^-1 [P e_i, P e_j] for each
+    pair, with P^-1 from the reduced echelon form of [P | I] and rational
+    brackets."""
+    n = L.dim
+    reduced, pivots = la.rref([list(r) + list(la.unit_vec(n, i + 1)) for i, r in enumerate(p)])
+    if len(reduced) < n or pivots[:n] != tuple(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    p_inv = tuple(tuple(row[n:]) for row in reduced)
+    cols = la.transpose(p)
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            v = la.mat_vec(p_inv, L.bracket(cols[i - 1], cols[j - 1]))
+            if not la.is_zero_vec(v):
+                table[(i, j)] = v
+    return al.LieAlgebra(n, table)
+
+
+class TestChangeBasis:
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_matches_the_fraction_reference(self, dim):
+        """Dense invertible, non-orthogonal P on a generated shear, a random
+        Jacobi-violating table and the abelian algebra."""
+        rng = random.Random(f"change-basis/{dim}")
+        algebras = [build_shear(random_complex_shear(dim, "typeI", dim)[0]),
+                    random_table(rng, dim, 2 * dim), al.abelian(dim)]
+        for L in algebras:
+            for _ in range(3):
+                p = la.mat([[Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)] for _ in range(dim)])
+                if la.det(p) == 0:
+                    continue
+                assert la.mat_mul(la.transpose(p), p) != la.identity_matrix(dim)
+                got = al.change_basis(L, p)
+                assert got == reference_change_basis(L, p)
+
+    def test_singular_basis_raises(self, h3):
+        p = la.mat([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+        with pytest.raises(ZeroDivisionError):
+            reference_change_basis(h3, p)
+        with pytest.raises(ZeroDivisionError):
+            al.change_basis(h3, p)
 
 
 class TestSolvabilityAndUnimodularity:

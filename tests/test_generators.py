@@ -1,18 +1,21 @@
+import hashlib
+import random
+
 import pytest
 
-from hermlie.algebra import structure_invariants
+from hermlie.algebra import change_basis, structure_invariants
 from hermlie.errors import HermlieError
 from hermlie.generators import (
+    FIXED_DIMS,
     PROFILES,
     random_compatible_metric,
     random_complex_shear,
     random_unitary,
 )
 from hermlie.hermitian import ComplexStructure, hermitian_decomposition
+from hermlie.salamon import parse_salamon
 from hermlie.shear import build_shear, check_complex_shear
 from hermlie import linalg as la
-
-import random
 
 
 class TestRandomUnitary:
@@ -82,3 +85,63 @@ class TestRandomComplexShear:
         # up front, and as a HermlieError, which callers of the generators catch
         with pytest.raises(HermlieError, match=f"the {profile} profile exists only"):
             random_complex_shear(0, profile, dim)
+
+
+# Every buildable (profile, dim) cell; perfbench's generated-shears rounds use
+# exactly these, with seed * 1000 + part * 100 + k for k below the per-round
+# count of the cell's dimension, over three set-up parts.
+CELLS = [(p, d) for p in PROFILES for d in FIXED_DIMS.get(p, (4, 6, 8, 10))]
+PER_ROUND = {4: 10, 6: 8, 8: 3, 10: 1}
+# metric-search's cases: conjugated by random_unitary for their J pairs,
+# the non-standard pairing included
+SEARCH_CASES = (
+    ("(25,-15,46,-36,0,0)", ((1, 2), (3, 4), (5, 6))),
+    ("(0,21,0,0,43,0)", ((1, 2), (3, 4), (5, 6))),
+    ("(-15+16,-25+26,2.(35+46),2.(36+45),0,0)", ((1, 2), (3, 5), (4, 6))),
+)
+
+
+def _digest(items) -> str:
+    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+
+
+def _shears(seeds):
+    for profile, dim, seed in seeds:
+        data, g, J = random_complex_shear(seed, profile, dim)
+        yield (data.a.basis(), sorted(data.omega.values.items()), g.matrix, J.matrix)
+
+
+def _conjugations():
+    for seed in (7, 8):
+        for part in range(3):
+            rng = random.Random(f"metric-search/{seed}/{part}")
+            for k in range(9):
+                salamon, pairs = SEARCH_CASES[k % 3]
+                q = random_unitary(6, rng, pairs=list(pairs))
+                yield q, sorted(change_basis(parse_salamon(salamon), q).table.items())
+    for dim in (4, 6, 8, 10):
+        yield random_unitary(dim, random.Random(dim)), None
+
+
+PINNED = {
+    "grid": (
+        lambda: _shears((p, d, s) for p, d in CELLS for s in range(20)),
+        "70b852b4f6f5917bdce2303a3e5d70a840e551dde923cb30ce82d5a6d2839405",
+    ),
+    "rounds": (
+        lambda: _shears(
+            (p, d, seed * 1000 + part * 100 + k)
+            for seed in (7, 8) for part in range(3) for p, d in CELLS for k in range(PER_ROUND[d])
+        ),
+        "127a8e61621d4f0e25918c982b7e8615cf8731d59689ba5b0c2cb7b53826f0e6",
+    ),
+    "unitaries": (_conjugations, "a98bd6e50f5a16d328534f0bd065df7d7a357211cd9dcb484390435c53e0c898"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_outputs_are_pinned(name):
+    """The generator's exact outputs, recorded before it moved onto int
+    numerators: any change to a draw, its order or the arithmetic shows."""
+    items, expected = PINNED[name]
+    assert _digest(items()) == expected

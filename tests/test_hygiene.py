@@ -158,3 +158,32 @@ def test_one_memo_idiom(path):
     belongs to: no lazy value behind a None test, and no memo attribute or key."""
     found = _hand_rolled_memos(ast.parse(path.read_text(encoding="utf-8")))
     assert not found, f"{path.name} keeps hand-rolled memos: {', '.join(found)}"
+
+
+FRACTION_MATRIX_OPS = {"mat_mul", "mat_add", "mat_scale"}
+
+
+def _fraction_matrix_ops(tree: ast.Module) -> list[str]:
+    """Each use of ``linalg``'s Fraction matrix products and sums, as an
+    attribute of the module or as an imported name, with its line."""
+    found = [
+        f"linalg.{node.attr} ({node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in FRACTION_MATRIX_OPS
+        and isinstance(node.value, ast.Name) and node.value.id == "linalg"
+    ]
+    found += [
+        f"{alias.name} ({node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+        for alias in node.names
+        if alias.name in FRACTION_MATRIX_OPS
+    ]
+    return found
+
+
+def test_generator_stays_on_numerators():
+    """The instance generator builds its unitaries, bases and metrics on
+    ``core``'s int numerators, never through Fraction matrix products."""
+    found = _fraction_matrix_ops(ast.parse((SRC / "generators.py").read_text(encoding="utf-8")))
+    assert not found, f"generators.py uses Fraction matrix operations: {', '.join(found)}"

