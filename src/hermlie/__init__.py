@@ -48,7 +48,6 @@ from .hermitian import (
     fundamental_form,
     hermitian_decomposition,
     kahler_from_skt_and_balanced_typeII,
-    nijenhuis,
     normalize_skt_typeII,
     splice_metric,
     unitary_basis,

@@ -95,24 +95,30 @@ class Bilinear:
     """
 
     def __init__(self, dim: int, table: dict):
-        self.dim = dim
-        self.den = lcm(*[c.denominator for v in table.values() for c in v])
-        self.terms = []
+        den = lcm(*[c.denominator for v in table.values() for c in v])
+        terms = []
+        for (i, j), v in table.items():
+            nums = tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
+            if nums:
+                terms.append((i - 1, j - 1, nums))
+        self._index(dim, den, terms)
+
+    def _index(self, dim: int, den: int, terms: list) -> None:
+        self.dim, self.den, self.terms = dim, den, terms
         self.column = [{} for _ in range(dim)]
         self.de = [[] for _ in range(dim)]
-        for (i, j), v in table.items():
-            i, j = i - 1, j - 1
-            nums = tuple(
-                (k, c.numerator * (self.den // c.denominator)) for k, c in enumerate(v) if c
-            )
-            if not nums:
-                continue
-            self.terms.append((i, j, nums))
+        for i, j, nums in terms:
             self.column[j][i] = nums
             self.column[i][j] = tuple((k, -c) for k, c in nums)
             for k, c in nums:
                 pair = (1 << i) | (1 << j)
                 self.de[k].append((pair, _above_parity(pair), -c))
+
+    def negated(self) -> "Bilinear":
+        """-w over the same denominator, without clearing a table again."""
+        out = Bilinear.__new__(Bilinear)
+        out._index(self.dim, self.den, [(i, j, tuple((k, -c) for k, c in nums)) for i, j, nums in self.terms])
+        return out
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
         """Numerators of w(x, y) over den * den(x) * den(y)."""

@@ -222,15 +222,6 @@ def kernel_span(matrices: Sequence) -> list:
     return linalg.echelon([c for row in m for c in row] for m in matrices)
 
 
-def nijenhuis(L: LieAlgebra, J: ComplexStructure, x: Sequence, y: Sequence) -> Vector:
-    """N(x,y) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y]."""
-    jx, jy = J.apply(x), J.apply(y)
-    out = L.bracket(jx, jy)
-    out = linalg.sub_vec(out, J.apply(L.bracket(jx, y)))
-    out = linalg.sub_vec(out, J.apply(L.bracket(x, jy)))
-    return linalg.sub_vec(out, L.bracket(x, y))
-
-
 @dataclass(frozen=True)
 class ComplexStructureReport:
     integrable: bool

@@ -28,6 +28,9 @@ alternation on a basis 4-subset is four times a signed sum over its six
 splits into sorted pairs A = (a, b), B = (c, d):
 
   sum sign(A, B) (g(w(Ja,Jb), w(c,d)) + g(w(J w(a,b), Jc), d) - g(w(J w(a,b), Jd), c))
+
+Both terms read one table, g w(J e_x, J e_y); that needs g symmetric, as every
+``Metric`` and every matrix of ``hermitian.compatible_basis`` is.
 """
 
 from __future__ import annotations
@@ -70,8 +73,10 @@ class PreShearData:
 
     @cached_property
     def algebra(self) -> LieAlgebra:
-        """The algebra [x, y] = -w(x, y), not validated."""
-        return LieAlgebra(self.dim, {pair: linalg.neg_vec(v) for pair, v in self.omega.values.items()})
+        """The algebra [x, y] = -w(x, y), not validated, on w's integer table negated."""
+        L = LieAlgebra(self.dim, {pair: linalg.neg_vec(v) for pair, v in self.omega.values.items()})
+        L.ints = self.omega.ints.negated()
+        return L
 
     @cached_property
     def pre_shear(self) -> PreShearReport:
@@ -98,8 +103,9 @@ class PreShearReport:
 def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
     """Reconstruct (a, w) = (derg, -bracket); the algebra it builds is L."""
     img = image_of_bracket(L)
-    values = {pair: linalg.neg_vec(v) for pair, v in L.table.items()}
-    data = PreShearData(L.dim, img, VectorValuedTwoForm(L.dim, img, values))
+    omega = VectorValuedTwoForm(L.dim, img, {pair: linalg.neg_vec(v) for pair, v in L.table.items()})
+    omega.ints = L.ints.negated()
+    data = PreShearData(L.dim, img, omega)
     object.__setattr__(data, "algebra", L)
     return data
 
@@ -154,8 +160,8 @@ def _require_complex(data: PreShearData, J: ComplexStructure) -> None:
 def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
     """The Kahler (tau) or torsion equations as one map to their values on
     the basis 3-subsets (``combinations`` order) or 4-subsets, ints linear in
-    its argument: the numerators of sigma = J^T g for Kahler, of g for
-    torsion.  What does not depend on g is built once."""
+    its argument: the numerators of sigma = J^T g for Kahler, of the
+    symmetric g for torsion.  What does not depend on g is built once."""
     n2 = data.dim
     w = data.omega.ints
     ob = w.on_basis  # (x, y) -> w(e_x, e_y), 0-indexed
@@ -174,24 +180,22 @@ def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
     j_units = [list(c) for c in zip(*jm)]  # J e_t
     pairs = list(combinations(range(n2), 2))
     jj = {(x, y): w(j_units[x], j_units[y]) for x, y in pairs}  # w(J e_x, J e_y)
-    # g wj[z] is the matrix of v -> g w(J v, J e_z): W_z J, where W_z has
-    # columns w(e_m, J e_z) = -w(J e_z, e_m)
-    wj = [
-        core.mat_mul(list(zip(*[[-c for c in w.with_basis(j_units[z], m)] for m in range(n2)])), jm)
-        for z in range(n2)
-    ]
     quads = list(combinations(range(n2), 4))
 
     def torsion(gm):
-        gwj = [core.mat_mul(gm, m) for m in wj]
-        g_ob = {pair: core.mat_vec(gm, ob[pair]) for pair in pairs}  # g w(e_x, e_y)
-        # alt[(x, y)] . w(a, b) = g(w(J w(a, b), J e_x), e_y) - (x <-> y)
-        alt = {(x, y): [p - q for p, q in zip(gwj[x][y], gwj[y][x])] for x, y in pairs}
+        gjj = {pair: core.mat_vec(gm, v) for pair, v in jj.items()}  # g w(J e_x, J e_y)
+        rows = [[[0] * n2] * n2 for _ in range(n2)]  # rows[c][x] = g w(J e_c, J e_x)
+        for (c, x), v in gjj.items():
+            rows[c][x], rows[x][c] = v, [-t for t in v]
+        # g(w(Ja, Jb), w(c, d)) = gjj[A] . w(c, d) as g is symmetric, and
+        # alt[(x, y)] . w(a, b) = g(w(J w(a, b), J e_x), e_y) - (x <-> y), so
+        # left[A] . right[B], right[B] = ob[B] + alt[B], is a split's two terms
+        left = {pair: gjj[pair] + ob[pair] for pair in pairs}
+        right = {(x, y): ob[(x, y)] + [r[x][y] - r[y][x] for r in rows] for x, y in pairs}
         for quad in quads:
             total = 0
             for (p, q), (r, s), sign in _SPLITS:
-                A, B = (quad[p], quad[q]), (quad[r], quad[s])
-                total += sign * (core.dot(jj[A], g_ob[B]) + core.dot(ob[A], alt[B]))
+                total += sign * core.dot(left[(quad[p], quad[q])], right[(quad[r], quad[s])])
             yield total
 
     return torsion
@@ -251,10 +255,9 @@ def shear_kernel(data: PreShearData, J: ComplexStructure, kind: str) -> tuple:
     # Gains, with N = dim, M the largest numerator of J and w (at least 1) and
     # X standing for max |X|, as sums of products.  Kahler: J^T X <= N M X and
     # tau sums three dot products of it with w(e_i, e_j), so tau <= 3 N^2 M^2 X.
-    # Torsion: w(J e_x, J e_y) <= N^2 M^3 and W_z J <= N (N M^2) M, so
-    # g (W_z J) <= N^3 M^3 X and alt <= 2 N^3 M^3 X; g w(e_x, e_y) <= N M X; each
-    # of the six splits adds N (N^2 M^3)(N M X) + N M (2 N^3 M^3 X) = 3 N^4 M^4 X,
-    # so a value is at most 18 N^4 M^4 X.
+    # Torsion: w(J e_x, J e_y) <= N^2 M^3, so g w(J e_x, J e_y) <= N^3 M^3 X and
+    # alt <= 2 N^3 M^3 X; each of the six splits adds N M (N^3 M^3 X) +
+    # N M (2 N^3 M^3 X) = 3 N^4 M^4 X, so a value is at most 18 N^4 M^4 X.
     n, m = data.dim, core.height(jm, data.omega.ints)
     if kind == "kahler":
         jt = list(zip(*jm))

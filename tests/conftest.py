@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermlie import algebra as al
+from hermlie import linalg as la
 from hermlie.hermitian import ComplexStructure, Metric
 from hermlie.salamon import parse_salamon
 
@@ -85,3 +86,13 @@ def random_table(rng: random.Random, dim: int, entries: int):
         seen.add((i, j, k))
         constants.append((i, j, k, Q(rng.randint(-2, 2), rng.randint(1, 2))))
     return al.make_algebra(dim, constants)
+
+
+def nijenhuis(L, J, x, y):
+    """N(x,y) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y] in Fractions: the
+    reference for the integer loop of ``validate_complex_structure``."""
+    jx, jy = J.apply(x), J.apply(y)
+    out = L.bracket(jx, jy)
+    out = la.sub_vec(out, J.apply(L.bracket(jx, y)))
+    out = la.sub_vec(out, J.apply(L.bracket(x, jy)))
+    return la.sub_vec(out, L.bracket(x, y))

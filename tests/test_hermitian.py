@@ -29,7 +29,6 @@ from hermlie.hermitian import (
     hermitian_decomposition,
     is_integrable,
     kahler_from_skt_and_balanced_typeII,
-    nijenhuis,
     normalize_skt_typeII,
     splice_metric,
     unitary_basis,
@@ -37,6 +36,8 @@ from hermlie.hermitian import (
 )
 from hermlie.salamon import parse_salamon
 from hermlie.shear import build_shear
+
+from conftest import nijenhuis
 
 Q = Fraction
 

@@ -17,6 +17,7 @@ from hermlie.errors import (
     NotComplexShearDataError,
     UnsupportedDimensionError,
 )
+from hermlie.catalog import witness_lists
 from hermlie.forms import VectorValuedTwoForm
 from hermlie.generators import FIXED_DIMS, PROFILES, random_compatible_metric, random_complex_shear
 from hermlie.hermitian import (
@@ -27,7 +28,6 @@ from hermlie.hermitian import (
     is_integrable,
     j_adapted_split,
     kernel_span,
-    nijenhuis,
     validate_complex_structure,
 )
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
@@ -43,7 +43,10 @@ from hermlie.shear import (
     shear_kernel,
     shear_operators,
     validate_pre_shear,
+    _shear_map,
 )
+
+from conftest import nijenhuis
 
 Q = Fraction
 
@@ -146,7 +149,8 @@ def reference_skt(data, g, J):
     """The torsion condition as the full alternation over S_4 of
     g(w(J a, J b), w(c, d)) + 2 g(w(J w(a, b), J c), d) on every basis
     4-subset, with mirrored tables for unsorted pairs, as a reference for
-    the split form of ``shear_condition``."""
+    the split form of ``_shear_map``: its values on the 4-subsets in
+    ``combinations`` order, over the numerators of g, w and J."""
     n2 = data.dim
     w = data.omega.ints
     (jm, _), (gm, _) = J.ints, g.ints
@@ -171,10 +175,10 @@ def reference_skt(data, g, J):
     def term(a, b, c, d):
         return core.dot(jj[(a, b)], g_ob[(c, d)]) + 2 * g_tv[(a, b, c)][d]
 
-    return not any(
+    return [
         sum(sign * term(*(quad[p] for p in perm)) for perm, sign in _SIGNED_PERMS)
         for quad in combinations(range(n2), 4)
-    )
+    ]
 
 
 class TestPreShearValidation:
@@ -386,6 +390,44 @@ class TestBuildShear:
             assert al.is_two_step_solvable(build_shear(data))
 
 
+def _assert_fresh_table(b, dim, table):
+    fresh = core.Bilinear(dim, table)
+    assert (b.den, b.terms, b.column, b.de) == (fresh.den, fresh.terms, fresh.column, fresh.de)
+
+
+class TestSharedBracketTable:
+    """A bracket table and its shear two-form share one cleared table: each
+    negates the other's numerators over the same denominator, and the result
+    is exactly the table a fresh ``core.Bilinear`` clears from Fractions."""
+
+    @staticmethod
+    def _check(data):
+        n = data.dim
+        _assert_fresh_table(data.omega.ints, n, data.omega.values)
+        _assert_fresh_table(data.algebra.ints, n, data.algebra.table)
+        # the algebra of data given only by its form
+        fresh = PreShearData(n, data.a, VectorValuedTwoForm(n, data.a, data.omega.values))
+        _assert_fresh_table(fresh.algebra.ints, n, fresh.algebra.table)
+        assert fresh.algebra.table == data.algebra.table
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_generated_instances(self, dim):
+        checked = 0
+        for profile in PROFILES:
+            for seed in range(2):
+                try:
+                    data, _, _ = random_complex_shear(seed, profile, dim)
+                except UnsupportedDimensionError:
+                    break
+                self._check(data)
+                checked += 1
+        assert checked
+
+    def test_catalog(self):
+        for entry in witness_lists():
+            self._check(pre_shear_from_bracket(entry.algebra))
+
+
 class TestShearCondition:
     def test_zero_all_true(self):
         data = zero_data(4)
@@ -441,11 +483,12 @@ class TestShearCondition:
 
     @pytest.mark.parametrize("dim", [4, 6, 8, 10])
     def test_split_form_matches_the_permutation_sum(self, dim):
-        """The signed sum over pair splits decides SKT exactly as the 24-term
-        alternation, on every profile the generator builds, each with its own
-        and an independent metric, and on closed normal forms; both verdicts
-        occur.  Flipping the sign of one split, or leaving alt unalternated,
-        breaks it."""
+        """The signed sum over pair splits is a quarter of the 24-term
+        alternation on every basis 4-subset, value for value, and so decides
+        SKT as it does, on every profile the generator builds, each with its
+        own and an independent metric, and on closed normal forms; both
+        verdicts occur.  Flipping the sign of one split, or leaving alt
+        unalternated, breaks it."""
         instances = []
         for profile in PROFILES:
             for seed in range(3):
@@ -461,8 +504,10 @@ class TestShearCondition:
         for k, (data, g, J) in enumerate(instances):
             other = random_compatible_metric(dim, J, random.Random(f"skt-split-{dim}-{k}"))
             for metric in (g, other):
+                values = reference_skt(data, metric, J)
+                assert [4 * v for v in _shear_map(data, J, "skt")(metric.ints[0])] == values, (dim, k)
                 verdict = shear_condition(data, metric, J, "skt")
-                assert verdict == reference_skt(data, metric, J), (dim, k)
+                assert verdict == (not any(values)), (dim, k)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
