@@ -125,17 +125,9 @@ def cmd_shear(args) -> int:
     return code
 
 
-def _seeds_from_env() -> tuple | None:
-    raw = os.environ.get("HERMLIE_SEEDS")
-    if not raw:
-        return None
-    try:
-        return tuple(int(s) for s in raw.replace(",", " ").split())
-    except ValueError:
-        raise DocumentError(f"HERMLIE_SEEDS must be a list of integers, got {raw!r}") from None
-
-
 def cmd_search(args) -> int:
+    if "HERMLIE_SEEDS" in os.environ:
+        raise DocumentError('HERMLIE_SEEDS is not read; give "seeds" in a --config file instead')
     L = load_algebra(_read_json(args.algebra))
     J = load_complex_structure(_read_json(args.j_file), L.dim)
     overrides = {}
@@ -143,9 +135,6 @@ def cmd_search(args) -> int:
         overrides = _read_json(args.config)
         if not isinstance(overrides, dict):
             raise DocumentError("search config must be a JSON object")
-    seeds = _seeds_from_env()
-    if seeds is not None:
-        overrides["seeds"] = seeds
     try:
         config = SearchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()})
     except (TypeError, ValueError) as exc:

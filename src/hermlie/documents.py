@@ -138,24 +138,23 @@ def load_algebra(doc: dict) -> LieAlgebra:
     return L
 
 
-def load_complex_structure(doc: dict, dim: int) -> ComplexStructure:
+def _structure_matrix(doc: dict, dim: int, key: str):
+    """The rows of the matrix ``doc[key]`` of a structure document, ``dim`` of them."""
     _document(doc, "structure")
-    if "J" not in doc:
-        raise DocumentError('structure document needs a "J" matrix')
-    m = _fraction_matrix(doc["J"], '"J"')
+    if key not in doc:
+        raise DocumentError(f'structure document needs a "{key}" matrix')
+    m = _fraction_matrix(doc[key], f'"{key}"')
     if len(m) != dim:
-        raise DocumentError(f'"J" must be {dim}x{dim}')
-    return ComplexStructure(m)
+        raise DocumentError(f'"{key}" must be {dim}x{dim}')
+    return m
+
+
+def load_complex_structure(doc: dict, dim: int) -> ComplexStructure:
+    return ComplexStructure(_structure_matrix(doc, dim, "J"))
 
 
 def load_metric(doc: dict, dim: int) -> Metric:
-    _document(doc, "structure")
-    if "metric" not in doc:
-        raise DocumentError('structure document needs a "metric" matrix')
-    m = _fraction_matrix(doc["metric"], '"metric"')
-    if len(m) != dim:
-        raise DocumentError(f'"metric" must be {dim}x{dim}')
-    return Metric(m)
+    return Metric(_structure_matrix(doc, dim, "metric"))
 
 
 def load_shear_data(doc: dict):

@@ -223,16 +223,10 @@ def _typeIII_algebra(dim: int, rng: random.Random) -> tuple[LieAlgebra, ComplexS
         if z.is_zero():
             z = Cq(0, 1)
         b = rand_nonzero_fraction(rng)
-        L = sixd_nonpure_table(
-            SixDNonPureData(b=(b, ZERO, ZERO, ZERO), z=(z, Cq(0), Cq(0)))
+        L = make_algebra(
+            4, [(4, 1, 1, z.re), (4, 1, 2, z.im), (4, 2, 1, -z.im), (4, 2, 2, z.re), (4, 3, 3, b)]
         )
-        # restrict to the first four coordinates: drop the inert Z-pair
-        table = {
-            pair: v[:4]
-            for pair, v in L.table.items()
-            if pair[0] <= 4 and pair[1] <= 4
-        }
-        return LieAlgebra(4, table), ComplexStructure.standard(4)
+        return L, ComplexStructure.standard(4)
     if dim == 6 and rng.random() < 0.5:
         a = rand_fraction(rng, -2, 2, 2)
         b = rand_fraction(rng, -2, 2, 2)
@@ -247,26 +241,12 @@ def _typeIII_algebra(dim: int, rng: random.Random) -> tuple[LieAlgebra, ComplexS
             ],
         )
         return L, ComplexStructure.from_pairs(6, [(1, 2), (3, 5), (4, 6)])
-    s = 1
-    r = dim // 2 - s
-    params = KahlerNormalForm(
-        "III",
-        s,
-        r,
-        0,
-        alphas=tuple(
-            tuple(rand_fraction(rng, -2, 2, 2) for _ in range(r)) for _ in range(s)
-        ),
-        betas=((),) * s,
-        lambdas=tuple(rand_nonzero_fraction(rng) for _ in range(r)),
-    )
-    alphas = [list(row) for row in params.alphas]
-    for row in alphas:
-        if all(c == 0 for c in row):
-            row[0] = ONE
-    params = KahlerNormalForm("III", s, r, 0, tuple(tuple(r_) for r_ in alphas), ((),) * s,
-                              params.lambdas)
-    L, _, J = kahler_normal_form(params)
+    r = dim // 2 - 1
+    alpha = [rand_fraction(rng, -2, 2, 2) for _ in range(r)]
+    if not any(alpha):
+        alpha[0] = ONE
+    lambdas = tuple(rand_nonzero_fraction(rng) for _ in range(r))
+    L, _, J = kahler_normal_form(KahlerNormalForm("III", 1, r, 0, (tuple(alpha),), ((),), lambdas))
     return L, J
 
 

@@ -4,7 +4,8 @@ Each constructor takes exact rational parameters, validates the theorem's
 parameter constraints, and emits an algebra in an adapted orthonormal
 J-paired basis.  Complex scalars are pairs of rationals; a complex
 coefficient c on a vector Y in a complex line expands as
-Re(c) Y + Im(c) JY.
+Re(c) Y + Im(c) JY.  Every constructor emits its brackets as structure
+constants (i, j, k, c) to ``make_algebra``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .hermitian import (
     hermitian_decomposition,
     is_integrable,
 )
-from .linalg import ZERO, Vector
+from .linalg import ZERO
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,6 @@ class Cq:
             self.re * other.im + self.im * other.re,
         )
 
-    def __neg__(self) -> "Cq":
-        return Cq(-self.re, -self.im)
-
     def scale(self, c) -> "Cq":
         c = Fraction(c)
         return Cq(c * self.re, c * self.im)
@@ -58,19 +56,14 @@ class Cq:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def times_i(self) -> "Cq":
-        return Cq(-self.im, self.re)
-
 
 CZERO = Cq()
 
 
-def _complex_line_vector(c: Cq, y_index: int, dim: int) -> Vector:
-    """c Y as a real vector, with Y = e_{y}, JY = e_{y+1}."""
-    v = [ZERO] * dim
-    v[y_index - 1] = c.re
-    v[y_index] = c.im
-    return tuple(v)
+def _on_line(i: int, j: int, k: int, c: Cq) -> list[tuple]:
+    """[e_i, e_j] = c Y_k as structure constants, with Y_k = e_{2k-1} and
+    JY_k = e_{2k}."""
+    return [(i, j, 2 * k - 1, c.re), (i, j, 2 * k, c.im)]
 
 
 ComplexTwoForm = tuple[KForm, KForm]  # (real part, imaginary part)
@@ -204,10 +197,6 @@ class TypeIINormalForm:
     psis: tuple[ComplexTwoForm, ...] = ()  # s - m holomorphic forms
 
 
-def _local_standard_J(ell: int) -> ComplexStructure:
-    return ComplexStructure.standard(2 * ell)
-
-
 def skt_typeII_normal_form(
     params: TypeIINormalForm, _validate: bool = True
 ) -> tuple[LieAlgebra, Metric, ComplexStructure]:
@@ -225,7 +214,7 @@ def skt_typeII_normal_form(
     alphas = tuple(tuple(Fraction(c) for c in row) for row in params.alphas)
     if any(len(row) != 2 * ell for row in alphas):
         fail("alpha shape")
-    J_loc = _local_standard_J(ell)
+    J_loc = ComplexStructure.standard(2 * ell)
     for row in alphas:
         if all(c == 0 for c in row):
             fail("nonzero alphas", "each alpha_j must be nonzero")
@@ -263,52 +252,24 @@ def skt_typeII_normal_form(
             )
 
     dim = 2 * s + 2 * ell
+    z = lambda t: 2 * s + t  # local index t in 1..2*ell
+    local_pairs = list(combinations(range(1, 2 * ell + 1), 2))
+    jt = linalg.transpose(J_loc.matrix)
     constants = []
-    z_global = lambda t: 2 * s + t  # local index t in 1..2*ell
-    for j in range(1, m + 1):
-        y, jy = 2 * j - 1, 2 * j
-        for t in range(1, 2 * ell + 1):
-            a = alphas[j - 1][t - 1]
-            if a:
-                constants.append((z_global(t), y, jy, a))
-                constants.append((z_global(t), jy, y, -a))
-
-    # [Z, W] for complement pairs
-    loc_J = _local_standard_J(ell)
-    table_extra: dict[tuple[int, int], list[Fraction]] = {}
-    for t, u in combinations(range(1, 2 * ell + 1), 2):
-        value = [ZERO] * dim
-        for j in range(1, m + 1):
-            row = alphas[j - 1]
-            ja = [
-                sum(
-                    (row[p] * loc_J.matrix[p][q] for p in range(2 * ell)),
-                    ZERO,
-                )
-                for q in range(2 * ell)
-            ]
-            wedge_val = row[t - 1] * ja[u - 1] - row[u - 1] * ja[t - 1]
-            c = params.zs[j - 1].scale(wedge_val)
-            value[2 * j - 2] += c.re
-            value[2 * j - 1] += c.im
-        for k in range(m + 1, s + 1):
-            phi = params.phis[k - m - 1]
-            psi = params.psis[k - m - 1]
-            c = _cform_coeff(phi, t, u) + _cform_coeff(psi, t, u)
-            value[2 * k - 2] += c.re
-            value[2 * k - 1] += c.im
-        if any(value):
-            table_extra[(z_global(t), z_global(u))] = value
-
-    L0 = make_algebra(dim, constants)
-    table = dict(L0.table)
-    for pair, v in table_extra.items():
-        base = list(table.get(pair, linalg.zero_vec(dim)))
-        for i, c in enumerate(v):
-            base[i] += c
-        table[pair] = tuple(base)
-    L = LieAlgebra(dim, table)
-    return L, Metric.identity(dim), ComplexStructure.standard(dim)
+    for j, (row, zj) in enumerate(zip(alphas, params.zs), 1):
+        # [Z_t, Y_j] = alpha_j(Z_t) JY_j, and [Z_t, Z_u] is z_j times
+        # (alpha_j ^ alpha_j o J)(Z_t, Z_u) on the j-th line
+        for t, a in enumerate(row, 1):
+            constants += [(z(t), 2 * j - 1, 2 * j, a), (z(t), 2 * j, 2 * j - 1, -a)]
+        ja = linalg.mat_vec(jt, row)
+        for t, u in local_pairs:
+            wedge = row[t - 1] * ja[u - 1] - row[u - 1] * ja[t - 1]
+            constants += _on_line(z(t), z(u), j, zj.scale(wedge))
+    for k, (phi, psi) in enumerate(zip(params.phis, params.psis), m + 1):
+        # [Z_t, Z_u] is (phi_k + psi_k)(Z_t, Z_u) on the k-th line
+        for t, u in local_pairs:
+            constants += _on_line(z(t), z(u), k, _cform_coeff(phi, t, u) + _cform_coeff(psi, t, u))
+    return make_algebra(dim, constants), Metric.identity(dim), ComplexStructure.standard(dim)
 
 
 @dataclass(frozen=True)
@@ -333,32 +294,13 @@ W_PAIRS = ((4, 3), (5, 3), (6, 3), (5, 4), (6, 4), (5, 6))
 def sixd_nonpure_table(params: SixDNonPureData) -> LieAlgebra:
     """The raw bracket table, with no constraint validation (test hook)."""
     b = tuple(Fraction(c) for c in params.b)
-    z0, z1, z2 = params.z
-    w = params.w
-    dim = 6
-    table: dict[tuple[int, int], list[Fraction]] = {}
-
-    def add(i, j, vector):
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        row = table.setdefault((i, j), [ZERO] * dim)
-        for t, c in enumerate(vector):
-            row[t] += sign * c
-
+    constants = []
     # complex action on the Y-line: [u, Y] = c Y, [u, JY] = (i c) Y
-    for u, c in ((4, z0), (5, z1), (6, z2)):
-        add(u, 1, _complex_line_vector(c, 1, dim))
-        add(u, 2, _complex_line_vector(c.times_i(), 1, dim))
-
-    def x_plus_w(bc: Fraction, wc: Cq) -> Vector:
-        v = list(_complex_line_vector(wc, 1, dim))
-        v[2] += bc
-        return tuple(v)
-
-    for (u, v), bc, wc in zip(W_PAIRS, (b[0], b[1], b[2], -b[2], b[1], b[3]), w):
-        add(u, v, x_plus_w(bc, wc))
-    return LieAlgebra(dim, {p: tuple(v) for p, v in table.items()})
+    for u, c in zip((4, 5, 6), params.z):
+        constants += _on_line(u, 1, 1, c) + _on_line(u, 2, 1, Cq(0, 1) * c)
+    for (u, v), bc, wc in zip(W_PAIRS, (b[0], b[1], b[2], -b[2], b[1], b[3]), params.w):
+        constants += [(u, v, 3, bc), *_on_line(u, v, 1, wc)]
+    return make_algebra(6, constants)
 
 
 def skt_6d_nonpure_normal_form(

@@ -62,9 +62,9 @@ class _Scanner:
 
 
 def _parse_coeff(sc: _Scanner, bindings: dict) -> Fraction:
-    c = sc.peek()
-    if c.isdigit():
-        start = sc.pos
+    """A rational literal or a bound parameter name; ``_parse_entry`` calls
+    it only at a digit, a letter or an underscore."""
+    if sc.peek().isdigit():
         num = ""
         while sc.peek().isdigit():
             num += sc.take()
@@ -77,14 +77,12 @@ def _parse_coeff(sc: _Scanner, bindings: dict) -> Fraction:
                 sc.error("missing or zero denominator")
             return Fraction(int(num), int(den))
         return Fraction(int(num))
-    if c.isalpha() or c == "_":
-        name = ""
-        while sc.peek().isalnum() or sc.peek() == "_":
-            name += sc.take()
-        if name not in bindings:
-            raise UnboundParameterError(f"parameter {name!r} is not bound")
-        return Fraction(bindings[name])
-    sc.error("expected a coefficient")
+    name = ""
+    while sc.peek().isalnum() or sc.peek() == "_":
+        name += sc.take()
+    if name not in bindings:
+        raise UnboundParameterError(f"parameter {name!r} is not bound")
+    return Fraction(bindings[name])
 
 
 def _parse_pair(sc: _Scanner, dim: int) -> tuple[int, int]:

@@ -51,6 +51,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _demo(name):
+    return json.loads((DEMO_DATA / f"{name}.json").read_text())
+
+
 class TestDescribe:
     def test_counterexample(self, capsys, cx1_file):
         code, out, _ = run_cli(capsys, "describe", cx1_file)
@@ -216,10 +220,13 @@ class TestSearchCommand:
         assert check_certificate(L, J, "kahler", y)
 
     def test_seed_env_override(self, capsys, cx1_file, j_file, monkeypatch):
-        monkeypatch.setenv("HERMLIE_SEEDS", "3")
-        code, out, _ = run_cli(capsys, "search", cx1_file, j_file, "--target", "skt")
-        assert code == 0
-        assert json.loads(out)["search"]["seed"] == 3
+        """Seeds come from --config only: the old override variable, even
+        empty, exits 2 with one line instead of being ignored."""
+        for value in ("3", ""):
+            monkeypatch.setenv("HERMLIE_SEEDS", value)
+            code, out, err = run_cli(capsys, "search", cx1_file, j_file, "--target", "skt")
+            assert (code, out) == (2, "")
+            assert err == 'error: HERMLIE_SEEDS is not read; give "seeds" in a --config file instead\n'
 
     def test_bad_j_exit_2(self, capsys, cx1_file, tmp_path):
         bad = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
@@ -553,6 +560,65 @@ class TestMalformedInput:
         self.assert_invalid(capsys, "describe", str(path))
 
     @pytest.mark.parametrize(
+        "argv,docs,message",
+        [
+            pytest.param(("describe", "{missing}"), [], "no such file", id="no-such-file"),
+            pytest.param(("shear", "{0}", "--kind", "skt"),
+                         [{k: v for k, v in _demo("counterexample_shear").items() if k != "J"}],
+                         'condition checks need a "J" entry', id="shear-condition-without-J"),
+            pytest.param(("describe", "{0}"), [[1, 2]], "algebra document must be a JSON object",
+                         id="not-an-object"),
+            pytest.param(("describe", "{0}"), [{"dim": 2}], 'one of "salamon" or "constants"',
+                         id="no-notation"),
+            pytest.param(("describe", "{0}"), [{"constants": [[1, 2, 2, "1"]]}],
+                         '"constants" need an integer "dim"', id="constants-without-dim"),
+            pytest.param(("describe", "{0}"), [{"dim": 3, "constants": [[1, 2, 3, "1"], [1, 3, 1, "1"]]}],
+                         "structure constants violate Jacobi", id="constants-not-jacobi"),
+            # a digit to str.isdigit that int() does not read
+            pytest.param(("describe", "{0}"), [{"salamon": "(0,\u00b21)"}], "bad algebra document",
+                         id="superscript-digit"),
+            pytest.param(("describe", "{0}"), [{"dim": 3, "salamon": "(0,21)"}],
+                         '"dim" is 3 but the algebra has dimension 2', id="dim-disagrees"),
+            pytest.param(("check", "{0}", "{1}"), [_demo("two_r3"), {"metric": IDENTITY6}],
+                         'structure document needs a "J" matrix', id="J-missing"),
+            pytest.param(("check", "{0}", "{1}"), [_demo("two_r3"), {"J": [["0", "-1"], ["1", "0"]]}],
+                         '"J" must be 6x6', id="J-wrong-size"),
+            pytest.param(("check", "{0}", "{1}"), [_demo("two_r3"), {"J": STD6_J}],
+                         'structure document needs a "metric" matrix', id="metric-missing"),
+            pytest.param(("check", "{0}", "{1}"), [_demo("two_r3"), {"J": STD6_J, "metric": [["1"]]}],
+                         '"metric" must be 6x6', id="metric-wrong-size"),
+            pytest.param(("shear", "{0}", "--kind", "build"), [{"a": [], "omega": []}],
+                         'shear document needs an integer "dim"', id="shear-without-dim"),
+            pytest.param(("shear", "{0}", "--kind", "build"), [{"dim": 2, "a": [], "omega": [1]}],
+                         "an omega entry must be an object", id="omega-entry-not-an-object"),
+            pytest.param(("describe", "{0}"), [{"salamon": "(0,01)"}], "a zero entry must stand alone",
+                         id="salamon-zero-not-alone"),
+            pytest.param(("describe", "{0}"), [{"salamon": "(0,2.(12 13))"}],
+                         "expected '+', '-' or ')' in a group", id="salamon-unclosed-group"),
+            pytest.param(("describe", "{0}"), [{"salamon": "(" + ",".join("0" * 10) + ")"}],
+                         "at most 9 entries", id="salamon-ten-entries"),
+            pytest.param(("describe", "{0}"), [{"salamon": "(0,31)"}], "index pair 13 exceeds dimension 2",
+                         id="salamon-pair-above-dim"),
+        ],
+    )
+    def test_each_input_error_exits_2(self, capsys, tmp_path, argv, docs, message):
+        """Each raise on malformed input ends in exit 2 and one line that names it."""
+        paths = [_write(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, *(arg.format(*paths, missing=missing) for arg in argv))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
+
+    @pytest.mark.parametrize(
+        "grouped,expanded", [("(0,0,2.(31-32))", "(0,0,2.31-2.32)"), ("(0,0,2.(-31+32))", "(0,0,-2.31+2.32)")]
+    )
+    def test_grouped_minus_signs(self, capsys, tmp_path, grouped, expanded):
+        """A minus sign inside a coefficient's group reads as in its expansion."""
+        runs = [run_cli(capsys, "describe", _write(tmp_path, f"{i}.json", {"salamon": text}))
+                for i, text in enumerate((grouped, expanded))]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize(
         "literal,value",
         [("1e3", 1000), ("0.5", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)), ("0e3000000", 0), ("1e4299", 10**4299)],
     )
@@ -601,10 +667,6 @@ def test_wrong_typed_field_exits_2(capsys, tmp_path, case):
     code, _, err = run_cli(capsys, *(arg.format(*paths) for arg in argv))
     assert code == 2, (argv, docs)
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
-
-
-def _demo(name):
-    return json.loads((DEMO_DATA / f"{name}.json").read_text())
 
 
 def _constants_doc(name):

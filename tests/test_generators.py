@@ -8,11 +8,22 @@ from hermlie.errors import HermlieError
 from hermlie.generators import (
     FIXED_DIMS,
     PROFILES,
+    _mixed_params,
+    _typeII_params,
+    rand_fraction,
+    rand_nonzero_fraction,
     random_compatible_metric,
     random_complex_shear,
     random_unitary,
 )
 from hermlie.hermitian import ComplexStructure, hermitian_decomposition
+from hermlie.normal_forms import (
+    Cq,
+    SixDNonPureData,
+    TypeIINormalForm,
+    sixd_nonpure_table,
+    skt_typeII_normal_form,
+)
 from hermlie.salamon import parse_salamon
 from hermlie.shear import build_shear, check_complex_shear
 from hermlie import linalg as la
@@ -144,4 +155,50 @@ def test_outputs_are_pinned(name):
     """The generator's exact outputs, recorded before it moved onto int
     numerators: any change to a draw, its order or the arithmetic shows."""
     items, expected = PINNED[name]
+    assert _digest(items()) == expected
+
+
+def _table(L):
+    return L.dim, sorted(L.table.items())
+
+
+def _typeII_tables():
+    for dim in (4, 6, 8):
+        for seed in range(40):
+            L, _, _ = skt_typeII_normal_form(_typeII_params(dim, random.Random(f"typeII/{dim}/{seed}")))
+            yield _table(L)
+    # m = 1 with one line, as the sparse catalog builds them
+    for dim in (4, 6, 8, 10):
+        rng = random.Random(f"typeII-m1/{dim}")
+        for _ in range(10):
+            row = [rand_fraction(rng, -2, 2, 2) for _ in range(dim - 2)]
+            row[rng.randrange(dim - 2)] = rand_nonzero_fraction(rng)
+            z = Cq(rand_fraction(rng, -2, 2, 2), rand_fraction(rng, -2, 2, 2))
+            params = TypeIINormalForm(1, dim // 2 - 1, 1, alphas=(tuple(row),), zs=(z,))
+            yield _table(skt_typeII_normal_form(params)[0])
+
+
+def _sixd_tables():
+    for seed in range(200):
+        yield _table(sixd_nonpure_table(_mixed_params(random.Random(f"mixed/{seed}"))))
+    # raw data with every w_t drawn, which _mixed_params almost never returns
+    rng = random.Random("sixd-raw")
+    cq = lambda: Cq(rand_fraction(rng), rand_fraction(rng))
+    for _ in range(40):
+        b = tuple(rand_fraction(rng) for _ in range(4))
+        data = SixDNonPureData(b, z=tuple(cq() for _ in range(3)), w=tuple(cq() for _ in range(6)))
+        yield _table(sixd_nonpure_table(data))
+
+
+NORMAL_FORMS = {
+    "typeII": (_typeII_tables, "a08163c048d1af4b6463c3a9cd18583811d375f0f74cef4fd23052fcdf1f955b"),
+    "sixd": (_sixd_tables, "6fd2cba3b17e7c22e03a8cbd80cca31ab980e9d5c3dd5228558ab7659a5cdb7a"),
+}
+
+
+@pytest.mark.parametrize("name", NORMAL_FORMS)
+def test_normal_form_tables_are_pinned(name):
+    """The bracket tables the normal forms build, recorded before they were
+    rewritten as structure constants for ``make_algebra``."""
+    items, expected = NORMAL_FORMS[name]
     assert _digest(items()) == expected

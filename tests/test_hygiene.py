@@ -187,3 +187,22 @@ def test_generator_stays_on_numerators():
     ``core``'s int numerators, never through Fraction matrix products."""
     found = _fraction_matrix_ops(ast.parse((SRC / "generators.py").read_text(encoding="utf-8")))
     assert not found, f"generators.py uses Fraction matrix operations: {', '.join(found)}"
+
+
+def _lie_algebra_calls(tree: ast.Module) -> list[int]:
+    """Lines that call ``LieAlgebra`` directly, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "LieAlgebra" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+@pytest.mark.parametrize("name", ["normal_forms.py", "generators.py"])
+def test_algebras_built_through_make_algebra(name):
+    """The normal forms and the generator emit structure constants to
+    ``make_algebra``, which folds i > j and rejects a repeated entry; no
+    bracket table is assembled by hand."""
+    lines = _lie_algebra_calls(ast.parse((SRC / name).read_text(encoding="utf-8")))
+    assert not lines, f"{name} calls LieAlgebra directly at lines {lines}"
