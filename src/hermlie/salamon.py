@@ -13,7 +13,7 @@ Grammar:
     entry := '0' | ['-'] term {('+'|'-') term}
     term  := [coeff '.'] pair | coeff '.(' pair {('+'|'-') pair} ')'
     coeff := rational literal | parameter name
-    pair  := digit digit
+    pair  := digit digit        (digits are ASCII 0-9)
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ MAX_DIM = 9
 # documents stop here in any notation: twice the largest dimension in use,
 # where the exact checks still answer within a second
 MAX_DOCUMENT_DIM = 32
+# ASCII only: str.isdigit also takes superscripts, which int() cannot read
+DIGITS = frozenset("0123456789")
 
 
 class _Scanner:
@@ -64,14 +66,14 @@ class _Scanner:
 def _parse_coeff(sc: _Scanner, bindings: dict) -> Fraction:
     """A rational literal or a bound parameter name; ``_parse_entry`` calls
     it only at a digit, a letter or an underscore."""
-    if sc.peek().isdigit():
+    if sc.peek() in DIGITS:
         num = ""
-        while sc.peek().isdigit():
+        while sc.peek() in DIGITS:
             num += sc.take()
         if sc.peek() == "/":
             sc.take()
             den = ""
-            while sc.peek().isdigit():
+            while sc.peek() in DIGITS:
                 den += sc.take()
             if not den.strip("0"):
                 sc.error("missing or zero denominator")
@@ -87,11 +89,11 @@ def _parse_coeff(sc: _Scanner, bindings: dict) -> Fraction:
 
 def _parse_pair(sc: _Scanner, dim: int) -> tuple[int, int]:
     a = sc.peek()
-    if not a.isdigit() or a == "0":
+    if a not in DIGITS or a == "0":
         sc.error("expected an index pair of nonzero digits")
     sc.take()
     b = sc.peek()
-    if not b.isdigit() or b == "0":
+    if b not in DIGITS or b == "0":
         sc.error("expected the second index digit")
     sc.take()
     i, j = int(a), int(b)
@@ -126,9 +128,9 @@ def _parse_entry(sc: _Scanner, dim: int, bindings: dict) -> dict[tuple[int, int]
     while True:
         # term: [coeff '.'] pair-or-group
         c = sc.peek()
-        if c.isdigit() and sc.pos + 1 < len(sc.text) and not _looks_like_coeff(sc):
+        if c in DIGITS and sc.pos + 1 < len(sc.text) and not _looks_like_coeff(sc):
             coeff = Fraction(1)
-        elif c.isdigit() or c.isalpha() or c == "_":
+        elif c in DIGITS or c.isalpha() or c == "_":
             coeff = _parse_coeff(sc, bindings)
             sc.expect(".")
         else:
@@ -171,7 +173,7 @@ def _parse_entry(sc: _Scanner, dim: int, bindings: dict) -> dict[tuple[int, int]
 def _looks_like_coeff(sc: _Scanner) -> bool:
     """Disambiguate '21' (a pair) from '2.(..)' or '2.13' (a coefficient)."""
     pos = sc.pos
-    while pos < len(sc.text) and sc.text[pos].isdigit():
+    while pos < len(sc.text) and sc.text[pos] in DIGITS:
         pos += 1
     if pos < len(sc.text) and sc.text[pos] == "/":
         return True

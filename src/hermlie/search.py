@@ -9,6 +9,8 @@ basis packed into one int matrix), and the search decides whether K meets
 the positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
 tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
 eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*, 11.4).
+A start X_0 that is already definite has s = -lambda_min(X_0) < 0, so
+Phase I ends there before its first step.
 ``found``: once s < 0, the analytic centre of the slice is snapped to
 rationals in K and certified by its kind's ``condition_form`` (d sigma^(n-1) for balanced).
 ``none``: s stays >= 0 as the gap n / t closes; the dual (X + sI)^-1 / t is
@@ -155,7 +157,7 @@ class SearchResult:
     kind: str
     metric: tuple | None  # the float witness of a "found"
     residual: float  # 0.0 when found, else the last Phase-I s, clipped at 0
-    iterations: int  # Newton steps over the seeds run
+    iterations: int  # Newton steps over the seeds run: centring steps only from a definite start
     seed: int | None
     exact_metric: tuple | None = None
     exact_verified: bool = False
@@ -298,11 +300,13 @@ def search_metric(
 
     Seeds run in order, each jittering the Phase-I start, and a further
     seed runs only when the previous one used up ``max_iterations`` Newton
-    steps.  ``found`` reports the float analytic centre of the trace-n
-    slice and, when its snap lands, the exact metric on whose sigma
-    ``condition_form`` of ``kind`` vanishes; ``none`` carries the exact Y
-    in ``certificate``; ``not_found`` means that no seed concluded, or that
-    the dual of the concluded Phase I did not round to a certificate.
+    steps.  A definite start ends Phase I at once, so a search that finds
+    one takes only the centring steps.  ``found`` reports the float
+    analytic centre of the trace-n slice and, when its snap lands, the
+    exact metric on whose sigma ``condition_form`` of ``kind`` vanishes;
+    ``none`` carries the exact Y in ``certificate``; ``not_found`` means
+    that no seed concluded, or that the dual of the concluded Phase I did
+    not round to a certificate.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
@@ -328,14 +332,18 @@ def search_kernel(
     for seed in config.seeds:
         rng = random.Random(seed)
         z = np.array([rng.gauss(0.0, START_SPREAD) for _ in dirs])
-        u = np.append(z, 1.0 - min(0.0, np.linalg.eigvalsh(base + np.tensordot(z, dirs, 1))[0]))
+        least = np.linalg.eigvalsh(base + np.tensordot(z, dirs, 1))[0]
+        # a definite start is a point of K with s = -least < 0 already
+        u = np.append(z, -least if least > FOUND_MARGIN else 1.0 - min(0.0, least))
         t = 1.0
         for _ in range(config.max_iterations):
+            s = float(u[-1])
+            if s < -FOUND_MARGIN:
+                break
             total += 1
             new, w, v, decrement2 = _newton_step(base, phase_one, u, np.append(np.zeros(len(dirs)), t))
-            s = float(u[-1])
             centred = decrement2 < 1e-10
-            if s < -FOUND_MARGIN or (centred and n / t < config.tolerance):
+            if centred and n / t < config.tolerance:
                 break
             t, u = (8.0 * t, u) if centred else (t, new)
         else:

@@ -390,7 +390,8 @@ def criterion_metric_search() -> dict:
         elapsed = time.time() - t0
         assert result.status == "found", f"{name}: no witness found"
         assert result.residual < config.tolerance
-        assert result.iterations <= len(config.seeds) * config.max_iterations
+        # a definite start takes no Phase-I step: these are centring steps only
+        assert result.iterations <= config.max_iterations
         assert result.exact_verified, f"{name}: the snapped witness failed exact verification"
         assert elapsed < 10.0, f"{name}: took {elapsed:.1f}s"
         results[name] = {"residual": result.residual}

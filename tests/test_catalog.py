@@ -51,6 +51,22 @@ class TestParser:
             parse_salamon(bad)
         assert err.value.position >= 0
 
+    @pytest.mark.parametrize(
+        "bad,position,message",
+        [
+            ("(0,\u00b21)", 3, "expected a term"),  # a superscript as the pair's first digit
+            ("(0,2\u00b9)", 4, "expected the second index digit"),
+            ("(0,21,\u00b3.12,0)", 6, "expected a term"),  # and as a coefficient
+            ("(0,21,1/\u00b3.12,0)", 8, "missing or zero denominator"),
+        ],
+    )
+    def test_only_ascii_digits(self, bad, position, message):
+        """str.isdigit takes superscript digits, which int() does not read:
+        they are a syntax error at their position, not a bare ValueError."""
+        with pytest.raises(SalamonSyntaxError, match=message) as err:
+            parse_salamon(bad)
+        assert err.value.position == position
+
     def test_whitespace_tolerated(self):
         assert parse_salamon("( 0 , 21 )").dim == 2
 

@@ -575,7 +575,7 @@ class TestMalformedInput:
             pytest.param(("describe", "{0}"), [{"dim": 3, "constants": [[1, 2, 3, "1"], [1, 3, 1, "1"]]}],
                          "structure constants violate Jacobi", id="constants-not-jacobi"),
             # a digit to str.isdigit that int() does not read
-            pytest.param(("describe", "{0}"), [{"salamon": "(0,\u00b21)"}], "bad algebra document",
+            pytest.param(("describe", "{0}"), [{"salamon": "(0,\u00b21)"}], "expected a term (at position 3)",
                          id="superscript-digit"),
             pytest.param(("describe", "{0}"), [{"dim": 3, "salamon": "(0,21)"}],
                          '"dim" is 3 but the algebra has dimension 2', id="dim-disagrees"),

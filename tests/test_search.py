@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -281,6 +282,39 @@ class TestSearch:
         assert one.status == four.status == "not_found"
         assert four.iterations == one.iterations < SearchConfig().max_iterations
 
+    def test_definite_start_takes_no_phase_one_step(self, cx_type_I, j_std6, monkeypatch):
+        """These starts are already definite, so Phase I ends before its
+        first Newton step: every step is a centring step on the slice's
+        len(kernel) - 1 directions, none on the system augmented by s."""
+        sizes = []
+        step = search_module._newton_step
+
+        def counted(base, dirs, u, cost):
+            sizes.append(len(dirs))
+            return step(base, dirs, u, cost)
+
+        monkeypatch.setattr(search_module, "_newton_step", counted)
+        for kind in ("skt", "balanced"):
+            sizes.clear()
+            result = search_metric(cx_type_I, j_std6, kind)
+            assert result.status == "found" and result.exact_verified
+            assert sizes == [len(condition_kernel(cx_type_I, j_std6, kind)) - 1] * result.iterations
+
+    def test_one_step_from_a_definite_start_finds(self, j_std6):
+        """With a single Newton step the two-r3 Kahler search still finds and
+        certifies its witness: the definite start needs no Phase-I step."""
+        L = parse_salamon("(25,-15,46,-36,0,0)")
+        result = search_metric(L, j_std6, "kahler", SearchConfig(seeds=(0,), max_iterations=1))
+        assert result.status == "found" and result.exact_verified and result.iterations == 1
+
+    @pytest.mark.parametrize("algebra,J", [("cx_type_I", "j_std6"), ("cx_type_III", "j_type_III")])
+    def test_infeasible_phase_one_keeps_its_steps(self, algebra, J, request):
+        """No start is definite where no metric exists: Phase I runs its
+        whole central path, 79 Newton steps, to the certificate."""
+        L, J = request.getfixturevalue(algebra), request.getfixturevalue(J)
+        result = search_metric(L, J, "kahler")
+        assert result.status == "none" and result.iterations == 79
+
     def test_hopf_surface_is_certified(self):
         """su(2) + R carries no Kahler and no balanced metric (in dimension 4
         they agree); its kernels are one matrix each, so Phase I moves s alone."""
@@ -479,6 +513,31 @@ class TestFeasibility:
             result = search_metric(L, J, kind, SearchConfig(seeds=tuple(range(4))))
             assert result.status == ("found" if feasible else "none"), (salamon, kind)
             _check_outcome(L, J, kind, result)
+
+    def test_exact_outputs_are_pinned(self):
+        """The exact fields of 100 searches, recorded before a definite start
+        ended Phase I: the benchmark cases in four bases and generated typeI
+        and typeIII shears at d4-d10, every kind.  A change to any witness,
+        certificate or the seed that concluded shows."""
+
+        def results():
+            for conjugation in range(4):
+                rng = random.Random(f"test-search/{conjugation}")
+                for salamon, pairs, kind, _ in SEARCH_CASES:
+                    L = parse_salamon(salamon)
+                    if conjugation:
+                        L = al.change_basis(L, random_unitary(6, rng, pairs=list(pairs)))
+                    J = ComplexStructure.from_pairs(6, pairs)
+                    yield search_metric(L, J, kind, SearchConfig(seeds=tuple(range(4))))
+            for profile, dim, seed in itertools.product(("typeI", "typeIII"), (4, 6, 8, 10), range(3)):
+                data, _, J = random_complex_shear(seed, profile, dim)
+                L = build_shear(data)
+                for kind in KINDS:
+                    yield search_metric(L, J, kind)
+
+        fields = [repr((r.status, r.seed, r.exact_metric, r.certificate, r.exact_verified)) for r in results()]
+        digest = hashlib.sha256("\n".join(fields).encode()).hexdigest()
+        assert digest == "fc871a8d44bbec4f2168a020edc9ee1411083748cd7b679d3d4ec39c7765dead"
 
     @pytest.mark.parametrize("dim,seed", [(8, 3), (10, 0)])
     def test_generated_shears_above_six(self, dim, seed):
