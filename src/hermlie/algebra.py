@@ -202,14 +202,6 @@ class LieAlgebra:
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.table)})"
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for 1-indexed i, j."""
-        if i == j:
-            return linalg.zero_vec(self.dim)
-        if i < j:
-            return self.table.get((i, j), linalg.zero_vec(self.dim))
-        return linalg.neg_vec(self.table.get((j, i), linalg.zero_vec(self.dim)))
-
     @cached_property
     def ints(self) -> core.Bilinear:
         """The bracket table as integer numerators over one denominator."""
@@ -345,16 +337,14 @@ def bracket_of_subspaces(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}."""
-    n = L.dim
-    eqs = []
-    for j in range(1, n + 1):
-        ej = linalg.unit_vec(n, j)
-        # row per output coordinate: coefficient of x_i is [e_i, e_j]_k
-        cols = [L.bracket_basis(i, j) for i in range(1, n + 1)]
-        for k in range(n):
-            eqs.append(tuple(col[k] for col in cols))
-    return Subspace.span(n, linalg.nullspace(tuple(eqs)))
+    """{x : [x, e_j] = 0 for all j}, on the bracket numerators: the row for
+    (j, k) holds the coordinate k of [e_i, e_j] at i."""
+    n, eqs = L.dim, {}
+    for j, column in enumerate(L.ints.column):
+        for i, nums in column.items():
+            for k, c in nums:
+                eqs.setdefault((j, k), [0] * n)[i] = c
+    return Subspace.from_echelon(n, linalg.echelon(linalg.kernel(eqs.values(), n)[0]))
 
 
 def trace_form(L: LieAlgebra) -> Vector:

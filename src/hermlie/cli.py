@@ -8,6 +8,7 @@ hold, 1 when a condition was checked and is false, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,9 +28,9 @@ from .documents import (
     matrix_doc,
 )
 from .errors import HermlieError
-from .hermitian import KINDS, Metric, classify_metric, hermitian_decomposition
+from .hermitian import KINDS, Metric, classify_metric, condition_forms, hermitian_decomposition, squared_norm
 from .salamon import MAX_DIM, render_salamon
-from .search import SearchConfig, residual, search_metric
+from .search import SearchConfig, search_metric
 from .shear import build_shear, check_complex_shear, shear_condition, validate_pre_shear
 from .verify import run_criteria
 
@@ -56,14 +57,7 @@ def cmd_describe(args) -> int:
     report = {
         "schema": SCHEMA,
         "dim": L.dim,
-        "fingerprint": {
-            "derived_series": list(fp.derived_series),
-            "lower_central_series": list(fp.lower_central_series),
-            "center_dim": fp.center_dim,
-            "derived_center_dim": fp.derived_center_dim,
-            "unimodular": fp.unimodular,
-            "nilpotent": fp.nilpotent,
-        },
+        "fingerprint": {k: v for k, v in vars(fp).items() if k != "dim"},
         "two_step_solvable": al.is_two_step_solvable(L),
         "citations": ["structural invariants are exact and basis independent"],
     }
@@ -78,13 +72,14 @@ def cmd_check(args) -> int:
     structure = _read_json(args.structure)
     J = load_complex_structure(structure, L.dim)
     g = load_metric(structure, L.dim)
-    verdicts = classify_metric(L, g, J, allow_nonintegrable=args.allow_nonintegrable)
+    forms = condition_forms(L, g, J, allow_nonintegrable=args.allow_nonintegrable)
+    verdicts = {kind: not nums for kind, (nums, _) in forms.items()}
     dec = hermitian_decomposition(L, g, J)
     report = {
         "schema": SCHEMA,
-        "verdicts": verdicts.as_dict(),
+        "verdicts": verdicts,
         "decomposition": {"s": dec.s, "r": dec.r, "l": dec.ell, "pure_type": dec.pure_type},
-        "residuals": {kind: residual(L, J, g.matrix, kind) for kind in KINDS},
+        "residuals": {kind: squared_norm(form) for kind, form in forms.items()},
         "citations": [
             "kahler: d sigma = 0",
             "balanced: d sigma^(n-1) = 0",
@@ -216,6 +211,7 @@ def cmd_verify_paper(args) -> int:
     return PASS if ok else FAIL
 
 
+@functools.cache  # one per process: it holds only constants and the cmd_* functions
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermlie",
@@ -263,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (HermlieError, DocumentError) as exc:

@@ -12,7 +12,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import linalg
 from .algebra import LieAlgebra, Subspace, make_algebra
 from .errors import HermlieError
 from .forms import VectorValuedTwoForm
@@ -46,7 +45,10 @@ def _fraction(value) -> Fraction:
                 raise ValueError(f"more than {limit} digits")
             return Fraction(0)
         x = Fraction(value)
-        str(x)  # a ValueError past the digit limit
+        # without an exponent, numerator and denominator have at most as many digits as
+        # the literal has characters: a decimal's 10^k has k + 1, its point and k decimals
+        if limit and (exponent or type(value) is int or len(value) > limit):
+            str(x)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {value!r}: {exc}") from None
     return x
@@ -170,12 +172,11 @@ def load_shear_data(doc: dict):
             raise DocumentError(f'an omega entry must be an object with "i", "j" and "value", got {item!r}')
         i, j = _index(item["i"], 'omega "i"'), _index(item["j"], 'omega "j"')
         v = _fraction_vector(item["value"], '"omega" value')
-        sign = 1
         if i > j:
-            i, j, sign = j, i, -1
+            i, j, v = j, i, tuple(-c for c in v)
         if (i, j) in values:
             raise DocumentError(f"omega pair ({i}, {j}) is given twice")
-        values[(i, j)] = linalg.scale_vec(sign, v)
+        values[(i, j)] = v
     data = PreShearData(dim, a, VectorValuedTwoForm(dim, a, values))
     J = load_complex_structure(doc, dim) if "J" in doc else None
     g = load_metric(doc, dim) if "metric" in doc else None

@@ -277,8 +277,8 @@ def condition_form(
     with core numerators ``sigma`` over ``den``, as core numerators over the
     returned denominator: d sigma, d(sigma^(n-1)) or d J* d sigma.
 
-    The metric-condition map: ``classify_metric`` tests it for zero,
-    ``search.residual`` takes its norm and the Kahler and SKT searches its
+    The metric-condition map: ``classify_metric`` tests it for zero, its
+    ``squared_norm`` is a residual and the Kahler and SKT searches take its
     exact kernel; the balanced search takes ``balanced_inverse_form``'s.
     """
     b = L.ints
@@ -334,22 +334,36 @@ class MetricVerdicts:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def classify_metric(
-    L: LieAlgebra,
-    g: Metric,
-    J: ComplexStructure,
-    allow_nonintegrable: bool = False,
-) -> MetricVerdicts:
-    """Exact verdicts for the three closedness conditions of sigma."""
+def condition_forms(
+    L: LieAlgebra, g: Metric, J: ComplexStructure, allow_nonintegrable: bool = False
+) -> dict[str, tuple[dict[int, int], int]]:
+    """The ``condition_form`` of each kind for sigma = g(J., .), by kind.
+    When d sigma = 0 it stands for all three: Kahler implies the other two,
+    whose forms are then exactly zero and are not computed."""
     L.require_validated()
     if J.dim != L.dim:
         raise DimensionMismatchError("J and algebra dimensions differ")
     if not allow_nonintegrable and not is_integrable(L, J):
         raise NotIntegrableError("Nijenhuis tensor does not vanish; pass allow_nonintegrable to force")
     sigma, den = g.sigma_ints(J)
-    dsigma, dd = condition_form(L, J, sigma, den, "kahler")  # Kahler implies the other two
-    balanced = not dsigma or not condition_form(L, J, sigma, den, "balanced")[0]
-    return MetricVerdicts(not dsigma, balanced, not dsigma or not _torsion_form(L, J, dsigma, dd)[0])
+    kahler = condition_form(L, J, sigma, den, "kahler")
+    if not kahler[0]:
+        return dict.fromkeys(KINDS, kahler)
+    balanced = condition_form(L, J, sigma, den, "balanced")
+    return {"kahler": kahler, "balanced": balanced, "skt": _torsion_form(L, J, *kahler)}
+
+
+def squared_norm(form: tuple[dict[int, int], int]) -> float:
+    """The squared coefficient norm of core numerators over a denominator, rounded once."""
+    return float(Fraction(sum(c * c for c in form[0].values()), form[1] * form[1]))
+
+
+def classify_metric(
+    L: LieAlgebra, g: Metric, J: ComplexStructure, allow_nonintegrable: bool = False
+) -> MetricVerdicts:
+    """Exact verdicts for the three closedness conditions of sigma."""
+    forms = condition_forms(L, g, J, allow_nonintegrable)
+    return MetricVerdicts(**{kind: not nums for kind, (nums, _) in forms.items()})
 
 
 @dataclass(frozen=True)

@@ -233,18 +233,17 @@ def render_salamon(L: LieAlgebra) -> str:
     if L.dim > MAX_DIM:
         raise DimensionMismatchError(f"Salamon notation covers dimensions up to {MAX_DIM}, not {L.dim}")
     entries = []
-    for i in range(1, L.dim + 1):
+    for i in range(L.dim):
         terms = []
-        for a in range(1, L.dim + 1):
-            for b in range(a + 1, L.dim + 1):
-                c = -L.bracket_basis(a, b)[i - 1]  # de^i coefficient on e^{ab}
-                if not c:
-                    continue
-                if c < 0:
-                    pair, c = f"{b}{a}", -c
-                else:
-                    pair = f"{a}{b}"
-                coeff = "" if c == 1 else f"{c}."
-                terms.append(f"{coeff}{pair}")
+        for (a, b), v in L.table.items():  # a < b, in order
+            c = -v[i]  # de^(i+1) coefficient on e^{ab}
+            if not c:
+                continue
+            if c < 0:
+                pair, c = f"{b}{a}", -c
+            else:
+                pair = f"{a}{b}"
+            coeff = "" if c == 1 else f"{c}."
+            terms.append(f"{coeff}{pair}")
         entries.append("+".join(terms) if terms else "0")
     return "(" + ",".join(entries) + ")"

@@ -44,6 +44,7 @@ from .hermitian import (
     is_integrable,
     packed_kernel,
     sigma_of,
+    squared_norm,
 )
 from .shear import pre_shear_from_bracket, shear_kernel
 
@@ -91,8 +92,7 @@ def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
     exactly, so it is 0.0 precisely when the condition holds for the
     rational metric they denote."""
     metric = Metric(tuple(tuple(Fraction(x) for x in row) for row in S))
-    out, den = condition_form(L, J, *metric.sigma_ints(J), kind)
-    return float(Fraction(sum(c * c for c in out.values()), den * den))
+    return squared_norm(condition_form(L, J, *metric.sigma_ints(J), kind))
 
 
 def _certifies(kernel, Y) -> bool:

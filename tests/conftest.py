@@ -96,3 +96,13 @@ def nijenhuis(L, J, x, y):
     out = la.sub_vec(out, J.apply(L.bracket(jx, y)))
     out = la.sub_vec(out, J.apply(L.bracket(x, jy)))
     return la.sub_vec(out, L.bracket(x, y))
+
+
+def bracket_basis(L, i, j):
+    """[e_i, e_j] for 1-indexed i, j, read off the stored table: the
+    Fraction reference for the bracket numerators."""
+    if i == j:
+        return la.zero_vec(L.dim)
+    if i < j:
+        return L.table.get((i, j), la.zero_vec(L.dim))
+    return la.neg_vec(L.table.get((j, i), la.zero_vec(L.dim)))

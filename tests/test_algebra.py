@@ -14,7 +14,7 @@ from hermlie.errors import (
 from hermlie.generators import random_complex_shear
 from hermlie.shear import build_shear
 
-from conftest import random_table
+from conftest import bracket_basis, random_table
 
 Q = Fraction
 
@@ -141,6 +141,61 @@ def reference_change_basis(L, p):
     return al.LieAlgebra(n, table)
 
 
+def _center_reference(L):
+    """The Fraction nullspace ``center`` solved before it moved onto the
+    bracket numerators: one equation per (j, k), built from ``bracket_basis``."""
+    n = L.dim
+    eqs = []
+    for j in range(1, n + 1):
+        cols = [bracket_basis(L, i, j) for i in range(1, n + 1)]
+        for k in range(n):
+            eqs.append(tuple(col[k] for col in cols))
+    return al.Subspace.span(n, la.nullspace(tuple(eqs)))
+
+
+def _center_cases(group):
+    from hermlie.catalog import witness_lists
+    from hermlie.generators import _typeII_params
+    from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form, skt_typeII_normal_form
+    from hermlie.salamon import parse_salamon
+    from hermlie.verify import _random_kahler_params
+
+    if group == "catalog":
+        yield from (e.algebra for e in witness_lists())
+    elif group == "normal-forms":
+        rng = random.Random(5)
+        for pure_type in ("I", "II", "III"):
+            for _ in range(4):
+                yield kahler_normal_form(_random_kahler_params(pure_type, rng))[0]
+        betas = ((Fraction(1), *[Fraction(0)] * 5),)
+        yield kahler_normal_form(KahlerNormalForm("II", 1, 0, 3, ((),), betas, ()))[0]
+        for dim in (4, 6, 8):
+            for _ in range(4):
+                yield skt_typeII_normal_form(_typeII_params(dim, rng))[0]
+    elif group == "shears":
+        for dim in (4, 6, 8, 10):
+            for profile in ("typeI", "typeIII"):
+                for seed in range(3):
+                    yield build_shear(random_complex_shear(seed, profile, dim)[0])
+    else:  # an Abelian factor makes the centre nontrivial
+        aff, h3 = parse_salamon("(0,21)"), parse_salamon("(0,0,21)")
+        for pieces in ((aff, al.abelian(2)), (h3, aff, al.abelian(1)), (aff, aff, al.abelian(3)), (al.abelian(4),)):
+            yield al.direct_sum(*pieces)
+
+
+class TestCenter:
+    @pytest.mark.parametrize("group", ["catalog", "normal-forms", "shears", "direct-sums"])
+    def test_equals_the_fraction_nullspace(self, group):
+        """The same canonical subspace, not just the same dimension."""
+        cases = list(_center_cases(group))
+        for L in cases:
+            z = al.center(L)
+            assert z == _center_reference(L) and z.ints == _center_reference(L).ints
+            assert all(la.is_zero_vec(L.bracket(x, y)) for x in z.basis() for y in la.identity_matrix(L.dim))
+        if group == "direct-sums":
+            assert [al.center(L).dim for L in cases] == [2, 2, 3, 4]
+
+
 class TestChangeBasis:
     @pytest.mark.parametrize("dim", [4, 6, 8, 10])
     def test_matches_the_fraction_reference(self, dim):
@@ -203,7 +258,7 @@ def test_trace_form_matches_bracket_traces():
                 L = build_shear(data)
                 t = al.trace_form(L)
                 for i in range(1, dim + 1):
-                    assert t[i - 1] == sum((L.bracket_basis(i, k)[k - 1] for k in range(1, dim + 1)), Q(0))
+                    assert t[i - 1] == sum((bracket_basis(L, i, k)[k - 1] for k in range(1, dim + 1)), Q(0))
                 assert al.is_unimodular(L) == (not any(t))
                 seen.add((profile, dim))
                 nonzero += any(t)

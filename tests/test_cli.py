@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -384,6 +385,16 @@ class TestRoundTrip:
             else:
                 assert load_algebra({"dim": dim, "salamon": report["salamon"]}) == L
 
+    def test_omega_pair_in_either_order(self, capsys, tmp_path):
+        """An omega value given under (j, i) is the negated value of (i, j)."""
+        doc = _demo("generated_shear_d8")
+        first = doc["omega"][0]
+        first.update(i=first["j"], j=first["i"], value=[str(-Fraction(c)) for c in first["value"]])
+        for kind in ("build", "skt"):
+            runs = [run_cli(capsys, "shear", path, "--kind", kind)
+                    for path in (str(DEMO_DATA / "generated_shear_d8.json"), _write(tmp_path, "s.json", doc))]
+            assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
     def test_disagreeing_fields_rejected(self, capsys, tmp_path):
         doc = {"dim": 2, "salamon": "(0,21)", "constants": [[1, 2, 1, "1"]]}
         code, _, err = run_cli(capsys, "describe", _write(tmp_path, "c.json", doc))
@@ -625,6 +636,20 @@ class TestMalformedInput:
     def test_long_literals_within_the_limit_are_read(self, literal, value):
         assert documents._fraction(literal) == value
 
+    def test_literal_of_the_limit_length_is_read(self):
+        """Without an exponent no numerator or denominator has more digits
+        than the literal has characters, so one at the limit is read."""
+        limit = sys.get_int_max_str_digits()
+        assert documents._fraction("7" * limit) == int("7" * limit)
+        assert documents._fraction("0." + "1" * (limit - 2)) == Fraction(int("1" * (limit - 2)), 10 ** (limit - 2))
+
+    @pytest.mark.parametrize("literal", [lambda n: "." + "1" * n, lambda n: "1" * (n + 1)], ids=["decimal", "integer"])
+    def test_literal_past_the_limit_length(self, capsys, tmp_path, literal):
+        """A decimal one character past the limit has a denominator 10^limit
+        of limit + 1 digits."""
+        doc = {"dim": 2, "constants": [[1, 2, 2, literal(sys.get_int_max_str_digits())]]}
+        self.assert_invalid(capsys, "describe", _write(tmp_path, "a.json", doc))
+
 
 # Each command line with the demo documents it reads, in argument order.
 DEMO_COMMANDS = [
@@ -725,3 +750,205 @@ def test_wrong_typed_nested_entry_exits_2(capsys, tmp_path, case):
     code, _, err = run_cli(capsys, *(arg.format(*paths) for arg in argv))
     assert code == 2, (argv, docs)
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+CONDITIONS = ("kahler", "balanced", "skt", "all")
+SHEAR_KINDS = ("kahler", "balanced", "skt")
+SUBCOMMANDS = ("describe", "check", "shear", "search", "catalog", "verify-paper")
+DEMO_ALGEBRAS = ("two_r3", "counterexample_type_I", "rank_one_family")
+DEMO_SHEARS = ("counterexample_shear", "generated_shear_d8", "generated_shear_d10")
+
+
+def _matrix_doc(m):
+    return [[str(c) for c in row] for row in m]
+
+
+def _demo_calls(tmp_path):
+    """describe and check on every demo algebra under every --condition,
+    shear on every demo shear document under every --kind, and describe and
+    check on the algebra each shear document builds."""
+    from hermlie.documents import algebra_doc, load_shear_data
+    from hermlie.shear import build_shear
+
+    structure = str(DEMO_DATA / "standard_structure.json")
+    for name in DEMO_ALGEBRAS:
+        alg = str(DEMO_DATA / f"{name}.json")
+        yield ("describe", alg)
+        for condition in CONDITIONS:
+            yield ("check", alg, structure, "--condition", condition)
+    for name in DEMO_SHEARS:
+        data = str(DEMO_DATA / f"{name}.json")
+        for kind in SHEAR_KINDS:
+            yield ("shear", data, "--kind", kind, "--cross-check")
+        yield ("shear", data, "--kind", "build")
+        built = algebra_doc(build_shear(load_shear_data(_demo(name))[0]))
+        alg = _write(tmp_path, f"{name}-algebra.json", built)
+        yield ("describe", alg)
+        yield ("check", alg, data)  # the shear document carries "J" and "metric"
+
+
+def _catalog_calls(tmp_path):
+    """describe on every catalog entry, check on each of its witnesses, and
+    shear on its bracket's shear data with its first witness metric."""
+    from hermlie.catalog import witness_lists
+    from hermlie.shear import pre_shear_from_bracket
+
+    for n, e in enumerate(witness_lists()):
+        alg = _write(tmp_path, f"entry{n}.json", {
+            "dim": 6, "salamon": e.salamon, "params": {k: str(v) for k, v in e.params.items()},
+        })
+        yield ("describe", alg)
+        for m, w in enumerate(e.witnesses):
+            st_doc = {"J": _matrix_doc(e.J.matrix), "metric": _matrix_doc(w.metric.matrix)}
+            yield ("check", alg, _write(tmp_path, f"entry{n}-witness{m}.json", st_doc))
+        doc = _shear_doc(pre_shear_from_bracket(e.algebra))
+        doc.update(J=_matrix_doc(e.J.matrix), metric=_matrix_doc(e.witnesses[0].metric.matrix))
+        data = _write(tmp_path, f"entry{n}-shear.json", doc)
+        for kind in SHEAR_KINDS:
+            yield ("shear", data, "--kind", kind, "--cross-check")
+        yield ("shear", data, "--kind", "build")
+
+
+def _report_digest(capsys, calls):
+    """sha256 over the exit code and the stdout bytes of each call, in order."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1), (argv, err)
+        h.update(f"{code}\n{out}".encode())
+    return h.hexdigest()
+
+
+# Recorded on the parser and loaders as they stood before the CLI cached its
+# parser and read check's residuals off the verdict forms.
+PINNED_REPORTS = {
+    "demos": (_demo_calls, "e348e04e4b76c8da6147170f3ea78db04b60c4f1f74c0eea8a69f119c7c7ef22"),
+    "catalog": (_catalog_calls, "eb7c376f53308e0617f17f46a6ed0aa57ccb149fdcf38f9e42f35c4fc5cf5ff8"),
+}
+PINNED_HELP = "4e7d357327452023da3cb6e4daed8aeb8a1aa2ff3b7cd96e2ed8b21bc632cb28"
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("group", PINNED_REPORTS)
+    def test_reports_are_pinned(self, capsys, tmp_path, group):
+        """Every report and exit code of describe, check and shear on the demo
+        documents (d6, d8 and d10) and on every catalog entry."""
+        calls, expected = PINNED_REPORTS[group]
+        assert _report_digest(capsys, calls(tmp_path)) == expected
+
+    def test_help_is_pinned(self, capsys, monkeypatch):
+        import hashlib
+
+        monkeypatch.setenv("COLUMNS", "80")
+        h = hashlib.sha256()
+        for argv in [("--help",)] + [(sub, "--help") for sub in SUBCOMMANDS]:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == PINNED_HELP
+
+
+
+def _reentrant_calls():
+    alg = str(DEMO_DATA / "counterexample_type_I.json")
+    structure = str(DEMO_DATA / "standard_structure.json")
+    data = str(DEMO_DATA / "counterexample_shear.json")
+    yield ("describe", alg)
+    for condition in CONDITIONS:
+        yield ("check", alg, structure, "--condition", condition)
+    for kind in SHEAR_KINDS:
+        yield ("shear", data, "--kind", kind)
+        yield ("shear", data, "--kind", kind, "--cross-check")
+    yield ("shear", data, "--kind", "build")
+    yield ("catalog",)
+
+
+class TestReentrant:
+    """``main`` may be called any number of times in one process: the one
+    parser it builds keeps nothing from a call to the next."""
+
+    def test_each_call_repeats(self, capsys):
+        from hermlie.cli import build_parser
+
+        assert build_parser() is build_parser()
+        for argv in _reentrant_calls():
+            first = run_cli(capsys, *argv)
+            assert first[0] in (0, 1) and run_cli(capsys, *argv) == first, argv
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("check", str(DEMO_DATA / "two_r3.json")),
+         ("check", str(DEMO_DATA / "two_r3.json"), str(DEMO_DATA / "standard_structure.json"),
+          "--condition", "bogus"),
+         ("shear", str(DEMO_DATA / "counterexample_shear.json")),
+         ()],
+        ids=["missing-argument", "bogus-condition", "missing-kind", "no-command"],
+    )
+    def test_usage_error_between_calls(self, capsys, bad):
+        for argv in _reentrant_calls():
+            before = run_cli(capsys, *argv)
+            with pytest.raises(SystemExit) as exc:
+                main(list(bad))
+            assert exc.value.code == 2 and capsys.readouterr().out == ""
+            assert run_cli(capsys, *argv) == before, argv
+
+
+class TestResidualReuse:
+    """check's residuals are the norms of the forms its verdicts test, equal
+    as floats to ``hermlie.residual`` on the same metric."""
+
+    def check(self, capsys, tmp_path, L, J, g, *flags):
+        from hermlie.documents import algebra_doc
+        from hermlie.hermitian import KINDS, classify_metric
+        from hermlie.search import residual
+
+        alg = _write(tmp_path, "a.json", algebra_doc(L))
+        st = _write(tmp_path, "st.json", {"J": _matrix_doc(J.matrix), "metric": _matrix_doc(g.matrix)})
+        code, out, err = run_cli(capsys, "check", alg, st, *flags)
+        assert code in (0, 1), err
+        report = json.loads(out)
+        assert report["residuals"] == {kind: residual(L, J, g.matrix, kind) for kind in KINDS}
+        if not flags:
+            assert report["verdicts"] == classify_metric(L, g, J).as_dict()
+        assert report["verdicts"] == {kind: r == 0.0 for kind, r in report["residuals"].items()}
+        return report["residuals"]
+
+    def test_catalog_witnesses_and_draws(self, capsys, tmp_path):
+        import random
+
+        from hermlie.catalog import witness_lists
+        from hermlie.generators import random_compatible_metric
+
+        rng = random.Random(20)
+        nonzero = 0
+        for e in witness_lists():
+            draws = [random_compatible_metric(6, e.J, rng) for _ in range(2)]
+            for g in [w.metric for w in e.witnesses] + draws:
+                nonzero += any(self.check(capsys, tmp_path, e.algebra, e.J, g).values())
+        assert nonzero >= 50
+
+    def test_kahler_metric_reads_zero(self, capsys, tmp_path):
+        from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
+
+        betas = ((Fraction(1), Fraction(-1, 2), *[Fraction(0)] * 4),)
+        L, g, J = kahler_normal_form(KahlerNormalForm("II", 1, 0, 3, ((),), betas, ()))
+        assert L.dim == 8
+        assert self.check(capsys, tmp_path, L, J, g) == {"kahler": 0.0, "balanced": 0.0, "skt": 0.0}
+
+    def test_nonintegrable_structure(self, capsys, tmp_path, cx_type_I):
+        import random
+
+        from hermlie.generators import random_compatible_metric
+        from hermlie.hermitian import ComplexStructure, is_integrable
+
+        J = ComplexStructure.from_pairs(6, [(1, 3), (2, 4), (5, 6)])
+        assert not is_integrable(cx_type_I, J)
+        g = random_compatible_metric(6, J, random.Random(4))
+        code, _, err = run_cli(capsys, "check", _write(tmp_path, "a.json", {"salamon": "(0,21,0,0,43,0)"}),
+                               _write(tmp_path, "st.json", {"J": _matrix_doc(J.matrix), "metric": _matrix_doc(g.matrix)}))
+        assert code == 2 and "Nijenhuis" in err
+        residuals = self.check(capsys, tmp_path, cx_type_I, J, g, "--allow-nonintegrable")
+        assert all(residuals.values())

@@ -34,6 +34,8 @@ from hermlie.hermitian import (
 from hermlie.search import condition_kernel
 from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition, shear_kernel
 
+from conftest import bracket_basis
+
 Q = Fraction
 KINDS = ("kahler", "balanced", "skt")
 # every (dim, profile) the generator builds
@@ -194,7 +196,7 @@ def ref_balanced(L, g, J, order_vr=None, order_vj=None):
     for space, order in ((dec.V_r, order_vr), (dec.V_J, order_vj)):
         for v, jv, nsq in ref_unitary(space.rows, g, J, order).pairs():
             c = [a + b / nsq for a, b in zip(c, bracket(L, v, jv))]
-    t = [sum((L.bracket_basis(i, k)[k - 1] for k in range(1, n + 1)), Q(0)) for i in range(1, n + 1)]
+    t = [sum((bracket_basis(L, i, k)[k - 1] for k in range(1, n + 1)), Q(0)) for i in range(1, n + 1)]
     trace_vj = all(dot(t, z) == 0 for z in dec.V_J.rows)
     c_orth = all(pair(G, c, y) == 0 for y in dec.derg_J.rows)
     jc = mat_vec(Jm, c)
