@@ -25,15 +25,16 @@ from .linalg import ZERO, Matrix, Vector
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, stored by its reduced-echelon basis.
+    """A subspace of Q^n, stored by its primitive reduced-echelon basis
+    (``linalg.echelon``): int rows, each with a positive pivot.
 
     The canonical representative makes equality and containment O(1)-ish
     dictionary work; two spans are equal iff their rows coincide.  The
-    calculus below runs on ``ints``, the same basis as primitive int rows.
+    calculus below runs on ``ints``; ``rows`` is the reduced Fraction view.
     """
 
     ambient_dim: int
-    rows: tuple[Vector, ...]
+    ints: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -43,20 +44,12 @@ class Subspace:
                 raise DimensionMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        return Subspace.from_echelon(ambient_dim, linalg.echelon(core.clear(v)[0] for v in vectors))
-
-    @staticmethod
-    def from_echelon(ambient_dim: int, basis: list[list[int]]) -> "Subspace":
-        """The subspace with primitive echelon basis ``basis`` (``linalg.echelon``);
-        its reduced rows are the only Fractions the calculus forms."""
-        # a primitive echelon row over its pivot, its first nonzero entry
-        out = Subspace(ambient_dim, tuple(core.fractions(r, next(c for c in r if c)) for r in basis))
-        object.__setattr__(out, "ints", basis)
-        return out
+        return Subspace(ambient_dim, linalg.echelon(core.clear(v)[0] for v in vectors))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, linalg.identity_matrix(ambient_dim))
+        identity = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
+        return Subspace(ambient_dim, identity)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -64,32 +57,23 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
+
+    @cached_property
+    def rows(self) -> tuple[Vector, ...]:
+        """The reduced echelon basis: each primitive row over its pivot, its first nonzero entry."""
+        return tuple(core.fractions(r, next(c for c in r if c)) for r in self.ints)
 
     def basis(self) -> tuple[Vector, ...]:
         return self.rows
 
     def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
-
-    def coordinates(self, v: Sequence) -> Vector | None:
-        """Coefficients of ``v`` in the echelon basis: its entries at the
-        pivots, provided nothing is left after subtracting them."""
         v = linalg.vec(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        return tuple(v[p] for p in self._pivots) if in_span(self.ints, core.clear(v)[0]) else None
-
-    @cached_property
-    def ints(self) -> list[list[int]]:
-        """The echelon basis as primitive int rows with positive pivots."""
-        return [core.clear(r)[0] for r in self.rows]
-
-    @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        return tuple(next(k for k, c in enumerate(r) if c) for r in self.ints)
+        return in_span(self.ints, core.clear(v)[0])
 
 
 def in_span(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
@@ -107,11 +91,11 @@ def in_span(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     return not any(v)
 
 
-def intersect_ints(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+def intersect_ints(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Echelon basis of a & b from int bases of the same ambient space, via
     the kernel of [A^T | -B^T]."""
     if not a or not b:
-        return []
+        return ()
     m = [[r[c] for r in a] + [-r[c] for r in b] for c in range(len(a[0]))]
     kern, _ = linalg.kernel(m, len(a) + len(b))
     return linalg.echelon(core.combine(x[: len(a)], a) for x in kern)
@@ -119,14 +103,14 @@ def intersect_ints(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> li
 
 def complement_ints(
     s: Sequence[Sequence[int]], g: Sequence[Sequence[int]], within: Sequence[Sequence[int]] | None = None
-) -> list[list[int]]:
+) -> tuple[tuple[int, ...], ...]:
     """Echelon basis of {w in span(within) : w^T g s = 0 for every row s},
     for the numerators ``g`` of a positive definite metric; ``within`` is an
     echelon basis and defaults to the whole space."""
     if within is None:
         within = [[int(i == j) for j in range(len(g))] for i in range(len(g))]
     if not s or not within:
-        return [list(r) for r in within]
+        return tuple(map(tuple, within))
     # unknowns are coefficients of `within`'s rows
     gs = [core.mat_vec(g, r) for r in s]
     eqs = [[core.dot(w, x) for w in within] for x in gs]
@@ -135,13 +119,13 @@ def complement_ints(
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace.from_echelon(a.ambient_dim, linalg.echelon([*a.ints, *b.ints]))
+    return Subspace(a.ambient_dim, linalg.echelon([*a.ints, *b.ints]))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces via the kernel of [A^T | -B^T]."""
     _check_same_ambient(a, b)
-    return Subspace.from_echelon(a.ambient_dim, intersect_ints(a.ints, b.ints))
+    return Subspace(a.ambient_dim, intersect_ints(a.ints, b.ints))
 
 
 def orthogonal_complement(s: Subspace, metric_matrix: Matrix, within: Subspace | None = None) -> Subspace:
@@ -149,10 +133,10 @@ def orthogonal_complement(s: Subspace, metric_matrix: Matrix, within: Subspace |
     if within is None:
         within = Subspace.full(s.ambient_dim)
     _check_same_ambient(s, within)
-    if not within.rows or not s.rows:
+    if not within.ints or not s.ints:
         return within
     g, _ = core.clear_matrix(metric_matrix)
-    return Subspace.from_echelon(s.ambient_dim, complement_ints(s.ints, g, within.ints))
+    return Subspace(s.ambient_dim, complement_ints(s.ints, g, within.ints))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -208,7 +192,7 @@ class LieAlgebra:
         return core.Bilinear(self.dim, self.table)
 
     @cached_property
-    def derived_ints(self) -> list[list[int]]:
+    def derived_ints(self) -> tuple[tuple[int, ...], ...]:
         """Primitive echelon basis of the derived algebra, from the bracket
         numerators (``linalg.echelon``); callers must not modify it."""
         rows = []
@@ -328,12 +312,12 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
 
 def image_of_bracket(L: LieAlgebra) -> Subspace:
     """The derived algebra g' = span of all [e_i, e_j]."""
-    return Subspace.from_echelon(L.dim, L.derived_ints)
+    return Subspace(L.dim, L.derived_ints)
 
 
 def bracket_of_subspaces(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     w = L.ints
-    return Subspace.from_echelon(L.dim, linalg.echelon(w(u, v) for u in a.ints for v in b.ints))
+    return Subspace(L.dim, linalg.echelon(w(u, v) for u in a.ints for v in b.ints))
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -344,7 +328,7 @@ def center(L: LieAlgebra) -> Subspace:
         for i, nums in column.items():
             for k, c in nums:
                 eqs.setdefault((j, k), [0] * n)[i] = c
-    return Subspace.from_echelon(n, linalg.echelon(linalg.kernel(eqs.values(), n)[0]))
+    return Subspace(n, linalg.echelon(linalg.kernel(eqs.values(), n)[0]))
 
 
 def trace_form(L: LieAlgebra) -> Vector:

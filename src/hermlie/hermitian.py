@@ -270,6 +270,14 @@ def fundamental_form(L: LieAlgebra, g: Metric, J: ComplexStructure) -> KForm:
 KINDS = ("kahler", "balanced", "skt")
 
 
+def coordinate_basis(J: ComplexStructure, kind: str) -> tuple:
+    """``compatible_basis`` of the coordinates the maps of ``kind`` are linear
+    in: G for Kahler and SKT, H = G^-1 (compatible with J^T) for balanced."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown condition kind: {kind}")
+    return compatible_basis(ComplexStructure(linalg.transpose(J.matrix)) if kind == "balanced" else J)
+
+
 def condition_form(
     L: LieAlgebra, J: ComplexStructure, sigma: dict[int, int], den: int, kind: str
 ) -> tuple[dict[int, int], int]:
@@ -382,8 +390,8 @@ class HermitianDecomposition:
 
 
 def _split_ints(
-    a: list[list[int]], g: list[list[int]], jrows: list[list[int]]
-) -> tuple[list[list[int]], ...]:
+    a: Sequence[Sequence[int]], g: Sequence[Sequence[int]], jrows: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``j_adapted_split`` on primitive echelon int bases, given the
     numerators of g and J (scalings change neither spans nor g-orthogonality)."""
     ja = [core.mat_vec(jrows, v) for v in a]
@@ -404,14 +412,12 @@ def j_adapted_split(
     a + Ja.  The four are orthogonal and a_J, U_r, U_J are J-invariant.
     """
     parts = _split_ints(a.ints, g.ints[0], J.ints[0])
-    return tuple(Subspace.from_echelon(a.ambient_dim, p) for p in parts)
+    return tuple(Subspace(a.ambient_dim, p) for p in parts)
 
 
 def hermitian_decomposition(L: LieAlgebra, g: Metric, J: ComplexStructure) -> HermitianDecomposition:
     parts = _split_ints(L.derived_ints, g.ints[0], J.ints[0])
-    derg, derg_J, derg_r, V_r, V_J = (
-        Subspace.from_echelon(L.dim, p) for p in (L.derived_ints, *parts)
-    )
+    derg, derg_J, derg_r, V_r, V_J = (Subspace(L.dim, p) for p in (L.derived_ints, *parts))
     s, r, ell = derg_J.dim // 2, derg_r.dim, V_J.dim // 2
     if derg.dim == 0:
         tag = "none"
@@ -443,15 +449,15 @@ class UnitaryBasis:
             yield self.vectors[i], self.vectors[i + 1], self.norms_sq[i]
 
 
-def _require_j_invariant(basis: list[list[int]], J: ComplexStructure, message: str) -> None:
+def _require_j_invariant(basis: Sequence[Sequence[int]], J: ComplexStructure, message: str) -> None:
     jrows = J.ints[0]
     if not all(in_span(basis, core.mat_vec(jrows, v)) for v in basis):
         raise NotJInvariantError(message)
 
 
 def _unitary_ints(
-    basis: list[list[int]], g: Metric, J: ComplexStructure, order: Sequence[int] | None
-) -> list[tuple[list[int], list[int], int, int, int]]:
+    basis: Sequence[Sequence[int]], g: Metric, J: ComplexStructure, order: Sequence[int] | None
+) -> list[tuple[Sequence[int], list[int], int, int, int]]:
     """Complex Gram-Schmidt on the primitive echelon basis of a J-invariant
     subspace, fraction-free.
 

@@ -3,9 +3,9 @@
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of row
 tuples.  Everything here is pure.  Products and eliminations clear each
 row's denominators once and run on Python ints (``hermlie.core``):
-``rref``, ``nullspace``, ``solve``, ``inverse`` and ``det`` are
-fraction-free Bareiss eliminations (E. H. Bareiss, Math. Comp. 22, 1968),
-and the canonical Fraction results are formed only at the end.
+``rref``, ``solve``, ``inverse`` and ``det`` are fraction-free Bareiss
+eliminations (E. H. Bareiss, Math. Comp. 22, 1968), and the canonical
+Fraction results are formed only at the end.
 ``echelon``, ``kernel``, ``solve_ints`` and ``minor_pivots`` (the leading
 principal minors) are the same eliminations on int rows, for callers that
 stay on numerators; ``coordinate_map`` is the one map from a basis's span to
@@ -180,7 +180,7 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows)[0])
 
 
-def echelon(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+def echelon(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Primitive reduced-echelon basis of the row space of int rows.
 
     Each row is a reduced echelon row scaled to coprime int entries with a
@@ -188,15 +188,15 @@ def echelon(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     """
     work = [list(r) for r in rows]
     _, pivots, _ = _bareiss(work)
-    return [_primitive(row) for row in work[: len(pivots)]]
+    return tuple(_primitive(row) for row in work[: len(pivots)])
 
 
-def _primitive(row: Sequence[int]) -> list[int]:
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     """``row`` divided by the gcd of its entries, first nonzero entry positive."""
     d = gcd(*row)
     if next(c for c in row if c) < 0:
         d = -d
-    return [c // d for c in row]
+    return tuple(c // d for c in row)
 
 
 def kernel(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
@@ -215,14 +215,6 @@ def kernel(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], 
             x[pc] = -row[fc]
         basis.append(x)
     return basis, den
-
-
-def nullspace(m: Iterable[Sequence]) -> tuple[Vector, ...]:
-    """Basis of {x : M x = 0}, in reduced echelon convention."""
-    m = [vec(r) for r in m]
-    ncols = len(m[0]) if m else 0
-    basis, den = kernel([core.clear(r)[0] for r in m], ncols)
-    return tuple(core.fractions(x, den) for x in basis)
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:

@@ -41,6 +41,7 @@ from .hermitian import (
     balanced_inverse_form,
     compatible_basis,
     condition_form,
+    coordinate_basis,
     is_integrable,
     packed_kernel,
     sigma_of,
@@ -60,10 +61,11 @@ def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
     """Primitive int matrices spanning exactly the compatible symmetric X on
     which the condition map of ``kind`` vanishes: the metrics G for Kahler
     and SKT, the inverse metrics H (compatible with J^T) for balanced.  The
-    map runs once, on the compatible basis packed into one int matrix
-    (``hermitian.packed_kernel``)."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown condition kind: {kind}")
+    map runs once, on ``hermitian.coordinate_basis`` packed into one int
+    matrix (``hermitian.packed_kernel``)."""
+    if J.dim != L.dim:
+        raise NotAComplexStructureError("J does not match the algebra's dimension")
+    basis = coordinate_basis(J, kind)
     # Gains, with N = dim, M the largest numerator of J and the bracket (at
     # least 1) and X standing for max |X|.  J^T X and -H J^T have entries at
     # most N M X.  d of a k-form with coefficients at most c sums, on each
@@ -82,7 +84,6 @@ def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
             return [v for _, v in sorted(balanced_inverse_form(L, J, p, 1)[0].items())]
         return [v for _, v in sorted(condition_form(L, J, *sigma_of(J, p, 1), kind)[0].items())]
 
-    basis = metric_parameterization(L, ComplexStructure(linalg.transpose(J.matrix)) if kind == "balanced" else J)
     return packed_kernel(basis, outputs, gain)
 
 
@@ -112,13 +113,12 @@ def _certifies(kernel, Y) -> bool:
 
 def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
     """Whether the rational matrix ``Y`` proves that no metric compatible
-    with J satisfies ``kind``, checked exactly on a fresh kernel and, for
-    Kahler and SKT on a two-step solvable L with J integrable, also on the
-    shear route's kernel."""
+    with J satisfies ``kind``, checked exactly on a fresh kernel and, on a
+    two-step solvable L with J integrable, also on the shear route's kernel."""
     if len(Y) != L.dim or any(len(row) != L.dim for row in Y):
         return False
     kernel = condition_kernel(L, J, kind)
-    if kind != "balanced" and is_two_step_solvable(L) and is_integrable(L, J):
+    if is_two_step_solvable(L) and is_integrable(L, J):
         kernel += shear_kernel(pre_shear_from_bracket(L), J, kind)
     return _certifies(kernel, Y)
 

@@ -11,16 +11,19 @@ computation so the two routes can be checked against each other:
 
   complex:   the built algebra satisfies Jacobi and J is integrable on it
   Kahler:    tau = Alt(sigma(w(.,.),.)) = 0
-  balanced:  tau ^ sigma^{n-2} = 0
+  balanced:  sum_{a<b} P_ab w(e_a, e_b) + P chi = 0, P = H J^T, chi_a = tr w(e_a, .)
   torsion:   Alt(g(w(J.,J.), w(.,.)) + 2 g(w(J w(.,.), J.), .)) = 0
 
-The Kahler and torsion equations are linear in g: each is one map from the
-numerators of sigma = J^T g (Kahler) or of g (torsion) to its values on the
-basis subsets.  At g it gives the verdict (``shear_condition``); run once
-on the basis of the compatible metrics packed into one int matrix
-(``hermitian.packed_kernel``) it gives the shear route's own exact kernel
-(``shear_kernel``), whose span must equal that of the direct route's
-``search.condition_kernel``.
+Balanced is d iota(-H J^T) vol = 0 for H = g^-1 (Michelsohn, Acta Math.
+149, 1982); Koszul's duality of Lie algebra homology and cohomology (Bull.
+SMF 78, 1950) turns that (2n-1)-form into the vector above, up to a nonzero
+factor.  P is skew, as H is compatible with J^T.  Each equation is one map,
+linear in the numerators of sigma = J^T g (Kahler), of H (balanced) or of g
+(torsion), to its values on the basis subsets.  At g it gives the verdict
+(``shear_condition``); run once on the compatible basis of those
+coordinates packed into one int matrix (``hermitian.packed_kernel``) it
+gives the shear route's own exact kernel (``shear_kernel``), whose span
+must equal that of the direct route's ``search.condition_kernel``.
 
 Both torsion terms are antisymmetric in their first two slots and the
 first also in its last two, so, as for a wedge of two-forms, the
@@ -51,7 +54,7 @@ from .errors import (
 )
 from .forms import VectorValuedTwoForm
 from .hermitian import (
-    KINDS, ComplexStructure, Metric, compatible_basis, is_integrable, j_adapted_split, packed_kernel
+    ComplexStructure, Metric, coordinate_basis, is_integrable, j_adapted_split, packed_kernel
 )
 from .linalg import Matrix, Vector
 
@@ -158,13 +161,15 @@ def _require_complex(data: PreShearData, J: ComplexStructure) -> None:
 
 
 def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
-    """The Kahler (tau) or torsion equations as one map to their values on
-    the basis 3-subsets (``combinations`` order) or 4-subsets, ints linear in
-    its argument: the numerators of sigma = J^T g for Kahler, of the
-    symmetric g for torsion.  What does not depend on g is built once."""
+    """The Kahler (tau), balanced or torsion equations as one map to their
+    values on the basis 3-subsets (``combinations`` order), on the basis or
+    on the basis 4-subsets, ints linear in its argument: the numerators of
+    sigma = J^T g for Kahler, of H = g^-1 for balanced, of the symmetric g
+    for torsion.  What does not depend on g is built once."""
     n2 = data.dim
     w = data.omega.ints
     ob = w.on_basis  # (x, y) -> w(e_x, e_y), 0-indexed
+    jm, _ = J.ints
     if kind == "kahler":
         triples = list(combinations(range(n2), 3))
 
@@ -175,8 +180,20 @@ def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
                 yield core.dot(ob[(i, j)], cols[k]) + core.dot(ob[(j, k)], cols[i]) + core.dot(ob[(k, i)], cols[j])
 
         return tau
+    if kind == "balanced":
+        chi = [sum(ob[(a, c)][c] for c in range(n2) if c != a) for a in range(n2)]  # tr w(e_a, .)
+        jt_chi = core.mat_vec(list(zip(*jm)), chi)  # P chi = H J^T chi
+
+        def boundary(h):
+            out = core.mat_vec(h, jt_chi)
+            for a, b, nums in w.terms:  # sum_{a<b} P_ab w(e_a, e_b), P_ab = H_a . J_b
+                c = core.dot(h[a], jm[b])
+                for k, v in nums:
+                    out[k] += c * v
+            return out
+
+        return boundary
     # the split form, both terms over dg dw^2 dJ^2
-    jm, _ = J.ints
     j_units = [list(c) for c in zip(*jm)]  # J e_t
     pairs = list(combinations(range(n2), 2))
     jj = {(x, y): w(j_units[x], j_units[y]) for x, y in pairs}  # w(J e_x, J e_y)
@@ -218,9 +235,8 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
 
     ``kind`` is one of "kahler", "balanced", "skt".  The flat structure
     (g, J) may be any compatible pair; it is the one transported to the
-    sheared algebra.  Kahler and SKT hold when their ``_shear_map``
-    vanishes, at sigma = J^T g and at g; balanced wedges Kahler's tau with
-    sigma^{n-2}.
+    sheared algebra.  Each kind holds when its ``_shear_map`` vanishes, at
+    sigma = J^T g, at H = g^-1 or at g.
     """
     _require_complex(data, J)
     if J.dim != g.dim:
@@ -230,39 +246,41 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
     sig = core.mat_mul(list(zip(*jm)), gm)
     if not core.is_skew(sig):
         raise IncompatibleMetricError("metric is not compatible with J")
-    if kind not in KINDS:
+    if kind == "kahler":
+        arg = sig
+    elif kind == "balanced":  # the numerators of H, over a denominator the zero test ignores
+        arg = linalg.solve_ints(gm, [[int(a == b) for b in range(g.dim)] for a in range(g.dim)])[0]
+    elif kind == "skt":
+        arg = gm
+    else:
         raise ValueError(f"unknown condition kind: {kind}")
-    if kind != "balanced":
-        return not any(_shear_map(data, J, kind)(sig if kind == "kahler" else gm))
-    n2 = data.dim
-    values = zip(combinations(range(n2), 3), _shear_map(data, J, "kahler")(sig))
-    tau = {(1 << i) | (1 << j) | (1 << k): v for (i, j, k), v in values if v}
-    sigma = {(1 << i) | (1 << j): sig[i][j] for i, j in combinations(range(n2), 2) if sig[i][j]}
-    # tau = 0 is Kahler, and then balanced
-    return not tau or not core.wedge(tau, core.power(sigma, n2 // 2 - 2))
+    return not any(_shear_map(data, J, kind)(arg))
 
 
 def shear_kernel(data: PreShearData, J: ComplexStructure, kind: str) -> tuple:
     """Primitive int matrices spanning exactly the compatible symmetric X on
-    which the Kahler or SKT shear equations vanish, as
-    ``search.condition_kernel`` gives them: ``_shear_map`` run once on the
-    packed compatible basis (through J^T X for Kahler), and its kernel."""
+    which the shear equations of ``kind`` vanish, in the coordinates and
+    format of ``search.condition_kernel`` (``hermitian.coordinate_basis``):
+    ``_shear_map`` run once on the packed basis (through J^T X for Kahler),
+    and its kernel."""
     _require_complex(data, J)
-    if kind not in ("kahler", "skt"):
-        raise ValueError(f"the shear kernel is linear only for kahler and skt, not {kind}")
+    basis = coordinate_basis(J, kind)
     jm, _ = J.ints
     equations = _shear_map(data, J, kind)
     # Gains, with N = dim, M the largest numerator of J and w (at least 1) and
     # X standing for max |X|, as sums of products.  Kahler: J^T X <= N M X and
     # tau sums three dot products of it with w(e_i, e_j), so tau <= 3 N^2 M^2 X.
+    # Balanced: P = X J^T <= N M X and chi_a <= N M, so a value is at most
+    # C(N, 2) M (N M X) + N (N M X) (N M) <= 2 N^3 M^2 X.
     # Torsion: w(J e_x, J e_y) <= N^2 M^3, so g w(J e_x, J e_y) <= N^3 M^3 X and
     # alt <= 2 N^3 M^3 X; each of the six splits adds N M (N^3 M^3 X) +
     # N M (2 N^3 M^3 X) = 3 N^4 M^4 X, so a value is at most 18 N^4 M^4 X.
     n, m = data.dim, core.height(jm, data.omega.ints)
+    gain = {"kahler": 3 * n**2 * m**2, "balanced": 2 * n**3 * m**2, "skt": 18 * n**4 * m**4}[kind]
     if kind == "kahler":
         jt = list(zip(*jm))
-        return packed_kernel(compatible_basis(J), lambda p: equations(core.mat_mul(jt, p)), 3 * n**2 * m**2)
-    return packed_kernel(compatible_basis(J), equations, 18 * n**4 * m**4)
+        return packed_kernel(basis, lambda p: equations(core.mat_mul(jt, p)), gain)
+    return packed_kernel(basis, equations, gain)
 
 
 @dataclass(frozen=True)

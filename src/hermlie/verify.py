@@ -123,22 +123,22 @@ def criterion_counterexample_type_III() -> dict:
 
 
 def criterion_oracle_equivalence() -> dict:
-    """The shear-data equations equal the direct route: their Kahler and SKT
-    kernels have equal echelon forms, so equal spans, and all three verdicts
-    agree on the generated metric and, on seeds 0-13 of each cell, on a
-    metric drawn from the exact balanced kernel.  The generated metrics are
-    never balanced; drawing on 14 seeds per cell gives both verdicts."""
+    """The shear-data equations equal the direct route: their kernels of
+    every kind have equal echelon forms, so equal spans, and all three
+    verdicts agree on the generated metric and, on seeds 0-13 of each cell,
+    on a metric drawn from the exact balanced kernel.  The generated metrics
+    are never balanced; drawing on 14 seeds per cell gives both verdicts."""
     rng, kernel_dims, verdicts = random.Random("oracle"), Counter(), Counter()
     dims = {p: (6,) if p == "mixed" else (4, 6) for p in PROFILES}
     cells = [(p, dim, seed) for p in PROFILES for dim in dims[p] for seed in range(ORACLE_SEEDS_PER_CELL)]
     for profile, dim, seed in cells:
         data, g, J = random_complex_shear(seed, profile, dim)
         L, where = build_shear(data), f"{profile}/{dim}/seed {seed}"
-        for kind in ("kahler", "skt"):
-            kernels = (shear_kernel(data, J, kind), condition_kernel(L, J, kind))
-            assert kernel_span(kernels[0]) == kernel_span(kernels[1]), f"kernel mismatch: {where}/{kind}"
-            kernel_dims[f"{kind} {len(kernels[0])}"] += 1
-        source = _kernel_source(L, J, "balanced") if seed < 14 else None
+        kernels = {kind: condition_kernel(L, J, kind) for kind in KINDS}
+        for kind, kernel in kernels.items():
+            assert kernel_span(shear_kernel(data, J, kind)) == kernel_span(kernel), f"kernel mismatch: {where}/{kind}"
+            kernel_dims[f"{kind} {len(kernel)}"] += 1
+        source = _kernel_source(L, J, "balanced", kernels["balanced"]) if seed < 14 else None
         for metric in (g,) if source is None else (g, _kernel_metric(source, rng)):
             v = classify_metric(L, metric, J)
             for kind in KINDS:
@@ -325,10 +325,9 @@ def criterion_six_dimensional_lists() -> dict:
     return {"witness_rows": len(rows)}
 
 
-def _kernel_source(L, J, kind: str):
-    """The exact kernel of ``kind`` with a certified definite point of it,
-    from the search, or None when the search certifies no witness."""
-    kernel = condition_kernel(L, J, kind)
+def _kernel_source(L, J, kind: str, kernel):
+    """The exact ``kernel = condition_kernel(L, J, kind)`` with a certified definite
+    point of it, from the search, or None when the search certifies no witness."""
     found = search_kernel(L, J, kind, kernel)
     if not found.exact_verified:
         assert found.status != "found", f"{kind} search: uncertified witness"
@@ -365,7 +364,7 @@ def criterion_compatibility_pipeline() -> dict:
     for salamon in ("(25,-15,46,-36,0,0)", "(25,-15,45,-35,0,0)"):
         L = parse_salamon(salamon)
         J = ComplexStructure.standard(6)
-        skt, balanced = _kernel_source(L, J, "skt"), _kernel_source(L, J, "balanced")
+        skt, balanced = (_kernel_source(L, J, kind, condition_kernel(L, J, kind)) for kind in ("skt", "balanced"))
         for _ in range(PIPELINE_DRAWS):
             g_skt, g_bal = _kernel_metric(skt, rng), _kernel_metric(balanced, rng)
             assert classify_metric(L, g_skt, J).skt, "kernel draw lost the torsion condition"
@@ -405,7 +404,8 @@ def criterion_special_pair_is_closed() -> dict:
     kernel, so each draw tests whether balanced forces closed.  Entries
     with no SKT metric are counted."""
     rng = random.Random("special-pair")
-    sources = [(e, _kernel_source(e.algebra, e.J, "skt")) for e in witness_lists()]
+    sources = [(e, _kernel_source(e.algebra, e.J, "skt", condition_kernel(e.algebra, e.J, "skt")))
+               for e in witness_lists()]
     with_skt = [(e, source) for e, source in sources if source is not None]
     verdicts = Counter()
     for i in range(SPECIAL_PAIR_DRAWS):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermlie import algebra as al
+from hermlie import core
 from hermlie import linalg as la
 from hermlie.hermitian import ComplexStructure, Metric
 from hermlie.salamon import parse_salamon
@@ -106,3 +107,12 @@ def bracket_basis(L, i, j):
     if i < j:
         return L.table.get((i, j), la.zero_vec(L.dim))
     return la.neg_vec(L.table.get((j, i), la.zero_vec(L.dim)))
+
+
+def nullspace(m):
+    """Basis of {x : M x = 0} for a rational matrix, in reduced echelon
+    convention, as Fractions: ``linalg.kernel`` on the cleared rows."""
+    m = [la.vec(r) for r in m]
+    ncols = len(m[0]) if m else 0
+    basis, den = la.kernel([core.clear(r)[0] for r in m], ncols)
+    return tuple(core.fractions(x, den) for x in basis)

@@ -14,7 +14,7 @@ from hermlie.errors import (
 from hermlie.generators import random_complex_shear
 from hermlie.shear import build_shear
 
-from conftest import bracket_basis, random_table
+from conftest import bracket_basis, nullspace, random_table
 
 Q = Fraction
 
@@ -150,7 +150,7 @@ def _center_reference(L):
         cols = [bracket_basis(L, i, j) for i in range(1, n + 1)]
         for k in range(n):
             eqs.append(tuple(col[k] for col in cols))
-    return al.Subspace.span(n, la.nullspace(tuple(eqs)))
+    return al.Subspace.span(n, nullspace(tuple(eqs)))
 
 
 def _center_cases(group):

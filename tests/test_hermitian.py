@@ -37,7 +37,7 @@ from hermlie.hermitian import (
 from hermlie.salamon import parse_salamon
 from hermlie.shear import build_shear
 
-from conftest import nijenhuis
+from conftest import nijenhuis, nullspace
 
 Q = Fraction
 
@@ -479,7 +479,7 @@ class TestUnitaryEndomorphismProperty:
                     row[entry_index(1, i, p)] -= jm[p][k]
                 add_rows([tuple(row)])
 
-        kernel = la.nullspace(tuple(rows))
+        kernel = nullspace(tuple(rows))
         assert kernel, "linear system has no solutions at all"
 
         def in_kernel(a1, a2):

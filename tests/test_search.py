@@ -43,6 +43,8 @@ from hermlie.search import (
 from hermlie.shear import _shear_map, build_shear, pre_shear_from_bracket, shear_kernel
 from hermlie import search as search_module
 
+from conftest import nullspace
+
 Q = Fraction
 
 
@@ -204,7 +206,7 @@ def _compatible_space(J):
         for a, b in slots
     ]
     basis = []
-    for sol in la.nullspace(rows):
+    for sol in nullspace(rows):
         s = [[Q(0)] * n for _ in range(n)]
         for (i, j), c in zip(slots, sol):
             s[i][j] = s[j][i] = c
@@ -240,7 +242,7 @@ def recheck_none(L, J, kind, Y):
             images.append(d.coeffs)
     keys = sorted(set().union(*images))
     if keys:
-        combos = la.nullspace([[img.get(key, 0) for img in images] for key in keys])
+        combos = nullspace([[img.get(key, 0) for img in images] for key in keys])
     else:
         combos = la.identity_matrix(len(space))
     for c in combos:
@@ -384,22 +386,32 @@ class TestCertificateCheck:
         for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n), small, large):
             assert not check_certificate(cx_type_I, j_std6, "kahler", bad)
 
-    def test_shear_kernel_is_a_second_route(self, cx_type_I, j_std6, monkeypatch):
-        """On a two-step solvable algebra the certificate must also be
-        orthogonal to the shear route's kernel: one extra shear kernel matrix
-        that Y does not annihilate, here the identity, rejects it."""
-        y = self._certificate(cx_type_I, j_std6)
+    @staticmethod
+    def _check_second_route(L, J, kind, monkeypatch):
+        """On a two-step solvable algebra the certificate of a ``none`` must
+        also be orthogonal to the shear route's kernel: one extra shear kernel
+        matrix that Y does not annihilate, here the identity, rejects it."""
+        result = search_metric(L, J, kind)
+        assert result.status == "none" and al.is_two_step_solvable(L)
         calls = []
 
         def extra(data, J, kind):
             calls.append(kind)
-            return shear_kernel(data, J, kind) + (al.linalg.identity_matrix(6),)
+            return shear_kernel(data, J, kind) + (al.linalg.identity_matrix(L.dim),)
 
         monkeypatch.setattr(search_module, "shear_kernel", extra)
-        assert not check_certificate(cx_type_I, j_std6, "kahler", y)
-        assert calls == ["kahler"]
+        assert not check_certificate(L, J, kind, result.certificate)
+        assert calls == [kind]
         monkeypatch.setattr(search_module, "shear_kernel", shear_kernel)
-        assert check_certificate(cx_type_I, j_std6, "kahler", y)
+        assert check_certificate(L, J, kind, result.certificate)
+
+    def test_shear_kernel_is_a_second_route(self, cx_type_I, j_std6, monkeypatch):
+        self._check_second_route(cx_type_I, j_std6, "kahler", monkeypatch)
+
+    def test_balanced_none_has_a_second_route(self, monkeypatch):
+        """A generated type I shear in dimension 4 that has no balanced metric."""
+        data, _, J = random_complex_shear(1, "typeI", 4)
+        self._check_second_route(build_shear(data), J, "balanced", monkeypatch)
 
     def test_every_kernel_matrix_is_checked(self, j_std6):
         """On r'_{3,0} + r'_{3,0}, for each Kahler kernel matrix M a rank-one
@@ -602,10 +614,14 @@ def reference_condition_kernel(L, J, kind):
 
 
 def reference_shear_kernel(data, J, kind):
+    """The shear map evaluated on one basis matrix at a time: the metrics G
+    for Kahler (through J^T G) and SKT, the inverse metrics H, compatible
+    with J^T, for balanced."""
     jt = al.linalg.transpose(J.ints[0])
     equations = _shear_map(data, J, kind)
+    basis = reference_basis(ComplexStructure(al.linalg.transpose(J.matrix)) if kind == "balanced" else J)
     return reference_kernel(
-        reference_basis(J),
+        basis,
         lambda b: {i: v for i, v in enumerate(equations(core.mat_mul(jt, b) if kind == "kahler" else b)) if v},
     )
 
@@ -640,5 +656,5 @@ class TestPackedKernel:
             assert condition_kernel(L, J, kind) == reference_condition_kernel(L, J, kind), kind
         if al.is_two_step_solvable(L) and is_integrable(L, J):
             data = pre_shear_from_bracket(L)
-            for kind in ("kahler", "skt"):
+            for kind in KINDS:
                 assert shear_kernel(data, J, kind) == reference_shear_kernel(data, J, kind), kind

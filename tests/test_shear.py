@@ -24,7 +24,9 @@ from hermlie.hermitian import (
     KINDS,
     ComplexStructure,
     Metric,
+    balanced_inverse_form,
     classify_metric,
+    coordinate_basis,
     is_integrable,
     j_adapted_split,
     kernel_span,
@@ -512,12 +514,19 @@ class TestShearCondition:
         assert verdicts == {True, False}
 
 
+def _coordinates(g, kind):
+    """The int numerators of g, or of H = g^-1 for balanced: the coordinates
+    of each kind's kernel."""
+    return core.clear_matrix(la.inverse(g.matrix) if kind == "balanced" else g.matrix)[0]
+
+
 class TestShearKernel:
     @pytest.mark.parametrize("dim", [4, 6, 8, 10])
     def test_spans_the_direct_kernel(self, dim):
         """On every profile the generator builds and on the closed normal
         forms, the shear route's kernel spans exactly the direct route's, and
-        the verdict at g is membership of g in it: one map gives both."""
+        the verdict at g is membership of g (of H = g^-1 for balanced) in it:
+        one map gives both."""
         instances = []
         for profile in PROFILES:
             for seed in range(2):
@@ -530,24 +539,163 @@ class TestShearKernel:
             L, g, J = kahler_normal_form(params)
             instances.append((pre_shear_from_bracket(L), g, J, L))
         for k, (data, g, J, L) in enumerate(instances):
-            for kind in ("kahler", "skt"):
+            for kind in KINDS:
                 kernel = shear_kernel(data, J, kind)
                 assert kernel and kernel_span(kernel) == kernel_span(condition_kernel(L, J, kind)), (dim, k, kind)
-                gm = core.clear_matrix(g.matrix)[0]
-                member = len(kernel_span([*kernel, gm])) == len(kernel)
+                member = len(kernel_span([*kernel, _coordinates(g, kind)])) == len(kernel)
                 assert shear_condition(data, g, J, kind) == member, (dim, k, kind)
 
+    def test_spans_the_direct_kernel_on_the_catalog(self):
+        checked = 0
+        for entry in witness_lists():
+            L, J = entry.algebra, entry.J
+            if al.is_two_step_solvable(L) and is_integrable(L, J):
+                data = pre_shear_from_bracket(L)
+                for kind in KINDS:
+                    assert kernel_span(shear_kernel(data, J, kind)) == kernel_span(condition_kernel(L, J, kind)), entry.name
+                checked += 1
+        assert checked >= 10
+
     def test_matrices_are_primitive_and_compatible(self, cx_type_I, j_std6):
+        """G-matrices satisfy J^T M J = M; balanced's H-matrices J M J^T = M."""
         jm = j_std6.matrix
-        for kind in ("kahler", "skt"):
+        for kind in KINDS:
             for m in shear_kernel(pre_shear_from_bracket(cx_type_I), j_std6, kind):
                 assert all(isinstance(c, int) for row in m for c in row)
                 assert gcd(*(c for row in m for c in row)) == 1
-                assert la.mat_mul(la.transpose(jm), la.mat_mul(m, jm)) == la.mat(m)
+                if kind == "balanced":
+                    assert la.mat_mul(jm, la.mat_mul(m, la.transpose(jm))) == la.mat(m)
+                else:
+                    assert la.mat_mul(la.transpose(jm), la.mat_mul(m, jm)) == la.mat(m)
 
-    def test_balanced_has_no_linear_shear_kernel(self, cx_type_I, j_std6):
-        with pytest.raises(ValueError):
-            shear_kernel(pre_shear_from_bracket(cx_type_I), j_std6, "balanced")
+    def test_unknown_kind_is_rejected(self, cx_type_I, j_std6):
+        with pytest.raises(ValueError, match="unknown condition kind"):
+            shear_kernel(pre_shear_from_bracket(cx_type_I), j_std6, "hyperkahler")
+
+
+def _shear_instances(dims, seeds):
+    """(name, data, g, J) for every profile the generator builds at ``dims``."""
+    out = []
+    for dim in dims:
+        for profile in PROFILES:
+            for seed in seeds:
+                try:
+                    data, g, J = random_complex_shear(seed, profile, dim)
+                except UnsupportedDimensionError:
+                    break
+                out.append((f"{profile}-d{dim}-{seed}", data, g, J))
+    return out
+
+
+class TestBalancedBoundary:
+    """The balanced shear map is the direct route's d iota(-H J^T) vol read
+    as a vector: Koszul's identity, basis matrix by basis matrix."""
+
+    @staticmethod
+    def _ratios(data, L, J):
+        """(-1)^k times output k of the balanced shear map over the
+        coefficient of ``balanced_inverse_form`` on the basis subset that
+        omits k, for every H of the J^T-compatible basis; the zero patterns
+        must agree."""
+        n, full = L.dim, (1 << L.dim) - 1
+        boundary = _shear_map(data, J, "balanced")
+        ratios = set()
+        for h in coordinate_basis(J, "balanced"):
+            out = boundary(h)
+            form, _ = balanced_inverse_form(L, J, h, 1)
+            assert set(form) <= {full ^ (1 << k) for k in range(n)}
+            for k in range(n):
+                coefficient = form.get(full ^ (1 << k), 0)
+                assert (out[k] == 0) == (coefficient == 0), k
+                if coefficient:
+                    ratios.add(Q((-1) ** k * out[k], coefficient))
+        return ratios
+
+    def test_catalog(self):
+        checked = 0
+        for entry in witness_lists():
+            ratios = self._ratios(pre_shear_from_bracket(entry.algebra), entry.algebra, entry.J)
+            assert len(ratios) <= 1, entry.name
+            checked += len(ratios)
+        assert checked >= 10
+
+    @pytest.mark.parametrize("dim", [6, 8, 10])
+    def test_generated(self, dim):
+        checked = 0
+        for name, data, _, J in _shear_instances((dim,), range(2)):
+            ratios = self._ratios(data, build_shear(data), J)
+            assert len(ratios) <= 1, name
+            checked += len(ratios)
+        assert checked >= 3
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_gl_conjugated(self, dim):
+        """In the basis Q e_i for a random integer Q, J is no longer
+        orthogonal, so J^T and -J differ: the identity and the balanced
+        kernel spans hold there as well."""
+        rng = random.Random(f"gl-{dim}")
+        checked = 0
+        for name, data, _, J in _shear_instances((dim,), range(2)):
+            while True:
+                q = la.mat([[rng.randint(-1, 1) + 2 * (i == j) for j in range(dim)] for i in range(dim)])
+                if la.det(q):
+                    break
+            jq = ComplexStructure(la.mat_mul(la.inverse(q), la.mat_mul(J.matrix, q)))
+            assert la.transpose(jq.matrix) != la.mat_scale(-1, jq.matrix)
+            L = al.change_basis(build_shear(data), q)
+            moved = pre_shear_from_bracket(L)
+            ratios = self._ratios(moved, L, jq)
+            assert len(ratios) <= 1, name
+            checked += len(ratios)
+            balanced = shear_kernel(moved, jq, "balanced")
+            assert kernel_span(balanced) == kernel_span(condition_kernel(L, jq, "balanced")), name
+        assert checked >= 3
+
+
+def _commuting_change(J, rng):
+    """An invertible rational P = (A - J A J) / 2, which commutes with J, for
+    an int A drawn from rng; not unitary in general."""
+    n = J.dim
+    jm = J.matrix
+    while True:
+        a = la.mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        jaj = la.mat_mul(jm, la.mat_mul(a, jm))
+        p = la.mat_scale(Q(1, 2), la.mat_add(a, la.mat_scale(-1, jaj)))
+        if la.det(p):
+            return p
+
+
+class TestBasisChange:
+    """(L, J, g) -> (P^-1 L P, J, P^T g P) for P commuting with J keeps every
+    shear verdict and every shear kernel dimension, and the balanced shear
+    kernel still spans the direct route's.  The closed normal forms give
+    true verdicts at d8 and d10, where the generated metrics give none."""
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_shear_route_is_invariant(self, dim):
+        rng = random.Random(f"basis-change-{dim}")
+        instances = _shear_instances((dim,), range(2))
+        for params in TestShearCondition.CLOSED_FORMS.get(dim, ()):
+            L, g, J = kahler_normal_form(params)
+            instances.append((f"closed-{params.pure_type}-d{dim}", pre_shear_from_bracket(L), g, J))
+        verdicts = set()
+        for name, data, g, J in instances:
+            p = _commuting_change(J, rng)
+            L = al.change_basis(build_shear(data), p)
+            moved = pre_shear_from_bracket(L)
+            other = random_compatible_metric(dim, J, rng)
+            for metric in (g, other):
+                pulled = Metric(la.mat_mul(la.transpose(p), la.mat_mul(metric.matrix, p)))
+                for kind in KINDS:
+                    verdict = shear_condition(data, metric, J, kind)
+                    assert shear_condition(moved, pulled, J, kind) == verdict, (name, kind)
+                    verdicts.add(verdict)
+            for kind in KINDS:
+                kernel = shear_kernel(moved, J, kind)
+                assert len(kernel) == len(shear_kernel(data, J, kind)), (name, kind)
+                if kind == "balanced":
+                    assert kernel_span(kernel) == kernel_span(condition_kernel(L, J, kind)), name
+        assert verdicts == {True, False}
 
 
 class TestShearOperators:

@@ -156,7 +156,7 @@ def ref_decomposition(L, g, J):
         tag = "III"
     else:
         tag = "mixed"
-    spaces = (al.Subspace(n, rows) for rows in (derg, derg_J, derg_r, V_r, V_J))
+    spaces = (al.Subspace.span(n, rows) for rows in (derg, derg_J, derg_r, V_r, V_J))
     return HermitianDecomposition(*spaces, s, r, ell, tag)
 
 
@@ -276,7 +276,7 @@ def test_routes_share_no_differential(monkeypatch):
     ]
     expected = [classify_metric(L, g, J) for L, g, J, _ in cases]
     assert any(v.balanced for v in expected) and not all(v.balanced for v in expected)
-    kernels = [{kind: kernel_span(condition_kernel(L, J, kind)) for kind in ("kahler", "skt")} for L, _, J, _ in cases]
+    kernels = [{kind: kernel_span(condition_kernel(L, J, kind)) for kind in KINDS} for L, _, J, _ in cases]
 
     def direct_route(*args, **kwargs):
         raise AssertionError("the direct route's operator was called")
