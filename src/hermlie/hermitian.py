@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import Callable, Sequence
@@ -78,6 +79,36 @@ class ComplexStructure:
             raise DimensionMismatchError("vector and J dimensions differ")
         nums, dv = core.clear(linalg.vec(v))
         return core.fractions(core.mat_vec(rows, nums), den * dv)
+
+    @cached_property
+    def transpose(self) -> "ComplexStructure":
+        """J^T, validated once: the complex structure the inverse metrics
+        H = g^-1 of J's compatible metrics are compatible with."""
+        return ComplexStructure(linalg.transpose(self.matrix))
+
+    @cached_property
+    def compatible_basis(self) -> tuple:
+        """Primitive int basis of {S symmetric : J^T S J = S}.  As J^2 = -1,
+        S -> (S + J^T S J) / 2 projects the symmetric matrices onto the
+        compatible ones; the basis is the echelon form of the images of the
+        unit symmetric matrices, on their upper triangles."""
+        j, dj = self.ints
+        n = len(j)
+        slots = [(a, b) for a in range(n) for b in range(a, n)]
+        # dj^2 E + J^T E J for E = e_a e_a^T, or e_a e_b^T + e_b e_a^T: on the
+        # slot (p, q), the outer product ja[p] ja[q], or ja[p] jb[q] + jb[p] ja[q]
+        images = []
+        for i, (a, b) in enumerate(slots):
+            ja, jb = j[a], j[b]
+            if a == b:
+                row = [ja[p] * ja[q] for p, q in slots]
+            else:
+                row = [ja[p] * jb[q] + jb[p] * ja[q] for p, q in slots]
+            row[i] += dj * dj
+            images.append(row)
+        index = {slot: i for i, slot in enumerate(slots)}
+        at = [[index[min(a, b), max(a, b)] for b in range(n)] for a in range(n)]
+        return tuple(tuple(tuple(row[i] for i in line) for line in at) for row in linalg.echelon(images))
 
     @staticmethod
     def standard(dim: int) -> "ComplexStructure":
@@ -168,30 +199,6 @@ def sigma_of(J: ComplexStructure, g: Sequence[Sequence[int]], dg: int) -> tuple[
     return form, dj * dg
 
 
-def compatible_basis(J: ComplexStructure) -> tuple:
-    """Primitive int basis of {S symmetric : J^T S J = S}.  As J^2 = -1,
-    S -> (S + J^T S J) / 2 projects the symmetric matrices onto the
-    compatible ones; the basis is the echelon form of the images of the unit
-    symmetric matrices, on their upper triangles."""
-    j, dj = J.ints
-    n = len(j)
-    slots = [(a, b) for a in range(n) for b in range(a, n)]
-    # dj^2 E + J^T E J for E = e_a e_a^T, or e_a e_b^T + e_b e_a^T: on the
-    # slot (p, q), the outer product ja[p] ja[q], or ja[p] jb[q] + jb[p] ja[q]
-    images = []
-    for i, (a, b) in enumerate(slots):
-        ja, jb = j[a], j[b]
-        if a == b:
-            row = [ja[p] * ja[q] for p, q in slots]
-        else:
-            row = [ja[p] * jb[q] + jb[p] * ja[q] for p, q in slots]
-        row[i] += dj * dj
-        images.append(row)
-    index = {slot: i for i, slot in enumerate(slots)}
-    at = [[index[min(a, b), max(a, b)] for b in range(n)] for a in range(n)]
-    return tuple(tuple(tuple(row[i] for i in line) for line in at) for row in linalg.echelon(images))
-
-
 def packed_kernel(basis: Sequence, evaluate: Callable, gain: int) -> tuple:
     """Primitive int matrices spanning the combinations sum x_i X_i of the
     int ``basis`` matrices X_i on which the linear map ``evaluate`` vanishes.
@@ -271,11 +278,12 @@ KINDS = ("kahler", "balanced", "skt")
 
 
 def coordinate_basis(J: ComplexStructure, kind: str) -> tuple:
-    """``compatible_basis`` of the coordinates the maps of ``kind`` are linear
-    in: G for Kahler and SKT, H = G^-1 (compatible with J^T) for balanced."""
+    """``ComplexStructure.compatible_basis`` of the coordinates the maps of
+    ``kind`` are linear in: G for Kahler and SKT, H = G^-1 (compatible with
+    J^T) for balanced.  J keeps both bases, so each is built once per J."""
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
-    return compatible_basis(ComplexStructure(linalg.transpose(J.matrix)) if kind == "balanced" else J)
+    return (J.transpose if kind == "balanced" else J).compatible_basis
 
 
 def condition_form(

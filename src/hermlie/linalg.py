@@ -58,15 +58,6 @@ def neg_vec(u: Sequence) -> Vector:
     return tuple(-a for a in u)
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    # zero-skipping matters: vectors here are mostly sparse
-    total = ZERO
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            total += a * b
-    return total
-
-
 def combination(coeffs: Sequence, vectors: Sequence[Sequence], dim: int) -> Vector:
     """sum_i coeffs[i] vectors[i] in Q^dim."""
     if not vectors:

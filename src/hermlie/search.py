@@ -39,7 +39,6 @@ from .hermitian import (
     ComplexStructure,
     Metric,
     balanced_inverse_form,
-    compatible_basis,
     condition_form,
     coordinate_basis,
     is_integrable,
@@ -51,10 +50,10 @@ from .shear import pre_shear_from_bracket, shear_kernel
 
 
 def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> tuple:
-    """``hermitian.compatible_basis`` of a J of the algebra's dimension."""
+    """``ComplexStructure.compatible_basis`` of a J of the algebra's dimension."""
     if J.dim != L.dim:
         raise NotAComplexStructureError("J does not match the algebra's dimension")
-    return compatible_basis(J)
+    return coordinate_basis(J, "kahler")
 
 
 def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:

@@ -33,7 +33,7 @@ splits into sorted pairs A = (a, b), B = (c, d):
   sum sign(A, B) (g(w(Ja,Jb), w(c,d)) + g(w(J w(a,b), Jc), d) - g(w(J w(a,b), Jd), c))
 
 Both terms read one table, g w(J e_x, J e_y); that needs g symmetric, as every
-``Metric`` and every matrix of ``hermitian.compatible_basis`` is.
+``Metric`` and every matrix of ``ComplexStructure.compatible_basis`` is.
 """
 
 from __future__ import annotations

@@ -116,3 +116,16 @@ def nullspace(m):
     ncols = len(m[0]) if m else 0
     basis, den = la.kernel([core.clear(r)[0] for r in m], ncols)
     return tuple(core.fractions(x, den) for x in basis)
+
+
+def commuting_change(J, rng):
+    """An invertible rational P = (A - J A J) / 2, which commutes with J, for
+    an int A drawn from rng; not unitary in general."""
+    n = J.dim
+    jm = J.matrix
+    while True:
+        a = la.mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        jaj = la.mat_mul(jm, la.mat_mul(a, jm))
+        p = la.mat_scale(Q(1, 2), la.mat_add(a, la.mat_scale(-1, jaj)))
+        if la.det(p):
+            return p

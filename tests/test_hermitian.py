@@ -484,7 +484,7 @@ class TestUnitaryEndomorphismProperty:
 
         def in_kernel(a1, a2):
             flat = [c for row in a1 for c in row] + [c for row in a2 for c in row]
-            return all(la.dot(r, flat) == 0 for r in rows)
+            return all(sum(a * b for a, b in zip(r, flat, strict=True)) == 0 for r in rows)
 
         rng = random.Random(31)
         # unitary commuting pairs satisfy the hypotheses outright ...

@@ -206,3 +206,24 @@ def test_algebras_built_through_make_algebra(name):
     bracket table is assembled by hand."""
     lines = _lie_algebra_calls(ast.parse((SRC / name).read_text(encoding="utf-8")))
     assert not lines, f"{name} calls LieAlgebra directly at lines {lines}"
+
+
+def _complex_structure_calls(tree: ast.Module) -> list[int]:
+    """Lines that call ``ComplexStructure`` directly, by name or as an
+    attribute; its static constructors ``standard`` and ``from_pairs`` pass."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "ComplexStructure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+@pytest.mark.parametrize("name", ["search.py", "shear.py", "verify.py"])
+def test_transpose_built_on_the_structure(name):
+    """The search, the shear route and the harness reach J^T and every
+    compatible basis through J (``ComplexStructure.transpose``, read by
+    ``hermitian.coordinate_basis``), so each is built and validated once per
+    J; none of them builds a complex structure of its own."""
+    lines = _complex_structure_calls(ast.parse((SRC / name).read_text(encoding="utf-8")))
+    assert not lines, f"{name} calls ComplexStructure directly at lines {lines}"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -23,10 +24,11 @@ from hermlie.hermitian import (
     Metric,
     balanced_inverse_form,
     classify_metric,
-    compatible_basis,
     condition_form,
+    coordinate_basis,
     fundamental_form,
     is_integrable,
+    kernel_span,
     sigma_of,
 )
 from hermlie.salamon import parse_salamon
@@ -43,7 +45,7 @@ from hermlie.search import (
 from hermlie.shear import _shear_map, build_shear, pre_shear_from_bracket, shear_kernel
 from hermlie import search as search_module
 
-from conftest import nullspace
+from conftest import commuting_change, nullspace
 
 Q = Fraction
 
@@ -66,6 +68,52 @@ class TestMetricParameterization:
         jt = al.linalg.transpose(J.matrix)
         for b in basis:
             assert al.linalg.mat_mul(jt, al.linalg.mat_mul(b, J.matrix)) == b
+
+
+class TestCoordinateBasis:
+    """J keeps its compatible basis and its transpose's, so the kernels of
+    both routes and the certificate check build each basis once per J."""
+
+    def test_each_kind_reads_a_kept_basis(self):
+        J = ComplexStructure.from_pairs(6, [(1, 2), (3, 5), (4, 6)])
+        for kind in KINDS:
+            assert coordinate_basis(J, kind) is coordinate_basis(J, kind), kind
+        assert coordinate_basis(J, "kahler") is coordinate_basis(J, "skt") is J.compatible_basis
+        assert J.transpose is J.transpose
+        assert J.transpose.matrix == al.linalg.transpose(J.matrix)
+        assert coordinate_basis(J, "balanced") is J.transpose.compatible_basis
+        with pytest.raises(ValueError):
+            coordinate_basis(J, "hermitian")
+
+    @staticmethod
+    def _count_bases(monkeypatch):
+        """The matrix of each J whose compatible basis is built from now on."""
+        built, build = [], ComplexStructure.compatible_basis.func
+
+        def counted(J):
+            built.append(J.matrix)
+            return build(J)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(ComplexStructure, "compatible_basis")
+        monkeypatch.setattr(ComplexStructure, "compatible_basis", prop)
+        return built
+
+    def test_certificate_check_builds_one_basis(self, cx_type_I, monkeypatch):
+        y = search_metric(cx_type_I, ComplexStructure.standard(6), "kahler").certificate
+        built = self._count_bases(monkeypatch)
+        assert check_certificate(cx_type_I, ComplexStructure.standard(6), "kahler", y)
+        assert len(built) == 1
+
+    def test_both_routes_build_two_bases_per_instance(self, monkeypatch):
+        """Every kernel of both routes, as criterion 3 takes them, from one
+        basis of J and one of J^T."""
+        data, _, J = random_complex_shear(0, "typeI", 6)
+        L = build_shear(data)
+        built = self._count_bases(monkeypatch)
+        for kind in KINDS:
+            assert kernel_span(shear_kernel(data, J, kind)) == kernel_span(condition_kernel(L, J, kind)), kind
+        assert built == [J.matrix, J.transpose.matrix]
 
 
 def _kform_residual(L, J, s, kind):
@@ -551,6 +599,38 @@ class TestFeasibility:
         digest = hashlib.sha256("\n".join(fields).encode()).hexdigest()
         assert digest == "fc871a8d44bbec4f2168a020edc9ee1411083748cd7b679d3d4ec39c7765dead"
 
+    def test_outcomes_follow_a_change_of_basis(self):
+        """For P = (A - JAJ) / 2, which commutes with J, a found witness G
+        maps to P^T G P on change_basis(L, P) and passes classify_metric
+        there.  A none certificate Y maps to P^-1 Y P^-T for Kahler and SKT,
+        and to P^T Y P for balanced, whose kernel lives in H = G^-1; it
+        passes check_certificate there.  The status of a search in the new
+        basis is not compared: an infeasible one can end not_found there."""
+        la = al.linalg
+        rng = random.Random("search-basis-change")
+        cases = [(parse_salamon(s), ComplexStructure.from_pairs(6, pairs), kind) for s, pairs, kind, _ in SEARCH_CASES]
+        for seed in range(6):
+            data, _, J = random_complex_shear(seed, "typeI", 8)
+            cases += [(build_shear(data), J, kind) for kind in KINDS]
+        outcomes = set()
+        for L, J, kind in cases:
+            result = search_metric(L, J, kind, SearchConfig(seeds=tuple(range(4))))
+            outcomes.add((result.status, kind))
+            p = commuting_change(J, rng)
+            moved, pt = al.change_basis(L, p), la.transpose(p)
+            if result.status == "found":
+                g = la.mat_mul(pt, la.mat_mul(la.mat(result.exact_metric), p))
+                assert classify_metric(moved, Metric(g), J)[kind], kind
+            elif result.status == "none":
+                y = la.mat(result.certificate)
+                if kind == "balanced":
+                    y = la.mat_mul(pt, la.mat_mul(y, p))
+                else:
+                    q = la.inverse(p)
+                    y = la.mat_mul(q, la.mat_mul(y, la.transpose(q)))
+                assert check_certificate(moved, J, kind, y), kind
+        assert {("found", kind) for kind in KINDS} | {("none", "kahler"), ("none", "balanced")} <= outcomes
+
     @pytest.mark.parametrize("dim,seed", [(8, 3), (10, 0)])
     def test_generated_shears_above_six(self, dim, seed):
         """typeI shears at d8 and d10 with a certified Kahler none, and the
@@ -651,7 +731,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("case", _packing_instances(), ids=lambda case: case[0])
     def test_equals_the_per_matrix_evaluation(self, case):
         _, L, J = case
-        assert compatible_basis(J) == reference_basis(J)
+        assert J.compatible_basis == reference_basis(J)
         for kind in KINDS:
             assert condition_kernel(L, J, kind) == reference_condition_kernel(L, J, kind), kind
         if al.is_two_step_solvable(L) and is_integrable(L, J):

@@ -25,6 +25,7 @@ from hermlie.hermitian import (
     ComplexStructure,
     Metric,
     balanced_inverse_form,
+    balanced_structural,
     classify_metric,
     coordinate_basis,
     is_integrable,
@@ -48,7 +49,7 @@ from hermlie.shear import (
     _shear_map,
 )
 
-from conftest import nijenhuis
+from conftest import commuting_change, nijenhuis
 
 Q = Fraction
 
@@ -652,24 +653,12 @@ class TestBalancedBoundary:
         assert checked >= 3
 
 
-def _commuting_change(J, rng):
-    """An invertible rational P = (A - J A J) / 2, which commutes with J, for
-    an int A drawn from rng; not unitary in general."""
-    n = J.dim
-    jm = J.matrix
-    while True:
-        a = la.mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        jaj = la.mat_mul(jm, la.mat_mul(a, jm))
-        p = la.mat_scale(Q(1, 2), la.mat_add(a, la.mat_scale(-1, jaj)))
-        if la.det(p):
-            return p
-
-
 class TestBasisChange:
     """(L, J, g) -> (P^-1 L P, J, P^T g P) for P commuting with J keeps every
-    shear verdict and every shear kernel dimension, and the balanced shear
-    kernel still spans the direct route's.  The closed normal forms give
-    true verdicts at d8 and d10, where the generated metrics give none."""
+    verdict of both routes, the structural balanced verdict and every kernel
+    dimension of both routes, and the balanced shear kernel still spans the
+    direct route's.  The closed normal forms give true verdicts at d8 and
+    d10, where the generated metrics give none."""
 
     @pytest.mark.parametrize("dim", [4, 6, 8, 10])
     def test_shear_route_is_invariant(self, dim):
@@ -680,12 +669,17 @@ class TestBasisChange:
             instances.append((f"closed-{params.pure_type}-d{dim}", pre_shear_from_bracket(L), g, J))
         verdicts = set()
         for name, data, g, J in instances:
-            p = _commuting_change(J, rng)
-            L = al.change_basis(build_shear(data), p)
+            p = commuting_change(J, rng)
+            L0 = build_shear(data)
+            L = al.change_basis(L0, p)
             moved = pre_shear_from_bracket(L)
             other = random_compatible_metric(dim, J, rng)
             for metric in (g, other):
                 pulled = Metric(la.mat_mul(la.transpose(p), la.mat_mul(metric.matrix, p)))
+                direct = classify_metric(L0, metric, J)
+                assert classify_metric(L, pulled, J) == direct, name
+                structural = balanced_structural(L0, metric, J).balanced
+                assert balanced_structural(L, pulled, J).balanced == structural == direct["balanced"], name
                 for kind in KINDS:
                     verdict = shear_condition(data, metric, J, kind)
                     assert shear_condition(moved, pulled, J, kind) == verdict, (name, kind)
@@ -693,8 +687,10 @@ class TestBasisChange:
             for kind in KINDS:
                 kernel = shear_kernel(moved, J, kind)
                 assert len(kernel) == len(shear_kernel(data, J, kind)), (name, kind)
+                direct = condition_kernel(L, J, kind)
+                assert len(direct) == len(condition_kernel(L0, J, kind)), (name, kind)
                 if kind == "balanced":
-                    assert kernel_span(kernel) == kernel_span(condition_kernel(L, J, kind)), name
+                    assert kernel_span(kernel) == kernel_span(direct), name
         assert verdicts == {True, False}
 
 
