@@ -44,6 +44,7 @@ from .hermitian import (
     UnitaryBasis,
     balanced_structural,
     classify_metric,
+    condition_kernel,
     fingerprint_distinguish,
     fundamental_form,
     hermitian_decomposition,
@@ -67,7 +68,6 @@ from .search import (
     SearchConfig,
     SearchResult,
     check_certificate,
-    condition_kernel,
     metric_parameterization,
     residual,
     search_metric,

@@ -185,12 +185,17 @@ class Metric:
         return Metric.from_frame(vectors, linalg.identity_matrix(len(vectors)))
 
 
+def require_dim(n: int, *structures) -> None:
+    """DimensionMismatchError unless every J and metric given acts on Q^n."""
+    if any(x.dim != n for x in structures):
+        raise DimensionMismatchError(f"J, metric and space dimensions differ from {n}")
+
+
 def sigma_of(J: ComplexStructure, g: Sequence[Sequence[int]], dg: int) -> tuple[dict[int, int], int] | None:
     """The two-form J^T g of a symmetric g with numerators over dg, on core bitmasks
     over dJ * dg, or None when g is not J-invariant; g need not be definite."""
+    require_dim(len(g), J)
     j, dj = J.ints
-    if len(g) != len(j):
-        raise DimensionMismatchError("metric and J dimensions differ")
     m = core.mat_mul(list(zip(*j)), g)
     if not core.is_skew(m):
         return None
@@ -238,8 +243,7 @@ class ComplexStructureReport:
 def validate_complex_structure(L: LieAlgebra, J: ComplexStructure) -> ComplexStructureReport:
     """Nijenhuis tensor on basis pairs, on numerators over dJ^2 * den(L):
     B(J e_i, J e_j) - J B(J e_i, e_j) - J B(e_i, J e_j) - dJ^2 B(e_i, e_j)."""
-    if J.dim != L.dim:
-        raise DimensionMismatchError("J and algebra dimensions differ")
+    require_dim(L.dim, J)
     b = L.ints
     rows, dj = J.ints
     cols = [list(c) for c in zip(*rows)]  # J e_i
@@ -270,6 +274,7 @@ def is_integrable(L: LieAlgebra, J: ComplexStructure) -> bool:
 
 def fundamental_form(L: LieAlgebra, g: Metric, J: ComplexStructure) -> KForm:
     """sigma = g(J., .) as a 2-form."""
+    require_dim(L.dim, g, J)
     nums, den = g.sigma_ints(J)
     return KForm.from_ints(L.dim, 2, nums, den)
 
@@ -277,13 +282,36 @@ def fundamental_form(L: LieAlgebra, g: Metric, J: ComplexStructure) -> KForm:
 KINDS = ("kahler", "balanced", "skt")
 
 
-def coordinate_basis(J: ComplexStructure, kind: str) -> tuple:
-    """``ComplexStructure.compatible_basis`` of the coordinates the maps of
-    ``kind`` are linear in: G for Kahler and SKT, H = G^-1 (compatible with
-    J^T) for balanced.  J keeps both bases, so each is built once per J."""
+def _require_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
+
+
+def coordinate_basis(J: ComplexStructure, kind: str) -> tuple:
+    """``ComplexStructure.compatible_basis`` of the coordinates X the maps of
+    ``kind`` are linear in: G for Kahler and SKT, H = G^-1 (compatible with
+    J^T) for balanced.  J keeps both bases, so each is built once per J."""
+    _require_kind(kind)
     return (J.transpose if kind == "balanced" else J).compatible_basis
+
+
+def coordinates(g: Metric, kind: str) -> tuple[list[list[int]], int]:
+    """The coordinates X of the metric g for ``kind``, as exact int
+    numerators over a denominator: g itself, or H = g^-1 for balanced."""
+    _require_kind(kind)
+    rows, den = g.ints
+    if kind == "balanced":  # g H = I is rows H = den I, over the elimination's denominator
+        return linalg.solve_ints(rows, [[den * (a == b) for b in range(len(rows))] for a in range(len(rows))])
+    return rows, den
+
+
+def metric_at(x: Sequence[Sequence], kind: str) -> Metric:
+    """The metric whose ``coordinates`` for ``kind`` are the rational matrix
+    x.  ``Metric`` checks x definite (InvalidMetricError) before x is
+    inverted for balanced, and the inverse of a definite x is definite."""
+    _require_kind(kind)
+    m = Metric(x)
+    return Metric(linalg.inverse(m.matrix)) if kind == "balanced" else m
 
 
 def condition_form(
@@ -337,6 +365,34 @@ def balanced_inverse_form(
     return core.differential(L.ints, form), dh * dj * L.ints.den
 
 
+def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
+    """Primitive int matrices spanning exactly the compatible symmetric X on
+    which the condition map of ``kind`` vanishes: the metrics G for Kahler
+    and SKT, the inverse metrics H (compatible with J^T) for balanced.  The
+    map runs once, on ``coordinate_basis`` packed into one int matrix
+    (``packed_kernel``)."""
+    require_dim(L.dim, J)
+    # Gains, with N = dim, M the largest numerator of J and the bracket (at
+    # least 1) and X standing for max |X|.  J^T X and -H J^T have entries at
+    # most N M X.  d of a k-form with coefficients at most c sums, on each
+    # (k+1)-subset, at most C(k+1, 2) N bracket numerators times coefficients
+    # (a pair in the subset, an index put back outside the rest), so it is at
+    # most C(k+1, 2) N M c; J* of a 3-form sums at most C(N, 3) <= N^3 / 6
+    # coefficients times 3 x 3 minors of J, so it is at most N^3 M^3 c:
+    #   kahler    d(J^T X)             <= 3N M (N M X)               = 3 N^2 M^2 X
+    #   balanced  d iota(-H J^T) vol   <= C(N-1, 2) N M (N M X)      <= N^4 M^2 X
+    #   skt       d J* d(J^T X)        <= 6N M N^3 M^3 (3 N^2 M^2 X) = 18 N^6 M^6 X
+    n, m = L.dim, core.height(J.ints[0], L.ints)
+    gains = {"kahler": 3 * n**2 * m**2, "balanced": n**4 * m**2, "skt": 18 * n**6 * m**6}
+
+    def outputs(p):
+        if kind == "balanced":
+            return [v for _, v in sorted(balanced_inverse_form(L, J, p, 1)[0].items())]
+        return [v for _, v in sorted(condition_form(L, J, *sigma_of(J, p, 1), kind)[0].items())]
+
+    return packed_kernel(coordinate_basis(J, kind), outputs, gains[kind])
+
+
 @dataclass(frozen=True)
 class MetricVerdicts:
     kahler: bool
@@ -357,8 +413,7 @@ def condition_forms(
     When d sigma = 0 it stands for all three: Kahler implies the other two,
     whose forms are then exactly zero and are not computed."""
     L.require_validated()
-    if J.dim != L.dim:
-        raise DimensionMismatchError("J and algebra dimensions differ")
+    require_dim(L.dim, J)
     if not allow_nonintegrable and not is_integrable(L, J):
         raise NotIntegrableError("Nijenhuis tensor does not vanish; pass allow_nonintegrable to force")
     sigma, den = g.sigma_ints(J)
@@ -419,11 +474,13 @@ def j_adapted_split(
     a_r inside a, U_r = a_r + J a_r, and U_J the g-orthogonal complement of
     a + Ja.  The four are orthogonal and a_J, U_r, U_J are J-invariant.
     """
+    require_dim(a.ambient_dim, g, J)
     parts = _split_ints(a.ints, g.ints[0], J.ints[0])
     return tuple(Subspace(a.ambient_dim, p) for p in parts)
 
 
 def hermitian_decomposition(L: LieAlgebra, g: Metric, J: ComplexStructure) -> HermitianDecomposition:
+    require_dim(L.dim, g, J)
     parts = _split_ints(L.derived_ints, g.ints[0], J.ints[0])
     derg, derg_J, derg_r, V_r, V_J = (Subspace(L.dim, p) for p in (L.derived_ints, *parts))
     s, r, ell = derg_J.dim // 2, derg_r.dim, V_J.dim // 2
@@ -515,6 +572,7 @@ def unitary_basis(S: Subspace, g: Metric, J: ComplexStructure, order: Sequence[i
     different (equally valid) unitary basis; structural criteria must not
     depend on this choice.
     """
+    require_dim(S.ambient_dim, g, J)
     dj, dg = J.ints[1], g.ints[1]
     vectors: list[Vector] = []
     norms: list[Fraction] = []
@@ -548,6 +606,7 @@ def balanced_structural(
     three collapse to C = 0.  Everything runs on numerators: the bracket
     over den(L), J over dJ, g over dg; only C leaves as Fractions.
     """
+    require_dim(L.dim, g, J)
     if not is_two_step_solvable(L):
         raise NotTwoStepSolvableError("structural criterion requires a two-step solvable algebra")
     if not g.compatible_with(J):
@@ -611,6 +670,7 @@ def splice_metric(
     The result restricts to g_inner on S, to g_outer on the g_outer
     orthogonal complement of S, and makes the two orthogonal.
     """
+    require_dim(S.ambient_dim, J, g_inner, g_outer)
     _require_j_invariant(S.ints, J, "splice subspace must be J-invariant")
     if not (g_inner.compatible_with(J) and g_outer.compatible_with(J)):
         raise IncompatibleMetricError("both metrics must be compatible with J")

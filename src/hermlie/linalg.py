@@ -36,22 +36,12 @@ def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
 
 
-def unit_vec(n: int, i: int) -> Vector:
-    """Standard basis vector e_i, 1-indexed."""
-    return tuple(ONE if j == i - 1 else ZERO for j in range(n))
-
-
 def add_vec(u: Sequence, v: Sequence) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def sub_vec(u: Sequence, v: Sequence) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def scale_vec(c, u: Sequence) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
 
 
 def neg_vec(u: Sequence) -> Vector:
@@ -76,7 +66,7 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(unit_vec(n, i + 1) for i in range(n))
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -109,7 +99,8 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(scale_vec(c, r) for r in a)
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in r) for r in a)
 
 
 def matrix_from_columns(cols: Sequence[Sequence]) -> Matrix:

@@ -4,9 +4,9 @@ Each kind is linear in its own coordinates: Kahler and SKT in the metrics
 G (``hermitian.condition_form``), balanced in the inverse metrics H = G^-1,
 which are compatible with J^T (``hermitian.balanced_inverse_form``).  So the
 special metrics are the definite matrices of the exact rational kernel K of
-that map (``condition_kernel``, which runs the map once, on the compatible
-basis packed into one int matrix), and the search decides whether K meets
-the positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
+that map (``hermitian.condition_kernel``, which runs the map once, on the
+compatible basis packed into one int matrix), and the search decides whether
+K meets the positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
 tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
 eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*, 11.4).
 A start X_0 that is already definite has s = -lambda_min(X_0) < 0, so
@@ -33,17 +33,17 @@ import numpy as np
 
 from . import core, linalg
 from .algebra import LieAlgebra, is_two_step_solvable
-from .errors import InvalidMetricError, NotAComplexStructureError, NotIntegrableError
+from .errors import InvalidMetricError, NotIntegrableError
 from .hermitian import (
     KINDS,
     ComplexStructure,
     Metric,
-    balanced_inverse_form,
     condition_form,
+    condition_kernel,
     coordinate_basis,
     is_integrable,
-    packed_kernel,
-    sigma_of,
+    metric_at,
+    require_dim,
     squared_norm,
 )
 from .shear import pre_shear_from_bracket, shear_kernel
@@ -51,39 +51,8 @@ from .shear import pre_shear_from_bracket, shear_kernel
 
 def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> tuple:
     """``ComplexStructure.compatible_basis`` of a J of the algebra's dimension."""
-    if J.dim != L.dim:
-        raise NotAComplexStructureError("J does not match the algebra's dimension")
+    require_dim(L.dim, J)
     return coordinate_basis(J, "kahler")
-
-
-def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
-    """Primitive int matrices spanning exactly the compatible symmetric X on
-    which the condition map of ``kind`` vanishes: the metrics G for Kahler
-    and SKT, the inverse metrics H (compatible with J^T) for balanced.  The
-    map runs once, on ``hermitian.coordinate_basis`` packed into one int
-    matrix (``hermitian.packed_kernel``)."""
-    if J.dim != L.dim:
-        raise NotAComplexStructureError("J does not match the algebra's dimension")
-    basis = coordinate_basis(J, kind)
-    # Gains, with N = dim, M the largest numerator of J and the bracket (at
-    # least 1) and X standing for max |X|.  J^T X and -H J^T have entries at
-    # most N M X.  d of a k-form with coefficients at most c sums, on each
-    # (k+1)-subset, at most C(k+1, 2) N bracket numerators times coefficients
-    # (a pair in the subset, an index put back outside the rest), so it is at
-    # most C(k+1, 2) N M c; J* of a 3-form sums at most C(N, 3) <= N^3 / 6
-    # coefficients times 3 x 3 minors of J, so it is at most N^3 M^3 c:
-    #   kahler    d(J^T X)             <= 3N M (N M X)               = 3 N^2 M^2 X
-    #   balanced  d iota(-H J^T) vol   <= C(N-1, 2) N M (N M X)      <= N^4 M^2 X
-    #   skt       d J* d(J^T X)        <= 6N M N^3 M^3 (3 N^2 M^2 X) = 18 N^6 M^6 X
-    n, m = L.dim, core.height(J.ints[0], L.ints)
-    gain = {"kahler": 3 * n**2 * m**2, "balanced": n**4 * m**2, "skt": 18 * n**6 * m**6}[kind]
-
-    def outputs(p):
-        if kind == "balanced":
-            return [v for _, v in sorted(balanced_inverse_form(L, J, p, 1)[0].items())]
-        return [v for _, v in sorted(condition_form(L, J, *sigma_of(J, p, 1), kind)[0].items())]
-
-    return packed_kernel(basis, outputs, gain)
 
 
 def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
@@ -280,13 +249,12 @@ def _round_certificate(Y: np.ndarray, kernel):
 
 
 def _witness(L, J, kind, kernel, centre):
-    """The exact metric snapped from the float point ``centre`` of K, or
-    None when the snap is not definite, and whether ``condition_form`` of
-    ``kind`` vanishes on its sigma, for balanced independently of the H-map."""
+    """The exact metric at the coordinates snapped from the float point
+    ``centre`` of K, or None when the snap is not definite, and whether
+    ``condition_form`` of ``kind`` vanishes on its sigma, for balanced
+    independently of the H-map."""
     try:
-        exact = Metric(_snap(kernel, centre))
-        if kind == "balanced":  # H is definite, so G = H^-1 is too
-            exact = Metric(linalg.inverse(exact.matrix))
+        exact = metric_at(_snap(kernel, centre), kind)
     except InvalidMetricError:
         return None, False
     return exact.matrix, not condition_form(L, J, *exact.sigma_ints(J), kind)[0]

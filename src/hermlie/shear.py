@@ -18,12 +18,12 @@ Balanced is d iota(-H J^T) vol = 0 for H = g^-1 (Michelsohn, Acta Math.
 149, 1982); Koszul's duality of Lie algebra homology and cohomology (Bull.
 SMF 78, 1950) turns that (2n-1)-form into the vector above, up to a nonzero
 factor.  P is skew, as H is compatible with J^T.  Each equation is one map,
-linear in the numerators of sigma = J^T g (Kahler), of H (balanced) or of g
-(torsion), to its values on the basis subsets.  At g it gives the verdict
-(``shear_condition``); run once on the compatible basis of those
-coordinates packed into one int matrix (``hermitian.packed_kernel``) it
-gives the shear route's own exact kernel (``shear_kernel``), whose span
-must equal that of the direct route's ``search.condition_kernel``.
+linear in the numerators of X, g for Kahler and torsion and H for balanced
+(``hermitian.coordinates``), to its values on the basis subsets.  At X of g
+it gives the verdict (``shear_condition``); run once on the compatible basis
+of X packed into one int matrix (``hermitian.packed_kernel``) it gives the
+shear route's own exact kernel (``shear_kernel``), whose span must equal
+that of the direct route's ``hermitian.condition_kernel``.
 
 Both torsion terms are antisymmetric in their first two slots and the
 first also in its last two, so, as for a wedge of two-forms, the
@@ -46,7 +46,6 @@ from typing import Sequence
 from . import core, linalg
 from .algebra import LieAlgebra, Subspace, image_of_bracket, in_span
 from .errors import (
-    DimensionMismatchError,
     IncompatibleMetricError,
     InvalidPreShearError,
     JacobiFailedError,
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .forms import VectorValuedTwoForm
 from .hermitian import (
-    ComplexStructure, Metric, coordinate_basis, is_integrable, j_adapted_split, packed_kernel
+    ComplexStructure, Metric, coordinate_basis, coordinates, is_integrable, j_adapted_split, packed_kernel, require_dim
 )
 from .linalg import Matrix, Vector
 
@@ -132,8 +131,7 @@ def check_complex_shear(data: PreShearData, J: ComplexStructure) -> ComplexShear
     """Jacobi and the integrability of J on the algebra the data builds: two
     cached facts of that algebra, the second decided once per (L, J) by
     ``hermitian.is_integrable``."""
-    if J.dim != data.dim:
-        raise DimensionMismatchError("J and shear data dimensions differ")
+    require_dim(data.dim, J)
     if not data.pre_shear.valid:
         raise InvalidPreShearError("not pre-shear data: form does not vanish on a or leaves a")
     L = data.algebra
@@ -164,8 +162,8 @@ def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
     """The Kahler (tau), balanced or torsion equations as one map to their
     values on the basis 3-subsets (``combinations`` order), on the basis or
     on the basis 4-subsets, ints linear in its argument: the numerators of
-    sigma = J^T g for Kahler, of H = g^-1 for balanced, of the symmetric g
-    for torsion.  What does not depend on g is built once."""
+    the symmetric X of ``hermitian.coordinates``, g for Kahler and torsion
+    and H = g^-1 for balanced.  What does not depend on X is built once."""
     n2 = data.dim
     w = data.omega.ints
     ob = w.on_basis  # (x, y) -> w(e_x, e_y), 0-indexed
@@ -173,9 +171,10 @@ def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
     if kind == "kahler":
         triples = list(combinations(range(n2), 3))
 
-        def tau(sig):
-            # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic
-            cols = list(zip(*sig))
+        def tau(gm):
+            # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic; the columns
+            # of sigma = J^T g are the rows of g J, as g is symmetric
+            cols = core.mat_mul(gm, jm)
             for i, j, k in triples:
                 yield core.dot(ob[(i, j)], cols[k]) + core.dot(ob[(j, k)], cols[i]) + core.dot(ob[(k, i)], cols[j])
 
@@ -235,52 +234,33 @@ def shear_condition(data: PreShearData, g: Metric, J: ComplexStructure, kind: st
 
     ``kind`` is one of "kahler", "balanced", "skt".  The flat structure
     (g, J) may be any compatible pair; it is the one transported to the
-    sheared algebra.  Each kind holds when its ``_shear_map`` vanishes, at
-    sigma = J^T g, at H = g^-1 or at g.
+    sheared algebra.  Each kind holds when its ``_shear_map`` vanishes at the
+    ``hermitian.coordinates`` of g: g itself, or H = g^-1 for balanced.
     """
     _require_complex(data, J)
-    if J.dim != g.dim:
-        raise DimensionMismatchError("metric and J dimensions differ")
-    (jm, _), (gm, _) = J.ints, g.ints
-    # sigma = J^T g; as J^2 = -1, g is J-invariant exactly when sigma is skew
-    sig = core.mat_mul(list(zip(*jm)), gm)
-    if not core.is_skew(sig):
+    if not g.compatible_with(J):
         raise IncompatibleMetricError("metric is not compatible with J")
-    if kind == "kahler":
-        arg = sig
-    elif kind == "balanced":  # the numerators of H, over a denominator the zero test ignores
-        arg = linalg.solve_ints(gm, [[int(a == b) for b in range(g.dim)] for a in range(g.dim)])[0]
-    elif kind == "skt":
-        arg = gm
-    else:
-        raise ValueError(f"unknown condition kind: {kind}")
-    return not any(_shear_map(data, J, kind)(arg))
+    x, _ = coordinates(g, kind)  # the zero test ignores the denominator
+    return not any(_shear_map(data, J, kind)(x))
 
 
 def shear_kernel(data: PreShearData, J: ComplexStructure, kind: str) -> tuple:
     """Primitive int matrices spanning exactly the compatible symmetric X on
     which the shear equations of ``kind`` vanish, in the coordinates and
-    format of ``search.condition_kernel`` (``hermitian.coordinate_basis``):
-    ``_shear_map`` run once on the packed basis (through J^T X for Kahler),
-    and its kernel."""
+    format of ``hermitian.condition_kernel`` (``hermitian.coordinate_basis``):
+    ``_shear_map`` run once on the packed basis, and its kernel."""
     _require_complex(data, J)
-    basis = coordinate_basis(J, kind)
-    jm, _ = J.ints
-    equations = _shear_map(data, J, kind)
     # Gains, with N = dim, M the largest numerator of J and w (at least 1) and
-    # X standing for max |X|, as sums of products.  Kahler: J^T X <= N M X and
+    # X standing for max |X|, as sums of products.  Kahler: X J <= N M X and
     # tau sums three dot products of it with w(e_i, e_j), so tau <= 3 N^2 M^2 X.
     # Balanced: P = X J^T <= N M X and chi_a <= N M, so a value is at most
     # C(N, 2) M (N M X) + N (N M X) (N M) <= 2 N^3 M^2 X.
     # Torsion: w(J e_x, J e_y) <= N^2 M^3, so g w(J e_x, J e_y) <= N^3 M^3 X and
     # alt <= 2 N^3 M^3 X; each of the six splits adds N M (N^3 M^3 X) +
     # N M (2 N^3 M^3 X) = 3 N^4 M^4 X, so a value is at most 18 N^4 M^4 X.
-    n, m = data.dim, core.height(jm, data.omega.ints)
-    gain = {"kahler": 3 * n**2 * m**2, "balanced": 2 * n**3 * m**2, "skt": 18 * n**4 * m**4}[kind]
-    if kind == "kahler":
-        jt = list(zip(*jm))
-        return packed_kernel(basis, lambda p: equations(core.mat_mul(jt, p)), gain)
-    return packed_kernel(basis, equations, gain)
+    n, m = data.dim, core.height(J.ints[0], data.omega.ints)
+    gains = {"kahler": 3 * n**2 * m**2, "balanced": 2 * n**3 * m**2, "skt": 18 * n**4 * m**4}
+    return packed_kernel(coordinate_basis(J, kind), _shear_map(data, J, kind), gains[kind])
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,14 @@ from .hermitian import (
     Metric,
     balanced_structural,
     classify_metric,
+    condition_kernel,
+    coordinates,
     fingerprint_distinguish,
     fundamental_form,
     hermitian_decomposition,
     kahler_from_skt_and_balanced_typeII,
     kernel_span,
+    metric_at,
     normalize_skt_typeII,
 )
 from .normal_forms import (
@@ -48,7 +51,7 @@ from .normal_forms import (
     skt_typeII_normal_form,
 )
 from .salamon import parse_salamon
-from .search import SearchConfig, check_certificate, condition_kernel, search_kernel, search_metric
+from .search import SearchConfig, check_certificate, search_kernel, search_metric
 from .shear import build_shear, shear_condition, shear_kernel
 
 Q = Fraction
@@ -332,14 +335,14 @@ def _kernel_source(L, J, kind: str, kernel):
     if not found.exact_verified:
         assert found.status != "found", f"{kind} search: uncertified witness"
         return None
-    centre = linalg.inverse(found.exact_metric) if kind == "balanced" else found.exact_metric
-    return kind, centre, kernel
+    rows, den = coordinates(Metric(found.exact_metric), kind)
+    return kind, linalg.mat_scale(Fraction(1, den), rows), kernel
 
 
 def _kernel_metric(source, rng: random.Random) -> Metric:
-    """A metric satisfying the source's kind: a random definite rational
-    point of its kernel near the certified one, shrunk until ``Metric``'s
-    exact test passes (the inverse of that point for balanced)."""
+    """A metric satisfying the source's kind: the metric at a random
+    definite rational point of its kernel near the certified one, the move
+    shrunk until ``metric_at`` finds the point definite."""
     kind, centre, kernel = source
     n = len(centre)
     coeffs = [rand_fraction(rng, -2, 2, 4) for _ in kernel]
@@ -347,11 +350,9 @@ def _kernel_metric(source, rng: random.Random) -> Metric:
     step = Fraction(1, 2 * max(abs(c) for m in kernel for row in m for c in row))
     while True:
         try:
-            x = Metric(linalg.mat_add(centre, linalg.mat_scale(step, move)))
+            return metric_at(linalg.mat_add(centre, linalg.mat_scale(step, move)), kind)
         except InvalidMetricError:
             step /= 2
-            continue
-        return Metric(linalg.inverse(x.matrix)) if kind == "balanced" else x
 
 
 def criterion_compatibility_pipeline() -> dict:

@@ -74,6 +74,16 @@ def ghat_type_III():
     return Metric.from_orthonormal_frame(frame)
 
 
+def unit_vec(n, i):
+    """Standard basis vector e_i, 1-indexed."""
+    return tuple(Q(int(j == i - 1)) for j in range(n))
+
+
+def scale_vec(c, u):
+    c = Q(c)
+    return tuple(c * a for a in u)
+
+
 def random_table(rng: random.Random, dim: int, entries: int):
     """A random (usually Jacobi-violating) sparse bracket table."""
     seen = set()
@@ -118,14 +128,18 @@ def nullspace(m):
     return tuple(core.fractions(x, den) for x in basis)
 
 
+def commuting_part(J, a):
+    """P = (A - J A J) / 2, which commutes with J, for an int matrix A."""
+    a = la.mat(a)
+    jaj = la.mat_mul(J.matrix, la.mat_mul(a, J.matrix))
+    return la.mat_scale(Q(1, 2), la.mat_add(a, la.mat_scale(-1, jaj)))
+
+
 def commuting_change(J, rng):
-    """An invertible rational P = (A - J A J) / 2, which commutes with J, for
-    an int A drawn from rng; not unitary in general."""
+    """An invertible ``commuting_part`` of an int A drawn from rng; not
+    unitary in general."""
     n = J.dim
-    jm = J.matrix
     while True:
-        a = la.mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        jaj = la.mat_mul(jm, la.mat_mul(a, jm))
-        p = la.mat_scale(Q(1, 2), la.mat_add(a, la.mat_scale(-1, jaj)))
+        p = commuting_part(J, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         if la.det(p):
             return p

@@ -14,13 +14,13 @@ from hermlie.errors import (
 from hermlie.generators import random_complex_shear
 from hermlie.shear import build_shear
 
-from conftest import bracket_basis, nullspace, random_table
+from conftest import bracket_basis, nullspace, random_table, unit_vec
 
 Q = Fraction
 
 
 def e(n, i):
-    return la.unit_vec(n, i)
+    return unit_vec(n, i)
 
 
 class TestMakeAlgebra:
@@ -127,7 +127,7 @@ def reference_change_basis(L, p):
     pair, with P^-1 from the reduced echelon form of [P | I] and rational
     brackets."""
     n = L.dim
-    reduced, pivots = la.rref([list(r) + list(la.unit_vec(n, i + 1)) for i, r in enumerate(p)])
+    reduced, pivots = la.rref([list(r) + list(unit_vec(n, i + 1)) for i, r in enumerate(p)])
     if len(reduced) < n or pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
     p_inv = tuple(tuple(row[n:]) for row in reduced)

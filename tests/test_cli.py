@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -9,8 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hermlie import algebra as al
 from hermlie import documents
+from hermlie import linalg as la
 from hermlie.cli import main
+from hermlie.shear import build_shear, pre_shear_from_bracket
+
+from conftest import commuting_change
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -864,6 +870,58 @@ def _reentrant_calls():
         yield ("shear", data, "--kind", kind, "--cross-check")
     yield ("shear", data, "--kind", "build")
     yield ("catalog",)
+
+
+class TestBasisChange:
+    """The reports survive a change of basis by P = (A - JAJ)/2, which
+    commutes with J: on documents of (P^-1 [P., P.], J, P^T g P), describe
+    gives the same fingerprint, check the same verdicts, decomposition and
+    zero pattern of residuals, and shear --cross-check the same verdicts,
+    in agreement with the direct route."""
+
+    @staticmethod
+    def _moved(L, J, g, rng):
+        p = commuting_change(J, rng)
+        return al.change_basis(L, p), _matrix_doc(la.mat_mul(la.transpose(p), la.mat_mul(g.matrix, p)))
+
+    @staticmethod
+    def _checked(capsys, *argv):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code in (0, 1), err
+        report = json.loads(out)
+        zero = {kind: r == 0.0 for kind, r in report["residuals"].items()}
+        return code, report["verdicts"], report["decomposition"], zero
+
+    @pytest.mark.parametrize("name", DEMO_ALGEBRAS)
+    def test_describe_and_check(self, capsys, tmp_path, name):
+        alg, structure = str(DEMO_DATA / f"{name}.json"), str(DEMO_DATA / "standard_structure.json")
+        doc = _demo("standard_structure")
+        J, g = documents.load_complex_structure(doc, 6), documents.load_metric(doc, 6)
+        moved, metric = self._moved(documents.load_algebra(_demo(name)), J, g, random.Random(name))
+        moved_alg = _write(tmp_path, "moved.json", documents.algebra_doc(moved))
+        moved_st = _write(tmp_path, "moved-structure.json", {"J": doc["J"], "metric": metric})
+        fingerprints = [json.loads(run_cli(capsys, "describe", path)[1])["fingerprint"] for path in (alg, moved_alg)]
+        assert fingerprints[0] == fingerprints[1]
+        for condition in CONDITIONS:
+            before = self._checked(capsys, alg, structure, "--condition", condition)
+            assert self._checked(capsys, moved_alg, moved_st, "--condition", condition) == before, condition
+
+    def test_shear(self, capsys, tmp_path):
+        source = _demo("counterexample_shear")
+        data, g, J = documents.load_shear_data(source)
+        moved, metric = self._moved(build_shear(data), J, g, random.Random("counterexample_shear"))
+        doc = _shear_doc(pre_shear_from_bracket(moved))
+        doc.update(J=source["J"], metric=metric)
+        paths = (str(DEMO_DATA / "counterexample_shear.json"), _write(tmp_path, "moved-shear.json", doc))
+        verdicts = set()
+        for kind in SHEAR_KINDS:
+            before, after = (run_cli(capsys, "shear", path, "--kind", kind, "--cross-check") for path in paths)
+            assert after[0] == before[0], kind
+            reports = [json.loads(out) for _, out, _ in (before, after)]
+            assert reports[1]["verdicts"] == reports[0]["verdicts"], kind
+            assert reports[1]["cross_check"]["agreement"] is True, kind
+            verdicts.add(reports[1]["verdicts"][kind])
+        assert verdicts == {True, False}
 
 
 class TestReentrant:

@@ -6,11 +6,13 @@ from hermlie import algebra as al
 from hermlie import forms as fm
 from hermlie import linalg as la
 
+from conftest import scale_vec, unit_vec
+
 Q = Fraction
 
 
 def e(n, i):
-    return la.unit_vec(n, i)
+    return unit_vec(n, i)
 
 
 def wedge_bruteforce(a, b, vectors):
@@ -150,8 +152,8 @@ class TestVectorValuedTwoForm:
         target = al.Subspace.span(4, [e(4, 1)])
         w = fm.VectorValuedTwoForm(4, target, {(2, 3): e(4, 1)})
         x, y = la.vec([0, 1, 1, 0]), la.vec([0, 2, -1, 0])
-        assert w(x, y) == la.scale_vec(-3, e(4, 1))
-        assert w(y, x) == la.scale_vec(3, e(4, 1))
+        assert w(x, y) == scale_vec(-3, e(4, 1))
+        assert w(y, x) == scale_vec(3, e(4, 1))
 
     def test_image_detection(self):
         target = al.Subspace.span(4, [e(4, 1)])

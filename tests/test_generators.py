@@ -28,6 +28,8 @@ from hermlie.salamon import parse_salamon
 from hermlie.shear import build_shear, check_complex_shear
 from hermlie import linalg as la
 
+from conftest import unit_vec
+
 
 class TestRandomUnitary:
     def test_orthogonal_and_j_commuting(self):
@@ -75,7 +77,7 @@ class TestRandomComplexShear:
                 # the data's form kills the subspace a entirely
                 for pair in data.omega.values:
                     for v in data.a.basis():
-                        assert la.is_zero_vec(data.omega(v, la.unit_vec(dim, pair[0])))
+                        assert la.is_zero_vec(data.omega(v, unit_vec(dim, pair[0])))
 
     def test_typeII_profile_type(self):
         for seed in range(4):

@@ -9,6 +9,7 @@ from hermlie import core
 from hermlie import forms as fm
 from hermlie import linalg as la
 from hermlie.errors import (
+    DimensionMismatchError,
     IncompatibleMetricError,
     InvalidMetricError,
     NotAComplexStructureError,
@@ -19,31 +20,94 @@ from hermlie.errors import (
 from hermlie.catalog import witness_lists
 from hermlie.generators import FIXED_DIMS, PROFILES, random_complex_shear, random_compatible_metric
 from hermlie.hermitian import (
+    KINDS,
     ComplexStructure,
     Metric,
     balanced_inverse_form,
     balanced_structural,
     classify_metric,
+    condition_kernel,
+    coordinates,
     fingerprint_distinguish,
     fundamental_form,
     hermitian_decomposition,
     is_integrable,
+    j_adapted_split,
     kahler_from_skt_and_balanced_typeII,
+    metric_at,
     normalize_skt_typeII,
     splice_metric,
     unitary_basis,
     validate_complex_structure,
 )
 from hermlie.salamon import parse_salamon
-from hermlie.shear import build_shear
+from hermlie.search import check_certificate, metric_parameterization
+from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition
 
-from conftest import nijenhuis, nullspace
+from conftest import nijenhuis, nullspace, scale_vec, unit_vec
 
 Q = Fraction
 
 
 def e(n, i):
-    return la.unit_vec(n, i)
+    return unit_vec(n, i)
+
+
+# A 4x4 J or metric against the 6-dimensional (0,21,0,0,43,0), and one
+# unknown kind: each entry point, as a call on that algebra, and its error
+G6, J6, G4, J4 = Metric.identity(6), ComplexStructure.standard(6), Metric.identity(4), ComplexStructure.standard(4)
+FULL6 = al.Subspace.full(6)
+REFUSALS = {
+    "hermitian_decomposition-J": (lambda L: hermitian_decomposition(L, G6, J4), DimensionMismatchError),
+    "hermitian_decomposition-g": (lambda L: hermitian_decomposition(L, G4, J6), DimensionMismatchError),
+    "j_adapted_split-J": (lambda L: j_adapted_split(FULL6, G6, J4), DimensionMismatchError),
+    "j_adapted_split-g": (lambda L: j_adapted_split(FULL6, G4, J6), DimensionMismatchError),
+    "unitary_basis-J": (lambda L: unitary_basis(FULL6, G6, J4), DimensionMismatchError),
+    "unitary_basis-g": (lambda L: unitary_basis(FULL6, G4, J6), DimensionMismatchError),
+    "fundamental_form": (lambda L: fundamental_form(L, G4, J4), DimensionMismatchError),
+    "balanced_structural": (lambda L: balanced_structural(L, G4, J4), DimensionMismatchError),
+    "splice_metric": (lambda L: splice_metric(L, J4, G4, G4, FULL6), DimensionMismatchError),
+    "condition_kernel": (lambda L: condition_kernel(L, J4, "kahler"), DimensionMismatchError),
+    "metric_parameterization": (lambda L: metric_parameterization(L, J4), DimensionMismatchError),
+    "check_certificate": (lambda L: check_certificate(L, J4, "kahler", G6.matrix), DimensionMismatchError),
+    "shear_condition-g": (lambda L: shear_condition(pre_shear_from_bracket(L), G4, J6, "skt"), DimensionMismatchError),
+    "shear_condition-kind": (lambda L: shear_condition(pre_shear_from_bracket(L), G6, J6, "hermitian"), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
+def test_wrong_size_or_kind_is_refused(cx_type_I, call, error):
+    """A J or metric of the wrong size is a DimensionMismatchError at every
+    entry point: not an IndexError, not the J^2 != -1 error, and never a
+    result.  An unknown kind is a ValueError."""
+    with pytest.raises(error):
+        call(cx_type_I)
+
+
+class TestCoordinates:
+    """``coordinates`` and ``metric_at`` are inverse to each other: g for
+    Kahler and SKT, H = g^-1 for balanced."""
+
+    def test_round_trip(self):
+        rng = random.Random(3)
+        J = ComplexStructure.from_pairs(6, [(1, 2), (3, 5), (4, 6)])
+        for _ in range(3):
+            g = random_compatible_metric(6, J, rng)
+            for kind in KINDS:
+                rows, den = coordinates(g, kind)
+                x = la.mat(core.fractions(row, den) for row in rows)
+                if kind == "balanced":
+                    assert la.mat_mul(x, g.matrix) == la.identity_matrix(6)
+                else:
+                    assert x == g.matrix, kind
+                assert metric_at(x, kind) == g, kind
+
+    def test_indefinite_coordinates_are_refused_before_inversion(self):
+        for kind in KINDS:
+            with pytest.raises(InvalidMetricError):
+                metric_at([[1, 0], [0, 0]], kind)
+        with pytest.raises(ValueError, match="unknown condition kind"):
+            coordinates(G6, "hermitian")
 
 
 class TestComplexStructure:
@@ -493,8 +557,8 @@ class TestUnitaryEndomorphismProperty:
             def u2_block(a, b):
                 j2 = ((Q(0), Q(-1)), (Q(1), Q(0)))
                 z2 = ((Q(0), Q(0)), (Q(0), Q(0)))
-                top = tuple(la.scale_vec(a, r) for r in j2)
-                bot = tuple(la.scale_vec(b, r) for r in j2)
+                top = tuple(scale_vec(a, r) for r in j2)
+                bot = tuple(scale_vec(b, r) for r in j2)
                 return la.mat(
                     [tuple(top[i]) + tuple(z2[0]) for i in range(2)]
                     + [tuple(z2[0]) + tuple(bot[i]) for i in range(2)]

@@ -227,3 +227,36 @@ def test_transpose_built_on_the_structure(name):
     J; none of them builds a complex structure of its own."""
     lines = _complex_structure_calls(ast.parse((SRC / name).read_text(encoding="utf-8")))
     assert not lines, f"{name} calls ComplexStructure directly at lines {lines}"
+
+
+def _exact_inversions(tree: ast.Module) -> list[int]:
+    """Lines that call ``linalg.inverse`` or ``linalg.solve_ints``, by name
+    or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & {"inverse", "solve_ints"}
+    ]
+
+
+@pytest.mark.parametrize("name", ["search.py", "shear.py", "verify.py"])
+def test_coordinates_converted_by_hermitian(name):
+    """The search, the shear route and the harness move between a metric g
+    and the coordinates X of a kind (g, or H = g^-1 for balanced) only
+    through ``hermitian.coordinates`` and ``hermitian.metric_at``; none of
+    them inverts a metric exactly."""
+    lines = _exact_inversions(ast.parse((SRC / name).read_text(encoding="utf-8")))
+    assert not lines, f"{name} inverts exactly at lines {lines}"
+
+
+def test_condition_kernel_defined_in_hermitian():
+    """The direct kernel and its packing bound live next to the maps it
+    packs (``condition_form``, ``balanced_inverse_form``, ``packed_kernel``)."""
+    homes = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "condition_kernel"
+    ]
+    assert homes == ["hermitian.py"], homes

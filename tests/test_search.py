@@ -25,6 +25,7 @@ from hermlie.hermitian import (
     balanced_inverse_form,
     classify_metric,
     condition_form,
+    condition_kernel,
     coordinate_basis,
     fundamental_form,
     is_integrable,
@@ -37,7 +38,6 @@ from hermlie.search import (
     _derivatives,
     _trace_slice,
     check_certificate,
-    condition_kernel,
     metric_parameterization,
     residual,
     search_metric,
@@ -695,15 +695,11 @@ def reference_condition_kernel(L, J, kind):
 
 def reference_shear_kernel(data, J, kind):
     """The shear map evaluated on one basis matrix at a time: the metrics G
-    for Kahler (through J^T G) and SKT, the inverse metrics H, compatible
-    with J^T, for balanced."""
-    jt = al.linalg.transpose(J.ints[0])
+    for Kahler and SKT, the inverse metrics H, compatible with J^T, for
+    balanced."""
     equations = _shear_map(data, J, kind)
     basis = reference_basis(ComplexStructure(al.linalg.transpose(J.matrix)) if kind == "balanced" else J)
-    return reference_kernel(
-        basis,
-        lambda b: {i: v for i, v in enumerate(equations(core.mat_mul(jt, b) if kind == "kahler" else b)) if v},
-    )
+    return reference_kernel(basis, lambda b: {i: v for i, v in enumerate(equations(b)) if v})
 
 
 def _packing_instances():

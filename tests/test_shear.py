@@ -27,6 +27,7 @@ from hermlie.hermitian import (
     balanced_inverse_form,
     balanced_structural,
     classify_metric,
+    condition_kernel,
     coordinate_basis,
     is_integrable,
     j_adapted_split,
@@ -34,7 +35,7 @@ from hermlie.hermitian import (
     validate_complex_structure,
 )
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
-from hermlie.search import check_certificate, condition_kernel, search_metric
+from hermlie.search import check_certificate, search_metric
 from hermlie.shear import (
     OperatorIdentityReport,
     PreShearData,
@@ -49,13 +50,13 @@ from hermlie.shear import (
     _shear_map,
 )
 
-from conftest import commuting_change, nijenhuis
+from conftest import commuting_change, nijenhuis, scale_vec, unit_vec
 
 Q = Fraction
 
 
 def e(n, i):
-    return la.unit_vec(n, i)
+    return unit_vec(n, i)
 
 
 def zero_data(dim):
@@ -278,7 +279,7 @@ def _complex_shear_cases():
                 if ComplexStructure.standard(dim) != J:
                     structures.append(ComplexStructure.standard(dim))
                 first, *_ = data.omega.values
-                doubled = {pair: la.scale_vec(2 if pair == first else 1, v) for pair, v in data.omega.values.items()}
+                doubled = {pair: scale_vec(2 if pair == first else 1, v) for pair, v in data.omega.values.items()}
                 for k, J in enumerate(structures):
                     for name, values in (("data", data.omega.values), ("doubled", doubled)):
                         # fresh data each time: nothing is memoised yet
@@ -725,7 +726,7 @@ class TestShearOperators:
         # a_J basis is (Y1, JY1): K_X sends Y1 -> -alpha JY1, JY1 -> alpha Y1
         assert k_matrix == ((Q(0), alpha), (-alpha, Q(0)))
         (f_val,) = [v for k, v in ops.f.items() if k == (0, 0)]
-        assert f_val == la.scale_vec(-lam, e(4, 3))
+        assert f_val == scale_vec(-lam, e(4, 3))
 
     def test_identities_hold_on_random_data(self):
         cells = [(6, profile, range(4)) for profile in ("typeI", "typeII", "typeIII", "mixed")]

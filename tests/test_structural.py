@@ -26,12 +26,12 @@ from hermlie.hermitian import (
     UnitaryBasis,
     balanced_structural,
     classify_metric,
+    condition_kernel,
     hermitian_decomposition,
     kernel_span,
     splice_metric,
     unitary_basis,
 )
-from hermlie.search import condition_kernel
 from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition, shear_kernel
 
 from conftest import bracket_basis
