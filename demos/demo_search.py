@@ -2,11 +2,11 @@
 
 For each kind the special metrics are the definite matrices of one exact
 rational subspace K, so the search decides whether K meets the positive
-definite cone.  On the found side it snaps the analytic centre of K's
-trace-n slice to rationals and certifies it with the exact checks; on the
-other it rounds the dual of the Phase-I barrier to an exact positive
-semidefinite Y orthogonal to K, which proves that no compatible metric of
-that kind exists for this J.
+definite cone.  It first projects I onto K exactly: a definite projection P
+is the witness, certified with the exact checks, and otherwise a positive
+semidefinite I - P, which is orthogonal to K, proves that no compatible
+metric of that kind exists for this J.  Only when neither holds does the
+numerical solver run.  Each line names the route that decided.
 """
 
 import time
@@ -30,8 +30,8 @@ for label, salamon, kind in (
     L = parse_salamon(salamon)
     t0 = time.time()
     result = search_metric(L, J, kind)
-    print(f"{label}: {result.status} in {time.time()-t0:.3f}s, seed {result.seed}, "
-          f"{result.iterations} Newton steps")
+    print(f"{label}: {result.status} in {time.time()-t0:.3f}s by the {result.route}, "
+          f"seed {result.seed}, {result.iterations} Newton steps")
     if result.exact_verified:
         g = Metric(result.exact_metric)
         print("  exact certificate:", classify_metric(L, g, J))
@@ -39,7 +39,7 @@ for label, salamon, kind in (
 L = parse_salamon("(0,21,0,0,43,0)")
 t0 = time.time()
 result = search_metric(L, J, "kahler")
-print(f"closed form on the counterexample: {result.status} in {time.time()-t0:.3f}s")
+print(f"closed form on the counterexample: {result.status} in {time.time()-t0:.3f}s by the {result.route}")
 if result.status == "none":
     print("  no Kahler metric is compatible with this J; the certificate Y:")
     for row in result.certificate:

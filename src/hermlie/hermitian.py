@@ -161,7 +161,8 @@ class Metric:
 
     def compatible_with(self, J: ComplexStructure) -> bool:
         """J^T g J = g, which as J^2 = -1 holds exactly when J^T g is skew."""
-        return sigma_of(J, *self.ints) is not None
+        require_dim(self.dim, J)
+        return core.is_skew(core.mat_mul(list(zip(*J.ints[0])), self.ints[0]))
 
     def sigma_ints(self, J: ComplexStructure) -> tuple[dict[int, int], int]:
         """sigma = g(J., .) = J^T g on core bitmasks, over dJ * dg."""

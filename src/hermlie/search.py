@@ -6,19 +6,25 @@ which are compatible with J^T (``hermitian.balanced_inverse_form``).  So the
 special metrics are the definite matrices of the exact rational kernel K of
 that map (``hermitian.condition_kernel``, which runs the map once, on the
 compatible basis packed into one int matrix), and the search decides whether
-K meets the positive definite cone.  Phase I minimises s subject to X + sI > 0, X in K,
-tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
-eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*, 11.4).
-A start X_0 that is already definite has s = -lambda_min(X_0) < 0, so
-Phase I ends there before its first step.
-``found``: once s < 0, the analytic centre of the slice is snapped to
-rationals in K and certified by its kind's ``condition_form`` (d sigma^(n-1) for balanced).
-``none``: s stays >= 0 as the gap n / t closes; the dual (X + sI)^-1 / t is
-rounded onto its exact range and projected onto the matrices orthogonal to
-K (Peyrl and Parrilo, *Theor. Comput. Sci.* 409, 2008).  A nonzero
-semidefinite Y with tr(Y M) = 0 for every kernel matrix M proves that no
-compatible metric of the kind exists, since tr(Y X) > 0 for X > 0;
-``check_certificate`` re-checks one.  ``not_found`` is inconclusive.
+K meets the positive definite cone.  Each step runs when the one before it
+does not decide:
+1. ``found`` when P, the exact projection of I onto span(K) in the pairing
+   tr(A B), is definite;
+2. ``none`` when Y = I - P, which is orthogonal to K, is nonzero and
+   semidefinite;
+3. the solver.  Phase I minimises s subject to X + sI > 0, X in K,
+   tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
+   eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*,
+   11.4); a definite start ends it before its first step.  ``found``: once
+   s < 0, the analytic centre of the slice is snapped to rationals in K.
+   ``none``: s stays >= 0 as the gap n / t closes; the dual (X + sI)^-1 / t
+   is rounded onto its exact range and projected onto the matrices
+   orthogonal to K (Peyrl and Parrilo, *Theor. Comput. Sci.* 409, 2008).
+   ``not_found``, inconclusive, arises only here.
+A witness is certified by its kind's ``condition_form`` (d sigma^(n-1) for
+balanced).  A nonzero semidefinite Y with tr(Y M) = 0 for every kernel
+matrix M proves that no compatible metric of the kind exists, since
+tr(Y X) > 0 for X > 0; ``check_certificate`` re-checks one.
 """
 
 from __future__ import annotations
@@ -124,15 +130,16 @@ class SearchResult:
     status: str  # "found" | "none" | "not_found"
     kind: str
     metric: tuple | None  # the float witness of a "found"
-    residual: float  # 0.0 when found, else the last Phase-I s, clipped at 0
-    iterations: int  # Newton steps over the seeds run: centring steps only from a definite start
+    residual: float  # 0.0 when found; tr(I - P) for the projection's none; else the last Phase-I s, clipped at 0
+    iterations: int  # Newton steps over the seeds run: centring steps only from a definite start; 0 by projection
     seed: int | None
     exact_metric: tuple | None = None
     exact_verified: bool = False
     certificate: tuple | None = None  # the exact Y of a "none"
+    route: str = "solver"  # the step that decided: "projection" or "solver"
 
     def summary(self) -> dict:
-        keys = ("status", "kind", "residual", "iterations", "seed", "exact_verified")
+        keys = ("status", "kind", "route", "residual", "iterations", "seed", "exact_verified")
         return {key: getattr(self, key) for key in keys}
 
 
@@ -185,14 +192,13 @@ def _snap(matrices, target):
     ``target``, as Fractions.  The coordinates are fitted by least squares
     and rounded on ``_unit(matrices)``, under a denominator bound that keeps
     the rounding's move, at most the sum of their Frobenius norms over twice
-    the bound, below the fit's least eigenvalue; InvalidMetricError when the
-    fit is not definite."""
+    the bound, below the fit's least eigenvalue; None for a non-definite fit."""
     unit, scales = _unit(matrices)
     flat = unit.reshape(len(matrices), -1)
     coords = np.linalg.lstsq(flat.T, target.ravel(), rcond=None)[0]
     margin = np.linalg.eigvalsh(np.tensordot(coords, unit, 1))[0]
     if margin <= 0:
-        raise InvalidMetricError("the fit to the target is not definite")
+        return None
     bound = int(2 * np.sqrt(np.square(flat).sum(axis=1)).sum() / margin) + 1
     cs, dc = core.clear([Fraction(float(c)).limit_denominator(bound) / d for c, d in zip(coords, scales)])
     n = len(target)
@@ -239,22 +245,26 @@ def _round_certificate(Y: np.ndarray, kernel):
     if not zmats:
         return None
     pinv = np.linalg.pinv(np.array(u, dtype=float))
-    try:
-        z = _snap(zmats, pinv @ Y @ pinv.T)
-    except InvalidMetricError:
+    if (z := _snap(zmats, pinv @ Y @ pinv.T)) is None:
         return None
-    y = core.mat_mul(core.mat_mul(u, core.clear_matrix(z)[0]), ut)
+    return _primitive(core.mat_mul(core.mat_mul(u, core.clear_matrix(z)[0]), ut))
+
+
+def _primitive(y) -> tuple:
+    """The nonzero int matrix ``y`` over the gcd of its entries, as Fractions."""
     d = gcd(*(c for row in y for c in row))
     return tuple(tuple(Fraction(c // d) for c in row) for row in y)
 
 
-def _witness(L, J, kind, kernel, centre):
-    """The exact metric at the coordinates snapped from the float point
-    ``centre`` of K, or None when the snap is not definite, and whether
+def _witness(L, J, kind, x):
+    """The exact metric whose coordinates for ``kind`` are the rational
+    matrix ``x``, or None when x is None or not definite, and whether
     ``condition_form`` of ``kind`` vanishes on its sigma, for balanced
     independently of the H-map."""
+    if x is None:
+        return None, False
     try:
-        exact = metric_at(_snap(kernel, centre), kind)
+        exact = metric_at(x, kind)
     except InvalidMetricError:
         return None, False
     return exact.matrix, not condition_form(L, J, *exact.sigma_ints(J), kind)[0]
@@ -263,18 +273,10 @@ def _witness(L, J, kind, kernel, centre):
 def search_metric(
     L: LieAlgebra, J: ComplexStructure, kind: str, config: SearchConfig | None = None
 ) -> SearchResult:
-    """Decide whether a metric compatible with J satisfies ``kind``.
-
-    Seeds run in order, each jittering the Phase-I start, and a further
-    seed runs only when the previous one used up ``max_iterations`` Newton
-    steps.  A definite start ends Phase I at once, so a search that finds
-    one takes only the centring steps.  ``found`` reports the float
-    analytic centre of the trace-n slice and, when its snap lands, the
-    exact metric on whose sigma ``condition_form`` of ``kind`` vanishes;
-    ``none`` carries the exact Y in ``certificate``; ``not_found`` means
-    that no seed concluded, or that the dual of the concluded Phase I did
-    not round to a certificate.
-    """
+    """Decide whether a metric compatible with J satisfies ``kind``: the
+    projection, then the certificate, then the solver.  ``found`` carries
+    the exact metric, ``none`` the exact Y in ``certificate``, and ``route``
+    the step that decided."""
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
     L.require_validated()
@@ -287,12 +289,30 @@ def search_kernel(
     L: LieAlgebra, J: ComplexStructure, kind: str, kernel, config: SearchConfig | None = None
 ) -> SearchResult:
     """``search_metric`` on ``kernel = condition_kernel(L, J, kind)``, kept by the
-    caller; like ``search_metric``, it needs L validated and J integrable."""
+    caller; like ``search_metric``, it needs L validated and J integrable.
+    P = sum c_i K_i, c = (K^T K)^-1 K^T vec(I); with no K_i of nonzero trace P = 0 and Y = I."""
+    n = L.dim
+    flat = [[c for row in m for c in row] for m in kernel]
+    cs, dc = core.clear([sum(row[:: n + 1]) for row in linalg.coordinate_map(flat)])
+    p = core.combine(cs, flat) if flat else [0] * (n * n)
+    exact, verified = _witness(L, J, kind, [core.fractions(p[a * n : (a + 1) * n], dc) for a in range(n)])
+    if exact is not None:
+        floats = tuple(tuple(map(float, row)) for row in exact)
+        return SearchResult("found", kind, floats, 0.0, 0, None, exact, verified, route="projection")
+    y = [[dc * (a == b) - p[a * n + b] for b in range(n)] for a in range(n)]
+    if _certifies(kernel, y):
+        distance = float(Fraction(sum(y[a][a] for a in range(n)), dc))  # tr Y = |I - P|^2
+        return SearchResult("none", kind, None, distance, 0, None, certificate=_primitive(y), route="projection")
+    return _solve(L, J, kind, kernel, config)
+
+
+def _solve(L, J, kind, kernel, config: SearchConfig | None = None) -> SearchResult:
+    """The solver on ``kernel``, which must hold a matrix of nonzero trace.
+    Seeds jitter the Phase-I start, and a further seed runs only when the
+    previous one used up ``max_iterations`` Newton steps; ``not_found``
+    means that no seed concluded, or that the dual did not round."""
     config = config or SearchConfig()
     n = L.dim
-    if not any(sum(m[a][a] for a in range(n)) for m in kernel):
-        # every kernel matrix is traceless, so tr(I X) = 0 rules out X > 0
-        return SearchResult("none", kind, None, float(n), 0, None, certificate=linalg.identity_matrix(n))
     base, dirs = _trace_slice(kernel, n)
     phase_one = np.concatenate([dirs, np.eye(n)[None]])
     total, s = 0, float(n)
@@ -323,7 +343,7 @@ def search_kernel(
                 if decrement2 < 1e-12:
                     break
             centre = base + np.tensordot(z, dirs, 1)
-            exact, verified = _witness(L, J, kind, kernel, centre)
+            exact, verified = _witness(L, J, kind, _snap(kernel, centre))
             if kind == "balanced":
                 centre = np.linalg.inv(centre)
             metric = tuple(map(tuple, ((centre + centre.T) / 2).tolist()))

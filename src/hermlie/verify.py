@@ -51,7 +51,7 @@ from .normal_forms import (
     skt_typeII_normal_form,
 )
 from .salamon import parse_salamon
-from .search import SearchConfig, check_certificate, search_kernel, search_metric
+from .search import SearchConfig, _solve, check_certificate, search_kernel, search_metric
 from .shear import build_shear, shear_condition, shear_kernel
 
 Q = Fraction
@@ -377,7 +377,8 @@ def criterion_compatibility_pipeline() -> dict:
 
 
 def criterion_metric_search() -> dict:
-    """Witness search succeeds within budget and certifies exactly."""
+    """Witness search succeeds within budget and certifies exactly, both as
+    decided (by the projection) and by the numerical solver alone."""
     J = ComplexStructure.standard(6)
     config = SearchConfig()
     results = {}
@@ -385,14 +386,17 @@ def criterion_metric_search() -> dict:
         ("two-r3-kahler", "(25,-15,46,-36,0,0)", "kahler"),
         ("counterexample-skt", "(0,21,0,0,43,0)", "skt"),
     ):
+        L = parse_salamon(salamon)
         t0 = time.time()
-        result = search_metric(parse_salamon(salamon), J, kind, config)
+        result = search_metric(L, J, kind, config)
+        solved = _solve(L, J, kind, condition_kernel(L, J, kind), config)
         elapsed = time.time() - t0
-        assert result.status == "found", f"{name}: no witness found"
-        assert result.residual < config.tolerance
-        # a definite start takes no Phase-I step: these are centring steps only
-        assert result.iterations <= config.max_iterations
-        assert result.exact_verified, f"{name}: the snapped witness failed exact verification"
+        for found in (result, solved):
+            assert found.status == "found", f"{name}: no witness found by the {found.route}"
+            assert found.residual < config.tolerance
+            # a definite start takes no Phase-I step: these are centring steps only
+            assert found.iterations <= config.max_iterations
+            assert found.exact_verified, f"{name}: the {found.route}'s witness failed exact verification"
         assert elapsed < 10.0, f"{name}: took {elapsed:.1f}s"
         results[name] = {"residual": result.residual}
     return results

@@ -196,16 +196,22 @@ class TestSearchCommand:
         assert doc["search"]["exact_verified"] is True
         assert "metric_exact" in doc
 
-    def test_not_found_exit_1(self, capsys, cx1_file, j_file, tmp_path, monkeypatch):
-        """Two Newton steps per seed conclude neither side: inconclusive."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seeds": [0, 1], "max_iterations": 2}))
-        code, out, _ = run_cli(
-            capsys, "search", cx1_file, j_file, "--target", "kahler", "--config", str(cfg)
-        )
+    def test_not_found_exit_1(self, capsys, j_file, tmp_path):
+        """Two Newton steps per seed conclude neither side: inconclusive.  The
+        type-I counterexample is conjugated by P = (A - JAJ)/2, which is not
+        unitary, so that the projection and its certificate leave the Kahler
+        search open and the solver runs."""
+        from hermlie.salamon import parse_salamon
+
+        J = documents.load_complex_structure({"J": STD6_J}, 6)
+        moved = al.change_basis(parse_salamon("(0,21,0,0,43,0)"), commuting_change(J, random.Random("not-found")))
+        alg = _write(tmp_path, "moved.json", documents.algebra_doc(moved))
+        cfg = _write(tmp_path, "cfg.json", {"seeds": [0, 1], "max_iterations": 2})
+        code, out, _ = run_cli(capsys, "search", alg, j_file, "--target", "kahler", "--config", cfg)
         assert code == 1
         doc = json.loads(out)
-        assert doc["search"]["status"] == "not_found"
+        assert doc["search"]["status"] == "not_found" and doc["search"]["route"] == "solver"
+        assert doc["search"]["iterations"] == 4  # two capped Newton steps per seed
         assert "certificate_exact" not in doc
 
     def test_none_certificate_round_trip(self, capsys):

@@ -36,6 +36,7 @@ from hermlie.salamon import parse_salamon
 from hermlie.search import (
     SearchConfig,
     _derivatives,
+    _solve,
     _trace_slice,
     check_certificate,
     metric_parameterization,
@@ -48,6 +49,12 @@ from hermlie import search as search_module
 from conftest import commuting_change, nullspace
 
 Q = Fraction
+
+
+def solve(L, J, kind, config=None):
+    """The solver alone on the search's kernel, past the projection and its
+    certificate, which decide every search these tests make."""
+    return _solve(L, J, kind, condition_kernel(L, J, kind), config)
 
 
 def identity_float(n):
@@ -319,7 +326,7 @@ class TestSearch:
 
     def test_inconclusive_when_capped(self, cx_type_I, j_std6):
         """Too few Newton steps for either side: not_found, no certificate."""
-        result = search_metric(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1), max_iterations=3))
+        result = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1), max_iterations=3))
         assert result.status == "not_found" and result.certificate is None
         assert result.iterations == 6
 
@@ -327,8 +334,8 @@ class TestSearch:
         """A dual that does not round ends the search: every seed follows the
         same central path, so a further seed would fail the same way."""
         monkeypatch.setattr(search_module, "_round_certificate", lambda *args: None)
-        one = search_metric(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0,)))
-        four = search_metric(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1, 2, 3)))
+        one = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0,)))
+        four = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1, 2, 3)))
         assert one.status == four.status == "not_found"
         assert four.iterations == one.iterations < SearchConfig().max_iterations
 
@@ -346,7 +353,7 @@ class TestSearch:
         monkeypatch.setattr(search_module, "_newton_step", counted)
         for kind in ("skt", "balanced"):
             sizes.clear()
-            result = search_metric(cx_type_I, j_std6, kind)
+            result = solve(cx_type_I, j_std6, kind)
             assert result.status == "found" and result.exact_verified
             assert sizes == [len(condition_kernel(cx_type_I, j_std6, kind)) - 1] * result.iterations
 
@@ -354,7 +361,7 @@ class TestSearch:
         """With a single Newton step the two-r3 Kahler search still finds and
         certifies its witness: the definite start needs no Phase-I step."""
         L = parse_salamon("(25,-15,46,-36,0,0)")
-        result = search_metric(L, j_std6, "kahler", SearchConfig(seeds=(0,), max_iterations=1))
+        result = solve(L, j_std6, "kahler", SearchConfig(seeds=(0,), max_iterations=1))
         assert result.status == "found" and result.exact_verified and result.iterations == 1
 
     @pytest.mark.parametrize("algebra,J", [("cx_type_I", "j_std6"), ("cx_type_III", "j_type_III")])
@@ -362,27 +369,28 @@ class TestSearch:
         """No start is definite where no metric exists: Phase I runs its
         whole central path, 79 Newton steps, to the certificate."""
         L, J = request.getfixturevalue(algebra), request.getfixturevalue(J)
-        result = search_metric(L, J, "kahler")
+        result = solve(L, J, "kahler")
         assert result.status == "none" and result.iterations == 79
 
     def test_hopf_surface_is_certified(self):
         """su(2) + R carries no Kahler and no balanced metric (in dimension 4
-        they agree); its kernels are one matrix each, so Phase I moves s alone."""
+        they agree); its kernels are one matrix each, so the solver's Phase I
+        moves s alone."""
         L = parse_salamon("(-23,-31,12,0)")
         J = ComplexStructure.standard(4)
         for kind in ("kahler", "balanced"):
             assert len(condition_kernel(L, J, kind)) == 1
-            result = search_metric(L, J, kind)
-            assert result.status == "none", kind
-            recheck_none(L, J, kind, result.certificate)
+            for result in (search_metric(L, J, kind), solve(L, J, kind)):
+                assert result.status == "none", kind
+                recheck_none(L, J, kind, result.certificate)
         assert search_metric(L, J, "skt").exact_verified
 
     def test_empty_kernel_is_certified_by_the_identity(self, cx_type_I, j_std6, monkeypatch):
-        """With no kernel matrix, or only traceless ones, the slice tr X = n is
-        empty and Y = I is the whole certificate."""
+        """With no kernel matrix, or only traceless ones, the projection of I
+        is 0, so Y = I is the whole certificate."""
         monkeypatch.setattr(search_module, "condition_kernel", lambda *args: ())
         result = search_metric(cx_type_I, j_std6, "kahler")
-        assert result.status == "none" and result.iterations == 0
+        assert result.status == "none" and result.iterations == 0 and result.route == "projection"
         assert result.certificate == al.linalg.identity_matrix(6)
 
     def test_determinism(self, cx_type_I, j_std6):
@@ -393,9 +401,7 @@ class TestSearch:
     def test_iterates_stay_positive_definite(self, cx_type_I, j_std6):
         # every reported metric is positive definite
         for kind in ("kahler", "balanced", "skt"):
-            result = search_metric(
-                cx_type_I, j_std6, kind, SearchConfig(seeds=(0,), max_iterations=200)
-            )
+            result = solve(cx_type_I, j_std6, kind, SearchConfig(seeds=(0,), max_iterations=200))
             if result.metric is not None:
                 eigs = np.linalg.eigvalsh(np.array(result.metric))
                 assert eigs[0] > 0
@@ -408,9 +414,7 @@ class TestSearch:
         """Phase I towards the cone's boundary stays clear of log(0) and 1/0."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = search_metric(
-                cx_type_III, j_type_III, "kahler", SearchConfig(seeds=(0, 1, 2, 3))
-            )
+            result = solve(cx_type_III, j_type_III, "kahler", SearchConfig(seeds=(0, 1, 2, 3)))
         assert result.status == "none"
 
 
@@ -552,6 +556,26 @@ def _check_outcome(L, J, kind, result):
         recheck_none(L, J, kind, result.certificate)
 
 
+@functools.cache
+def pinned_searches():
+    """The 100 pinned searches as (L, J, kind, search_metric's result, the
+    solver's result on the same kernel and config)."""
+    cases = []
+    for conjugation in range(4):
+        rng = random.Random(f"test-search/{conjugation}")
+        for salamon, pairs, kind, _ in SEARCH_CASES:
+            L = parse_salamon(salamon)
+            if conjugation:
+                L = al.change_basis(L, random_unitary(6, rng, pairs=list(pairs)))
+            J = ComplexStructure.from_pairs(6, pairs)
+            cases.append((L, J, kind, SearchConfig(seeds=tuple(range(4)))))
+    for profile, dim, seed in itertools.product(("typeI", "typeIII"), (4, 6, 8, 10), range(3)):
+        data, _, J = random_complex_shear(seed, profile, dim)
+        L = build_shear(data)
+        cases += [(L, J, kind, None) for kind in KINDS]
+    return [(L, J, kind, search_metric(L, J, kind, c), solve(L, J, kind, c)) for L, J, kind, c in cases]
+
+
 class TestFeasibility:
     def test_never_none_on_a_catalog_witness(self):
         """Every kind some stored witness satisfies is found, never refuted."""
@@ -575,29 +599,43 @@ class TestFeasibility:
             _check_outcome(L, J, kind, result)
 
     def test_exact_outputs_are_pinned(self):
-        """The exact fields of 100 searches, recorded before a definite start
-        ended Phase I: the benchmark cases in four bases and generated typeI
-        and typeIII shears at d4-d10, every kind.  A change to any witness,
-        certificate or the seed that concluded shows."""
+        """The exact fields of 100 searches: the benchmark cases in four bases
+        and generated typeI and typeIII shears at d4-d10, every kind.  The
+        solver's were recorded before a definite start ended Phase I, and
+        ``search_metric``'s when the projection came first.  A change to any
+        witness, certificate or the seed that concluded shows."""
 
-        def results():
-            for conjugation in range(4):
-                rng = random.Random(f"test-search/{conjugation}")
-                for salamon, pairs, kind, _ in SEARCH_CASES:
-                    L = parse_salamon(salamon)
-                    if conjugation:
-                        L = al.change_basis(L, random_unitary(6, rng, pairs=list(pairs)))
-                    J = ComplexStructure.from_pairs(6, pairs)
-                    yield search_metric(L, J, kind, SearchConfig(seeds=tuple(range(4))))
-            for profile, dim, seed in itertools.product(("typeI", "typeIII"), (4, 6, 8, 10), range(3)):
-                data, _, J = random_complex_shear(seed, profile, dim)
-                L = build_shear(data)
-                for kind in KINDS:
-                    yield search_metric(L, J, kind)
+        def digest(results):
+            fields = [repr((r.status, r.seed, r.exact_metric, r.certificate, r.exact_verified)) for r in results]
+            return hashlib.sha256("\n".join(fields).encode()).hexdigest()
 
-        fields = [repr((r.status, r.seed, r.exact_metric, r.certificate, r.exact_verified)) for r in results()]
-        digest = hashlib.sha256("\n".join(fields).encode()).hexdigest()
-        assert digest == "fc871a8d44bbec4f2168a020edc9ee1411083748cd7b679d3d4ec39c7765dead"
+        searches = pinned_searches()
+        assert digest(solved for *_, solved in searches) == (
+            "fc871a8d44bbec4f2168a020edc9ee1411083748cd7b679d3d4ec39c7765dead"
+        )
+        assert digest(result for *_, result, _ in searches) == (
+            "9bfad71c83cd8227ebf3c7f9a303d9ecbcd8c6640266a15b396f89ce00502be6"
+        )
+
+    def test_projection_decides_and_the_solver_agrees(self):
+        """On the pinned searches and every catalog entry and kind, the
+        projection decides, and the solver's answer is a second opinion:
+        wherever it concludes, it gives the same status.  Every witness passes
+        classify_metric and every certificate of either route passes
+        check_certificate."""
+        searches = pinned_searches() + [
+            (e.algebra, e.J, kind, search_metric(e.algebra, e.J, kind), solve(e.algebra, e.J, kind))
+            for e in witness_lists()
+            for kind in KINDS
+        ]
+        for L, J, kind, result, solved in searches:
+            assert result.route == "projection" and solved.route == "solver", kind
+            assert result.iterations == 0 and result.seed is None
+            assert result.status in ("found", "none") and solved.status in (result.status, "not_found"), kind
+            if result.status == "found":
+                assert result.exact_verified and classify_metric(L, Metric(result.exact_metric), J)[kind]
+            for certificate in (result.certificate, solved.certificate):
+                assert certificate is None or check_certificate(L, J, kind, certificate), kind
 
     def test_outcomes_follow_a_change_of_basis(self):
         """For P = (A - JAJ) / 2, which commutes with J, a found witness G
