@@ -35,6 +35,9 @@ def _fraction(value) -> Fraction:
     numerator and denominator Python will write in decimal."""
     if type(value) not in (str, int):
         raise DocumentError(f"rationals must be strings or integers, got {value!r}")
+    plain = type(value) is str and len(value) <= 20 and value.isascii() and value.removeprefix("-").isdigit()
+    if plain or type(value) is int and -10**20 < value < 10**20:
+        return Fraction(int(value))  # a short plain integer skips Fraction's parser and the digit limit
     limit = sys.get_int_max_str_digits()
     exponent = _EXPONENT.search(value) if limit and type(value) is str else None
     try:

@@ -8,8 +8,8 @@ eliminations (E. H. Bareiss, Math. Comp. 22, 1968), and the canonical
 Fraction results are formed only at the end.
 ``echelon``, ``kernel``, ``solve_ints`` and ``minor_pivots`` (the leading
 principal minors) are the same eliminations on int rows, for callers that
-stay on numerators; ``coordinate_map`` is the one map from a basis's span to
-coordinates in it.
+stay on numerators; ``coordinate_map`` maps a basis's span to coordinates in
+it, and ``projection_coordinates`` gives one target's projection coordinates.
 """
 
 from __future__ import annotations
@@ -272,3 +272,11 @@ def coordinate_map(vectors: Sequence[Sequence]) -> Matrix:
     rows, den = core.clear_matrix(vectors)
     x, d = solve_ints(core.mat_mul(rows, list(zip(*rows))), rows)
     return tuple(core.fractions([den * c for c in row], d) for row in x)
+
+
+def projection_coordinates(rows: Sequence[Sequence[int]], target: Sequence[int]) -> tuple[list[int], int]:
+    """The coordinates (V V^T)^-1 V t, in the independent int ``rows`` V, of the int ``target`` t's projection
+    onto their span, as numerators over their least common denominator: one elimination of [V V^T | V t]."""
+    x, den = solve_ints(core.mat_mul(rows, list(zip(*rows))), [[core.dot(v, target)] for v in rows])
+    g = gcd(den, *(c for c, in x))
+    return [c // g for c, in x], den // g

@@ -288,12 +288,11 @@ def search_metric(
 def search_kernel(
     L: LieAlgebra, J: ComplexStructure, kind: str, kernel, config: SearchConfig | None = None
 ) -> SearchResult:
-    """``search_metric`` on ``kernel = condition_kernel(L, J, kind)``, kept by the
-    caller; like ``search_metric``, it needs L validated and J integrable.
-    P = sum c_i K_i, c = (K^T K)^-1 K^T vec(I); with no K_i of nonzero trace P = 0 and Y = I."""
+    """``search_metric`` on the caller's ``kernel = condition_kernel(L, J, kind)``, L validated and J integrable.
+    P = sum c_i K_i, c = ``linalg.projection_coordinates`` of vec(I); no K_i of nonzero trace gives P = 0, Y = I."""
     n = L.dim
     flat = [[c for row in m for c in row] for m in kernel]
-    cs, dc = core.clear([sum(row[:: n + 1]) for row in linalg.coordinate_map(flat)])
+    cs, dc = linalg.projection_coordinates(flat, [int(a == b) for a in range(n) for b in range(n)])
     p = core.combine(cs, flat) if flat else [0] * (n * n)
     exact, verified = _witness(L, J, kind, [core.fractions(p[a * n : (a + 1) * n], dc) for a in range(n)])
     if exact is not None:

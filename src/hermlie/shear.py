@@ -39,7 +39,7 @@ Both terms read one table, g w(J e_x, J e_y); that needs g symmetric, as every
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -170,13 +170,13 @@ def _shear_map(data: PreShearData, J: ComplexStructure, kind: str):
     jm, _ = J.ints
     if kind == "kahler":
         triples = list(combinations(range(n2), 3))
+        jw = cache(lambda a, b: core.mat_vec(jm, ob[(a, b)]))  # J w(e_a, e_b) for nonzero w, formed when first read
 
         def tau(gm):
-            # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic; the columns
-            # of sigma = J^T g are the rows of g J, as g is symmetric
-            cols = core.mat_mul(gm, jm)
+            # tau(e_i, e_j, e_k) = sigma(w(e_i, e_j), e_k) + cyclic; sigma(x, e_k) = g_k . J x, as g is symmetric
             for i, j, k in triples:
-                yield core.dot(ob[(i, j)], cols[k]) + core.dot(ob[(j, k)], cols[i]) + core.dot(ob[(k, i)], cols[j])
+                splits = ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1))  # w(e_k, e_i) = -w(e_i, e_k)
+                yield sum(s * core.dot(gm[c], jw(a, b)) for a, b, c, s in splits if a in w.column[b])
 
         return tau
     if kind == "balanced":
@@ -251,8 +251,8 @@ def shear_kernel(data: PreShearData, J: ComplexStructure, kind: str) -> tuple:
     ``_shear_map`` run once on the packed basis, and its kernel."""
     _require_complex(data, J)
     # Gains, with N = dim, M the largest numerator of J and w (at least 1) and
-    # X standing for max |X|, as sums of products.  Kahler: X J <= N M X and
-    # tau sums three dot products of it with w(e_i, e_j), so tau <= 3 N^2 M^2 X.
+    # X standing for max |X|, as sums of products.  Kahler: J w(e_i, e_j) <= N M^2
+    # and tau sums three dot products of it with rows of X, so tau <= 3 N^2 M^2 X.
     # Balanced: P = X J^T <= N M X and chi_a <= N M, so a value is at most
     # C(N, 2) M (N M X) + N (N M X) (N M) <= 2 N^3 M^2 X.
     # Torsion: w(J e_x, J e_y) <= N^2 M^3, so g w(J e_x, J e_y) <= N^3 M^3 X and

@@ -643,10 +643,20 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "literal,value",
-        [("1e3", 1000), ("0.5", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)), ("0e3000000", 0), ("1e4299", 10**4299)],
+        [("1e3", 1000), ("0.5", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)), ("0e3000000", 0), ("1e4299", 10**4299)]
+        # short plain integers skip Fraction's parser; they, and those just outside that shortcut
+        + [
+            (v, Fraction(v))
+            for v in ["0", "-0", "007", "9" * 20, "-" + "9" * 19, "9" * 21, 7, 1 - 10**20, 10**20, "+5", " 5", "1_0", "١"]
+        ],
     )
     def test_long_literals_within_the_limit_are_read(self, literal, value):
         assert documents._fraction(literal) == value
+
+    @pytest.mark.parametrize("literal", ["", "-", "--1", "1-", "²"])
+    def test_near_integers_are_rejected(self, literal):
+        with pytest.raises(documents.DocumentError, match="bad rational"):
+            documents._fraction(literal)
 
     def test_literal_of_the_limit_length_is_read(self):
         """Without an exponent no numerator or denominator has more digits

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlie import linalg as la
+from hermlie import core, linalg as la
 
 from conftest import nullspace
 
@@ -88,3 +88,34 @@ def test_coordinate_map():
     assert la.coordinate_map([]) == ()
     with pytest.raises(ZeroDivisionError):
         la.coordinate_map([la.vec([1, 2]), la.vec([2, 4])])
+
+
+int_rows = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-9, 9), min_size=5, max_size=5), min_size=k, max_size=k)
+)
+int_vectors = st.lists(st.integers(-9, 9), min_size=5, max_size=5)
+
+
+@given(int_rows, int_vectors, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_projection_coordinates(rows, target, coeffs):
+    """The Gram solve gives the coordinate map's image of any target, over
+    its least common denominator, and of a target in the rows' span the
+    coordinates it was combined from."""
+    if la.rank(rows) < len(rows):
+        with pytest.raises(ZeroDivisionError):
+            la.projection_coordinates(rows, target)
+        return
+    coeffs = coeffs[: len(rows)]
+    spanned = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(5)]
+    for t in (target, spanned):
+        cs, den = la.projection_coordinates(rows, t)
+        assert (cs, den) == core.clear(la.mat_vec(la.coordinate_map(rows), t))
+    assert la.vec(Q(c, den) for c in cs) == la.vec(coeffs)
+
+
+def test_projection_coordinates_without_independent_rows():
+    """No rows give no coordinates; dependent rows give none, as for the coordinate map."""
+    assert la.projection_coordinates([], [1, 2]) == ([], 1)
+    with pytest.raises(ZeroDivisionError):
+        la.projection_coordinates([[1, 2], [2, 4]], [1, 0])

@@ -682,6 +682,24 @@ class TestFeasibility:
             assert not (stored[kind] and result.status == "none")
             _check_outcome(L, J, kind, result)
 
+    @pytest.mark.parametrize("dim", [8, 10])
+    def test_projection_coordinates_on_wide_rows(self, dim):
+        """On typeI and typeIII shears at d8 and d10 moved by a non-unitary P
+        commuting with J, where the kernel entries are large, the Gram solve's
+        coefficients of vec(I) on every kind's flattened kernel are exactly
+        those read off the whole coordinate map, over the same least common
+        denominator."""
+        la = al.linalg
+        rng = random.Random(f"wide-rows-{dim}")
+        eye = [int(a == b) for a in range(dim) for b in range(dim)]
+        for profile in ("typeI", "typeIII"):
+            data, _, J = random_complex_shear(0, profile, dim)
+            L = al.change_basis(build_shear(data), commuting_change(J, rng))
+            for kind in KINDS:
+                flat = [[c for row in m for c in row] for m in condition_kernel(L, J, kind)]
+                cs, den = la.projection_coordinates(flat, eye)
+                assert (cs, den) == core.clear(la.mat_vec(la.coordinate_map(flat), eye)), (profile, kind)
+
     @pytest.mark.parametrize("name", ["counterexample_type_I", "counterexample_shear"])
     def test_demo_counterexamples(self, name):
         doc = json.loads((DEMO_DATA / f"{name}.json").read_text())
