@@ -53,7 +53,9 @@ def _fraction(value) -> Fraction:
         if limit and (exponent or type(value) is int or len(value) > limit):
             str(x)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational {value!r}: {exc}") from None
+        # an int gets here only past the digit limit, where repr would raise too
+        shown = repr(value) if type(value) is str else "integer"
+        raise DocumentError(f"bad rational {shown}: {exc}") from None
     return x
 
 

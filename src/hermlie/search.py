@@ -17,10 +17,13 @@ does not decide:
    eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*,
    11.4); a definite start ends it before its first step.  ``found``: once
    s < 0, the analytic centre of the slice is snapped to rationals in K.
-   ``none``: s stays >= 0 as the gap n / t closes; the dual (X + sI)^-1 / t
-   is rounded onto its exact range and projected onto the matrices
-   orthogonal to K (Peyrl and Parrilo, *Theor. Comput. Sci.* 409, 2008).
-   ``not_found``, inconclusive, arises only here.
+   ``none``: s stays >= 0 as the gap n / t closes, and a face certifies.
+   A face is a subspace V of L, or of L* for balanced, built from L and J
+   alone; with int basis rows B, Z = I_r - (the projection of I_r onto the
+   span of the B M B^T, M in K) gives Y = B^T Z B, orthogonal to K.  The
+   faces are L, [L, L], [L, L] & J[L, L] and the centre for Kahler and
+   SKT, and L*, ann [L, L] and ann([L, L] & J[L, L]) for balanced; the face
+   L is step 2's Y.  ``not_found``, inconclusive, arises only here.
 A witness is certified by its kind's ``condition_form`` (d sigma^(n-1) for
 balanced).  A nonzero semidefinite Y with tr(Y M) = 0 for every kernel
 matrix M proves that no compatible metric of the kind exists, since
@@ -38,7 +41,7 @@ from math import gcd, inf
 import numpy as np
 
 from . import core, linalg
-from .algebra import LieAlgebra, is_two_step_solvable
+from .algebra import LieAlgebra, center, intersect_ints, is_two_step_solvable
 from .errors import InvalidMetricError, NotIntegrableError
 from .hermitian import (
     KINDS,
@@ -130,7 +133,7 @@ class SearchResult:
     status: str  # "found" | "none" | "not_found"
     kind: str
     metric: tuple | None  # the float witness of a "found"
-    residual: float  # 0.0 when found; tr(I - P) for the projection's none; else the last Phase-I s, clipped at 0
+    residual: float  # 0.0 when found; tr(I - P) for the projection's none; the solver's last Phase-I s, clipped at 0
     iterations: int  # Newton steps over the seeds run: centring steps only from a definite start; 0 by projection
     seed: int | None
     exact_metric: tuple | None = None
@@ -166,25 +169,25 @@ def _trace_slice(kernel, n: int):
 
 
 def _derivatives(base, dirs, u, cost):
-    """The spectrum (w, v) of Z = base + sum_i u_i dirs_i, and the gradient
-    cost_i - tr(Z^-1 E_i) and Hessian tr(Z^-1 E_i Z^-1 E_j) of
-    cost . u - log det Z, from that one eigendecomposition."""
+    """The gradient cost_i - tr(Z^-1 E_i) and Hessian tr(Z^-1 E_i Z^-1 E_j)
+    of cost . u - log det Z, Z = base + sum_i u_i dirs_i, from one
+    eigendecomposition of Z."""
     w, v = np.linalg.eigh(base + np.tensordot(u, dirs, 1))
     scaled = (v.T @ dirs @ v) / np.sqrt(np.outer(w, w))  # Z^-1/2 E_i Z^-1/2, rotated
     flat = scaled.reshape(len(dirs), -1)
-    return w, v, cost - np.trace(scaled, axis1=1, axis2=2), flat @ flat.T
+    return cost - np.trace(scaled, axis1=1, axis2=2), flat @ flat.T
 
 
 def _newton_step(base, dirs, u, cost):
     """One damped Newton step on cost . u - log det(base + sum u_i dirs_i):
-    the new point, the spectrum at the old one and the squared decrement
-    there.  For this self-concordant objective a damping of
-    1 / (1 + decrement) stays inside the cone, so there is no line search;
-    below a decrement of 1/4 the full step is taken."""
-    w, v, grad, hess = _derivatives(base, dirs, u, cost)
+    the new point and the squared decrement at the old one.  For this
+    self-concordant objective a damping of 1 / (1 + decrement) stays inside
+    the cone, so there is no line search; below a decrement of 1/4 the full
+    step is taken."""
+    grad, hess = _derivatives(base, dirs, u, cost)
     step = -np.linalg.solve(hess, grad)
     decrement2 = float(-grad @ step)
-    return u + step / (1.0 if decrement2 < 1 / 16 else 1.0 + decrement2**0.5), w, v, decrement2
+    return u + step / (1.0 if decrement2 < 1 / 16 else 1.0 + decrement2**0.5), decrement2
 
 
 def _snap(matrices, target):
@@ -206,48 +209,46 @@ def _snap(matrices, target):
     return tuple(core.fractions(flat[i * n : (i + 1) * n], dc) for i in range(n))
 
 
-def _face(Y: np.ndarray) -> list[list[int]]:
-    """An exact int basis, as the columns of an n x r matrix, of the range
-    of the float semidefinite ``Y`` cut at its widest spectral gap: Y's
-    float reduced echelon form, snapped to rationals."""
-    n = len(Y)
-    w, v = np.linalg.eigh(Y)
-    # eigenvalues within rounding of zero are one cluster, not gaps
-    gaps = np.diff(np.log(np.maximum(w / w[-1], 1e-13)))
-    if gaps.max() < np.log(1e4):
-        return [[int(a == b) for b in range(n)] for a in range(n)]
-    r = n - 1 - int(np.argmax(gaps))
-    rows = v[:, n - r :].T.copy()
-    for i in range(r):  # pivot on the largest entry left in each row
-        col = np.argmax(np.abs(rows[i]))
-        rows[i] /= rows[i, col]
-        others = np.arange(r) != i
-        rows[others] -= np.outer(rows[others, col], rows[i])
-    snapped = [core.clear([Fraction(float(c)).limit_denominator(10**7) for c in row])[0] for row in rows]
-    return [list(col) for col in zip(*snapped)]
+def _project_identity(rows, r: int) -> tuple[list[int], int]:
+    """The projection of I_r onto the span of the independent flat int
+    ``rows``, flattened, as int numerators over a denominator; 0 when there
+    are none.  Its coordinates are ``linalg.projection_coordinates``."""
+    if not rows:
+        return [0] * (r * r), 1
+    cs, dc = linalg.projection_coordinates(rows, [int(a == b) for a in range(r) for b in range(r)])
+    return core.combine(cs, rows), dc
 
 
-def _round_certificate(Y: np.ndarray, kernel):
-    """An exact certificate near the float dual ``Y``, or None: on the exact
-    face U of Y's range, Y = U Z U^T, and Z is snapped within the exact
-    {Z symmetric : tr(Z U^T M U) = 0 for every kernel matrix M}."""
-    if np.linalg.eigvalsh(Y)[-1] <= 0:
-        return None
-    u = _face(Y)
-    ut = [list(row) for row in zip(*u)]
-    r = len(ut)
-    slots = [(a, b) for a in range(r) for b in range(a, r)]
-    faces = [core.mat_mul(core.mat_mul(ut, m), u) for m in kernel]
-    zmats = []
-    for z in linalg.kernel([[f[a][b] * (1 + (a != b)) for a, b in slots] for f in faces], len(slots))[0]:
-        entries = dict(zip(slots, z))
-        zmats.append([[entries[min(a, b), max(a, b)] for b in range(r)] for a in range(r)])
-    if not zmats:
-        return None
-    pinv = np.linalg.pinv(np.array(u, dtype=float))
-    if (z := _snap(zmats, pinv @ Y @ pinv.T)) is None:
-        return None
-    return _primitive(core.mat_mul(core.mat_mul(u, core.clear_matrix(z)[0]), ut))
+def _faces(L, J, kind):
+    """Int basis rows of the subspaces a certificate's range is tried in,
+    in order; each is built from L and J alone, so it moves with any change
+    of basis.  A Kahler or SKT Y pairs with metrics, so its range is taken
+    in L; a balanced Y pairs with H = g^-1, so in L*, by annihilators."""
+    n = L.dim
+    yield [[int(a == b) for b in range(n)] for a in range(n)]
+    derived = L.derived_ints
+    stable = intersect_ints(derived, [core.mat_vec(J.ints[0], v) for v in derived])
+    if kind == "balanced":
+        for b in (derived, stable):
+            yield linalg.echelon(linalg.kernel(b, n)[0])
+    else:
+        yield from (derived, stable, center(L).ints)
+
+
+def _face_certificate(L, J, kind, kernel):
+    """The first face's Y = B^T (I_r - P) B that ``_certifies``, as
+    ``_primitive`` gives it, or None: P is the projection of I_r onto the
+    span of the B M B^T, so tr(Y M) = tr((I_r - P) B M B^T) = 0 for M in K."""
+    for b in _faces(L, J, kind):
+        r, bt = len(b), list(zip(*b))
+        if not r:
+            continue
+        rows = linalg.echelon([c for row in core.mat_mul(core.mat_mul(b, m), bt) for c in row] for m in kernel)
+        p, d = _project_identity(rows, r)
+        y = core.mat_mul(core.mat_mul(bt, [[d * (a == c) - p[a * r + c] for c in range(r)] for a in range(r)]), b)
+        if _certifies(kernel, y):
+            return _primitive(y)
+    return None
 
 
 def _primitive(y) -> tuple:
@@ -289,11 +290,9 @@ def search_kernel(
     L: LieAlgebra, J: ComplexStructure, kind: str, kernel, config: SearchConfig | None = None
 ) -> SearchResult:
     """``search_metric`` on the caller's ``kernel = condition_kernel(L, J, kind)``, L validated and J integrable.
-    P = sum c_i K_i, c = ``linalg.projection_coordinates`` of vec(I); no K_i of nonzero trace gives P = 0, Y = I."""
+    No K_i of nonzero trace gives P = 0 and Y = I."""
     n = L.dim
-    flat = [[c for row in m for c in row] for m in kernel]
-    cs, dc = linalg.projection_coordinates(flat, [int(a == b) for a in range(n) for b in range(n)])
-    p = core.combine(cs, flat) if flat else [0] * (n * n)
+    p, dc = _project_identity([[c for row in m for c in row] for m in kernel], n)
     exact, verified = _witness(L, J, kind, [core.fractions(p[a * n : (a + 1) * n], dc) for a in range(n)])
     if exact is not None:
         floats = tuple(tuple(map(float, row)) for row in exact)
@@ -309,7 +308,7 @@ def _solve(L, J, kind, kernel, config: SearchConfig | None = None) -> SearchResu
     """The solver on ``kernel``, which must hold a matrix of nonzero trace.
     Seeds jitter the Phase-I start, and a further seed runs only when the
     previous one used up ``max_iterations`` Newton steps; ``not_found``
-    means that no seed concluded, or that the dual did not round."""
+    means that no seed concluded, or that no face certified."""
     config = config or SearchConfig()
     n = L.dim
     base, dirs = _trace_slice(kernel, n)
@@ -327,7 +326,7 @@ def _solve(L, J, kind, kernel, config: SearchConfig | None = None) -> SearchResu
             if s < -FOUND_MARGIN:
                 break
             total += 1
-            new, w, v, decrement2 = _newton_step(base, phase_one, u, np.append(np.zeros(len(dirs)), t))
+            new, decrement2 = _newton_step(base, phase_one, u, np.append(np.zeros(len(dirs)), t))
             centred = decrement2 < 1e-10
             if centred and n / t < config.tolerance:
                 break
@@ -338,7 +337,7 @@ def _solve(L, J, kind, kernel, config: SearchConfig | None = None) -> SearchResu
             z = u[:-1]
             for _ in range(config.max_iterations if len(dirs) else 0):
                 total += 1
-                z, _, _, decrement2 = _newton_step(base, dirs, z, np.zeros(len(dirs)))
+                z, decrement2 = _newton_step(base, dirs, z, np.zeros(len(dirs)))
                 if decrement2 < 1e-12:
                     break
             centre = base + np.tensordot(z, dirs, 1)
@@ -347,12 +346,7 @@ def _solve(L, J, kind, kernel, config: SearchConfig | None = None) -> SearchResu
                 centre = np.linalg.inv(centre)
             metric = tuple(map(tuple, ((centre + centre.T) / 2).tolist()))
             return SearchResult("found", kind, metric, 0.0, total, seed, exact, verified)
-        # the dual point (X + sI)^-1 / t, shifted by a multiple of I so that
-        # it is orthogonal to the base point as well
-        dual = (v / w) @ v.T / t
-        dual -= np.eye(n) * (np.sum(dual * base) / n)
-        certificate = _round_certificate(dual, kernel)
-        if certificate is not None and _certifies(kernel, certificate):
+        if (certificate := _face_certificate(L, J, kind, kernel)) is not None:
             return SearchResult("none", kind, None, max(s, 0.0), total, seed, certificate=certificate)
         break  # Phase I follows the same central path from any start
     return SearchResult("not_found", kind, None, max(s, 0.0), total, None)

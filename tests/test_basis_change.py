@@ -2,11 +2,11 @@
 
 For an invertible rational P that commutes with J, P is an isomorphism from
 (P^-1 [P., P.], J, P^T g P) onto (L, J, g), so every exact answer about the
-pair must come out the same in both bases.  P = (A - JAJ)/2 is not unitary,
-so the Frobenius geometry of the kernels moves and the two routes see new
-numbers.  Hypothesis draws the instance (a profile, a seed and a dimension
-from 4 to 8) and the int entries of A; every catalog entry is drawn against
-with its witness metrics.
+pair must come out the same in both bases, the status of every search
+included.  P = (A - JAJ)/2 is not unitary, so the Frobenius geometry of the
+kernels moves and the two routes see new numbers.  Hypothesis draws the
+instance (a profile, a seed and a dimension from 4 to 8) and the int entries
+of A; every catalog entry is drawn against with its witness metrics.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from hermlie import linalg as la
 from hermlie.catalog import witness_lists
 from hermlie.generators import FIXED_DIMS, PROFILES, random_complex_shear
 from hermlie.hermitian import KINDS, Metric, balanced_structural, classify_metric, condition_kernel
+from hermlie.search import search_metric
 from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition, shear_kernel
 
 from conftest import commuting_part
@@ -40,7 +41,7 @@ def _change(data, J):
 def _invariants(L, J, metrics):
     """Per metric the three direct verdicts, the structural balanced verdict
     and the three shear verdicts; per kind the dimensions of the direct and
-    of the shear kernel."""
+    of the shear kernel, and the status of the search, which must decide."""
     data = pre_shear_from_bracket(L)
     verdicts = [
         (
@@ -51,7 +52,9 @@ def _invariants(L, J, metrics):
         for g in metrics
     ]
     dims = {kind: (len(condition_kernel(L, J, kind)), len(shear_kernel(data, J, kind))) for kind in KINDS}
-    return verdicts, dims
+    statuses = {kind: search_metric(L, J, kind).status for kind in KINDS}
+    assert "not_found" not in statuses.values(), statuses
+    return verdicts, dims, statuses
 
 
 def _assert_invariant(L, J, metrics, p):

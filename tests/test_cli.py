@@ -658,6 +658,12 @@ class TestMalformedInput:
         with pytest.raises(documents.DocumentError, match="bad rational"):
             documents._fraction(literal)
 
+    def test_integer_past_the_limit_is_a_document_error(self):
+        """An int past the digit limit cannot be written in decimal, so the
+        error names it without its digits."""
+        with pytest.raises(documents.DocumentError, match="bad rational integer: .*digits"):
+            documents._fraction(10**5000)
+
     def test_literal_of_the_limit_length_is_read(self):
         """Without an exponent no numerator or denominator has more digits
         than the literal has characters, so one at the limit is read."""

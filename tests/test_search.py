@@ -331,9 +331,10 @@ class TestSearch:
         assert result.iterations == 6
 
     def test_no_further_seed_after_phase_one_concludes(self, cx_type_I, j_std6, monkeypatch):
-        """A dual that does not round ends the search: every seed follows the
-        same central path, so a further seed would fail the same way."""
-        monkeypatch.setattr(search_module, "_round_certificate", lambda *args: None)
+        """A concluded Phase I that no face certifies ends the search: every
+        seed follows the same central path, so a further seed would fail the
+        same way."""
+        monkeypatch.setattr(search_module, "_face_certificate", lambda *args: None)
         one = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0,)))
         four = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1, 2, 3)))
         assert one.status == four.status == "not_found"
@@ -438,6 +439,21 @@ class TestCertificateCheck:
         for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n), small, large):
             assert not check_certificate(cx_type_I, j_std6, "kahler", bad)
 
+    @pytest.mark.parametrize("y", [[[0, 1], [1, 0]], [[1, 0], [4, 1]]], ids=["zero-minor", "unsymmetric"])
+    def test_rejects_an_indefinite_form_with_no_kernel(self, y):
+        """With no kernel matrix only Y's form can reject it: [[0, 1], [1, 0]]
+        is indefinite although its first leading minor is 0, and the minors
+        of [[1, 0], [4, 1]] are 1 and 1 but its symmetric part is
+        indefinite."""
+        assert not search_module._certifies((), y)
+
+    def test_witness_outside_the_kernel_is_not_verified(self, j_std6):
+        """I is a definite compatible metric on (0,21,0,0,43,0), which has no
+        Kahler metric, so its condition form does not vanish."""
+        L = parse_salamon("(0,21,0,0,43,0)")
+        eye = al.linalg.identity_matrix(6)
+        assert search_module._witness(L, j_std6, "kahler", eye) == (eye, False)
+
     @staticmethod
     def _check_second_route(L, J, kind, monkeypatch):
         """On a two-step solvable algebra the certificate of a ``none`` must
@@ -523,13 +539,13 @@ def test_gradient_matches_central_differences(algebra, kind, t):
     for _ in range(5):
         u = 0.1 * rng.standard_normal(m)
         u[-1] = 1.0 - min(0.0, np.linalg.eigvalsh(base + np.tensordot(u[:-1], dirs[:-1], 1))[0])
-        _, _, grad, hess = _derivatives(base, dirs, u, cost)
+        grad, hess = _derivatives(base, dirs, u, cost)
         h = 1e-5
         shifts = h * np.eye(m)
         fd = np.array([(objective(u + e) - objective(u - e)) / (2 * h) for e in shifts])
         assert np.max(np.abs(fd - grad)) < 1e-6 * max(1.0, np.abs(grad).max())
         def gradient(x):
-            return _derivatives(base, dirs, x, cost)[2]
+            return _derivatives(base, dirs, x, cost)[0]
 
         fd2 = np.array([(gradient(u + e) - gradient(u - e)) / (2 * h) for e in shifts])
         assert np.max(np.abs(fd2 - hess)) < 1e-5 * max(1.0, np.abs(hess).max())
@@ -601,7 +617,7 @@ class TestFeasibility:
     def test_exact_outputs_are_pinned(self):
         """The exact fields of 100 searches: the benchmark cases in four bases
         and generated typeI and typeIII shears at d4-d10, every kind.  The
-        solver's were recorded before a definite start ended Phase I, and
+        solver's were recorded when the faces replaced its rounded dual, and
         ``search_metric``'s when the projection came first.  A change to any
         witness, certificate or the seed that concluded shows."""
 
@@ -611,7 +627,7 @@ class TestFeasibility:
 
         searches = pinned_searches()
         assert digest(solved for *_, solved in searches) == (
-            "fc871a8d44bbec4f2168a020edc9ee1411083748cd7b679d3d4ec39c7765dead"
+            "ac6a5033646eb05c2305d5cb9b9e2f262ed9a559269aec03d023ea3ca7f6b1cf"
         )
         assert digest(result for *_, result, _ in searches) == (
             "9bfad71c83cd8227ebf3c7f9a303d9ecbcd8c6640266a15b396f89ce00502be6"
@@ -620,9 +636,10 @@ class TestFeasibility:
     def test_projection_decides_and_the_solver_agrees(self):
         """On the pinned searches and every catalog entry and kind, the
         projection decides, and the solver's answer is a second opinion:
-        wherever it concludes, it gives the same status.  Every witness passes
-        classify_metric and every certificate of either route passes
-        check_certificate."""
+        wherever it concludes, it gives the same status, and where both end
+        none, the same certificate, since its first face is the projection's
+        Y.  Every witness passes classify_metric and every certificate of
+        either route passes check_certificate."""
         searches = pinned_searches() + [
             (e.algebra, e.J, kind, search_metric(e.algebra, e.J, kind), solve(e.algebra, e.J, kind))
             for e in witness_lists()
@@ -634,6 +651,8 @@ class TestFeasibility:
             assert result.status in ("found", "none") and solved.status in (result.status, "not_found"), kind
             if result.status == "found":
                 assert result.exact_verified and classify_metric(L, Metric(result.exact_metric), J)[kind]
+            if solved.status == "none":
+                assert solved.certificate == result.certificate, kind
             for certificate in (result.certificate, solved.certificate):
                 assert certificate is None or check_certificate(L, J, kind, certificate), kind
 
@@ -642,8 +661,8 @@ class TestFeasibility:
         maps to P^T G P on change_basis(L, P) and passes classify_metric
         there.  A none certificate Y maps to P^-1 Y P^-T for Kahler and SKT,
         and to P^T Y P for balanced, whose kernel lives in H = G^-1; it
-        passes check_certificate there.  The status of a search in the new
-        basis is not compared: an infeasible one can end not_found there."""
+        passes check_certificate there.  The search in the new basis ends with
+        the same status, which may come from the solver there."""
         la = al.linalg
         rng = random.Random("search-basis-change")
         cases = [(parse_salamon(s), ComplexStructure.from_pairs(6, pairs), kind) for s, pairs, kind, _ in SEARCH_CASES]
@@ -656,6 +675,7 @@ class TestFeasibility:
             outcomes.add((result.status, kind))
             p = commuting_change(J, rng)
             moved, pt = al.change_basis(L, p), la.transpose(p)
+            assert search_metric(moved, J, kind, SearchConfig(seeds=tuple(range(4)))).status == result.status, kind
             if result.status == "found":
                 g = la.mat_mul(pt, la.mat_mul(la.mat(result.exact_metric), p))
                 assert classify_metric(moved, Metric(g), J)[kind], kind
@@ -699,6 +719,16 @@ class TestFeasibility:
                 flat = [[c for row in m for c in row] for m in condition_kernel(L, J, kind)]
                 cs, den = la.projection_coordinates(flat, eye)
                 assert (cs, den) == core.clear(la.mat_vec(la.coordinate_map(flat), eye)), (profile, kind)
+
+    def test_wide_rows_kahler_none_is_certified_by_a_face(self):
+        """typeI d10 seed 0, moved as in the wide-rows case, has no Kahler
+        metric.  The projection leaves it open; Phase I concludes with
+        s >= 0, and a face of [L, L] certifies it exactly."""
+        data, _, J = random_complex_shear(0, "typeI", 10)
+        L = al.change_basis(build_shear(data), commuting_change(J, random.Random("wide-rows-10")))
+        result = search_metric(L, J, "kahler")
+        assert (result.status, result.route) == ("none", "solver")
+        assert check_certificate(L, J, "kahler", result.certificate)
 
     @pytest.mark.parametrize("name", ["counterexample_type_I", "counterexample_shear"])
     def test_demo_counterexamples(self, name):
