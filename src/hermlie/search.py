@@ -10,20 +10,20 @@ K meets the positive definite cone.  Each step runs when the one before it
 does not decide:
 1. ``found`` when P, the exact projection of I onto span(K) in the pairing
    tr(A B), is definite;
-2. ``none`` when Y = I - P, which is orthogonal to K, is nonzero and
-   semidefinite;
-3. the solver.  Phase I minimises s subject to X + sI > 0, X in K,
-   tr X = n, by damped Newton steps on t s - log det(X + sI), t growing
-   eightfold per centring (Boyd and Vandenberghe, *Convex Optimization*,
-   11.4); a definite start ends it before its first step.  ``found``: once
-   s < 0, the analytic centre of the slice is snapped to rationals in K.
-   ``none``: s stays >= 0 as the gap n / t closes, and a face certifies.
-   A face is a subspace V of L, or of L* for balanced, built from L and J
-   alone; with int basis rows B, Z = I_r - (the projection of I_r onto the
-   span of the B M B^T, M in K) gives Y = B^T Z B, orthogonal to K.  The
-   faces are L, [L, L], [L, L] & J[L, L] and the centre for Kahler and
-   SKT, and L*, ann [L, L] and ann([L, L] & J[L, L]) for balanced; the face
-   L is step 2's Y.  ``not_found``, inconclusive, arises only here.
+2. ``none`` when a face certifies.  A face is a subspace V of L, or of L*
+   for balanced, built from L and J alone; with int basis rows B,
+   Z = I_r - (the projection of I_r onto the span of the B M B^T, M in K)
+   gives Y = B^T Z B, orthogonal to K, and the first Y that is nonzero and
+   semidefinite is the certificate.  The faces are L, whose Y is I - P,
+   then [L, L], [L, L] & J[L, L] and the centre for Kahler and SKT, and
+   ann [L, L] and ann([L, L] & J[L, L]) for balanced;
+3. the solver, which only looks for a witness.  Phase I minimises s
+   subject to X + sI > 0, X in K, tr X = n, by damped Newton steps on
+   t s - log det(X + sI), t growing eightfold per centring (Boyd and
+   Vandenberghe, *Convex Optimization*, 11.4); a definite start ends it
+   before its first step.  ``found``: once s < 0, the analytic centre of
+   the slice is snapped to rationals in K.  Otherwise ``not_found``, which
+   is inconclusive.
 A witness is certified by its kind's ``condition_form`` (d sigma^(n-1) for
 balanced).  A nonzero semidefinite Y with tr(Y M) = 0 for every kernel
 matrix M proves that no compatible metric of the kind exists, since
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import numbers
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 
 import numpy as np
 
@@ -103,29 +103,15 @@ def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
 @dataclass(frozen=True)
 class SearchConfig:
     seeds: tuple = tuple(range(16))
-    max_iterations: int = 500  # Newton steps per seed
-    tolerance: float = 1e-9  # the duality gap n / t at which Phase I stops
 
     def __post_init__(self):
-        # overrides come from documents: each must have its default's shape
-        for f in fields(self):
-            value, default = getattr(self, f.name), f.default
-            many = isinstance(default, tuple)
-            kind = numbers.Integral if isinstance(default[0] if many else default, int) else numbers.Real
-            items = value if many else (value,)
-            if (many and not isinstance(value, tuple)) or not all(
-                isinstance(x, kind) and not isinstance(x, bool) for x in items
-            ):
-                what = "a list of " if many else ""
-                noun = "integers" if kind is numbers.Integral else "numbers"
-                raise TypeError(f"{f.name} must be {what}{noun}, got {value!r}")
-        # and each must let a search run: NaN fails the comparison too
+        # an override comes from a document: a nonempty list of integers
+        if not isinstance(self.seeds, tuple) or not all(
+            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in self.seeds
+        ):
+            raise TypeError(f"seeds must be a list of integers, got {self.seeds!r}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not 0 < self.tolerance < inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -133,13 +119,13 @@ class SearchResult:
     status: str  # "found" | "none" | "not_found"
     kind: str
     metric: tuple | None  # the float witness of a "found"
-    residual: float  # 0.0 when found; tr(I - P) for the projection's none; the solver's last Phase-I s, clipped at 0
+    residual: float  # 0.0 if found; tr(I_r - P) on the certifying face if none; else the last Phase-I s, clipped at 0
     iterations: int  # Newton steps over the seeds run: centring steps only from a definite start; 0 by projection
     seed: int | None
     exact_metric: tuple | None = None
     exact_verified: bool = False
     certificate: tuple | None = None  # the exact Y of a "none"
-    route: str = "solver"  # the step that decided: "projection" or "solver"
+    route: str = "solver"  # "projection" for every none and the projection's found, else "solver"
 
     def summary(self) -> dict:
         keys = ("status", "kind", "route", "residual", "iterations", "seed", "exact_verified")
@@ -148,6 +134,8 @@ class SearchResult:
 
 START_SPREAD = 0.1  # seed jitter of the Phase-I start, per orthonormal direction
 FOUND_MARGIN = 1e-6  # s below -FOUND_MARGIN is a definite point of K
+MAX_ITERATIONS = 500  # Newton steps per seed
+TOLERANCE = 1e-9  # the duality gap n / t at which Phase I stops
 
 
 def _unit(matrices) -> tuple[np.ndarray, list[int]]:
@@ -219,35 +207,40 @@ def _project_identity(rows, r: int) -> tuple[list[int], int]:
     return core.combine(cs, rows), dc
 
 
-def _faces(L, J, kind):
-    """Int basis rows of the subspaces a certificate's range is tried in,
-    in order; each is built from L and J alone, so it moves with any change
-    of basis.  A Kahler or SKT Y pairs with metrics, so its range is taken
-    in L; a balanced Y pairs with H = g^-1, so in L*, by annihilators."""
+def _faces(L, J, kind, kernel, projection):
+    """Int basis rows B of the subspaces a certificate's range is tried in,
+    in order, each with the projection of I_r onto the span of the
+    B M B^T, M in K; the first face, L, has B = I and is given
+    ``projection``, I's own onto span(K).  Each face is built from L and J
+    alone, so it moves with any change of basis.  A Kahler or SKT Y pairs
+    with metrics, so its range is taken in L; a balanced Y pairs with
+    H = g^-1, so in L*, by annihilators."""
     n = L.dim
-    yield [[int(a == b) for b in range(n)] for a in range(n)]
+    yield [[int(a == b) for b in range(n)] for a in range(n)], projection
     derived = L.derived_ints
     stable = intersect_ints(derived, [core.mat_vec(J.ints[0], v) for v in derived])
     if kind == "balanced":
-        for b in (derived, stable):
-            yield linalg.echelon(linalg.kernel(b, n)[0])
+        faces = (linalg.echelon(linalg.kernel(b, n)[0]) for b in (derived, stable))
     else:
-        yield from (derived, stable, center(L).ints)
+        faces = (derived, stable, center(L).ints)
+    for b in faces:
+        if b:
+            bt = list(zip(*b))
+            rows = linalg.echelon([c for row in core.mat_mul(core.mat_mul(b, m), bt) for c in row] for m in kernel)
+            yield b, _project_identity(rows, len(b))
 
 
-def _face_certificate(L, J, kind, kernel):
+def _face_certificate(L, J, kind, kernel, projection):
     """The first face's Y = B^T (I_r - P) B that ``_certifies``, as
-    ``_primitive`` gives it, or None: P is the projection of I_r onto the
-    span of the B M B^T, so tr(Y M) = tr((I_r - P) B M B^T) = 0 for M in K."""
-    for b in _faces(L, J, kind):
-        r, bt = len(b), list(zip(*b))
-        if not r:
-            continue
-        rows = linalg.echelon([c for row in core.mat_mul(core.mat_mul(b, m), bt) for c in row] for m in kernel)
-        p, d = _project_identity(rows, r)
-        y = core.mat_mul(core.mat_mul(bt, [[d * (a == c) - p[a * r + c] for c in range(r)] for a in range(r)]), b)
+    ``_primitive`` gives it, and tr(I_r - P), or None: P is the projection
+    of I_r onto the span of the B M B^T, so tr(Y M) = tr((I_r - P) B M B^T)
+    = 0 for M in K."""
+    for b, (p, d) in _faces(L, J, kind, kernel, projection):
+        r = len(b)
+        z = [[d * (a == c) - p[a * r + c] for c in range(r)] for a in range(r)]
+        y = core.mat_mul(core.mat_mul(list(zip(*b)), z), b)
         if _certifies(kernel, y):
-            return _primitive(y)
+            return _primitive(y), float(Fraction(sum(z[a][a] for a in range(r)), d))  # tr Z = |I_r - P|^2
     return None
 
 
@@ -275,7 +268,7 @@ def search_metric(
     L: LieAlgebra, J: ComplexStructure, kind: str, config: SearchConfig | None = None
 ) -> SearchResult:
     """Decide whether a metric compatible with J satisfies ``kind``: the
-    projection, then the certificate, then the solver.  ``found`` carries
+    projection, then the faces, then the solver.  ``found`` carries
     the exact metric, ``none`` the exact Y in ``certificate``, and ``route``
     the step that decided."""
     if kind not in KINDS:
@@ -297,18 +290,18 @@ def search_kernel(
     if exact is not None:
         floats = tuple(tuple(map(float, row)) for row in exact)
         return SearchResult("found", kind, floats, 0.0, 0, None, exact, verified, route="projection")
-    y = [[dc * (a == b) - p[a * n + b] for b in range(n)] for a in range(n)]
-    if _certifies(kernel, y):
-        distance = float(Fraction(sum(y[a][a] for a in range(n)), dc))  # tr Y = |I - P|^2
-        return SearchResult("none", kind, None, distance, 0, None, certificate=_primitive(y), route="projection")
+    if (face := _face_certificate(L, J, kind, kernel, (p, dc))) is not None:
+        certificate, distance = face
+        return SearchResult("none", kind, None, distance, 0, None, certificate=certificate, route="projection")
     return _solve(L, J, kind, kernel, config)
 
 
 def _solve(L, J, kind, kernel, config: SearchConfig | None = None) -> SearchResult:
-    """The solver on ``kernel``, which must hold a matrix of nonzero trace.
-    Seeds jitter the Phase-I start, and a further seed runs only when the
-    previous one used up ``max_iterations`` Newton steps; ``not_found``
-    means that no seed concluded, or that no face certified."""
+    """The solver on ``kernel``, which must hold a matrix of nonzero trace;
+    it only looks for a witness.  Seeds jitter the Phase-I start, and a
+    further seed runs only when the previous one used up ``MAX_ITERATIONS``
+    Newton steps, since Phase I follows the same central path from any
+    start; ``not_found`` means that no seed reached s < 0."""
     config = config or SearchConfig()
     n = L.dim
     base, dirs = _trace_slice(kernel, n)
@@ -321,32 +314,30 @@ def _solve(L, J, kind, kernel, config: SearchConfig | None = None) -> SearchResu
         # a definite start is a point of K with s = -least < 0 already
         u = np.append(z, -least if least > FOUND_MARGIN else 1.0 - min(0.0, least))
         t = 1.0
-        for _ in range(config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             s = float(u[-1])
             if s < -FOUND_MARGIN:
                 break
             total += 1
             new, decrement2 = _newton_step(base, phase_one, u, np.append(np.zeros(len(dirs)), t))
             centred = decrement2 < 1e-10
-            if centred and n / t < config.tolerance:
+            if centred and n / t < TOLERANCE:
                 break
             t, u = (8.0 * t, u) if centred else (t, new)
         else:
             continue
-        if s < -FOUND_MARGIN:
-            z = u[:-1]
-            for _ in range(config.max_iterations if len(dirs) else 0):
-                total += 1
-                z, decrement2 = _newton_step(base, dirs, z, np.zeros(len(dirs)))
-                if decrement2 < 1e-12:
-                    break
-            centre = base + np.tensordot(z, dirs, 1)
-            exact, verified = _witness(L, J, kind, _snap(kernel, centre))
-            if kind == "balanced":
-                centre = np.linalg.inv(centre)
-            metric = tuple(map(tuple, ((centre + centre.T) / 2).tolist()))
-            return SearchResult("found", kind, metric, 0.0, total, seed, exact, verified)
-        if (certificate := _face_certificate(L, J, kind, kernel)) is not None:
-            return SearchResult("none", kind, None, max(s, 0.0), total, seed, certificate=certificate)
-        break  # Phase I follows the same central path from any start
+        if s >= -FOUND_MARGIN:
+            break  # Phase I concluded with s >= 0
+        z = u[:-1]
+        for _ in range(MAX_ITERATIONS if len(dirs) else 0):
+            total += 1
+            z, decrement2 = _newton_step(base, dirs, z, np.zeros(len(dirs)))
+            if decrement2 < 1e-12:
+                break
+        centre = base + np.tensordot(z, dirs, 1)
+        exact, verified = _witness(L, J, kind, _snap(kernel, centre))
+        if kind == "balanced":
+            centre = np.linalg.inv(centre)
+        metric = tuple(map(tuple, ((centre + centre.T) / 2).tolist()))
+        return SearchResult("found", kind, metric, 0.0, total, seed, exact, verified)
     return SearchResult("not_found", kind, None, max(s, 0.0), total, None)

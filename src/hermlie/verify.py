@@ -2,8 +2,8 @@
 
 Each criterion returns a details dict and raises AssertionError with a
 description on failure; the runner times them and produces one line per
-criterion.  All expected values are exact; numerical tolerances appear
-only in the search criterion, as configured there.
+criterion.  All expected values are exact; the search criterion also
+bounds its Newton steps and its wall time.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .normal_forms import (
     skt_typeII_normal_form,
 )
 from .salamon import parse_salamon
-from .search import SearchConfig, _solve, check_certificate, search_kernel, search_metric
+from .search import MAX_ITERATIONS, _solve, check_certificate, search_kernel, search_metric
 from .shear import build_shear, shear_condition, shear_kernel
 
 Q = Fraction
@@ -380,7 +380,6 @@ def criterion_metric_search() -> dict:
     """Witness search succeeds within budget and certifies exactly, both as
     decided (by the projection) and by the numerical solver alone."""
     J = ComplexStructure.standard(6)
-    config = SearchConfig()
     results = {}
     for name, salamon, kind in (
         ("two-r3-kahler", "(25,-15,46,-36,0,0)", "kahler"),
@@ -388,14 +387,14 @@ def criterion_metric_search() -> dict:
     ):
         L = parse_salamon(salamon)
         t0 = time.time()
-        result = search_metric(L, J, kind, config)
-        solved = _solve(L, J, kind, condition_kernel(L, J, kind), config)
+        result = search_metric(L, J, kind)
+        solved = _solve(L, J, kind, condition_kernel(L, J, kind))
         elapsed = time.time() - t0
         for found in (result, solved):
             assert found.status == "found", f"{name}: no witness found by the {found.route}"
-            assert found.residual < config.tolerance
+            assert found.residual == 0.0
             # a definite start takes no Phase-I step: these are centring steps only
-            assert found.iterations <= config.max_iterations
+            assert found.iterations <= MAX_ITERATIONS
             assert found.exact_verified, f"{name}: the {found.route}'s witness failed exact verification"
         assert elapsed < 10.0, f"{name}: took {elapsed:.1f}s"
         results[name] = {"residual": result.residual}

@@ -41,7 +41,8 @@ def _change(data, J):
 def _invariants(L, J, metrics):
     """Per metric the three direct verdicts, the structural balanced verdict
     and the three shear verdicts; per kind the dimensions of the direct and
-    of the shear kernel, and the status of the search, which must decide."""
+    of the shear kernel, and the status of the search, which must decide,
+    every none by the faces."""
     data = pre_shear_from_bracket(L)
     verdicts = [
         (
@@ -52,8 +53,12 @@ def _invariants(L, J, metrics):
         for g in metrics
     ]
     dims = {kind: (len(condition_kernel(L, J, kind)), len(shear_kernel(data, J, kind))) for kind in KINDS}
-    statuses = {kind: search_metric(L, J, kind).status for kind in KINDS}
+    results = {kind: search_metric(L, J, kind) for kind in KINDS}
+    statuses = {kind: result.status for kind, result in results.items()}
     assert "not_found" not in statuses.values(), statuses
+    for kind, result in results.items():
+        if result.status == "none":  # the faces certify ahead of the solver
+            assert (result.route, result.iterations, result.seed) == ("projection", 0, None), (kind, result)
     return verdicts, dims, statuses
 
 

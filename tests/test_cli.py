@@ -196,17 +196,39 @@ class TestSearchCommand:
         assert doc["search"]["exact_verified"] is True
         assert "metric_exact" in doc
 
-    def test_not_found_exit_1(self, capsys, j_file, tmp_path):
-        """Two Newton steps per seed conclude neither side: inconclusive.  The
-        type-I counterexample is conjugated by P = (A - JAJ)/2, which is not
-        unitary, so that the projection and its certificate leave the Kahler
-        search open and the solver runs."""
+    def test_moved_counterexample_none_exit_1(self, capsys, j_file, tmp_path):
+        """The type-I counterexample conjugated by P = (A - JAJ)/2, which is
+        not unitary, has no Kahler metric: the faces certify it before the
+        solver runs, and the command exits 1 with a certificate that passes
+        the exact check."""
         from hermlie.salamon import parse_salamon
+        from hermlie.search import check_certificate
 
         J = documents.load_complex_structure({"J": STD6_J}, 6)
         moved = al.change_basis(parse_salamon("(0,21,0,0,43,0)"), commuting_change(J, random.Random("not-found")))
         alg = _write(tmp_path, "moved.json", documents.algebra_doc(moved))
-        cfg = _write(tmp_path, "cfg.json", {"seeds": [0, 1], "max_iterations": 2})
+        code, out, _ = run_cli(capsys, "search", alg, j_file, "--target", "kahler")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["search"]["status"] == "none" and doc["search"]["route"] == "projection"
+        y = [[Fraction(c) for c in row] for row in doc["certificate_exact"]]
+        assert check_certificate(moved, J, "kahler", y)
+
+    def test_not_found_exit_1(self, capsys, j_file, tmp_path, monkeypatch):
+        """Two Newton steps per seed conclude nothing: inconclusive.  The
+        generated type-I shear at d6, seed 2, conjugated by P = (A - JAJ)/2,
+        which is not unitary, has a Kahler metric that neither the
+        projection nor a face decides, so the solver runs; uncapped, it
+        finds one in 25 steps."""
+        from hermlie import search as search_module
+        from hermlie.generators import random_complex_shear
+
+        data, _, J = random_complex_shear(2, "typeI", 6)
+        assert J.matrix == documents.load_complex_structure({"J": STD6_J}, 6).matrix
+        moved = al.change_basis(build_shear(data), commuting_change(J, random.Random("sample/typeI/6/2")))
+        alg = _write(tmp_path, "moved.json", documents.algebra_doc(moved))
+        monkeypatch.setattr(search_module, "MAX_ITERATIONS", 2)
+        cfg = _write(tmp_path, "cfg.json", {"seeds": [0, 1]})
         code, out, _ = run_cli(capsys, "search", alg, j_file, "--target", "kahler", "--config", cfg)
         assert code == 1
         doc = json.loads(out)
@@ -443,6 +465,7 @@ class TestMalformedInput:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+        return err
 
     def test_non_integer_dim(self, capsys, tmp_path):
         self.assert_invalid(capsys, "describe",
@@ -464,7 +487,8 @@ class TestMalformedInput:
             {"start_spread": 0.2},
             {"stall_iterations": 250},
             {"min_eig_floor": 1e-3},
-            # configs no search can use
+            # the removed solver fields (now the constants MAX_ITERATIONS and
+            # TOLERANCE), at values no search could use, and empty seeds
             {"max_iterations": 0},
             {"max_iterations": -3},
             {"seeds": []},
@@ -475,8 +499,9 @@ class TestMalformedInput:
         ],
     )
     def test_bad_search_config(self, capsys, tmp_path, cx1_file, j_file, config):
-        self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
-                            "--config", _write(tmp_path, "cfg.json", config))
+        err = self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
+                                  "--config", _write(tmp_path, "cfg.json", config))
+        assert err.startswith("error: bad search config: ")
 
     @pytest.mark.parametrize("seeds", [None, "0"])
     @pytest.mark.parametrize("config", [[1, 2], "s", 3, None])

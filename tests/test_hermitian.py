@@ -36,6 +36,7 @@ from hermlie.hermitian import (
     kahler_from_skt_and_balanced_typeII,
     metric_at,
     normalize_skt_typeII,
+    packed_kernel,
     splice_metric,
     unitary_basis,
     validate_complex_structure,
@@ -82,6 +83,16 @@ def test_wrong_size_or_kind_is_refused(cx_type_I, call, error):
     result.  An unknown kind is a ValueError."""
     with pytest.raises(error):
         call(cx_type_I)
+
+
+@pytest.mark.parametrize("gain", [1, 3, 4, 7, 8])
+def test_packed_kernel_fills_its_width(gain):
+    """On diag(1, 0) and diag(0, 1) the map gain (X_00 - X_11) reaches its
+    bound, gain times the largest |entry|, so each digit of the packed
+    output needs every bit of the width: one bit fewer reads the wrong
+    kernel or overflows the slots.  The kernel is spanned by I."""
+    basis = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
+    assert packed_kernel(basis, lambda x: [gain * (x[0][0] - x[1][1])], gain) == (((1, 0), (0, 1)),)
 
 
 class TestCoordinates:

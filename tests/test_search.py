@@ -52,8 +52,8 @@ Q = Fraction
 
 
 def solve(L, J, kind, config=None):
-    """The solver alone on the search's kernel, past the projection and its
-    certificate, which decide every search these tests make."""
+    """The solver alone on the search's kernel, past the projection and the
+    faces, which decide every search these tests make."""
     return _solve(L, J, kind, condition_kernel(L, J, kind), config)
 
 
@@ -319,26 +319,25 @@ class TestSearch:
         assert result.status == "found" and result.exact_verified
 
     def test_certified_none_on_nonexistent(self, cx_type_I, j_std6):
-        config = SearchConfig(seeds=(0, 1), max_iterations=300)
-        result = search_metric(cx_type_I, j_std6, "kahler", config)
+        result = search_metric(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1)))
         assert result.status == "none" and result.metric is None
         recheck_none(cx_type_I, j_std6, "kahler", result.certificate)
 
-    def test_inconclusive_when_capped(self, cx_type_I, j_std6):
-        """Too few Newton steps for either side: not_found, no certificate."""
-        result = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1), max_iterations=3))
+    def test_inconclusive_when_capped(self, cx_type_I, j_std6, monkeypatch):
+        """Too few Newton steps to conclude: not_found, no certificate."""
+        monkeypatch.setattr(search_module, "MAX_ITERATIONS", 3)
+        result = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1)))
         assert result.status == "not_found" and result.certificate is None
         assert result.iterations == 6
 
-    def test_no_further_seed_after_phase_one_concludes(self, cx_type_I, j_std6, monkeypatch):
-        """A concluded Phase I that no face certifies ends the search: every
-        seed follows the same central path, so a further seed would fail the
-        same way."""
-        monkeypatch.setattr(search_module, "_face_certificate", lambda *args: None)
+    def test_no_further_seed_after_phase_one_concludes(self, cx_type_I, j_std6):
+        """A Phase I that concludes with s >= 0 ends the solver's search:
+        every seed follows the same central path, so a further seed would
+        fail the same way."""
         one = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0,)))
         four = solve(cx_type_I, j_std6, "kahler", SearchConfig(seeds=(0, 1, 2, 3)))
         assert one.status == four.status == "not_found"
-        assert four.iterations == one.iterations < SearchConfig().max_iterations
+        assert four.iterations == one.iterations < search_module.MAX_ITERATIONS
 
     def test_definite_start_takes_no_phase_one_step(self, cx_type_I, j_std6, monkeypatch):
         """These starts are already definite, so Phase I ends before its
@@ -358,32 +357,35 @@ class TestSearch:
             assert result.status == "found" and result.exact_verified
             assert sizes == [len(condition_kernel(cx_type_I, j_std6, kind)) - 1] * result.iterations
 
-    def test_one_step_from_a_definite_start_finds(self, j_std6):
+    def test_one_step_from_a_definite_start_finds(self, j_std6, monkeypatch):
         """With a single Newton step the two-r3 Kahler search still finds and
         certifies its witness: the definite start needs no Phase-I step."""
         L = parse_salamon("(25,-15,46,-36,0,0)")
-        result = solve(L, j_std6, "kahler", SearchConfig(seeds=(0,), max_iterations=1))
+        monkeypatch.setattr(search_module, "MAX_ITERATIONS", 1)
+        result = solve(L, j_std6, "kahler", SearchConfig(seeds=(0,)))
         assert result.status == "found" and result.exact_verified and result.iterations == 1
 
     @pytest.mark.parametrize("algebra,J", [("cx_type_I", "j_std6"), ("cx_type_III", "j_type_III")])
     def test_infeasible_phase_one_keeps_its_steps(self, algebra, J, request):
         """No start is definite where no metric exists: Phase I runs its
-        whole central path, 79 Newton steps, to the certificate."""
+        whole central path, 79 Newton steps, and the solver, which only
+        finds, ends not_found."""
         L, J = request.getfixturevalue(algebra), request.getfixturevalue(J)
         result = solve(L, J, "kahler")
-        assert result.status == "none" and result.iterations == 79
+        assert result.status == "not_found" and result.iterations == 79 and result.certificate is None
 
     def test_hopf_surface_is_certified(self):
         """su(2) + R carries no Kahler and no balanced metric (in dimension 4
         they agree); its kernels are one matrix each, so the solver's Phase I
-        moves s alone."""
+        moves s alone, to not_found."""
         L = parse_salamon("(-23,-31,12,0)")
         J = ComplexStructure.standard(4)
         for kind in ("kahler", "balanced"):
             assert len(condition_kernel(L, J, kind)) == 1
-            for result in (search_metric(L, J, kind), solve(L, J, kind)):
-                assert result.status == "none", kind
-                recheck_none(L, J, kind, result.certificate)
+            result = search_metric(L, J, kind)
+            assert result.status == "none", kind
+            recheck_none(L, J, kind, result.certificate)
+            assert solve(L, J, kind).status == "not_found", kind
         assert search_metric(L, J, "skt").exact_verified
 
     def test_empty_kernel_is_certified_by_the_identity(self, cx_type_I, j_std6, monkeypatch):
@@ -399,10 +401,11 @@ class TestSearch:
         b = search_metric(cx_type_I, j_std6, "skt")
         assert a == b
 
-    def test_iterates_stay_positive_definite(self, cx_type_I, j_std6):
+    def test_iterates_stay_positive_definite(self, cx_type_I, j_std6, monkeypatch):
         # every reported metric is positive definite
+        monkeypatch.setattr(search_module, "MAX_ITERATIONS", 200)
         for kind in ("kahler", "balanced", "skt"):
-            result = solve(cx_type_I, j_std6, kind, SearchConfig(seeds=(0,), max_iterations=200))
+            result = solve(cx_type_I, j_std6, kind, SearchConfig(seeds=(0,)))
             if result.metric is not None:
                 eigs = np.linalg.eigvalsh(np.array(result.metric))
                 assert eigs[0] > 0
@@ -416,7 +419,7 @@ class TestSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = solve(cx_type_III, j_type_III, "kahler", SearchConfig(seeds=(0, 1, 2, 3)))
-        assert result.status == "none"
+        assert result.status == "not_found"
 
 
 class TestCertificateCheck:
@@ -617,7 +620,7 @@ class TestFeasibility:
     def test_exact_outputs_are_pinned(self):
         """The exact fields of 100 searches: the benchmark cases in four bases
         and generated typeI and typeIII shears at d4-d10, every kind.  The
-        solver's were recorded when the faces replaced its rounded dual, and
+        solver's were recorded when it stopped certifying, and
         ``search_metric``'s when the projection came first.  A change to any
         witness, certificate or the seed that concluded shows."""
 
@@ -627,7 +630,7 @@ class TestFeasibility:
 
         searches = pinned_searches()
         assert digest(solved for *_, solved in searches) == (
-            "ac6a5033646eb05c2305d5cb9b9e2f262ed9a559269aec03d023ea3ca7f6b1cf"
+            "c535b1708a2a0957069507693bfbc5ad471714a5c96319b9b31af4a79a452929"
         )
         assert digest(result for *_, result, _ in searches) == (
             "9bfad71c83cd8227ebf3c7f9a303d9ecbcd8c6640266a15b396f89ce00502be6"
@@ -636,10 +639,10 @@ class TestFeasibility:
     def test_projection_decides_and_the_solver_agrees(self):
         """On the pinned searches and every catalog entry and kind, the
         projection decides, and the solver's answer is a second opinion:
-        wherever it concludes, it gives the same status, and where both end
-        none, the same certificate, since its first face is the projection's
-        Y.  Every witness passes classify_metric and every certificate of
-        either route passes check_certificate."""
+        wherever the projection finds, the solver finds or ends not_found,
+        and wherever the projection certifies none, the solver, which only
+        finds, ends not_found.  Every witness passes classify_metric and
+        every certificate passes check_certificate."""
         searches = pinned_searches() + [
             (e.algebra, e.J, kind, search_metric(e.algebra, e.J, kind), solve(e.algebra, e.J, kind))
             for e in witness_lists()
@@ -648,13 +651,13 @@ class TestFeasibility:
         for L, J, kind, result, solved in searches:
             assert result.route == "projection" and solved.route == "solver", kind
             assert result.iterations == 0 and result.seed is None
-            assert result.status in ("found", "none") and solved.status in (result.status, "not_found"), kind
+            assert solved.certificate is None, kind
             if result.status == "found":
+                assert solved.status in ("found", "not_found"), kind
                 assert result.exact_verified and classify_metric(L, Metric(result.exact_metric), J)[kind]
-            if solved.status == "none":
-                assert solved.certificate == result.certificate, kind
-            for certificate in (result.certificate, solved.certificate):
-                assert certificate is None or check_certificate(L, J, kind, certificate), kind
+            else:
+                assert result.status == "none" and solved.status == "not_found", kind
+                assert check_certificate(L, J, kind, result.certificate), kind
 
     def test_outcomes_follow_a_change_of_basis(self):
         """For P = (A - JAJ) / 2, which commutes with J, a found witness G
@@ -722,12 +725,12 @@ class TestFeasibility:
 
     def test_wide_rows_kahler_none_is_certified_by_a_face(self):
         """typeI d10 seed 0, moved as in the wide-rows case, has no Kahler
-        metric.  The projection leaves it open; Phase I concludes with
-        s >= 0, and a face of [L, L] certifies it exactly."""
+        metric.  I - P is not semidefinite there, and the face [L, L]
+        certifies it exactly, ahead of the solver."""
         data, _, J = random_complex_shear(0, "typeI", 10)
         L = al.change_basis(build_shear(data), commuting_change(J, random.Random("wide-rows-10")))
         result = search_metric(L, J, "kahler")
-        assert (result.status, result.route) == ("none", "solver")
+        assert (result.status, result.route, result.iterations, result.seed) == ("none", "projection", 0, None)
         assert check_certificate(L, J, "kahler", result.certificate)
 
     @pytest.mark.parametrize("name", ["counterexample_type_I", "counterexample_shear"])
