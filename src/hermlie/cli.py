@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import algebra as al
@@ -30,7 +29,7 @@ from .documents import (
 from .errors import HermlieError
 from .hermitian import KINDS, Metric, classify_metric, condition_forms, hermitian_decomposition, squared_norm
 from .salamon import MAX_DIM, render_salamon
-from .search import SearchConfig, search_metric
+from .search import search_metric
 from .shear import build_shear, check_complex_shear, shear_condition, validate_pre_shear
 from .verify import run_criteria
 
@@ -121,20 +120,9 @@ def cmd_shear(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if "HERMLIE_SEEDS" in os.environ:
-        raise DocumentError('HERMLIE_SEEDS is not read; give "seeds" in a --config file instead')
     L = load_algebra(_read_json(args.algebra))
     J = load_complex_structure(_read_json(args.j_file), L.dim)
-    overrides = {}
-    if args.config:
-        overrides = _read_json(args.config)
-        if not isinstance(overrides, dict):
-            raise DocumentError("search config must be a JSON object")
-    try:
-        config = SearchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()})
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad search config: {exc}") from None
-    result = search_metric(L, J, args.target, config)
+    result = search_metric(L, J, args.target)
     report = {
         "schema": SCHEMA,
         "search": result.summary(),
@@ -245,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("j_file", help='JSON with a "J" matrix')
     p.add_argument("--target", choices=KINDS, required=True)
-    p.add_argument("--config", help="JSON with SearchConfig overrides")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("catalog", help="list the six-dimensional witness entries")

@@ -91,13 +91,14 @@ def _certifies(kernel, Y) -> bool:
 def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
     """Whether the rational matrix ``Y`` proves that no metric compatible
     with J satisfies ``kind``, checked exactly on a fresh kernel and, on a
-    two-step solvable L with J integrable, also on the shear route's kernel."""
+    two-step solvable L with J integrable, also on the shear route's kernel.
+    Float entries are read exactly, as ``Metric`` reads them."""
     if len(Y) != L.dim or any(len(row) != L.dim for row in Y):
         return False
     kernel = condition_kernel(L, J, kind)
     if is_two_step_solvable(L) and is_integrable(L, J):
         kernel += shear_kernel(pre_shear_from_bracket(L), J, kind)
-    return _certifies(kernel, Y)
+    return _certifies(kernel, linalg.mat(Y))
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class SearchConfig:
     seeds: tuple = tuple(range(16))
 
     def __post_init__(self):
-        # an override comes from a document: a nonempty list of integers
+        # perfbench/metric_search.py sets fewer Phase-I starts: a nonempty tuple of integers
         if not isinstance(self.seeds, tuple) or not all(
             isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in self.seeds
         ):

@@ -448,11 +448,9 @@ CRITERIA = (
 )
 
 
-def run_criteria(numbers=None, out=print) -> list[CriterionResult]:
+def run_criteria(out=print) -> list[CriterionResult]:
     results = []
     for number, name, fn in CRITERIA:
-        if numbers and number not in numbers:
-            continue
         t0 = time.time()
         try:
             details = fn()

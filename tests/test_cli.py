@@ -215,11 +215,11 @@ class TestSearchCommand:
         assert check_certificate(moved, J, "kahler", y)
 
     def test_not_found_exit_1(self, capsys, j_file, tmp_path, monkeypatch):
-        """Two Newton steps per seed conclude nothing: inconclusive.  The
-        generated type-I shear at d6, seed 2, conjugated by P = (A - JAJ)/2,
-        which is not unitary, has a Kahler metric that neither the
-        projection nor a face decides, so the solver runs; uncapped, it
-        finds one in 25 steps."""
+        """Two Newton steps on each default seed conclude nothing:
+        inconclusive.  The generated type-I shear at d6, seed 2, conjugated
+        by P = (A - JAJ)/2, which is not unitary, has a Kahler metric that
+        neither the projection nor a face decides, so the solver runs;
+        uncapped, it finds one in 25 steps."""
         from hermlie import search as search_module
         from hermlie.generators import random_complex_shear
 
@@ -228,12 +228,12 @@ class TestSearchCommand:
         moved = al.change_basis(build_shear(data), commuting_change(J, random.Random("sample/typeI/6/2")))
         alg = _write(tmp_path, "moved.json", documents.algebra_doc(moved))
         monkeypatch.setattr(search_module, "MAX_ITERATIONS", 2)
-        cfg = _write(tmp_path, "cfg.json", {"seeds": [0, 1]})
-        code, out, _ = run_cli(capsys, "search", alg, j_file, "--target", "kahler", "--config", cfg)
+        code, out, _ = run_cli(capsys, "search", alg, j_file, "--target", "kahler")
         assert code == 1
         doc = json.loads(out)
         assert doc["search"]["status"] == "not_found" and doc["search"]["route"] == "solver"
-        assert doc["search"]["iterations"] == 4  # two capped Newton steps per seed
+        seeds = len(search_module.SearchConfig().seeds)
+        assert doc["search"]["iterations"] == 2 * seeds == 32  # two capped Newton steps per seed
         assert "certificate_exact" not in doc
 
     def test_none_certificate_round_trip(self, capsys):
@@ -254,14 +254,16 @@ class TestSearchCommand:
         y = [[Fraction(c) for c in row] for row in doc["certificate_exact"]]
         assert check_certificate(L, J, "kahler", y)
 
-    def test_seed_env_override(self, capsys, cx1_file, j_file, monkeypatch):
-        """Seeds come from --config only: the old override variable, even
-        empty, exits 2 with one line instead of being ignored."""
+    def test_seed_env_override(self, capsys, monkeypatch):
+        """No environment variable moves search: HERMLIE_SEEDS, set to a
+        count or empty, gives the same exit code and bytes as unset."""
+        alg, j = str(DEMO_DATA / "counterexample_type_I.json"), str(DEMO_DATA / "standard_J.json")
+        monkeypatch.delenv("HERMLIE_SEEDS", raising=False)
+        unset = run_cli(capsys, "search", alg, j, "--target", "kahler")
+        assert unset[0] == 1 and unset[2] == ""
         for value in ("3", ""):
             monkeypatch.setenv("HERMLIE_SEEDS", value)
-            code, out, err = run_cli(capsys, "search", cx1_file, j_file, "--target", "skt")
-            assert (code, out) == (2, "")
-            assert err == 'error: HERMLIE_SEEDS is not read; give "seeds" in a --config file instead\n'
+            assert run_cli(capsys, "search", alg, j, "--target", "kahler") == unset
 
     def test_bad_j_exit_2(self, capsys, cx1_file, tmp_path):
         bad = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
@@ -325,7 +327,8 @@ class TestVerifyPaper:
             return rows
 
         monkeypatch.setattr(verify_mod, "verify_catalog", tampered)
-        results = verify_mod.run_criteria(numbers={7}, out=lambda line: None)
+        monkeypatch.setattr(verify_mod, "CRITERIA", tuple(c for c in verify_mod.CRITERIA if c[0] == 7))
+        results = verify_mod.run_criteria(out=lambda line: None)
         assert len(results) == 1 and not results[0].passed
         assert "tampered entry" in results[0].details
 
@@ -475,6 +478,15 @@ class TestMalformedInput:
         doc = {"dim": 2, "salamon": "(0,21)", "params": []}
         self.assert_invalid(capsys, "describe", _write(tmp_path, "a.json", doc))
 
+    def assert_no_config(self, capsys, tmp_path, cx1_file, j_file, config):
+        """search takes no tuning file: --config is refused as an unknown
+        option, before any file is read, whatever the file holds."""
+        with pytest.raises(SystemExit) as exc:
+            main(["search", cx1_file, j_file, "--target", "skt", "--config", _write(tmp_path, "cfg.json", config)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --config " + str(tmp_path / "cfg.json") + "\n")
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -496,12 +508,12 @@ class TestMalformedInput:
             {"tolerance": -1e-9},
             {"tolerance": float("nan")},
             {"tolerance": float("inf")},
+            # seeds that SearchConfig accepts
+            {"seeds": [0, 1]},
         ],
     )
     def test_bad_search_config(self, capsys, tmp_path, cx1_file, j_file, config):
-        err = self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
-                                  "--config", _write(tmp_path, "cfg.json", config))
-        assert err.startswith("error: bad search config: ")
+        self.assert_no_config(capsys, tmp_path, cx1_file, j_file, config)
 
     @pytest.mark.parametrize("seeds", [None, "0"])
     @pytest.mark.parametrize("config", [[1, 2], "s", 3, None])
@@ -510,8 +522,7 @@ class TestMalformedInput:
             monkeypatch.delenv("HERMLIE_SEEDS", raising=False)
         else:
             monkeypatch.setenv("HERMLIE_SEEDS", seeds)
-        self.assert_invalid(capsys, "search", cx1_file, j_file, "--target", "skt",
-                            "--config", _write(tmp_path, "cfg.json", config))
+        self.assert_no_config(capsys, tmp_path, cx1_file, j_file, config)
 
     @pytest.mark.parametrize(
         "command,doc",
@@ -880,7 +891,7 @@ PINNED_REPORTS = {
     "demos": (_demo_calls, "e348e04e4b76c8da6147170f3ea78db04b60c4f1f74c0eea8a69f119c7c7ef22"),
     "catalog": (_catalog_calls, "eb7c376f53308e0617f17f46a6ed0aa57ccb149fdcf38f9e42f35c4fc5cf5ff8"),
 }
-PINNED_HELP = "4e7d357327452023da3cb6e4daed8aeb8a1aa2ff3b7cd96e2ed8b21bc632cb28"
+PINNED_HELP = "46c17f274ebe628addc1c7c6026ad7bc75a51fbf93fbd31310cfa2c7a3bef426"
 
 
 class TestPinnedReports:

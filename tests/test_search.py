@@ -422,6 +422,16 @@ class TestSearch:
         assert result.status == "not_found"
 
 
+class TestSearchConfig:
+    def test_seeds_are_a_nonempty_tuple_of_integers(self):
+        with pytest.raises(ValueError, match=r"^seeds must not be empty$"):
+            SearchConfig(seeds=())
+        for seeds in ([0], (True,)):
+            with pytest.raises(TypeError) as exc:
+                SearchConfig(seeds=seeds)
+            assert str(exc.value) == f"seeds must be a list of integers, got {seeds!r}"
+
+
 class TestCertificateCheck:
     def _certificate(self, cx_type_I, j_std6):
         return search_metric(cx_type_I, j_std6, "kahler").certificate
@@ -441,6 +451,15 @@ class TestCertificateCheck:
         large = [[int(i == j == n) for j in range(n + 1)] for i in range(n + 1)]
         for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n), small, large):
             assert not check_certificate(cx_type_I, j_std6, "kahler", bad)
+
+    def test_reads_float_entries_exactly(self, cx_type_I, j_std6):
+        """A float copy of the certificate is read exactly and passes.  With
+        0.5 added at (0, 0) it stays symmetric and semidefinite, but the
+        kernel matrix -(e_0 e_0^T + e_1 e_1^T) now pairs with it to -0.5."""
+        y = [[float(c) for c in row] for row in self._certificate(cx_type_I, j_std6)]
+        assert check_certificate(cx_type_I, j_std6, "kahler", y)
+        y[0][0] += 0.5
+        assert not check_certificate(cx_type_I, j_std6, "kahler", y)
 
     @pytest.mark.parametrize("y", [[[0, 1], [1, 0]], [[1, 0], [4, 1]]], ids=["zero-minor", "unsymmetric"])
     def test_rejects_an_indefinite_form_with_no_kernel(self, y):
