@@ -127,6 +127,12 @@ MUTANTS = (
         "a zero lambda_k must be refused as a parameter constraint",
     ),
     Mutant(
+        "require-integrable-without-integrability", HERMITIAN,
+        "    if not is_integrable(L, J):\n        raise NotIntegrableError(",
+        "    if False:\n        raise NotIntegrableError(",
+        "every exact verdict and every search needs a J whose Nijenhuis tensor vanishes",
+    ),
+    Mutant(
         "is-integrable-key-without-den", HERMITIAN,
         "    key = (tuple(map(tuple, rows)), dj)\n", "    key = tuple(map(tuple, rows))\n",
         "J^2 = -I makes rows^2 = -dJ^2 I, so J's numerators fix its denominator dJ > 0",

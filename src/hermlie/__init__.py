@@ -8,7 +8,7 @@ The core layers:
 * :mod:`hermlie.core` -- the integer operator core: every exact verdict
   is a zero test on int numerators over common denominators;
 * :mod:`hermlie.hermitian` -- metric condition verdicts, the orthogonal
-  decomposition, the structural balanced criterion, metric splicing;
+  decomposition, the structural balanced criterion;
 * :mod:`hermlie.shear` -- the Abelian-base shear construction and the
   condition equations directly on shear data;
 * :mod:`hermlie.normal_forms`, :mod:`hermlie.catalog` -- constructors for
@@ -50,7 +50,6 @@ from .hermitian import (
     hermitian_decomposition,
     kahler_from_skt_and_balanced_typeII,
     normalize_skt_typeII,
-    splice_metric,
     unitary_basis,
     validate_complex_structure,
 )
@@ -69,7 +68,6 @@ from .search import (
     SearchResult,
     check_certificate,
     metric_parameterization,
-    residual,
     search_metric,
 )
 from .shear import (

@@ -331,14 +331,9 @@ def center(L: LieAlgebra) -> Subspace:
     return Subspace(n, linalg.echelon(linalg.kernel(eqs.values(), n)[0]))
 
 
-def trace_form(L: LieAlgebra) -> Vector:
-    """The vector t with tr ad(x) = t . x."""
-    return core.fractions(trace_ints(L), L.ints.den)
-
-
 def trace_ints(L: LieAlgebra) -> list[int]:
-    """The numerators over ``L.ints.den`` of ``trace_form``, read off the
-    bracket numerators: t_i = sum_k [e_i, e_k]_k."""
+    """The numerators over ``L.ints.den`` of the vector t with tr ad(x) =
+    t . x, read off the bracket numerators: t_i = sum_k [e_i, e_k]_k."""
     b = L.ints
     t = [0] * L.dim
     for i, j, nums in b.terms:

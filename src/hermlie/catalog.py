@@ -106,10 +106,6 @@ _ALIASES = {
 }
 
 
-def family_names() -> tuple[str, ...]:
-    return tuple(_FAMILIES)
-
-
 def named_algebra(name: str, params: dict | None = None) -> LieAlgebra:
     """Instantiate a named family at rational parameter values."""
     canonical = _canonical_name(name)

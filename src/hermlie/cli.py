@@ -71,7 +71,7 @@ def cmd_check(args) -> int:
     structure = _read_json(args.structure)
     J = load_complex_structure(structure, L.dim)
     g = load_metric(structure, L.dim)
-    forms = condition_forms(L, g, J, allow_nonintegrable=args.allow_nonintegrable)
+    forms = condition_forms(L, g, J)
     verdicts = {kind: not nums for kind, (nums, _) in forms.items()}
     dec = hermitian_decomposition(L, g, J)
     report = {
@@ -216,11 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("structure", help='JSON with "J" and "metric" matrices')
     p.add_argument("--condition", choices=list(KINDS) + ["all"], default="all")
-    p.add_argument(
-        "--allow-nonintegrable",
-        action="store_true",
-        help="debugging aid: evaluate the conditions even when the Nijenhuis tensor is nonzero",
-    )
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("shear", help="evaluate shear data or build its algebra")

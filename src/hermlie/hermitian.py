@@ -2,9 +2,8 @@
 
 Covers compatible metrics and complex structures, the three metric
 conditions by direct differential computation, the orthogonal decomposition
-of the algebra induced by the derived algebra, and the metric
-splicing/normalisation procedures used to combine special metrics into a
-closed fundamental form.
+of the algebra induced by the derived algebra, and the normalisation
+procedures used to combine special metrics into a closed fundamental form.
 
 Conventions: sigma = g(J., .); Kahler means d sigma = 0, balanced means
 d(sigma^{n-1}) = 0 in dimension 2n, and the torsion condition checked is
@@ -273,6 +272,15 @@ def is_integrable(L: LieAlgebra, J: ComplexStructure) -> bool:
     return L.integrability[key]
 
 
+def require_integrable(L: LieAlgebra, J: ComplexStructure) -> None:
+    """The gate before every exact verdict: L satisfies Jacobi, J acts on
+    L, and J is integrable on L."""
+    L.require_validated()
+    require_dim(L.dim, J)
+    if not is_integrable(L, J):
+        raise NotIntegrableError("J is not integrable on this algebra: its Nijenhuis tensor does not vanish")
+
+
 def fundamental_form(L: LieAlgebra, g: Metric, J: ComplexStructure) -> KForm:
     """sigma = g(J., .) as a 2-form."""
     require_dim(L.dim, g, J)
@@ -407,16 +415,11 @@ class MetricVerdicts:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def condition_forms(
-    L: LieAlgebra, g: Metric, J: ComplexStructure, allow_nonintegrable: bool = False
-) -> dict[str, tuple[dict[int, int], int]]:
+def condition_forms(L: LieAlgebra, g: Metric, J: ComplexStructure) -> dict[str, tuple[dict[int, int], int]]:
     """The ``condition_form`` of each kind for sigma = g(J., .), by kind.
     When d sigma = 0 it stands for all three: Kahler implies the other two,
     whose forms are then exactly zero and are not computed."""
-    L.require_validated()
-    require_dim(L.dim, J)
-    if not allow_nonintegrable and not is_integrable(L, J):
-        raise NotIntegrableError("Nijenhuis tensor does not vanish; pass allow_nonintegrable to force")
+    require_integrable(L, J)
     sigma, den = g.sigma_ints(J)
     kahler = condition_form(L, J, sigma, den, "kahler")
     if not kahler[0]:
@@ -430,11 +433,9 @@ def squared_norm(form: tuple[dict[int, int], int]) -> float:
     return float(Fraction(sum(c * c for c in form[0].values()), form[1] * form[1]))
 
 
-def classify_metric(
-    L: LieAlgebra, g: Metric, J: ComplexStructure, allow_nonintegrable: bool = False
-) -> MetricVerdicts:
+def classify_metric(L: LieAlgebra, g: Metric, J: ComplexStructure) -> MetricVerdicts:
     """Exact verdicts for the three closedness conditions of sigma."""
-    forms = condition_forms(L, g, J, allow_nonintegrable)
+    forms = condition_forms(L, g, J)
     return MetricVerdicts(**{kind: not nums for kind, (nums, _) in forms.items()})
 
 
@@ -657,29 +658,6 @@ def _block_metric(
     na, nb = len(basis_a), len(basis_b)
     gram = [list(row) + [ZERO] * nb for row in gram_a] + [[ZERO] * na + list(row) for row in gram_b]
     return Metric.from_frame(list(basis_a) + list(basis_b), gram)
-
-
-def splice_metric(
-    L: LieAlgebra,
-    J: ComplexStructure,
-    g_inner: Metric,
-    g_outer: Metric,
-    S: Subspace,
-) -> Metric:
-    """Combine two compatible metrics across a J-invariant subspace.
-
-    The result restricts to g_inner on S, to g_outer on the g_outer
-    orthogonal complement of S, and makes the two orthogonal.
-    """
-    require_dim(S.ambient_dim, J, g_inner, g_outer)
-    _require_j_invariant(S.ints, J, "splice subspace must be J-invariant")
-    if not (g_inner.compatible_with(J) and g_outer.compatible_with(J)):
-        raise IncompatibleMetricError("both metrics must be compatible with J")
-    t = orthogonal_complement(S, g_outer.matrix)
-    sb, tb = S.basis(), t.basis()
-    out = _block_metric(sb, tb, g_inner.gram(sb), g_outer.gram(tb))
-    assert out.compatible_with(J)
-    return out
 
 
 def normalize_skt_typeII(

@@ -42,18 +42,17 @@ import numpy as np
 
 from . import core, linalg
 from .algebra import LieAlgebra, center, intersect_ints, is_two_step_solvable
-from .errors import InvalidMetricError, NotIntegrableError
+from .errors import InvalidMetricError
 from .hermitian import (
     KINDS,
     ComplexStructure,
-    Metric,
     condition_form,
     condition_kernel,
     coordinate_basis,
     is_integrable,
     metric_at,
     require_dim,
-    squared_norm,
+    require_integrable,
 )
 from .shear import pre_shear_from_bracket, shear_kernel
 
@@ -62,15 +61,6 @@ def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> tuple:
     """``ComplexStructure.compatible_basis`` of a J of the algebra's dimension."""
     require_dim(L.dim, J)
     return coordinate_basis(J, "kahler")
-
-
-def residual(L: LieAlgebra, J: ComplexStructure, S, kind: str) -> float:
-    """Squared coefficient norm of ``condition_form`` (d(sigma^(n-1)) for
-    balanced), computed exactly; float entries of ``S`` are converted
-    exactly, so it is 0.0 precisely when the condition holds for the
-    rational metric they denote."""
-    metric = Metric(tuple(tuple(Fraction(x) for x in row) for row in S))
-    return squared_norm(condition_form(L, J, *metric.sigma_ints(J), kind))
 
 
 def _certifies(kernel, Y) -> bool:
@@ -92,13 +82,18 @@ def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
     """Whether the rational matrix ``Y`` proves that no metric compatible
     with J satisfies ``kind``, checked exactly on a fresh kernel and, on a
     two-step solvable L with J integrable, also on the shear route's kernel.
-    Float entries are read exactly, as ``Metric`` reads them."""
+    Float entries are read exactly, as ``Metric`` reads them; an entry that
+    is not a finite rational, such as NaN, inf or None, does not certify."""
     if len(Y) != L.dim or any(len(row) != L.dim for row in Y):
         return False
     kernel = condition_kernel(L, J, kind)
     if is_two_step_solvable(L) and is_integrable(L, J):
         kernel += shear_kernel(pre_shear_from_bracket(L), J, kind)
-    return _certifies(kernel, linalg.mat(Y))
+    try:
+        exact = linalg.mat(Y)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return _certifies(kernel, exact)
 
 
 @dataclass(frozen=True)
@@ -274,9 +269,7 @@ def search_metric(
     the step that decided."""
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
-    L.require_validated()
-    if not is_integrable(L, J):
-        raise NotIntegrableError("J is not integrable on this algebra")
+    require_integrable(L, J)
     return search_kernel(L, J, kind, condition_kernel(L, J, kind), config)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermlie import algebra as al
+from hermlie import core
 from hermlie import forms as fm
 from hermlie import linalg as la
 from hermlie.errors import (
@@ -241,8 +242,9 @@ class TestSolvabilityAndUnimodularity:
 
 
 def test_trace_form_matches_bracket_traces():
-    """t_i = tr ad(e_i) = sum_k [e_i, e_k]_k, summed on Fractions from
-    ``bracket_basis``, on generated shears of every profile at d4-d10."""
+    """t_i = tr ad(e_i) = sum_k [e_i, e_k]_k, read off ``trace_ints`` over
+    ``L.ints.den`` and summed on Fractions from ``bracket_basis``, on
+    generated shears of every profile at d4-d10."""
     from hermlie.errors import DimensionMismatchError
     from hermlie.generators import PROFILES, random_complex_shear
     from hermlie.shear import build_shear
@@ -256,7 +258,7 @@ def test_trace_form_matches_bracket_traces():
                 except (DimensionMismatchError, ValueError):  # some profiles exist only at d4-d6
                     continue
                 L = build_shear(data)
-                t = al.trace_form(L)
+                t = core.fractions(al.trace_ints(L), L.ints.den)
                 for i in range(1, dim + 1):
                     assert t[i - 1] == sum((bracket_basis(L, i, k)[k - 1] for k in range(1, dim + 1)), Q(0))
                 assert al.is_unimodular(L) == (not any(t))

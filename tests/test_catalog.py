@@ -3,12 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hermlie import algebra as al
-from hermlie.catalog import (
-    family_names,
-    named_algebra,
-    verify_catalog,
-    witness_lists,
-)
+from hermlie.catalog import named_algebra, verify_catalog, witness_lists
 from hermlie.errors import (
     ConstraintViolatedError,
     JacobiFailedError,
@@ -126,7 +121,11 @@ class TestRenderer:
 
 class TestNamedFamilies:
     def test_known_names(self):
-        assert set(family_names()) >= {"aff_R", "h_3", "N_{6,1}", "g_{5,17}"}
+        """The unknown-name error lists the known families."""
+        with pytest.raises(UnknownNameError) as exc:
+            named_algebra("no_such_family")
+        known = str(exc.value).split("; known: ")[1].split(", ")
+        assert set(known) >= {"aff_R", "h_3", "N_{6,1}", "g_{5,17}"}
 
     def test_r3_prime_at_zero(self):
         assert named_algebra("r'_{3,lambda}", {"lambda": 0}) == parse_salamon("(0,31,-21)")

@@ -126,6 +126,14 @@ class TestCheck:
         _, out2, _ = run_cli(capsys, "check", cx1_file, structure_file)
         assert out1 == out2
 
+    def test_allow_nonintegrable_is_unrecognized(self, capsys, cx1_file, structure_file):
+        """Every verdict needs an integrable J: there is no option to skip the test."""
+        with pytest.raises(SystemExit) as exc:
+            main(["check", cx1_file, structure_file, "--allow-nonintegrable"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --allow-nonintegrable\n")
+
 
 class TestShear:
     @pytest.fixture
@@ -891,7 +899,7 @@ PINNED_REPORTS = {
     "demos": (_demo_calls, "e348e04e4b76c8da6147170f3ea78db04b60c4f1f74c0eea8a69f119c7c7ef22"),
     "catalog": (_catalog_calls, "eb7c376f53308e0617f17f46a6ed0aa57ccb149fdcf38f9e42f35c4fc5cf5ff8"),
 }
-PINNED_HELP = "46c17f274ebe628addc1c7c6026ad7bc75a51fbf93fbd31310cfa2c7a3bef426"
+PINNED_HELP = "28e84dc5415cecfda4229b3c79c0199c0592c4333e46dc0fcdcc3bdd5e3a338a"
 
 
 class TestPinnedReports:
@@ -1014,21 +1022,22 @@ class TestReentrant:
 
 class TestResidualReuse:
     """check's residuals are the norms of the forms its verdicts test, equal
-    as floats to ``hermlie.residual`` on the same metric."""
+    as floats to the squared norm of each kind's ``condition_form`` on the
+    same metric."""
 
-    def check(self, capsys, tmp_path, L, J, g, *flags):
+    def check(self, capsys, tmp_path, L, J, g):
         from hermlie.documents import algebra_doc
-        from hermlie.hermitian import KINDS, classify_metric
-        from hermlie.search import residual
+        from hermlie.hermitian import KINDS, classify_metric, condition_form, squared_norm
 
         alg = _write(tmp_path, "a.json", algebra_doc(L))
         st = _write(tmp_path, "st.json", {"J": _matrix_doc(J.matrix), "metric": _matrix_doc(g.matrix)})
-        code, out, err = run_cli(capsys, "check", alg, st, *flags)
+        code, out, err = run_cli(capsys, "check", alg, st)
         assert code in (0, 1), err
         report = json.loads(out)
-        assert report["residuals"] == {kind: residual(L, J, g.matrix, kind) for kind in KINDS}
-        if not flags:
-            assert report["verdicts"] == classify_metric(L, g, J).as_dict()
+        assert report["residuals"] == {
+            kind: squared_norm(condition_form(L, J, *g.sigma_ints(J), kind)) for kind in KINDS
+        }
+        assert report["verdicts"] == classify_metric(L, g, J).as_dict()
         assert report["verdicts"] == {kind: r == 0.0 for kind, r in report["residuals"].items()}
         return report["residuals"]
 
@@ -1054,17 +1063,34 @@ class TestResidualReuse:
         assert L.dim == 8
         assert self.check(capsys, tmp_path, L, J, g) == {"kahler": 0.0, "balanced": 0.0, "skt": 0.0}
 
-    def test_nonintegrable_structure(self, capsys, tmp_path, cx_type_I):
-        import random
 
-        from hermlie.generators import random_compatible_metric
-        from hermlie.hermitian import ComplexStructure, is_integrable
+# Every subcommand that takes J, on (0,21,0,0,43,0) with a J whose Nijenhuis
+# tensor does not vanish, and the one line each writes on stderr
+NOT_INTEGRABLE = "error: J is not integrable on this algebra: its Nijenhuis tensor does not vanish\n"
+NOT_COMPLEX_SHEAR = "error: shear data equations fail (jacobi_ok=True, integrable_ok=False)\n"
+NONINTEGRABLE_CALLS = {
+    "check": (("check", "{alg}", "{st}"), NOT_INTEGRABLE),
+    **{f"search-{k}": (("search", "{alg}", "{st}", "--target", k), NOT_INTEGRABLE) for k in SHEAR_KINDS},
+    **{f"shear-{k}": (("shear", "{shear}", "--kind", k), NOT_COMPLEX_SHEAR) for k in SHEAR_KINDS},
+    **{f"shear-{k}-cross-check": (("shear", "{shear}", "--kind", k, "--cross-check"), NOT_COMPLEX_SHEAR)
+       for k in SHEAR_KINDS},
+}
 
-        J = ComplexStructure.from_pairs(6, [(1, 3), (2, 4), (5, 6)])
-        assert not is_integrable(cx_type_I, J)
-        g = random_compatible_metric(6, J, random.Random(4))
-        code, _, err = run_cli(capsys, "check", _write(tmp_path, "a.json", {"salamon": "(0,21,0,0,43,0)"}),
-                               _write(tmp_path, "st.json", {"J": _matrix_doc(J.matrix), "metric": _matrix_doc(g.matrix)}))
-        assert code == 2 and "Nijenhuis" in err
-        residuals = self.check(capsys, tmp_path, cx_type_I, J, g, "--allow-nonintegrable")
-        assert all(residuals.values())
+
+@pytest.mark.parametrize("argv, err", NONINTEGRABLE_CALLS.values(), ids=NONINTEGRABLE_CALLS.keys())
+def test_nonintegrable_structure(capsys, tmp_path, cx_type_I, argv, err):
+    """Every verdict needs an integrable J, so each call exits 2 with
+    nothing on stdout and one line on stderr."""
+    from hermlie.generators import random_compatible_metric
+    from hermlie.hermitian import ComplexStructure, is_integrable
+
+    J = ComplexStructure.from_pairs(6, [(1, 3), (2, 4), (5, 6)])
+    assert not is_integrable(cx_type_I, J)
+    g = random_compatible_metric(6, J, random.Random(4))
+    structure = {"J": _matrix_doc(J.matrix), "metric": _matrix_doc(g.matrix)}
+    files = {
+        "alg": _write(tmp_path, "a.json", {"salamon": "(0,21,0,0,43,0)"}),
+        "st": _write(tmp_path, "st.json", structure),
+        "shear": _write(tmp_path, "s.json", {**_shear_doc(pre_shear_from_bracket(cx_type_I)), **structure}),
+    }
+    assert run_cli(capsys, *(a.format(**files) for a in argv)) == (2, "", err)

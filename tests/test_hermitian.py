@@ -37,12 +37,11 @@ from hermlie.hermitian import (
     metric_at,
     normalize_skt_typeII,
     packed_kernel,
-    splice_metric,
     unitary_basis,
     validate_complex_structure,
 )
 from hermlie.salamon import parse_salamon
-from hermlie.search import check_certificate, metric_parameterization
+from hermlie.search import check_certificate, metric_parameterization, search_metric
 from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition
 
 from conftest import nijenhuis, nullspace, scale_vec, unit_vec
@@ -67,7 +66,8 @@ REFUSALS = {
     "unitary_basis-g": (lambda L: unitary_basis(FULL6, G4, J6), DimensionMismatchError),
     "fundamental_form": (lambda L: fundamental_form(L, G4, J4), DimensionMismatchError),
     "balanced_structural": (lambda L: balanced_structural(L, G4, J4), DimensionMismatchError),
-    "splice_metric": (lambda L: splice_metric(L, J4, G4, G4, FULL6), DimensionMismatchError),
+    "classify_metric": (lambda L: classify_metric(L, G4, J4), DimensionMismatchError),
+    "search_metric": (lambda L: search_metric(L, J4, "kahler"), DimensionMismatchError),
     "condition_kernel": (lambda L: condition_kernel(L, J4, "kahler"), DimensionMismatchError),
     "metric_parameterization": (lambda L: metric_parameterization(L, J4), DimensionMismatchError),
     "check_certificate": (lambda L: check_certificate(L, J4, "kahler", G6.matrix), DimensionMismatchError),
@@ -239,11 +239,8 @@ class TestClassifyMetric:
         assert v.as_dict() == {"kahler": True, "balanced": True, "skt": True}
 
     def test_requires_integrable(self, cx_type_III, j_std6, g_identity6):
-        with pytest.raises(NotIntegrableError):
+        with pytest.raises(NotIntegrableError, match="not integrable.*Nijenhuis"):
             classify_metric(cx_type_III, g_identity6, j_std6)
-        # the escape hatch still computes the almost-Hermitian verdicts
-        v = classify_metric(cx_type_III, g_identity6, j_std6, allow_nonintegrable=True)
-        assert isinstance(v.kahler, bool)
 
 
 class TestDecomposition:
@@ -418,38 +415,6 @@ class TestFingerprintDistinguish:
 
     def test_three_affine(self, cx_type_I, aff):
         assert fingerprint_distinguish(cx_type_I, al.direct_sum(aff, aff, aff)) == "distinct"
-
-
-class TestSpliceMetric:
-    def test_identity_splice(self, cx_type_I, j_std6, g_identity6):
-        s = al.Subspace.span(6, [e(6, 1), e(6, 2)])
-        out = splice_metric(cx_type_I, j_std6, g_identity6, g_identity6, s)
-        assert out.matrix == g_identity6.matrix
-
-    def test_codim2_merge_is_closed(self, j_std6, g_identity6):
-        # torsion metric on the derived part + balanced on the complement
-        L = parse_salamon("(25,-15,1.45,-1.35,0,0)", {})
-        derg = al.image_of_bracket(L)
-        rng = random.Random(13)
-        g_bal = random_compatible_metric(6, j_std6, rng)
-        # identity restricted to derg is the torsion side here
-        out = splice_metric(L, j_std6, g_identity6, g_bal, derg)
-        # balancedness needs the balanced input to be balanced; use identity
-        out2 = splice_metric(L, j_std6, g_identity6, g_identity6, derg)
-        assert classify_metric(L, out2, j_std6).kahler
-
-    def test_balanced_preserved_off_derg_J(self, cx_type_III, j_type_III, ghat_type_III):
-        # changing the metric on derg_J only cannot destroy balancedness
-        rng = random.Random(17)
-        dec = hermitian_decomposition(cx_type_III, ghat_type_III, j_type_III)
-        for _ in range(5):
-            inner = random_compatible_metric(6, j_type_III, rng)
-            out = splice_metric(cx_type_III, j_type_III, inner, ghat_type_III, dec.derg_J)
-            assert classify_metric(cx_type_III, out, j_type_III).balanced
-
-    def test_requires_j_invariant_subspace(self, cx_type_I, j_std6, g_identity6):
-        with pytest.raises(NotJInvariantError):
-            splice_metric(cx_type_I, j_std6, g_identity6, g_identity6, al.Subspace.span(6, [e(6, 1)]))
 
 
 class TestNormalizeAndPipeline:

@@ -31,6 +31,7 @@ from hermlie.hermitian import (
     is_integrable,
     kernel_span,
     sigma_of,
+    squared_norm,
 )
 from hermlie.salamon import parse_salamon
 from hermlie.search import (
@@ -40,7 +41,6 @@ from hermlie.search import (
     _trace_slice,
     check_certificate,
     metric_parameterization,
-    residual,
     search_metric,
 )
 from hermlie.shear import _shear_map, build_shear, pre_shear_from_bracket, shear_kernel
@@ -59,6 +59,13 @@ def solve(L, J, kind, config=None):
 
 def identity_float(n):
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+
+def residual(L, J, s, kind):
+    """The squared norm of ``condition_form`` (d(sigma^(n-1)) for balanced)
+    on the metric whose entries ``s`` are read exactly, as ``Metric`` reads
+    them: 0.0 precisely when the condition holds."""
+    return squared_norm(condition_form(L, J, *Metric(s).sigma_ints(J), kind))
 
 
 class TestMetricParameterization:
@@ -411,7 +418,7 @@ class TestSearch:
                 assert eigs[0] > 0
 
     def test_requires_integrable(self, cx_type_III, j_std6):
-        with pytest.raises(NotIntegrableError):
+        with pytest.raises(NotIntegrableError, match="not integrable.*Nijenhuis"):
             search_metric(cx_type_III, j_std6, "kahler")
 
     def test_no_runtime_warning_on_infeasible_kahler(self, cx_type_III, j_type_III):
@@ -449,8 +456,10 @@ class TestCertificateCheck:
         # of the wrong size: each is orthogonal to a truncated flattening
         small = [[0, 0], [0, 1]]
         large = [[int(i == j == n) for j in range(n + 1)] for i in range(n + 1)]
-        for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n), small, large):
-            assert not check_certificate(cx_type_I, j_std6, "kahler", bad)
+        # an entry that is not a finite rational is read as no certificate
+        unreadable = [[[entry, *y[0][1:]], *y[1:]] for entry in (math.nan, math.inf, None)]
+        for bad in (zero, la.mat_scale(-1, y), unsymmetric, la.identity_matrix(n), small, large, *unreadable):
+            assert not check_certificate(cx_type_I, j_std6, "kahler", bad), bad
 
     def test_reads_float_entries_exactly(self, cx_type_I, j_std6):
         """A float copy of the certificate is read exactly and passes.  With

@@ -29,7 +29,6 @@ from hermlie.hermitian import (
     condition_kernel,
     hermitian_decomposition,
     kernel_span,
-    splice_metric,
     unitary_basis,
 )
 from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition, shear_kernel
@@ -255,12 +254,10 @@ class TestErrors:
             balanced_structural(cx_type_I, g, j_std6)
 
     @pytest.mark.parametrize("vectors", [[(1, 0, 0, 0, 0, 0)], [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]])
-    def test_not_j_invariant(self, cx_type_I, j_std6, g_identity6, vectors):
+    def test_not_j_invariant(self, j_std6, g_identity6, vectors):
         S = al.Subspace.span(6, vectors)
         with pytest.raises(NotJInvariantError):
             unitary_basis(S, g_identity6, j_std6)
-        with pytest.raises(NotJInvariantError):
-            splice_metric(cx_type_I, j_std6, g_identity6, g_identity6, S)
 
 
 def test_routes_share_no_differential(monkeypatch):
