@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 HERMITIAN, SEARCH, LINALG = "src/hermlie/hermitian.py", "src/hermlie/search.py", "src/hermlie/linalg.py"
+CORE = "src/hermlie/core.py"
 
 MUTANTS = (
     Mutant(
@@ -134,9 +135,33 @@ MUTANTS = (
     ),
     Mutant(
         "is-integrable-key-without-den", HERMITIAN,
-        "    key = (tuple(map(tuple, rows)), dj)\n", "    key = tuple(map(tuple, rows))\n",
+        "    key = (tuple(map(tuple, rows)), dj)\n    if key not in L.integrability",
+        "    key = tuple(map(tuple, rows))\n    if key not in L.integrability",
         "J^2 = -I makes rows^2 = -dJ^2 I, so J's numerators fix its denominator dJ > 0",
         equivalent=True,
+    ),
+    Mutant(
+        "sigma-key-without-den", HERMITIAN,
+        "        key = (tuple(map(tuple, rows)), dj)\n        if key not in self.sigmas",
+        "        key = tuple(map(tuple, rows))\n        if key not in self.sigmas",
+        "as for is_integrable: J^2 = -I fixes dJ > 0 from J's numerators",
+        equivalent=True,
+    ),
+    Mutant(
+        "is-closed-without-pair-parity", CORE,
+        "            total += -acc if (p + q) & 1 else acc\n", "            total += acc\n",
+        "each pair [e_p, e_q] of d a(e_0, .., e_k) enters with the sign (-1)^(p+q)",
+    ),
+    Mutant(
+        "is-closed-early-return-inverted", CORE,
+        "        if total:\n            return False\n", "        if not total:\n            return False\n",
+        "the zero test stops at the first nonzero output coefficient, not at the first zero one",
+    ),
+    Mutant(
+        "shear-algebra-without-negation", "src/hermlie/shear.py",
+        "LieAlgebra.from_ints(self.omega.ints.negated())", "LieAlgebra.from_ints(self.omega.ints)",
+        "shear data builds [x, y] = -w(x, y); no verdict sees the sign, as d, Jacobi and Nijenhuis "
+        "vanish together for w and -w, but the algebra's table does",
     ),
     Mutant(
         "fraction-exponent-guard-tenfold", "src/hermlie/documents.py",

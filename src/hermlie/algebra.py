@@ -163,7 +163,8 @@ class LieAlgebra:
     """A finite-dimensional real Lie algebra with rational structure constants.
 
     The bracket table is stored sparsely: ``table[(i, j)]`` with i < j holds
-    the vector [e_i, e_j]; antisymmetry supplies the rest.
+    the vector [e_i, e_j]; antisymmetry supplies the rest.  An algebra built
+    ``from_ints`` forms its table only when something reads it.
     """
 
     def __init__(self, dim: int, table: dict[tuple[int, int], Vector]):
@@ -175,6 +176,19 @@ class LieAlgebra:
             if not (1 <= i < j <= dim) or len(v) != dim:
                 raise IndexOutOfRangeError(f"bad table entry for pair ({i}, {j})")
         self.integrability: dict[tuple, bool] = {}  # by J's numerators: ``hermitian.is_integrable``
+
+    @staticmethod
+    def from_ints(b: core.Bilinear) -> "LieAlgebra":
+        """The algebra whose bracket numerators are ``b``, whose entries are
+        already in range, without clearing or checking a table again."""
+        L = LieAlgebra.__new__(LieAlgebra)
+        L.dim, L.ints, L.integrability = b.dim, b, {}
+        return L
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], Vector]:
+        """The bracket table of an algebra built ``from_ints``."""
+        return self.ints.table()
 
     def __eq__(self, other):
         return (

@@ -114,6 +114,11 @@ class Bilinear:
                 pair = (1 << i) | (1 << j)
                 self.de[k].append((pair, _above_parity(pair), -c))
 
+    def table(self) -> dict[tuple[int, int], tuple]:
+        """``{(i, j): w(e_i, e_j)}`` with 1-indexed i < j, as Fractions: the
+        table the map was built from, without its zero vectors."""
+        return {(i + 1, j + 1): fractions(self.on_basis[(i, j)], self.den) for i, j, _ in sorted(self.terms)}
+
     def negated(self) -> "Bilinear":
         """-w over the same denominator, without clearing a table again."""
         out = Bilinear.__new__(Bilinear)
@@ -313,3 +318,38 @@ def differential(b: Bilinear, form: dict[int, int]) -> dict[int, int]:
                 key = rest | pair
                 out[key] = out.get(key, 0) + (-c * v if flips & 1 else c * v)
     return {k: v for k, v in out.items() if v}
+
+
+def is_closed(b: Bilinear, form: dict[int, int]) -> bool:
+    """Whether ``differential(b, form)`` is zero, one output coefficient at a
+    time, stopping at the first nonzero one.
+
+    On basis vectors, d a(e_0, .., e_k) = sum_{p<q} (-1)^(p+q)
+    a([e_p, e_q], e_0, .., ^p, .., ^q, .., e_k), and a(e_t, e_R) is the
+    coefficient of a on R + t, signed by the count of R below t.  A closed
+    form pays for every output, so a sparse form or bracket, whose whole
+    ``differential`` costs less, is tested by that instead.
+    """
+    if not form:
+        return True
+    n, k = b.dim, next(iter(form)).bit_count()
+    # Leibniz reads about len(form) k T / n entries of the de^m, which hold
+    # T in all; every output together has C(n, k+1) C(k+1, 2) pairs
+    if len(form) * k * sum(map(len, b.de)) < n * comb(n, k + 1) * comb(k + 1, 2):
+        return not differential(b, form)
+    column = b.column
+    for out in _subsets((1 << n) - 1, k + 1):
+        total = 0
+        for (p, x), (q, y) in combinations(enumerate(bits(out)), 2):
+            nums = column[y].get(x)  # [e_x, e_y]
+            if not nums:
+                continue
+            rest, acc = out ^ (1 << x) ^ (1 << y), 0
+            for t, c in nums:
+                bit = 1 << t
+                if not rest & bit and (a := form.get(rest | bit)):
+                    acc += -c * a if (rest & (bit - 1)).bit_count() & 1 else c * a
+            total += -acc if (p + q) & 1 else acc
+        if total:
+            return False
+    return True

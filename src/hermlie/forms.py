@@ -205,7 +205,8 @@ class VectorValuedTwoForm:
     """An alternating bilinear map on Q^n with values in a target subspace.
 
     ``values[(i, j)]`` with i < j holds the vector w(e_i, e_j); this mirrors
-    a bracket table, which is exactly how shear two-forms arise.
+    a bracket table, which is exactly how shear two-forms arise.  A form
+    built ``from_ints`` forms its values only when something reads them.
     """
 
     def __init__(self, dim: int, target: Subspace, values: dict[tuple[int, int], Sequence]):
@@ -222,6 +223,18 @@ class VectorValuedTwoForm:
                 raise DimensionMismatchError("value vector has the wrong length")
             if not linalg.is_zero_vec(v):
                 self.values[(i, j)] = v
+
+    @staticmethod
+    def from_ints(target: Subspace, b: core.Bilinear) -> "VectorValuedTwoForm":
+        """The form whose numerators are ``b``, into a ``target`` of b's dimension."""
+        form = VectorValuedTwoForm.__new__(VectorValuedTwoForm)
+        form.dim, form.target, form.ints = b.dim, target, b
+        return form
+
+    @cached_property
+    def values(self) -> dict[tuple[int, int], Vector]:
+        """The values of a form built ``from_ints``."""
+        return self.ints.table()
 
     def __eq__(self, other):
         return (

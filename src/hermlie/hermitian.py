@@ -142,6 +142,7 @@ class Metric:
         if any(minor <= 0 for minor in linalg.minor_pivots(rows)):
             raise InvalidMetricError("metric matrix is not positive definite")
         object.__setattr__(self, "ints", (rows, den))
+        object.__setattr__(self, "sigmas", {})  # by J's numerators: ``sigma``
 
     @property
     def dim(self) -> int:
@@ -158,14 +159,23 @@ class Metric:
         """The Gram matrix g(u, v) of ``vectors``."""
         return linalg.mat([[self.pair(u, v) for v in vectors] for u in vectors])
 
+    def sigma(self, J: ComplexStructure) -> tuple[dict[int, int], int] | None:
+        """``sigma_of(J, g)``, formed once per J: the result is kept on g under
+        J's numerators, so that the compatibility test and sigma share one
+        J^T g.  Read only by every caller."""
+        rows, dj = J.ints
+        key = (tuple(map(tuple, rows)), dj)
+        if key not in self.sigmas:
+            self.sigmas[key] = sigma_of(J, *self.ints)
+        return self.sigmas[key]
+
     def compatible_with(self, J: ComplexStructure) -> bool:
         """J^T g J = g, which as J^2 = -1 holds exactly when J^T g is skew."""
-        require_dim(self.dim, J)
-        return core.is_skew(core.mat_mul(list(zip(*J.ints[0])), self.ints[0]))
+        return self.sigma(J) is not None
 
     def sigma_ints(self, J: ComplexStructure) -> tuple[dict[int, int], int]:
         """sigma = g(J., .) = J^T g on core bitmasks, over dJ * dg."""
-        if (sigma := sigma_of(J, *self.ints)) is None:
+        if (sigma := self.sigma(J)) is None:
             raise IncompatibleMetricError("metric is not J-invariant")
         return sigma
 
@@ -379,8 +389,9 @@ def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
     which the condition map of ``kind`` vanishes: the metrics G for Kahler
     and SKT, the inverse metrics H (compatible with J^T) for balanced.  The
     map runs once, on ``coordinate_basis`` packed into one int matrix
-    (``packed_kernel``)."""
-    require_dim(L.dim, J)
+    (``packed_kernel``).  Like every exact verdict, it needs L validated and
+    J integrable on it (``require_integrable``)."""
+    require_integrable(L, J)
     # Gains, with N = dim, M the largest numerator of J and the bracket (at
     # least 1) and X standing for max |X|.  J^T X and -H J^T have entries at
     # most N M X.  d of a k-form with coefficients at most c sums, on each
@@ -434,9 +445,18 @@ def squared_norm(form: tuple[dict[int, int], int]) -> float:
 
 
 def classify_metric(L: LieAlgebra, g: Metric, J: ComplexStructure) -> MetricVerdicts:
-    """Exact verdicts for the three closedness conditions of sigma."""
-    forms = condition_forms(L, g, J)
-    return MetricVerdicts(**{kind: not nums for kind, (nums, _) in forms.items()})
+    """Exact verdicts for the three closedness conditions of sigma: the
+    ``condition_forms`` tested for zero, d(sigma^(n-1)) and d J* d sigma by
+    ``core.is_closed``, which stops at their first nonzero coefficient.  d
+    sigma is formed whole, as J* d sigma needs it."""
+    require_integrable(L, J)
+    sigma, _ = g.sigma_ints(J)
+    b = L.ints
+    dsigma = core.differential(b, sigma)
+    if not dsigma:
+        return MetricVerdicts(True, True, True)
+    balanced = core.is_closed(b, core.power(sigma, L.dim // 2 - 1))
+    return MetricVerdicts(False, balanced, core.is_closed(b, core.pullback(J.ints[0], dsigma)))
 
 
 @dataclass(frozen=True)

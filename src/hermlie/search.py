@@ -49,10 +49,8 @@ from .hermitian import (
     condition_form,
     condition_kernel,
     coordinate_basis,
-    is_integrable,
     metric_at,
     require_dim,
-    require_integrable,
 )
 from .shear import pre_shear_from_bracket, shear_kernel
 
@@ -63,31 +61,37 @@ def metric_parameterization(L: LieAlgebra, J: ComplexStructure) -> tuple:
     return coordinate_basis(J, "kahler")
 
 
+def _semidefinite(y) -> bool:
+    """Whether the symmetric int matrix ``y`` is positive semidefinite: with
+    B an echelon basis of its range, exactly when B y B^T is definite, by
+    its leading principal minors."""
+    b = linalg.echelon(y)
+    return all(minor > 0 for minor in linalg.minor_pivots(core.mat_mul(core.mat_mul(b, y), list(zip(*b)))))
+
+
 def _certifies(kernel, Y) -> bool:
     """Whether ``Y`` is a nonzero symmetric positive semidefinite matrix
-    orthogonal to every kernel matrix, so that no X > 0 lies in K.  With B
-    an echelon basis of Y's range, Y is semidefinite exactly when B Y B^T
-    is definite, by its leading principal minors."""
+    orthogonal to every kernel matrix, so that no X > 0 lies in K."""
     rows, _ = core.clear_matrix(Y)
     flat = [c for row in rows for c in row]
     if rows != [list(col) for col in zip(*rows)] or not any(flat):
         return False
     if any(core.dot(flat, [c for row in m for c in row]) for m in kernel):
         return False
-    b = linalg.echelon(rows)
-    return all(minor > 0 for minor in linalg.minor_pivots(core.mat_mul(core.mat_mul(b, rows), list(zip(*b)))))
+    return _semidefinite(rows)
 
 
 def check_certificate(L: LieAlgebra, J: ComplexStructure, kind: str, Y) -> bool:
     """Whether the rational matrix ``Y`` proves that no metric compatible
     with J satisfies ``kind``, checked exactly on a fresh kernel and, on a
-    two-step solvable L with J integrable, also on the shear route's kernel.
+    two-step solvable L, also on the shear route's kernel.  The fresh kernel
+    needs J integrable, as every exact verdict does (NotIntegrableError).
     Float entries are read exactly, as ``Metric`` reads them; an entry that
     is not a finite rational, such as NaN, inf or None, does not certify."""
     if len(Y) != L.dim or any(len(row) != L.dim for row in Y):
         return False
     kernel = condition_kernel(L, J, kind)
-    if is_two_step_solvable(L) and is_integrable(L, J):
+    if is_two_step_solvable(L):
         kernel += shear_kernel(pre_shear_from_bracket(L), J, kind)
     try:
         exact = linalg.mat(Y)
@@ -230,10 +234,13 @@ def _face_certificate(L, J, kind, kernel, projection):
     """The first face's Y = B^T (I_r - P) B that ``_certifies``, as
     ``_primitive`` gives it, and tr(I_r - P), or None: P is the projection
     of I_r onto the span of the B M B^T, so tr(Y M) = tr((I_r - P) B M B^T)
-    = 0 for M in K."""
+    = 0 for M in K.  B has independent rows, so Y is semidefinite exactly
+    when the r x r matrix I_r - P is, which is tested first."""
     for b, (p, d) in _faces(L, J, kind, kernel, projection):
         r = len(b)
         z = [[d * (a == c) - p[a * r + c] for c in range(r)] for a in range(r)]
+        if not _semidefinite(z):
+            continue
         y = core.mat_mul(core.mat_mul(list(zip(*b)), z), b)
         if _certifies(kernel, y):
             return _primitive(y), float(Fraction(sum(z[a][a] for a in range(r)), d))  # tr Z = |I_r - P|^2
@@ -269,7 +276,6 @@ def search_metric(
     the step that decided."""
     if kind not in KINDS:
         raise ValueError(f"unknown condition kind: {kind}")
-    require_integrable(L, J)
     return search_kernel(L, J, kind, condition_kernel(L, J, kind), config)
 
 

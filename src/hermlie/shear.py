@@ -75,10 +75,9 @@ class PreShearData:
 
     @cached_property
     def algebra(self) -> LieAlgebra:
-        """The algebra [x, y] = -w(x, y), not validated, on w's integer table negated."""
-        L = LieAlgebra(self.dim, {pair: linalg.neg_vec(v) for pair, v in self.omega.values.items()})
-        L.ints = self.omega.ints.negated()
-        return L
+        """The algebra [x, y] = -w(x, y), not validated, built from w's
+        integer table negated; its Fraction table is formed only when read."""
+        return LieAlgebra.from_ints(self.omega.ints.negated())
 
     @cached_property
     def pre_shear(self) -> PreShearReport:
@@ -105,9 +104,7 @@ class PreShearReport:
 def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
     """Reconstruct (a, w) = (derg, -bracket); the algebra it builds is L."""
     img = image_of_bracket(L)
-    omega = VectorValuedTwoForm(L.dim, img, {pair: linalg.neg_vec(v) for pair, v in L.table.items()})
-    omega.ints = L.ints.negated()
-    data = PreShearData(L.dim, img, omega)
+    data = PreShearData(L.dim, img, VectorValuedTwoForm.from_ints(img, L.ints.negated()))
     object.__setattr__(data, "algebra", L)
     return data
 

@@ -6,10 +6,16 @@ import pytest
 from hermlie import algebra as al
 from hermlie import core
 from hermlie import linalg as la
+from hermlie.generators import FIXED_DIMS, PROFILES
 from hermlie.hermitian import ComplexStructure, Metric
 from hermlie.salamon import parse_salamon
 
 Q = Fraction
+# every generator profile at every dimension from 4 to 10 that it exists in
+BUILDABLE = [
+    (dim, profile) for dim in (4, 6, 8, 10) for profile in PROFILES
+    if dim in FIXED_DIMS.get(profile, (dim,))
+]
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ and wedges by permutation sums, and elimination by textbook Gauss-Jordan.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,11 @@ from hermlie import linalg as la
 from hermlie.algebra import LieAlgebra
 from hermlie.catalog import witness_lists
 from hermlie.errors import IncompatibleMetricError
-from hermlie.generators import FIXED_DIMS, PROFILES, random_complex_shear
+from hermlie.generators import random_complex_shear
 from hermlie.hermitian import Metric, classify_metric, fundamental_form
 from hermlie.shear import build_shear, shear_condition
+
+from conftest import BUILDABLE
 
 Q = Fraction
 KINDS = ("kahler", "balanced", "skt")
@@ -223,12 +226,6 @@ def assert_powers(form, top):
     assert power.is_zero() and core.power(nums, top + 1) == {}
 
 
-BUILDABLE = [
-    (dim, profile) for dim in (4, 6, 8, 10) for profile in PROFILES
-    if dim in FIXED_DIMS.get(profile, (dim,))
-]
-
-
 def test_form_power_is_repeated_wedge():
     """Every power of the dense sigma of each buildable profile at d4-d10."""
     for dim, profile in BUILDABLE:
@@ -312,6 +309,41 @@ def test_shear_route_agrees_with_classify_metric(cell):
     direct = classify_metric(L, g, J)
     for kind in KINDS:
         assert shear_condition(data, g, J, kind) == direct[kind]
+
+
+# --- the early-exit zero test of d -------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells, st.integers(0, 10), st.data())
+def test_is_closed_is_the_zero_test_of_d(cell, degree, data):
+    """On forms of every degree ``core.is_closed`` reads the whole
+    differential's zero test, and every exact form is closed."""
+    _, _, _, L = instance(*cell)
+    nums, _ = data.draw(sparse_forms(L.dim, min(degree, L.dim))).ints
+    d = core.differential(L.ints, nums)
+    assert core.is_closed(L.ints, nums) == (not d)
+    assert core.is_closed(L.ints, d)
+
+
+def test_exact_forms_are_closed_on_every_validated_algebra():
+    """d o d = 0: on every catalog algebra and every buildable generated one,
+    d of a dense form of each degree passes ``core.is_closed``, while the
+    dense forms themselves are not all closed."""
+    rng = Random(0)
+    algebras = [entry.algebra for entry in witness_lists()]
+    algebras += [build_shear(random_complex_shear(0, profile, dim)[0]) for dim, profile in BUILDABLE]
+    for L in algebras:
+        b = L.ints
+        assert L.validated
+        closed = []
+        for degree in range(L.dim + 1):
+            form = {m: rng.randint(-3, 3) or 1 for m in core._subsets((1 << L.dim) - 1, degree)}
+            d = core.differential(b, form)
+            assert core.is_closed(b, d), (L, degree)
+            closed.append(core.is_closed(b, form))
+            assert closed[-1] == (not d), (L, degree)
+        assert not all(closed) or not L.table, L
 
 
 # --- Bareiss elimination -----------------------------------------------------

@@ -26,6 +26,7 @@ from hermlie.hermitian import (
     balanced_inverse_form,
     balanced_structural,
     classify_metric,
+    condition_forms,
     condition_kernel,
     coordinates,
     fingerprint_distinguish,
@@ -44,7 +45,7 @@ from hermlie.salamon import parse_salamon
 from hermlie.search import check_certificate, metric_parameterization, search_metric
 from hermlie.shear import build_shear, pre_shear_from_bracket, shear_condition
 
-from conftest import nijenhuis, nullspace, scale_vec, unit_vec
+from conftest import BUILDABLE, commuting_change, nijenhuis, nullspace, scale_vec, unit_vec
 
 Q = Fraction
 
@@ -241,6 +242,30 @@ class TestClassifyMetric:
     def test_requires_integrable(self, cx_type_III, j_std6, g_identity6):
         with pytest.raises(NotIntegrableError, match="not integrable.*Nijenhuis"):
             classify_metric(cx_type_III, g_identity6, j_std6)
+
+    def test_equals_the_condition_forms(self):
+        """The early-exit verdicts are the zero tests of the whole
+        ``condition_forms``: on every catalog witness, on two generated
+        instances of each buildable profile at d4-d10, and on one
+        ``commuting_change`` conjugate of each, which keeps the verdicts."""
+        rng = random.Random("early-exit")
+        cases = [(e.name, e.algebra, w.metric, e.J) for e in witness_lists() for w in e.witnesses]
+        for dim, profile in BUILDABLE:
+            for seed in (0, 1):
+                data, g, J = random_complex_shear(seed, profile, dim)
+                cases.append((f"{profile}/d{dim}/{seed}", build_shear(data), g, J))
+        seen = set()
+        for label, L, g, J in cases:
+            p = commuting_change(J, rng)
+            moved = Metric(la.mat_mul(la.transpose(p), la.mat_mul(g.matrix, p)))
+            verdicts = classify_metric(L, g, J).as_dict()
+            for M, h in ((L, g), (al.change_basis(L, p), moved)):
+                forms = condition_forms(M, h, J)
+                assert classify_metric(M, h, J).as_dict() == verdicts == {k: not forms[k][0] for k in KINDS}, label
+            seen.add(tuple(verdicts.values()))
+        assert {L.dim for _, L, _, _ in cases} == {4, 6, 8, 10}
+        # Kahler fails with balanced and SKT each both ways, and all three hold
+        assert {(False, True, False), (False, False, True), (False, False, False), (True, True, True)} <= seen
 
 
 class TestDecomposition:

@@ -470,6 +470,21 @@ class TestCertificateCheck:
         y[0][0] += 0.5
         assert not check_certificate(cx_type_I, j_std6, "kahler", y)
 
+    def test_requires_integrable(self):
+        """On (0,21,0,0,43,0) J e_1 = e_3, J e_2 = e_4, J e_5 = e_6 is not
+        integrable.  Each Y below is the none certificate of its kind on
+        that J's kernel, and it is refused: no kernel is formed for a J
+        that is not integrable."""
+        L = parse_salamon("(0,21,0,0,43,0)")
+        J = ComplexStructure.from_pairs(6, [(1, 3), (2, 4), (5, 6)])
+        diagonals = {"kahler": (0, 1, 0, 1, 1, 1), "balanced": (1, 0, 1, 0, 0, 0), "skt": (0, 1, 0, 1, 1, 1)}
+        for kind, diagonal in diagonals.items():
+            y = [[Q(c if a == b else 0) for b, c in enumerate(diagonal)] for a in range(6)]
+            with pytest.raises(NotIntegrableError, match="not integrable.*Nijenhuis"):
+                check_certificate(L, J, kind, y)
+            with pytest.raises(NotIntegrableError):
+                condition_kernel(L, J, kind)
+
     @pytest.mark.parametrize("y", [[[0, 1], [1, 0]], [[1, 0], [4, 1]]], ids=["zero-minor", "unsymmetric"])
     def test_rejects_an_indefinite_form_with_no_kernel(self, y):
         """With no kernel matrix only Y's form can reject it: [[0, 1], [1, 0]]

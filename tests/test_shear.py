@@ -9,7 +9,6 @@ from hermlie import algebra as al
 from hermlie import core
 from hermlie import hermitian as hermitian_module
 from hermlie import linalg as la
-from hermlie import shear as shear_module
 from hermlie.errors import (
     IncompatibleMetricError,
     InvalidPreShearError,
@@ -32,6 +31,7 @@ from hermlie.hermitian import (
     is_integrable,
     j_adapted_split,
     kernel_span,
+    sigma_of,
     validate_complex_structure,
 )
 from hermlie.normal_forms import KahlerNormalForm, kahler_normal_form
@@ -305,12 +305,13 @@ class TestComplexShearOnTheBuiltAlgebra:
         references; ``validate_complex_structure`` fails exactly on the
         basis pairs where the Fraction Nijenhuis tensor is nonzero."""
         built = []
+        from_ints = al.LieAlgebra.from_ints
 
-        def counted(*args):
-            built.append(al.LieAlgebra(*args))
+        def counted(b):
+            built.append(from_ints(b))
             return built[-1]
 
-        monkeypatch.setattr(shear_module, "LieAlgebra", counted)
+        monkeypatch.setattr(al.LieAlgebra, "from_ints", staticmethod(counted))
         seen = {"jacobi_ok": set(), "integrable_ok": set()}
         for label, data, J in _complex_shear_cases():
             n = data.dim
@@ -370,6 +371,28 @@ class TestComplexShearOnTheBuiltAlgebra:
         assert classify_metric(L, g, ComplexStructure(J.matrix)) == verdicts
         assert len(runs) == 1
 
+    def test_every_verdict_shares_one_sigma(self, monkeypatch):
+        """J^T g is formed once per (g, J): the direct verdicts, the shear
+        conditions, the structural verdict and a J rebuilt from the same
+        matrix, all on one metric, call ``sigma_of`` once; another metric
+        of the same matrix forms its own."""
+        data, g, J = random_complex_shear(0, "typeI", 6)
+        L, g = build_shear(data), Metric(g.matrix)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sigma_of(*args)
+
+        monkeypatch.setattr(hermitian_module, "sigma_of", counted)
+        verdicts = classify_metric(L, g, J)
+        assert [shear_condition(data, g, J, kind) for kind in KINDS] == [verdicts[kind] for kind in KINDS]
+        assert balanced_structural(L, g, J).balanced == verdicts.balanced
+        assert classify_metric(L, g, ComplexStructure(J.matrix)) == verdicts
+        assert len(calls) == 1
+        assert classify_metric(L, Metric(g.matrix), J) == verdicts
+        assert len(calls) == 2
+
 
 class TestBuildShear:
     def test_zero_gives_abelian(self):
@@ -387,6 +410,20 @@ class TestBuildShear:
         assert validate_pre_shear(data).valid
         with pytest.raises(JacobiFailedError):
             build_shear(data)
+
+    def test_algebras_are_built_from_the_negated_int_table(self):
+        """Data of a form w builds [x, y] = -w(x, y), and data read off a
+        bracket has w = -[., .]: each is built from the other's int table
+        negated, and its Fraction table, formed when read, is the negated
+        table of a Fraction-built reference."""
+        for seed in range(3):
+            data, _, _ = random_complex_shear(seed, "typeIII", 6)
+            L = build_shear(data)  # the generator's Fraction-built algebra
+            values = data.omega.values  # formed from L's int table
+            assert values == {pair: la.neg_vec(v) for pair, v in L.table.items()}
+            fresh = PreShearData(6, data.a, VectorValuedTwoForm(6, data.a, values))
+            assert fresh.algebra.table == L.table and fresh.algebra == L
+            _assert_fresh_table(fresh.algebra.ints, 6, L.table)
 
     def test_outputs_two_step_solvable(self):
         for seed in range(5):
