@@ -44,7 +44,7 @@ class Mutant(NamedTuple):
 
 
 HERMITIAN, SEARCH, LINALG = "src/hermlie/hermitian.py", "src/hermlie/search.py", "src/hermlie/linalg.py"
-CORE = "src/hermlie/core.py"
+CORE, SHEAR = "src/hermlie/core.py", "src/hermlie/shear.py"
 
 MUTANTS = (
     Mutant(
@@ -108,17 +108,17 @@ MUTANTS = (
         "a row with a zero multiplier still divides by the previous pivot unless p equals it",
     ),
     Mutant(
-        "kahler-shear-cyclic-sign", "src/hermlie/shear.py",
+        "kahler-shear-cyclic-sign", SHEAR,
         "(j, k, i, 1), (i, k, j, -1))", "(j, k, i, -1), (i, k, j, -1))",
         "tau is the cyclic sum of sigma(w(e_i, e_j), e_k); the shear route must agree with the direct one",
     ),
     Mutant(
-        "skt-shear-split-sign", "src/hermlie/shear.py",
+        "skt-shear-split-sign", SHEAR,
         "    ((0, 2), (1, 3), -1),\n", "    ((0, 2), (1, 3), 1),\n",
         "each split carries the sign of its permutation; the shear route must agree with the direct one",
     ),
     Mutant(
-        "balanced-shear-hj", "src/hermlie/shear.py",
+        "balanced-shear-hj", SHEAR,
         "c = core.dot(h[a], jm[b])", "c = sum(h[a][t] * jm[t][b] for t in range(n2))",
         "P = H J^T pairs the rows of H with the rows of J, not with its columns",
     ),
@@ -154,14 +154,40 @@ MUTANTS = (
     ),
     Mutant(
         "is-closed-early-return-inverted", CORE,
-        "        if total:\n            return False\n", "        if not total:\n            return False\n",
+        "            total += -acc if (p + q) & 1 else acc\n        if total:\n",
+        "            total += -acc if (p + q) & 1 else acc\n        if not total:\n",
         "the zero test stops at the first nonzero output coefficient, not at the first zero one",
     ),
     Mutant(
-        "shear-algebra-without-negation", "src/hermlie/shear.py",
+        "shear-algebra-without-negation", SHEAR,
         "LieAlgebra.from_ints(self.omega.ints.negated())", "LieAlgebra.from_ints(self.omega.ints)",
         "shear data builds [x, y] = -w(x, y); no verdict sees the sign, as d, Jacobi and Nijenhuis "
         "vanish together for w and -w, but the algebra's table does",
+    ),
+    Mutant(
+        "jacobi-width-one-bit-short", CORE,
+        "width = (3 * n * b.top * b.top).bit_length() + 1", "width = (3 * n * b.top * b.top).bit_length()",
+        "jacobi_residual reads the packed sums back, and a coordinate near 3 n M^2 needs the sign bit",
+    ),
+    Mutant(
+        "nijenhuis-width-one-bit-short", HERMITIAN,
+        "+ dj * dj) * b.top).bit_length()\n", "+ dj * dj) * b.top).bit_length() - 1\n",
+        "a Nijenhuis coordinate at its bound 4M for the standard J fills the width, and the next slot can cancel it",
+    ),
+    Mutant(
+        "wedge-vanishes-without-sign-parity", CORE,
+        "total += -ca * cb if (mb & _above_parity(ma)).bit_count() & 1 else ca * cb", "total += ca * cb",
+        "each split of an output mask enters the wedge with the sign that sorts it",
+    ),
+    Mutant(
+        "classify-balanced-power-n-minus-1", HERMITIAN,
+        "core.power(sigma, L.dim // 2 - 2)", "core.power(sigma, L.dim // 2 - 1)",
+        "d(sigma^(n-1)) is d sigma ^ sigma^(n-2); one degree more is a form above the top degree, always zero",
+    ),
+    Mutant(
+        "pre-shear-image-fast-path-accepts", SHEAR,
+        "        if not all(in_span(basis, row) for row in self.image_ints):\n", "        if False:\n",
+        "im(w) inside a is tested on the echelon rows of im(w); skipping it accepts data whose values leave a",
     ),
     Mutant(
         "fraction-exponent-guard-tenfold", "src/hermlie/documents.py",

@@ -91,6 +91,17 @@ def in_span(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     return not any(v)
 
 
+def span_ints(b: core.Bilinear) -> tuple[tuple[int, ...], ...]:
+    """Primitive echelon basis of the span of the values w(e_i, e_j) of b."""
+    rows = []
+    for _, _, nums in b.terms:
+        row = [0] * b.dim
+        for k, c in nums:
+            row[k] = c
+        rows.append(row)
+    return linalg.echelon(rows)
+
+
 def intersect_ints(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Echelon basis of a & b from int bases of the same ambient space, via
     the kernel of [A^T | -B^T]."""
@@ -106,13 +117,14 @@ def complement_ints(
 ) -> tuple[tuple[int, ...], ...]:
     """Echelon basis of {w in span(within) : w^T g s = 0 for every row s},
     for the numerators ``g`` of a positive definite metric; ``within`` is an
-    echelon basis and defaults to the whole space."""
-    if within is None:
-        within = [[int(i == j) for j in range(len(g))] for i in range(len(g))]
+    echelon basis and defaults to the whole space, where the rows g s are
+    eliminated directly."""
+    gs = [core.mat_vec(g, r) for r in s]
+    if within is None:  # w^T g s = (g s) . w, as g is symmetric
+        return linalg.echelon(linalg.kernel(gs, len(g))[0])
     if not s or not within:
         return tuple(map(tuple, within))
     # unknowns are coefficients of `within`'s rows
-    gs = [core.mat_vec(g, r) for r in s]
     eqs = [[core.dot(w, x) for w in within] for x in gs]
     return linalg.echelon(core.combine(x, within) for x in linalg.kernel(eqs, len(within))[0])
 
@@ -207,28 +219,25 @@ class LieAlgebra:
 
     @cached_property
     def derived_ints(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive echelon basis of the derived algebra, from the bracket
-        numerators (``linalg.echelon``); callers must not modify it."""
-        rows = []
-        for _, _, nums in self.ints.terms:
-            row = [0] * self.dim
-            for k, c in nums:
-                row[k] = c
-            rows.append(row)
-        return linalg.echelon(rows)
+        """Primitive echelon basis of the derived algebra, ``span_ints`` of
+        the bracket numerators; shear data and the algebra it builds share
+        it.  Callers must not modify it."""
+        return span_ints(self.ints)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         return self.ints.rational(x, y)
 
     def jacobi_residual(self) -> Fraction:
         """Max-abs coordinate of the cyclic sum over all basis triples."""
-        worst = max((abs(c) for s in core.jacobi_sums(self.ints) for c in s), default=0)
+        width, sums = core.jacobi_sums(self.ints)
+        worst = max((abs(c) for s in sums if s for c in core.unpack(s, width, self.dim)), default=0)
         return Fraction(worst, self.ints.den**2)
 
     @cached_property
     def validated(self) -> bool:
-        """Whether the Jacobi identity holds: ``jacobi_residual() == 0``."""
-        return not any(any(s) for s in core.jacobi_sums(self.ints))
+        """Whether the Jacobi identity holds: ``jacobi_residual() == 0``,
+        each triple's packed sum tested for zero as one int."""
+        return not any(core.jacobi_sums(self.ints)[1])
 
     def require_validated(self):
         if not self.validated:
@@ -239,19 +248,20 @@ class LieAlgebra:
     @cached_property
     def fingerprint(self) -> Fingerprint:
         """The invariants ``structure_invariants`` reports; meaningful only
-        once the Jacobi identity holds."""
+        once the Jacobi identity holds.  [g, g] is ``derived_ints``, the first
+        step of both series; only the later steps bracket subspaces."""
+        derg = image_of_bracket(self)
         derived = []
-        current = Subspace.full(self.dim)
+        current, nxt = Subspace.full(self.dim), derg
         while True:
-            nxt = bracket_of_subspaces(self, current, current)
             derived.append(nxt.dim)
             if nxt.dim == current.dim or nxt.dim == 0:
                 break
             current = nxt
+            nxt = bracket_of_subspaces(self, current, current)
 
-        lower = []
-        current = bracket_of_subspaces(self, Subspace.full(self.dim), Subspace.full(self.dim))
-        lower.append(current.dim)
+        current = derg
+        lower = [current.dim]
         while current.dim:
             nxt = bracket_of_subspaces(self, Subspace.full(self.dim), current)
             if nxt.dim == current.dim:
@@ -265,7 +275,7 @@ class LieAlgebra:
             derived_series=tuple(derived),
             lower_central_series=tuple(lower),
             center_dim=z.dim,
-            derived_center_dim=intersect(image_of_bracket(self), z).dim,
+            derived_center_dim=intersect(derg, z).dim,
             unimodular=is_unimodular(self),
             nilpotent=(lower[-1] == 0),
         )

@@ -11,6 +11,13 @@ gcd is taken until a value leaves the core.
 Forms are dicts from bitmasks (bit i - 1 set for index i) to numerators;
 vectors and matrices are lists of ints, 0-indexed.  Wedges look up the free
 slots of each term, and powers are a Pfaffian recursion (``power``).
+
+The two gates before every verdict, Jacobi here and the Nijenhuis tensor
+in ``hermitian``, pack each vector they add into one int (Kronecker
+substitution, read back by ``unpack``), so a whole sum is one int addition
+and its zero test one comparison.  The zero tests of d and of a wedge,
+``is_closed`` and ``wedge_vanishes``, run output by output and stop at the
+first nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ def is_skew(m: Sequence[Sequence[int]]) -> bool:
 
 def height(rows: Sequence[Sequence[int]], b: "Bilinear") -> int:
     """max(1, |entries of rows|, |numerators of b|)."""
-    return max(1, *(abs(c) for row in rows for c in row), *(abs(c) for _, _, nums in b.terms for _, c in nums))
+    return max(1, b.top, *(abs(c) for row in rows for c in row))
 
 
 def unpack(value: int, width: int, count: int) -> list[int]:
@@ -135,15 +142,10 @@ class Bilinear:
                     out[k] += c * v
         return out
 
-    def with_basis(self, x: Sequence[int], k: int) -> list[int]:
-        """Numerators of w(x, e_k) over den * den(x); k is 0-indexed."""
-        out = [0] * self.dim
-        for a, nums in self.column[k].items():
-            xa = x[a]
-            if xa:
-                for m, v in nums:
-                    out[m] += xa * v
-        return out
+    @cached_property
+    def top(self) -> int:
+        """The largest |numerator|, 0 for the zero map."""
+        return max((abs(c) for _, _, nums in self.terms for _, c in nums), default=0)
 
     @cached_property
     def on_basis(self) -> dict[tuple[int, int], list[int]]:
@@ -285,20 +287,35 @@ def pullback(rows: Sequence[Sequence[int]], form: dict[int, int]) -> dict[int, i
 # --- the Lie algebra operators: Jacobi sums and the differential -----------
 
 
-def jacobi_sums(b: Bilinear) -> Iterator[list[int]]:
+def jacobi_sums(b: Bilinear) -> tuple[int, Iterator[int]]:
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] for i < j < k, in
-    lexicographic order, as numerators over den**2."""
+    lexicographic order, each packed into one int at the returned width W:
+    ``unpack(s, W, dim)`` reads its numerators over den**2.
+
+    Each [e_m, e_z] is packed once, sum_t c_t 2^(W t) (Kronecker
+    substitution, as in ``hermitian.packed_kernel``), so a triple's sum is
+    one int.  A coordinate adds three terms of at most n products of two
+    numerators, so it is below 3 n M^2 < 2^(W-1) for M the largest |numerator|:
+    the digits read back exactly, and a sum is zero exactly when its int is.
+    """
     n, column = b.dim, b.column
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                out = [0] * n
-                # [e_x, e_y] = column[y][x]; each term is [[e_x, e_y], e_z]
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, c in column[y].get(x, ()):
-                        for t, v in column[z].get(m, ()):
-                            out[t] += c * v
-                yield out
+    width = (3 * n * b.top * b.top).bit_length() + 1
+    packed = [{m: sum(c << width * t for t, c in nums) for m, nums in col.items()} for col in column]
+
+    def sums() -> Iterator[int]:
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    out = 0
+                    # [e_x, e_y] = column[y][x]; each term is [[e_x, e_y], e_z]
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        p = packed[z]
+                        for m, c in column[y].get(x, ()):
+                            if m in p:
+                                out += c * p[m]
+                    yield out
+
+    return width, sums()
 
 
 def differential(b: Bilinear, form: dict[int, int]) -> dict[int, int]:
@@ -350,6 +367,26 @@ def is_closed(b: Bilinear, form: dict[int, int]) -> bool:
                 if not rest & bit and (a := form.get(rest | bit)):
                     acc += -c * a if (rest & (bit - 1)).bit_count() & 1 else c * a
             total += -acc if (p + q) & 1 else acc
+        if total:
+            return False
+    return True
+
+
+def wedge_vanishes(a: dict[int, int], b: dict[int, int]) -> bool:
+    """Whether ``wedge(a, b)`` is zero, one output coefficient at a time,
+    stopping at the first nonzero one: the coefficient on a mask O sums
+    sign a_P b_(O - P) over the terms P of a inside O."""
+    if not a or not b:
+        return True
+    size = next(iter(a)).bit_count() + next(iter(b)).bit_count()
+    for out in _subsets(reduce(or_, a, 0) | reduce(or_, b, 0), size):
+        total = 0
+        for ma, ca in a.items():
+            if ma & ~out:
+                continue
+            mb = out ^ ma
+            if cb := b.get(mb):
+                total += -ca * cb if (mb & _above_parity(ma)).bit_count() & 1 else ca * cb
         if total:
             return False
     return True

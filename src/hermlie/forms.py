@@ -249,6 +249,3 @@ class VectorValuedTwoForm:
 
     def __call__(self, x: Sequence, y: Sequence) -> Vector:
         return self.ints.rational(x, y)
-
-    def image(self) -> Subspace:
-        return Subspace.span(self.dim, list(self.values.values()))

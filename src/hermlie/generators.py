@@ -276,7 +276,8 @@ def _mixed_params(rng: random.Random) -> SixDNonPureData:
         pair = (min(u, v), max(u, v))
         shifted = {**table, pair: list(table.get(pair, [0] * 6))}
         shifted[pair][t % 2] += b.den if u < v else -b.den
-        cols.append([c for s in core.jacobi_sums(core.Bilinear(6, shifted)) for c in s])
+        width, sums = core.jacobi_sums(core.Bilinear(6, shifted))
+        cols.append([c for s in sums for c in core.unpack(s, width, 6)])
     kernel, den = linalg.kernel(list(zip(*cols)), 12)
     if not kernel:
         return base

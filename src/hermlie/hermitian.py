@@ -252,21 +252,46 @@ class ComplexStructureReport:
 
 def validate_complex_structure(L: LieAlgebra, J: ComplexStructure) -> ComplexStructureReport:
     """Nijenhuis tensor on basis pairs, on numerators over dJ^2 * den(L):
-    B(J e_i, J e_j) - J B(J e_i, e_j) - J B(e_i, J e_j) - dJ^2 B(e_i, e_j)."""
+    B(J e_i, J e_j) - J B(J e_i, e_j) - J B(e_i, J e_j) - dJ^2 B(e_i, e_j).
+
+    Each B(e_a, e_c) and J B(e_a, e_c) is packed once into one int at width
+    W (Kronecker substitution, as in ``packed_kernel``), so each pair's value
+    is one int.  With S and R the largest column and row sums of |J|, and M
+    the largest |bracket numerator|, a coordinate is at most
+    (S^2 + 2 R S + dJ^2) M < 2^W, so the int is zero exactly when the value
+    is; nothing is read back, so no sign bit is needed.
+    """
     require_dim(L.dim, J)
-    b = L.ints
+    n, b = L.dim, L.ints
     rows, dj = J.ints
-    cols = [list(c) for c in zip(*rows)]  # J e_i
-    plain = b.on_basis
+    jcols = [[(a, rows[a][i]) for a in range(n) if rows[a][i]] for i in range(n)]  # J e_i, sparse
+    col_sum = max(sum(abs(x) for _, x in col) for col in jcols)
+    row_sum = max(sum(map(abs, row)) for row in rows)
+    width = ((col_sum * col_sum + 2 * row_sum * col_sum + dj * dj) * b.top).bit_length()
+    pj = [sum(x << width * t for t, x in col) for col in jcols]  # J e_k, packed
+    pb = [[0] * n for _ in range(n)]  # B(e_a, e_c)
+    pjb = [[0] * n for _ in range(n)]  # J B(e_a, e_c)
+    for a, c, nums in b.terms:
+        v, jv = sum(x << width * t for t, x in nums), sum(x * pj[t] for t, x in nums)
+        pb[a][c], pb[c][a], pjb[a][c], pjb[c][a] = v, -v, jv, -jv
+
+    def at_j(col, m):  # row i of J^T m, from the entries of J e_i
+        (a, x), *rest = col
+        out = [x * v for v in m[a]]
+        for a, x in rest:
+            out = [u + x * v for u, v in zip(out, m[a])]
+        return out
+
+    q = [at_j(col, pb) for col in jcols]  # B(J e_i, e_c)
+    r = [at_j(col, pjb) for col in jcols]  # J B(J e_i, e_c)
     scale = dj * dj
-    failing = []
-    for i, j in combinations(range(L.dim), 2):
-        # B(J e_i, e_j) + B(e_i, J e_j) = B(J e_i, e_j) - B(J e_j, e_i)
-        mixed = [x - y for x, y in zip(b.with_basis(cols[i], j), b.with_basis(cols[j], i))]
-        out = core.mat_vec(rows, mixed)
-        if any(p - q - scale * r for p, q, r in zip(b(cols[i], cols[j]), out, plain[(i, j)])):
-            failing.append((i + 1, j + 1))
-    return ComplexStructureReport(not failing, tuple(failing))
+    # B(J e_i, J e_j) = sum_c J_cj B(J e_i, e_c), and J B(e_i, J e_j) = -J B(J e_j, e_i)
+    failing = tuple(
+        (i + 1, j + 1)
+        for i, j in combinations(range(n), 2)
+        if sum([x * q[i][c] for c, x in jcols[j]]) - r[i][j] + r[j][i] - scale * pb[i][j]
+    )
+    return ComplexStructureReport(not failing, failing)
 
 
 def is_integrable(L: LieAlgebra, J: ComplexStructure) -> bool:
@@ -446,16 +471,18 @@ def squared_norm(form: tuple[dict[int, int], int]) -> float:
 
 def classify_metric(L: LieAlgebra, g: Metric, J: ComplexStructure) -> MetricVerdicts:
     """Exact verdicts for the three closedness conditions of sigma: the
-    ``condition_forms`` tested for zero, d(sigma^(n-1)) and d J* d sigma by
-    ``core.is_closed``, which stops at their first nonzero coefficient.  d
-    sigma is formed whole, as J* d sigma needs it."""
+    ``condition_forms`` tested for zero, each stopping at its first nonzero
+    coefficient.  d sigma is formed whole, as the other two read it:
+    d(sigma^(n-1)) = (n-1) d sigma ^ sigma^(n-2) is tested by
+    ``core.wedge_vanishes`` (d sigma != 0 needs dim >= 4, so n >= 2), and
+    d J* d sigma by ``core.is_closed``."""
     require_integrable(L, J)
     sigma, _ = g.sigma_ints(J)
     b = L.ints
     dsigma = core.differential(b, sigma)
     if not dsigma:
         return MetricVerdicts(True, True, True)
-    balanced = core.is_closed(b, core.power(sigma, L.dim // 2 - 1))
+    balanced = core.wedge_vanishes(dsigma, core.power(sigma, L.dim // 2 - 2))
     return MetricVerdicts(False, balanced, core.is_closed(b, core.pullback(J.ints[0], dsigma)))
 
 

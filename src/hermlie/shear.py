@@ -44,7 +44,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import core, linalg
-from .algebra import LieAlgebra, Subspace, image_of_bracket, in_span
+from .algebra import LieAlgebra, Subspace, image_of_bracket, in_span, span_ints
 from .errors import (
     IncompatibleMetricError,
     InvalidPreShearError,
@@ -68,22 +68,36 @@ class PreShearData:
 
     def normalized(self) -> "PreShearData":
         """Shrink `a` to the image of the form (the derived algebra)."""
-        img = self.omega.image()
+        img = Subspace(self.dim, self.image_ints)
         return PreShearData(
             self.dim, img, VectorValuedTwoForm(self.dim, img, self.omega.values)
         )
 
     @cached_property
+    def image_ints(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive echelon basis of im(w), which is the derived algebra of
+        the algebra the data builds (``algebra.span_ints``)."""
+        return span_ints(self.omega.ints)
+
+    @cached_property
     def algebra(self) -> LieAlgebra:
         """The algebra [x, y] = -w(x, y), not validated, built from w's
-        integer table negated; its Fraction table is formed only when read."""
-        return LieAlgebra.from_ints(self.omega.ints.negated())
+        integer table negated; its Fraction table is formed only when read,
+        and its derived algebra is the data's ``image_ints``, as -w spans
+        what w spans."""
+        L = LieAlgebra.from_ints(self.omega.ints.negated())
+        L.derived_ints = self.image_ints
+        return L
 
     @cached_property
     def pre_shear(self) -> PreShearReport:
-        """The check of w|_(a x a) = 0 and im(w) inside a."""
+        """The check of w|_(a x a) = 0 and im(w) inside a.  im(w) lies in a
+        when the rows of ``image_ints`` do; only when one does not is every
+        value tested, to list the offending pairs."""
         w, basis = self.omega.ints, self.a.ints
-        image_bad = [(i + 1, j + 1) for i, j, _ in w.terms if not in_span(basis, w.on_basis[(i, j)])]
+        image_bad = []
+        if not all(in_span(basis, row) for row in self.image_ints):
+            image_bad = [(i + 1, j + 1) for i, j, _ in w.terms if not in_span(basis, w.on_basis[(i, j)])]
         restriction_bad = [
             (p + 1, q + 1) for p, q in combinations(range(len(basis)), 2) if any(w(basis[p], basis[q]))
         ]
@@ -106,6 +120,7 @@ def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
     img = image_of_bracket(L)
     data = PreShearData(L.dim, img, VectorValuedTwoForm.from_ints(img, L.ints.negated()))
     object.__setattr__(data, "algebra", L)
+    object.__setattr__(data, "image_ints", L.derived_ints)
     return data
 
 

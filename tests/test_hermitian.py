@@ -268,6 +268,34 @@ class TestClassifyMetric:
         assert {(False, True, False), (False, False, True), (False, False, False), (True, True, True)} <= seen
 
 
+def _block(a, b):
+    """The block-diagonal rational matrix diag(a, b)."""
+    na, nb = len(a), len(b)
+    return la.mat([*(list(r) + [0] * nb for r in a), *([0] * na + list(r) for r in b)])
+
+
+@pytest.mark.parametrize("flat", [2, 4])
+def test_balanced_witnesses_stay_balanced_beside_a_flat_factor(flat):
+    """Each balanced, non-Kahler catalog witness, summed with an Abelian
+    R^2 or R^4 under the block J and block metric, is balanced and not
+    Kahler by every route: at d8 and d10 the zero test of
+    d sigma ^ sigma^(n-2) runs through every output coefficient."""
+    witnesses = [(e, w) for e in witness_lists() for w in e.witnesses if w.expected["balanced"] and not w.expected["kahler"]]
+    assert witnesses
+    for entry, w in witnesses:
+        L = al.direct_sum(entry.algebra, al.abelian(flat))
+        J = ComplexStructure(_block(entry.J.matrix, ComplexStructure.standard(flat).matrix))
+        g = Metric(_block(w.metric.matrix, la.identity_matrix(flat)))
+        data = pre_shear_from_bracket(L)
+        forms = condition_forms(L, g, J)
+        label = f"{entry.name}/{w.label} + R^{flat}"
+        assert L.dim == 6 + flat, label
+        assert classify_metric(L, g, J).as_dict() == {**w.expected, "balanced": True, "kahler": False}, label
+        assert not forms["balanced"][0] and forms["kahler"][0], label
+        assert shear_condition(data, g, J, "balanced") and not shear_condition(data, g, J, "kahler"), label
+        assert balanced_structural(L, g, J).balanced, label
+
+
 class TestDecomposition:
     def test_type_I_case(self, cx_type_I, j_std6, g_identity6):
         dec = hermitian_decomposition(cx_type_I, g_identity6, j_std6)

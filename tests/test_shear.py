@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlie import algebra as al
 from hermlie import core
@@ -168,7 +169,7 @@ def reference_skt(data, g, J):
         jj[(y, x)] = [-c for c in jj[(x, y)]]
     gwj = []
     for z in range(n2):
-        cols = [[-c for c in w.with_basis(j_units[z], m)] for m in range(n2)]
+        cols = [[-c for c in w(j_units[z], [int(t == m) for t in range(n2)])] for m in range(n2)]
         gwj.append(core.mat_mul(core.mat_mul(gm, list(zip(*cols))), jm))
     g_tv = {}
     for x, y in combinations(range(n2), 2):
@@ -288,14 +289,101 @@ def _complex_shear_cases():
 
 
 def _jacobi_reference(L):
-    """Whether the Fraction Jacobi sum over ``L.bracket`` vanishes on every triple."""
-    n = L.dim
+    """The largest |coordinate| of the Fraction Jacobi sums over ``L.bracket``
+    on every triple: zero exactly when the Jacobi identity holds."""
+    n, worst = L.dim, Q(0)
     for i, j, k in combinations(range(1, n + 1), 3):
         x, y, z = e(n, i), e(n, j), e(n, k)
         terms = (L.bracket(L.bracket(x, y), z), L.bracket(L.bracket(y, z), x), L.bracket(L.bracket(z, x), y))
-        if any(map(sum, zip(*terms))):
-            return False
-    return True
+        worst = max(worst, *(abs(sum(c)) for c in zip(*terms)))
+    return worst
+
+
+def _extremal_jacobi_table(n, top, den=1):
+    """A bracket table on Q^n (n >= 4) with entries in {0, +-top} / den whose
+    Jacobi sum on (e_1, e_2, e_3) reaches 3 (n - 1) top^2 / den^2 on e_4:
+    with A, B, C = [e_1, e_2], [e_2, e_3], [e_3, e_1] the coordinate is
+    sum_m A_m [e_m, e_3]_4 + B_m [e_m, e_1]_4 + C_m [e_m, e_2]_4, whose
+    3 (n - 1) products are all signed +top^2 here."""
+    m = Q(top, den)
+    a, b, c = [m] * n, [m] * n, [m] * n
+    a[0], a[2], b[0], b[1], c[1], c[2] = -m, 0, 0, -m, 0, -m
+    table = {(1, 2): a, (2, 3): b, (1, 3): [-x for x in c]}
+    for t in range(4, n + 1):  # [e_t, e_s]_4 = top for s = 1, 2, 3
+        for s in (1, 2, 3):
+            table[(s, t)] = [-m if r == 3 else 0 for r in range(n)]
+    return al.LieAlgebra(n, table)
+
+
+def _nonclosing_table(draw, dim):
+    """A random table on Q^dim: values with numerators up to 2^40 and small
+    denominators, so packed slots carry and borrow."""
+    entry = st.fractions(min_value=-(2**40), max_value=2**40, max_denominator=9)
+    table = {}
+    for _ in range(draw(st.integers(1, 2 * dim))):
+        i = draw(st.integers(1, dim - 1))
+        table[(i, draw(st.integers(i + 1, dim)))] = draw(st.lists(entry, min_size=dim, max_size=dim))
+    return al.LieAlgebra(dim, table)
+
+
+def _conjugated_j(draw, dim):
+    """P J_std P^-1 for a random invertible int matrix P: dense and, on a
+    random table, almost never integrable."""
+    while True:
+        p = la.mat(draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+        if la.det(p):
+            return ComplexStructure(la.mat_mul(la.mat_mul(p, ComplexStructure.standard(dim).matrix), la.inverse(p)))
+
+
+GATE_DRAWS = settings(max_examples=24, deadline=None, derandomize=True, database=None)
+
+
+class TestPackedGates:
+    """The packed Jacobi and Nijenhuis tests off the happy path, d4-d10,
+    against the unpacked Fraction references."""
+
+    @GATE_DRAWS
+    @given(st.sampled_from((4, 6, 8, 10)), st.data())
+    def test_jacobi_matches_the_reference(self, dim, data):
+        L = _nonclosing_table(data.draw, dim)
+        residual = _jacobi_reference(L)
+        assert L.jacobi_residual() == residual
+        assert L.validated == (residual == 0)
+
+    @GATE_DRAWS
+    @given(st.sampled_from((4, 6, 8, 10)), st.data())
+    def test_nijenhuis_matches_the_reference(self, dim, data):
+        L = _nonclosing_table(data.draw, dim)
+        J = _conjugated_j(data.draw, dim) if data.draw(st.booleans()) else ComplexStructure.standard(dim)
+        failing = tuple(
+            (i, j) for i, j in combinations(range(1, dim + 1), 2) if any(nijenhuis(L, J, e(dim, i), e(dim, j)))
+        )
+        report = validate_complex_structure(L, J)
+        assert report.failing_pairs == failing
+        assert report.integrable == (not failing) == is_integrable(L, J)
+
+    @pytest.mark.parametrize("n, top, den", [(4, 1, 1), (6, 3, 1), (8, 1, 7), (10, 1, 1), (4, 2**20, 7), (10, 2**20, 1)])
+    def test_jacobi_packing_fills_its_width(self, n, top, den):
+        """The Jacobi sum on e_4 reaches 3 (n - 1) top^2, which needs the
+        top bit of a slot below its sign bit: one bit fewer misreads it."""
+        L = _extremal_jacobi_table(n, top, den)
+        width, _ = core.jacobi_sums(L.ints)
+        assert 3 * (n - 1) * top * top >= 1 << width - 2
+        assert L.jacobi_residual() == _jacobi_reference(L) == Q(3 * (n - 1) * top * top, den * den)
+        assert not L.validated
+
+    @pytest.mark.parametrize("top", [1, 2**20])
+    def test_nijenhuis_packing_fills_its_width(self, top):
+        """For the standard J the bound (S^2 + 2 R S + dJ^2) M is 4 top, and
+        N(e_1, e_3) = (4 top, -1, 0, 0) reaches it: a width one bit short
+        packs that as 4 top - 2^(width - 1) = 0 and misses the pair."""
+        m = Q(top)
+        table = {(1, 3): (-m, 0, 0, 0), (1, 4): (0, m, 0, 0), (2, 3): (0, m, 0, 0), (2, 4): (m, -1, 0, 0)}
+        L, J = al.LieAlgebra(4, table), ComplexStructure.standard(4)
+        assert nijenhuis(L, J, e(4, 1), e(4, 3)) == (4 * m, -1, 0, 0)
+        failing = tuple((i, j) for i, j in combinations(range(1, 5), 2) if any(nijenhuis(L, J, e(4, i), e(4, j))))
+        assert (1, 3) in failing
+        assert validate_complex_structure(L, J).failing_pairs == failing
 
 
 class TestComplexShearOnTheBuiltAlgebra:
@@ -327,7 +415,7 @@ class TestComplexShearOnTheBuiltAlgebra:
             failing = tuple(
                 (i, j) for i, j in combinations(range(1, n + 1), 2) if any(nijenhuis(L, J, e(n, i), e(n, j)))
             )
-            assert rep.jacobi_ok == _jacobi_reference(L), label
+            assert rep.jacobi_ok == (_jacobi_reference(L) == 0), label
             assert rep.integrable_ok == (not failing), label
             assert validate_complex_structure(L, J).failing_pairs == failing, label
             assert is_integrable(L, J) == validate_complex_structure(L, J).integrable, label
