@@ -18,7 +18,6 @@ from hermlie import (
     pre_shear_from_bracket,
     shear_condition,
     shear_operators,
-    validate_pre_shear,
 )
 from hermlie.generators import PROFILES, random_complex_shear
 
@@ -27,7 +26,7 @@ J = ComplexStructure.standard(6)
 g = Metric.identity(6)
 
 data = pre_shear_from_bracket(L)
-print("pre-shear data valid:", validate_pre_shear(data).valid)
+print("pre-shear data valid:", data.pre_shear.valid)
 print("closure + integrability:", check_complex_shear(data, J))
 print("rebuilt algebra equals the original:", build_shear(data) == L)
 

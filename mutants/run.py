@@ -190,6 +190,16 @@ MUTANTS = (
         "im(w) inside a is tested on the echelon rows of im(w); skipping it accepts data whose values leave a",
     ),
     Mutant(
+        "bilinear-pair-check-allows-i-equal-j", CORE,
+        "            if not 1 <= i < j <= dim:\n", "            if not 1 <= i <= j <= dim:\n",
+        "a pair (i, i) names no bracket; a table holding one must be refused, not read as w(e_i, e_i)",
+    ),
+    Mutant(
+        "bilinear-terms-unsorted", CORE,
+        "        for (i, j), v in sorted(table.items()):\n", "        for (i, j), v in table.items():\n",
+        "the terms, and so every Fraction table read back, follow the pairs' order, not the caller's dict",
+    ),
+    Mutant(
         "fraction-exponent-guard-tenfold", "src/hermlie/documents.py",
         "if exponent and abs(int(exponent[1])) > limit + len(value):",
         "if exponent and abs(int(exponent[1])) > 10 * (limit + len(value)):",

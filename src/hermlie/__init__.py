@@ -78,7 +78,6 @@ from .shear import (
     shear_condition,
     shear_kernel,
     shear_operators,
-    validate_pre_shear,
 )
 
 __version__ = "0.1.0"

@@ -174,32 +174,26 @@ class Fingerprint:
 class LieAlgebra:
     """A finite-dimensional real Lie algebra with rational structure constants.
 
-    The bracket table is stored sparsely: ``table[(i, j)]`` with i < j holds
-    the vector [e_i, e_j]; antisymmetry supplies the rest.  An algebra built
-    ``from_ints`` forms its table only when something reads it.
+    ``ints`` holds the bracket table as the checked ``core.Bilinear`` it is
+    built from: ``table[(i, j)]`` with i < j holds the vector [e_i, e_j],
+    and antisymmetry supplies the rest.
     """
 
     def __init__(self, dim: int, table: dict[tuple[int, int], Vector]):
-        self.dim = dim
-        self.table = {
-            pair: linalg.vec(v) for pair, v in sorted(table.items()) if not linalg.is_zero_vec(v)
-        }
-        for (i, j), v in self.table.items():
-            if not (1 <= i < j <= dim) or len(v) != dim:
-                raise IndexOutOfRangeError(f"bad table entry for pair ({i}, {j})")
+        self.dim, self.ints = dim, core.Bilinear(dim, table)
         self.integrability: dict[tuple, bool] = {}  # by J's numerators: ``hermitian.is_integrable``
 
     @staticmethod
     def from_ints(b: core.Bilinear) -> "LieAlgebra":
-        """The algebra whose bracket numerators are ``b``, whose entries are
-        already in range, without clearing or checking a table again."""
+        """The algebra whose bracket numerators are ``b``, without clearing
+        or checking a table again."""
         L = LieAlgebra.__new__(LieAlgebra)
         L.dim, L.ints, L.integrability = b.dim, b, {}
         return L
 
     @cached_property
     def table(self) -> dict[tuple[int, int], Vector]:
-        """The bracket table of an algebra built ``from_ints``."""
+        """The nonzero brackets as Fractions, formed when first read."""
         return self.ints.table()
 
     def __eq__(self, other):
@@ -211,11 +205,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.table)})"
-
-    @cached_property
-    def ints(self) -> core.Bilinear:
-        """The bracket table as integer numerators over one denominator."""
-        return core.Bilinear(self.dim, self.table)
 
     @cached_property
     def derived_ints(self) -> tuple[tuple[int, ...], ...]:

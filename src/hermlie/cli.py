@@ -30,7 +30,7 @@ from .errors import HermlieError
 from .hermitian import KINDS, Metric, classify_metric, condition_forms, hermitian_decomposition, squared_norm
 from .salamon import MAX_DIM, render_salamon
 from .search import search_metric
-from .shear import build_shear, check_complex_shear, shear_condition, validate_pre_shear
+from .shear import build_shear, check_complex_shear, shear_condition
 from .verify import run_criteria
 
 PASS, FAIL, INVALID = 0, 1, 2
@@ -92,7 +92,7 @@ def cmd_check(args) -> int:
 
 def cmd_shear(args) -> int:
     data, g, J = load_shear_data(_read_json(args.data))
-    report = {"schema": SCHEMA, "pre_shear_valid": validate_pre_shear(data).valid}
+    report = {"schema": SCHEMA, "pre_shear_valid": data.pre_shear.valid}
     if not report["pre_shear_valid"]:
         raise DocumentError("document does not describe pre-shear data")
     code = PASS

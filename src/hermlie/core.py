@@ -29,7 +29,7 @@ from math import comb, factorial, lcm
 from operator import mul, or_
 from typing import Iterator, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, IndexOutOfRangeError
 
 
 ZERO = Fraction(0)
@@ -94,20 +94,32 @@ class Bilinear:
     """An alternating bilinear map on Q^n as a sparse table of numerators.
 
     Built from ``{(i, j): vector}`` with 1-indexed i < j, the shape of both
-    a bracket table and a shear two-form.  ``terms`` holds
-    ``(i, j, ((k, c), ...))`` with 0-indexed i < j: w(e_i, e_j) has
-    coordinate c / den on e_k.  ``column[k]`` maps a to the same sparse form
-    of w(e_a, e_k), signs included, and ``de[k]`` lists the terms
-    ``(mask, _above_parity(mask), -c)`` of de^k = -sum_{a<b} c_ab^k e^a ^ e^b.
+    a bracket table and a shear two-form, and the one place such a table is
+    checked: a pair outside 1 <= i < j <= dim is an ``IndexOutOfRangeError``
+    and a value whose length is not dim a ``DimensionMismatchError``.
+    Entries are read exactly, as ``linalg.vec`` reads them.  ``terms`` holds
+    ``(i, j, ((k, c), ...))`` with 0-indexed i < j, in pair order and
+    without zero values: w(e_i, e_j) has coordinate c / den on e_k.
+    ``column[k]`` maps a to the same sparse form of w(e_a, e_k), signs
+    included, and ``de[k]`` lists the terms ``(mask, _above_parity(mask), -c)``
+    of de^k = -sum_{a<b} c_ab^k e^a ^ e^b.
     """
 
     def __init__(self, dim: int, table: dict):
-        den = lcm(*[c.denominator for v in table.values() for c in v])
+        rows = []
+        for (i, j), v in sorted(table.items()):
+            if not 1 <= i < j <= dim:
+                raise IndexOutOfRangeError(f"bad pair ({i}, {j})")
+            v = [c if type(c) is Fraction or type(c) is int else Fraction(c) for c in v]
+            if len(v) != dim:
+                raise DimensionMismatchError("value vector has the wrong length")
+            rows.append((i - 1, j - 1, v))
+        den = lcm(*[c.denominator for _, _, v in rows for c in v])
         terms = []
-        for (i, j), v in table.items():
+        for i, j, v in rows:
             nums = tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
             if nums:
-                terms.append((i - 1, j - 1, nums))
+                terms.append((i, j, nums))
         self._index(dim, den, terms)
 
     def _index(self, dim: int, den: int, terms: list) -> None:
@@ -124,7 +136,7 @@ class Bilinear:
     def table(self) -> dict[tuple[int, int], tuple]:
         """``{(i, j): w(e_i, e_j)}`` with 1-indexed i < j, as Fractions: the
         table the map was built from, without its zero vectors."""
-        return {(i + 1, j + 1): fractions(self.on_basis[(i, j)], self.den) for i, j, _ in sorted(self.terms)}
+        return {(i + 1, j + 1): fractions(self.on_basis[(i, j)], self.den) for i, j, _ in self.terms}
 
     def negated(self) -> "Bilinear":
         """-w over the same denominator, without clearing a table again."""

@@ -99,9 +99,5 @@ class UnknownNameError(HermlieError):
     pass
 
 
-class ConstraintViolatedError(HermlieError):
+class ConstraintViolatedError(ParameterConstraintViolatedError):
     """Named-family parameters violate the family's defining inequality."""
-
-    def __init__(self, constraint, message=""):
-        self.constraint = constraint
-        super().__init__(message or f"constraint violated: {constraint}")

@@ -204,25 +204,15 @@ def j_pullback(j_matrix: Matrix, form: KForm) -> KForm:
 class VectorValuedTwoForm:
     """An alternating bilinear map on Q^n with values in a target subspace.
 
-    ``values[(i, j)]`` with i < j holds the vector w(e_i, e_j); this mirrors
-    a bracket table, which is exactly how shear two-forms arise.  A form
-    built ``from_ints`` forms its values only when something reads them.
+    ``ints`` holds the values as the checked ``core.Bilinear`` they are
+    built from: ``values[(i, j)]`` with i < j holds the vector w(e_i, e_j).
+    This mirrors a bracket table, which is exactly how shear two-forms arise.
     """
 
     def __init__(self, dim: int, target: Subspace, values: dict[tuple[int, int], Sequence]):
         if target.ambient_dim != dim:
             raise DimensionMismatchError("target subspace has the wrong ambient dimension")
-        self.dim = dim
-        self.target = target
-        self.values = {}
-        for (i, j), v in sorted(values.items()):
-            if not (1 <= i < j <= dim):
-                raise IndexOutOfRangeError(f"bad pair ({i}, {j})")
-            v = linalg.vec(v)
-            if len(v) != dim:
-                raise DimensionMismatchError("value vector has the wrong length")
-            if not linalg.is_zero_vec(v):
-                self.values[(i, j)] = v
+        self.dim, self.target, self.ints = dim, target, core.Bilinear(dim, values)
 
     @staticmethod
     def from_ints(target: Subspace, b: core.Bilinear) -> "VectorValuedTwoForm":
@@ -233,7 +223,7 @@ class VectorValuedTwoForm:
 
     @cached_property
     def values(self) -> dict[tuple[int, int], Vector]:
-        """The values of a form built ``from_ints``."""
+        """The nonzero values as Fractions, formed when first read."""
         return self.ints.table()
 
     def __eq__(self, other):
@@ -241,11 +231,6 @@ class VectorValuedTwoForm:
             isinstance(other, VectorValuedTwoForm)
             and (self.dim, self.target, self.values) == (other.dim, other.target, other.values)
         )
-
-    @cached_property
-    def ints(self) -> core.Bilinear:
-        """The values as integer numerators over one denominator."""
-        return core.Bilinear(self.dim, self.values)
 
     def __call__(self, x: Sequence, y: Sequence) -> Vector:
         return self.ints.rational(x, y)

@@ -369,15 +369,14 @@ def condition_form(
     ``squared_norm`` is a residual and the Kahler and SKT searches take its
     exact kernel; the balanced search takes ``balanced_inverse_form``'s.
     """
+    _require_kind(kind)
     b = L.ints
     if kind == "kahler":
         return core.differential(b, sigma), den * b.den
     if kind == "balanced":
         n = L.dim // 2
         return core.differential(b, core.power(sigma, n - 1)), den ** (n - 1) * b.den
-    if kind == "skt":
-        return _torsion_form(L, J, *condition_form(L, J, sigma, den, "kahler"))
-    raise ValueError(f"unknown condition kind: {kind}")
+    return _torsion_form(L, J, *condition_form(L, J, sigma, den, "kahler"))
 
 
 def _torsion_form(L: LieAlgebra, J: ComplexStructure, dsigma: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -416,6 +415,7 @@ def condition_kernel(L: LieAlgebra, J: ComplexStructure, kind: str) -> tuple:
     map runs once, on ``coordinate_basis`` packed into one int matrix
     (``packed_kernel``).  Like every exact verdict, it needs L validated and
     J integrable on it (``require_integrable``)."""
+    _require_kind(kind)
     require_integrable(L, J)
     # Gains, with N = dim, M the largest numerator of J and the bracket (at
     # least 1) and X standing for max |X|.  J^T X and -H J^T have entries at

@@ -44,7 +44,6 @@ from . import core, linalg
 from .algebra import LieAlgebra, center, intersect_ints, is_two_step_solvable
 from .errors import InvalidMetricError
 from .hermitian import (
-    KINDS,
     ComplexStructure,
     condition_form,
     condition_kernel,
@@ -274,8 +273,6 @@ def search_metric(
     projection, then the faces, then the solver.  ``found`` carries
     the exact metric, ``none`` the exact Y in ``certificate``, and ``route``
     the step that decided."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown condition kind: {kind}")
     return search_kernel(L, J, kind, condition_kernel(L, J, kind), config)
 
 

@@ -69,9 +69,7 @@ class PreShearData:
     def normalized(self) -> "PreShearData":
         """Shrink `a` to the image of the form (the derived algebra)."""
         img = Subspace(self.dim, self.image_ints)
-        return PreShearData(
-            self.dim, img, VectorValuedTwoForm(self.dim, img, self.omega.values)
-        )
+        return PreShearData(self.dim, img, VectorValuedTwoForm.from_ints(img, self.omega.ints))
 
     @cached_property
     def image_ints(self) -> tuple[tuple[int, ...], ...]:
@@ -122,11 +120,6 @@ def pre_shear_from_bracket(L: LieAlgebra) -> PreShearData:
     object.__setattr__(data, "algebra", L)
     object.__setattr__(data, "image_ints", L.derived_ints)
     return data
-
-
-def validate_pre_shear(data: PreShearData) -> PreShearReport:
-    """Report-valued check of w|_(a x a) = 0 and im(w) inside a."""
-    return data.pre_shear
 
 
 @dataclass(frozen=True)

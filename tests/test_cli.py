@@ -62,6 +62,14 @@ def _demo(name):
     return json.loads((DEMO_DATA / f"{name}.json").read_text())
 
 
+def _bad_omega(**entry):
+    """The six-dimensional counterexample shear document with its first omega
+    entry updated by ``entry``."""
+    doc = _demo("counterexample_shear")
+    doc["omega"][0].update(entry)
+    return doc
+
+
 class TestDescribe:
     def test_counterexample(self, capsys, cx1_file):
         code, out, _ = run_cli(capsys, "describe", cx1_file)
@@ -658,6 +666,12 @@ class TestMalformedInput:
                          'shear document needs an integer "dim"', id="shear-without-dim"),
             pytest.param(("shear", "{0}", "--kind", "build"), [{"dim": 2, "a": [], "omega": [1]}],
                          "an omega entry must be an object", id="omega-entry-not-an-object"),
+            pytest.param(("shear", "{0}", "--kind", "build"), [_bad_omega(i=2, j=2)], "bad pair (2, 2)",
+                         id="omega-pair-repeats-an-index"),
+            pytest.param(("shear", "{0}", "--kind", "build"), [_bad_omega(i=1, j=7)], "bad pair (1, 7)",
+                         id="omega-pair-above-dim"),
+            pytest.param(("shear", "{0}", "--kind", "build"), [_bad_omega(value=["0", "-1", "0", "0", "0"])],
+                         "value vector has the wrong length", id="omega-value-one-short"),
             pytest.param(("describe", "{0}"), [{"salamon": "(0,01)"}], "a zero entry must stand alone",
                          id="salamon-zero-not-alone"),
             pytest.param(("describe", "{0}"), [{"salamon": "(0,2.(12 13))"}],

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from hermlie import core
 from hermlie import forms as fm
 from hermlie import linalg as la
-from hermlie.algebra import LieAlgebra
+from hermlie.algebra import LieAlgebra, Subspace
 from hermlie.catalog import witness_lists
-from hermlie.errors import IncompatibleMetricError
+from hermlie.errors import DimensionMismatchError, IncompatibleMetricError, IndexOutOfRangeError
 from hermlie.generators import random_complex_shear
 from hermlie.hermitian import Metric, classify_metric, fundamental_form
 from hermlie.shear import build_shear, shear_condition
@@ -168,6 +168,37 @@ def naive_gauss_det(m):
             f = work[r][col] / work[col][col]
             work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return result
+
+
+# --- the one checked pair table ---------------------------------------------
+
+# a bracket table and a shear two-form are read through the same core.Bilinear
+TABLE_READERS = {
+    "LieAlgebra": lambda dim, table: LieAlgebra(dim, table).table,
+    "VectorValuedTwoForm": lambda dim, table: fm.VectorValuedTwoForm(dim, Subspace.full(dim), table).values,
+}
+
+
+@pytest.mark.parametrize("read", TABLE_READERS.values(), ids=TABLE_READERS)
+@pytest.mark.parametrize(
+    "table,error,message",
+    [({(1, 2): (0, 0, 1, 0), pair: (0, 0, 0, 1)}, IndexOutOfRangeError, f"bad pair {pair}")
+     for pair in [(0, 2), (2, 2), (3, 2), (1, 5)]]
+    + [({(1, 2): (0, 0, 1)}, DimensionMismatchError, "value vector has the wrong length")],
+)
+def test_bad_tables_are_refused(read, table, error, message):
+    with pytest.raises(error) as err:
+        read(4, table)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("read", TABLE_READERS.values(), ids=TABLE_READERS)
+def test_tables_are_read_exactly(read):
+    """str, int and float entries are read exactly (a float as its binary
+    value, not as 1/10); zero values are dropped and the pairs come back in
+    order."""
+    table = read(4, {(2, 3): ("1/3", 2, 0.1, 0), (1, 2): (0, "0", 0.0, 0), (1, 4): (0, "-2/6", 0, 5)})
+    assert list(table.items()) == [((1, 4), (0, Q(-1, 3), 0, 5)), ((2, 3), (Q(1, 3), 2, Q(0.1), 0))]
 
 
 # --- the core against the references ---------------------------------------

@@ -47,7 +47,6 @@ from hermlie.shear import (
     shear_condition,
     shear_kernel,
     shear_operators,
-    validate_pre_shear,
     _shear_map,
 )
 
@@ -188,23 +187,23 @@ def reference_skt(data, g, J):
 
 class TestPreShearValidation:
     def test_zero_form_valid(self):
-        assert validate_pre_shear(zero_data(4)).valid
+        assert zero_data(4).pre_shear.valid
 
     def test_counterexample_reconstruction_valid(self, cx_type_I):
         data = pre_shear_from_bracket(cx_type_I)
-        assert validate_pre_shear(data).valid
+        assert data.pre_shear.valid
         assert data.a == al.Subspace.span(6, [e(6, 2), e(6, 5)])
 
     def test_violation_listed(self):
         a = al.Subspace.span(4, [e(4, 1), e(4, 2)])
         w = VectorValuedTwoForm(4, a, {(1, 2): e(4, 1)})
-        report = validate_pre_shear(PreShearData(4, a, w))
+        report = PreShearData(4, a, w).pre_shear
         assert not report.valid and report.restriction_violations
 
     def test_image_violation_listed(self):
         a = al.Subspace.span(4, [e(4, 1)])
         w = VectorValuedTwoForm(4, a, {(2, 3): e(4, 4)})
-        report = validate_pre_shear(PreShearData(4, a, w))
+        report = PreShearData(4, a, w).pre_shear
         assert not report.valid and report.image_violations == ((2, 3),)
 
 
@@ -403,7 +402,7 @@ class TestComplexShearOnTheBuiltAlgebra:
         seen = {"jacobi_ok": set(), "integrable_ok": set()}
         for label, data, J in _complex_shear_cases():
             n = data.dim
-            if not validate_pre_shear(data).valid:
+            if not data.pre_shear.valid:
                 with pytest.raises(InvalidPreShearError):
                     check_complex_shear(data, J)
                 with pytest.raises(InvalidPreShearError):
@@ -495,7 +494,7 @@ class TestBuildShear:
         a = al.Subspace.span(4, [e(4, 1), e(4, 2)])
         w = VectorValuedTwoForm(4, a, {(1, 4): e(4, 2), (2, 3): e(4, 1)})
         data = PreShearData(4, a, w)
-        assert validate_pre_shear(data).valid
+        assert data.pre_shear.valid
         with pytest.raises(JacobiFailedError):
             build_shear(data)
 
@@ -831,7 +830,7 @@ class TestShearOperators:
         base = pre_shear_from_bracket(cx_type_I)
         bigger = al.subspace_sum(base.a, al.Subspace.span(6, [e(6, 6)]))
         data = PreShearData(6, bigger, VectorValuedTwoForm(6, bigger, base.omega.values))
-        assert validate_pre_shear(data).valid
+        assert data.pre_shear.valid
         ops, report = shear_operators(data, g_identity6, j_std6)
         assert report.clean
         assert al.subspace_sum(ops.a_J, ops.a_r) == base.a
